@@ -28,7 +28,7 @@ from .errors import (
     PrecisionError,
     ValidationError,
 )
-from .lseries import LValue, Method, RankResult, family_rank, l_deriv, l_deriv0_closed, l_deriv0_even, l_value
+from .lseries import RankResult, family_rank, l_deriv, l_deriv0_closed, l_deriv0_even, l_value
 from .numkernel import bernoulli, hurwitz_zeta, hurwitz_zeta_ds, log_gamma_frac, two_sin_pi
 from .periodic import PeriodicFunction, constant_on_units, from_character, half_support, validate
 from .relations import (

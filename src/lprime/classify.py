@@ -13,9 +13,12 @@ case list is a plain disjunction with no precedence):
 5. nothing matched                         -> Uncovered
 
 ``independence_25`` (the full log-sine family, including a = 1, plus pi
-and log 2, is linearly independent over the algebraic numbers) holds
-exactly for prime powers and q = 6; ``independence_24`` (the same with
-a = 1 excluded) holds exactly when the case is not Uncovered.
+and log 2, is linearly independent over the algebraic numbers) is set
+for prime powers and q = 6, ``independence_24`` (the same with a = 1
+excluded) for every case except Uncovered.  The flags transcribe the
+ladder's hypotheses and are not exact: relations refute them at q = 693,
+34 and 8, and Uncovered q = 140 has only the all-ones relation (ROADMAP
+open item 2).
 
 ``vanishing_verdict`` turns the classification into what is provable
 about L'(0, f) for an even Dirichlet-type f of period q; for the moduli
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from mpmath import mpf, nstr
@@ -45,17 +48,6 @@ class Case(enum.Enum):
     TWO_PN_POWER = "TwoPNPower"
     TWO_TIMES_PEI_FENG = "TwoTimesPeiFeng"
     UNCOVERED = "Uncovered"
-
-
-@dataclass
-class Trace:
-    """Ordered list of (description, outcome) condition checks."""
-
-    entries: list[tuple[str, bool]] = field(default_factory=list)
-
-    def check(self, description: str, outcome: bool) -> bool:
-        self.entries.append((description, outcome))
-        return outcome
 
 
 @dataclass(frozen=True)
@@ -85,20 +77,26 @@ class Classification:
         return json.dumps(self.to_json_dict())
 
 
-def _pei_feng_sub_2(trace: Trace, p1: int, a1: int, case: str) -> str | None:
+def _check(trace: list[tuple[str, bool]], description: str, outcome: bool) -> bool:
+    """Record one condition check in the trace and pass its outcome through."""
+    trace.append((description, outcome))
+    return outcome
+
+
+def _pei_feng_sub_2(trace: list[tuple[str, bool]], p1: int, a1: int, case: str) -> str | None:
     """Shared sub-cases (X,1)/(X,2) of cases I and II: the role of 2 mod p1^a1."""
     m1 = p1 ** a1
     rt = root_type(2, m1)
-    if trace.check(f"2 is a primitive root mod {m1}", rt is RootType.PRIMITIVE):
+    if _check(trace, f"2 is a primitive root mod {m1}", rt is RootType.PRIMITIVE):
         return f"{case},1"
     semi = rt is RootType.SEMI_PRIMITIVE
-    trace.check(f"2 is a semi-primitive root mod {m1}", semi)
-    if semi and trace.check(f"{p1} = 3 (mod 4)", p1 % 4 == 3):
+    _check(trace, f"2 is a semi-primitive root mod {m1}", semi)
+    if semi and _check(trace, f"{p1} = 3 (mod 4)", p1 % 4 == 3):
         return f"{case},2"
     return None
 
 
-def _pei_feng(m: int, trace: Trace) -> str | None:
+def _pei_feng(m: int, trace: list[tuple[str, bool]]) -> str | None:
     """The five-shape composite ladder on m; returns a subcase tag or None.
 
     Shapes (p odd primes, a >= 1): I: 4 p1^a1; II: 2^a0 p1^a1 with
@@ -110,18 +108,18 @@ def _pei_feng(m: int, trace: Trace) -> str | None:
 
     if e0 == 2 and len(odd) == 1:
         (p1, a1), = odd
-        trace.check(f"shape I: {m} = 4 * {p1}^{a1}", True)
+        _check(trace, f"shape I: {m} = 4 * {p1}^{a1}", True)
         sub = _pei_feng_sub_2(trace, p1, a1, "I")
         if sub:
             return sub
     elif e0 >= 3 and len(odd) == 1:
         (p1, a1), = odd
         m0 = 2 ** e0
-        trace.check(f"shape II: {m} = 2^{e0} * {p1}^{a1}", True)
+        _check(trace, f"shape II: {m} = 2^{e0} * {p1}^{a1}", True)
         ord_ok = mult_order(p1, m0) == 2 ** (e0 - 2)
-        trace.check(f"order of {p1} mod {m0} is 2^{e0 - 2}", ord_ok)
+        _check(trace, f"order of {p1} mod {m0} is 2^{e0 - 2}", ord_ok)
         anti_ok = (2 ** (e0 - 3) * p1) % m0 != m0 - 1
-        trace.check(f"2^{e0 - 3} * {p1} is not -1 mod {m0}", anti_ok)
+        _check(trace, f"2^{e0 - 3} * {p1} is not -1 mod {m0}", anti_ok)
         if ord_ok and anti_ok:
             sub = _pei_feng_sub_2(trace, p1, a1, "II")
             if sub:
@@ -129,8 +127,8 @@ def _pei_feng(m: int, trace: Trace) -> str | None:
     elif e0 == 0 and len(odd) == 2:
         (p1, a1), (p2, a2) = odd
         m1, m2 = p1 ** a1, p2 ** a2
-        trace.check(f"shape III: {m} = {p1}^{a1} * {p2}^{a2}", True)
-        if trace.check(f"{p1} = {p2} = 3 (mod 4)", p1 % 4 == 3 and p2 % 4 == 3):
+        _check(trace, f"shape III: {m} = {p1}^{a1} * {p2}^{a2}", True)
+        if _check(trace, f"{p1} = {p2} = 3 (mod 4)", p1 % 4 == 3 and p2 % 4 == 3):
             # one prime primitive mod the other's power, the other
             # semi-primitive back (both-semi-primitive is impossible:
             # order phi/2 forces a quadratic residue, and reciprocity
@@ -142,7 +140,8 @@ def _pei_feng(m: int, trace: Trace) -> str | None:
                 root_type(p2, m1) is RootType.PRIMITIVE
                 and root_type(p1, m2) is RootType.SEMI_PRIMITIVE
             )
-            if trace.check(
+            if _check(
+                trace,
                 f"one of {p1},{p2} primitive mod the other's power, "
                 "the other semi-primitive back",
                 mixed,
@@ -153,22 +152,22 @@ def _pei_feng(m: int, trace: Trace) -> str | None:
                 root_type(p1, m2) is RootType.PRIMITIVE
                 and root_type(p2, m1) is RootType.PRIMITIVE
             )
-            if trace.check(
-                f"{p1} primitive root mod {m2} and {p2} primitive root mod {m1}", both_prim
+            if _check(
+                trace, f"{p1} primitive root mod {m2} and {p2} primitive root mod {m1}", both_prim
             ):
                 return "III,2"
     elif e0 == 2 and len(odd) == 2:
         (p1, a1), (p2, a2) = odd
         m1, m2 = p1 ** a1, p2 ** a2
-        trace.check(f"shape IV: {m} = 4 * {p1}^{a1} * {p2}^{a2}", True)
-        if not trace.check(f"gcd({p1}-1, {p2}-1) = 2", gcd(p1 - 1, p2 - 1) == 2):
+        _check(trace, f"shape IV: {m} = 4 * {p1}^{a1} * {p2}^{a2}", True)
+        if not _check(trace, f"gcd({p1}-1, {p2}-1) = 2", gcd(p1 - 1, p2 - 1) == 2):
             return None
-        if trace.check(f"{p1} = {p2} = 3 (mod 4)", p1 % 4 == 3 and p2 % 4 == 3):
+        if _check(trace, f"{p1} = {p2} = 3 (mod 4)", p1 % 4 == 3 and p2 % 4 == 3):
             two_split = {root_type(2, m1), root_type(2, m2)} == {
                 RootType.PRIMITIVE,
                 RootType.SEMI_PRIMITIVE,
             }
-            trace.check(f"2 primitive mod one of {m1},{m2} and semi-primitive mod the other", two_split)
+            _check(trace, f"2 primitive mod one of {m1},{m2} and semi-primitive mod the other", two_split)
             cross = (
                 root_type(p1, 2 * m2) is RootType.PRIMITIVE
                 and root_type(p2, 2 * m1) is RootType.SEMI_PRIMITIVE
@@ -176,7 +175,8 @@ def _pei_feng(m: int, trace: Trace) -> str | None:
                 root_type(p2, 2 * m1) is RootType.PRIMITIVE
                 and root_type(p1, 2 * m2) is RootType.SEMI_PRIMITIVE
             )
-            trace.check(
+            _check(
+                trace,
                 f"one of {p1},{p2} primitive mod twice the other's power, "
                 "the other semi-primitive mod twice the first's power",
                 cross,
@@ -187,28 +187,28 @@ def _pei_feng(m: int, trace: Trace) -> str | None:
             # exactly one of the primes is 1 mod 4 (both 1 mod 4 fails the gcd test)
             pb, mb = (p1, m1) if p1 % 4 == 3 else (p2, m2)
             two_ok = root_type(2, mb) is RootType.PRIMITIVE
-            trace.check(f"2 is a primitive root mod {mb}", two_ok)
+            _check(trace, f"2 is a primitive root mod {mb}", two_ok)
             both_prim = (
                 root_type(p1, m2) is RootType.PRIMITIVE
                 and root_type(p2, m1) is RootType.PRIMITIVE
             )
-            trace.check(
-                f"{p1} primitive root mod {m2} and {p2} primitive root mod {m1}", both_prim
+            _check(
+                trace, f"{p1} primitive root mod {m2} and {p2} primitive root mod {m1}", both_prim
             )
             if two_ok and both_prim:
                 return "IV,2"
     elif e0 == 0 and len(odd) == 3:
         primes = [p for p, _ in odd]
         powers = [p ** e for p, e in odd]
-        trace.check(f"shape V: {m} = {powers[0]} * {powers[1]} * {powers[2]}", True)
+        _check(trace, f"shape V: {m} = {powers[0]} * {powers[1]} * {powers[2]}", True)
         all3 = all(p % 4 == 3 for p in primes)
-        if not trace.check("all three primes are 3 (mod 4)", all3):
+        if not _check(trace, "all three primes are 3 (mod 4)", all3):
             return None
         halves = [(p - 1) // 2 for p in primes]
         coprime = all(
             gcd(halves[i], halves[j]) == 1 for i in range(3) for j in range(i + 1, 3)
         )
-        if not trace.check("(p-1)/2 pairwise coprime across the three primes", coprime):
+        if not _check(trace, "(p-1)/2 pairwise coprime across the three primes", coprime):
             return None
         # cyclic pattern: each prime primitive mod the next power and
         # semi-primitive mod the one after; both orientations allowed
@@ -222,33 +222,33 @@ def _pei_feng(m: int, trace: Trace) -> str | None:
                 and root_type(primes[j], powers[i]) is RootType.SEMI_PRIMITIVE
                 and root_type(primes[k], powers[j]) is RootType.SEMI_PRIMITIVE
             )
-            trace.check(f"cyclic primitive/semi-primitive pattern ({orient})", ok)
+            _check(trace, f"cyclic primitive/semi-primitive pattern ({orient})", ok)
             if ok:
                 return "V,1"
     else:
-        trace.check(f"{m} matches one of the five composite shapes", False)
+        _check(trace, f"{m} matches one of the five composite shapes", False)
     return None
 
 
 def classify_modulus(q: int) -> Classification:
     if not isinstance(q, int) or q < 2:
         raise ValidationError(f"modulus must be an integer >= 2, got {q!r}")
-    trace = Trace()
+    trace: list[tuple[str, bool]] = []
 
     fact = factorize(q)
-    if trace.check("q is a prime power", len(fact) == 1):
+    if _check(trace, "q is a prime power", len(fact) == 1):
         return _finish(q, Case.PRIME_POWER, None, trace)
-    if trace.check("q = 6", q == 6):
+    if _check(trace, "q = 6", q == 6):
         return _finish(q, Case.Q_SIX, None, trace)
 
-    if trace.check("q = 2 (mod 4)", q % 4 == 2):
+    if _check(trace, "q = 2 (mod 4)", q % 4 == 2):
         m = q // 2
         # m is odd, so only shapes III and V of the ladder can match it
         sub = _pei_feng(m, trace)
         if sub is not None:
             return _finish(q, Case.TWO_TIMES_PEI_FENG, sub.split(",")[0], trace)
         half_pp = len(factorize(m)) == 1
-        if trace.check(f"q/2 = {m} is an odd prime power", half_pp):
+        if _check(trace, f"q/2 = {m} is an odd prime power", half_pp):
             return _finish(q, Case.TWO_PN_POWER, None, trace)
         return _finish(q, Case.UNCOVERED, None, trace)
 
@@ -258,14 +258,14 @@ def classify_modulus(q: int) -> Classification:
     return _finish(q, Case.UNCOVERED, None, trace)
 
 
-def _finish(q: int, case: Case, subcase: str | None, trace: Trace) -> Classification:
+def _finish(q: int, case: Case, subcase: str | None, trace: list[tuple[str, bool]]) -> Classification:
     return Classification(
         q=q,
         case=case,
         subcase=subcase,
         independence_24=case is not Case.UNCOVERED,
         independence_25=case in (Case.PRIME_POWER, Case.Q_SIX),
-        trace=list(trace.entries),
+        trace=trace,
     )
 
 
@@ -291,13 +291,13 @@ class VanishingVerdict:
     applied_theorem: str | None
     numeric_residual: mpf | None = None
 
-    def to_json_dict(self, digits: int = 15) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "kind": self.kind.value,
             "applied_theorem": self.applied_theorem,
             "numeric_residual": None
             if self.numeric_residual is None
-            else nstr(self.numeric_residual, digits),
+            else nstr(self.numeric_residual, 15),
         }
 
 

@@ -21,39 +21,23 @@ default, and an explicit ``--digits`` flag wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mpf, nstr
+from mpmath import nstr
 
 from . import classify as classify_mod
 from . import lseries, relations
 from .errors import ComputationError, ValidationError
-from .numkernel import MIN_DIGITS, working_prec
+from .numkernel import MIN_DIGITS
 from .periodic import PeriodicFunction
 
 DEFAULT_DIGITS = 50
 DEFAULT_MAX_COEFF = 100
 DIGITS_ENV_VAR = "LPRIME_DIGITS"
-
-
-@dataclass
-class RunConfig:
-    digits: int = DEFAULT_DIGITS
-    max_coeff: int = DEFAULT_MAX_COEFF
-    output: str = "text"
-    input_path: str | None = None
-
-    def __post_init__(self):
-        if self.digits < MIN_DIGITS:
-            raise ValidationError(f"--digits must be >= {MIN_DIGITS}, got {self.digits}")
-        if self.max_coeff < 1:
-            raise ValidationError(f"--max-coeff must be >= 1, got {self.max_coeff}")
-        if self.output not in ("text", "json"):
-            raise ValidationError(f"--output must be text or json, got {self.output!r}")
 
 
 def _resolve_digits(flag_value: int | None) -> int:
@@ -84,8 +68,8 @@ def _parse_rational(text: str, flag: str) -> Fraction:
         raise ValidationError(f"{flag} expects a rational like 3 or -2/7, got {text!r}") from None
 
 
-def _emit(report: dict, config: RunConfig, text_lines: list[str]) -> None:
-    if config.output == "json":
+def _emit(report: dict, output: str, text_lines: list[str]) -> None:
+    if output == "json":
         print(json.dumps(report))
     else:
         for line in text_lines:
@@ -95,59 +79,56 @@ def _emit(report: dict, config: RunConfig, text_lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
-def _cmd_eval(args, config: RunConfig) -> int:
+def _cmd_eval(args) -> int:
     f = _load_function(args.fn)
     s = _parse_rational(args.s, "--s")
-    d = config.digits
+    d = args.digits
     if s == 0:
         value = lseries.l_deriv0_closed(f, d)
-        method = lseries.Method.CLOSED_FORM_0
+        method = "ClosedForm0"
     else:
         value = lseries.l_value(s, f, d)
-        method = lseries.Method.HURWITZ_SUM
-    with working_prec(d):
-        lv = lseries.LValue(value=value, s=mpf(s.numerator) / s.denominator,
-                            f_digest=f.digest(), method=method)
-    value_str = nstr(lv.value, d)
+        method = "HurwitzSum"
+    value_str = nstr(value, d)
     report = {
         "s": str(s),
         "digits": d,
-        "method": lv.method.value,
-        "f_digest": lv.f_digest,
+        "method": method,
+        "f_digest": f.digest(),
         "value": value_str,
     }
     label = "L'(0, f)" if s == 0 else f"L({s}, f)"
-    _emit(report, config, [f"{label} = {value_str}  [{lv.method.value}, {d} digits]"])
+    _emit(report, args.output, [f"{label} = {value_str}  [{method}, {d} digits]"])
     return 0
 
 
-def _cmd_classify(args, config: RunConfig) -> int:
+def _cmd_classify(args) -> int:
     cls = classify_mod.classify_modulus(args.q)
     report = cls.to_json_dict()
     lines = [f"q = {cls.q}: {cls.label()}",
              f"independence_24 = {cls.independence_24}, independence_25 = {cls.independence_25}"]
     lines += [f"  [{'x' if r else ' '}] {c}" for c, r in cls.trace]
-    _emit(report, config, lines)
+    _emit(report, args.output, lines)
     return 0
 
 
-def _cmd_identity(args, config: RunConfig) -> int:
-    d = config.digits
+def _cmd_identity(args) -> int:
+    d = args.digits
     residual = relations.sine_identity_residual(args.q, d)
     residual_str = nstr(residual, d)
     report = {"q": args.q, "digits": d, "log_sum": residual_str}
-    _emit(report, config, [f"sum of log(2 sin(k pi/{args.q})) over coprime k = {residual_str}"])
+    _emit(report, args.output, [f"sum of log(2 sin(k pi/{args.q})) over coprime k = {residual_str}"])
     return 0
 
 
-def _cmd_relations(args, config: RunConfig) -> int:
-    d = config.digits
+def _cmd_relations(args) -> int:
+    d = args.digits
     rel = relations.find_relation_for_modulus(
-        args.q, config.max_coeff, d, extended=args.extended
+        args.q, args.max_coeff, d, extended=args.extended
     )
     if rel is None:
-        _emit({"q": args.q, "digits": d, "relation": None}, config,
-              [f"no verified relation for q = {args.q} with |coeff| <= {config.max_coeff}"])
+        _emit({"q": args.q, "digits": d, "relation": None}, args.output,
+              [f"no verified relation for q = {args.q} with |coeff| <= {args.max_coeff}"])
         return 0
     report = {"q": args.q, "digits": d, "relation": rel.to_json_dict()}
     lines = [f"verified relation for q = {args.q}:"]
@@ -156,12 +137,12 @@ def _cmd_relations(args, config: RunConfig) -> int:
         lines.append(f"  pi: {rel.pi_coefficient}, log2: {rel.log2_coefficient}")
     lines.append(f"  residual {nstr(rel.residual_at_d, 8)} at {d} digits, "
                  f"{nstr(rel.residual_at_2d, 8)} at {2 * d} digits")
-    _emit(report, config, lines)
+    _emit(report, args.output, lines)
     return 0
 
 
-def _cmd_witness(args, config: RunConfig) -> int:
-    d = config.digits
+def _cmd_witness(args) -> int:
+    d = args.digits
     c = _parse_rational(args.c, "--c")
     wit = relations.build_witness(args.q, c, d)
     report = wit.to_json_dict()
@@ -170,11 +151,11 @@ def _cmd_witness(args, config: RunConfig) -> int:
         f"|L'(0, f)| = {nstr(wit.residual, 8)} at {d} digits",
         f"f = {wit.f.dumps()}",
     ]
-    _emit(report, config, lines)
+    _emit(report, args.output, lines)
     return 0
 
 
-def _cmd_rank(args, config: RunConfig) -> int:
+def _cmd_rank(args) -> int:
     fns = [_load_function(p) for p in args.fns]
     result = lseries.family_rank(fns)
     report = result.to_json_dict()
@@ -182,7 +163,7 @@ def _cmd_rank(args, config: RunConfig) -> int:
              f"{'independent' if result.independent else 'dependent'}"]
     if result.certificate is not None:
         lines.append(f"certificate: {result.certificate}")
-    _emit(report, config, lines)
+    _emit(report, args.output, lines)
     return 0
 
 
@@ -243,20 +224,35 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built on the first ``run``; ``run`` reads ``LPRIME_DIGITS`` on every call."""
+    return build_parser()
+
+
+def _join_rational_values(argv: list[str]) -> list[str]:
+    """``--s -1/2`` as ``--s=-1/2``: argparse reads "-1/2" as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in ("--s", "--c"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(_join_rational_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = RunConfig(
-            digits=_resolve_digits(args.digits),
-            max_coeff=getattr(args, "max_coeff", DEFAULT_MAX_COEFF),
-            output=args.output,
-            input_path=getattr(args, "fn", None),
-        )
-        return _HANDLERS[args.command](args, config)
+        args.digits = _resolve_digits(args.digits)
+        if args.digits < MIN_DIGITS:
+            raise ValidationError(f"--digits must be >= {MIN_DIGITS}, got {args.digits}")
+        if getattr(args, "max_coeff", 1) < 1:
+            raise ValidationError(f"--max-coeff must be >= 1, got {args.max_coeff}")
+        return _HANDLERS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,13 +20,13 @@ over the half-support columns, never by floating point.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from mpmath import mp, mpf
 
+from .arith import is_prime_power
 from .errors import PoleError, ValidationError
 from .numkernel import (
     RealLike,
@@ -38,26 +38,6 @@ from .numkernel import (
     working_prec,
 )
 from .periodic import PeriodicFunction, half_support, require_even_dirichlet
-
-
-class Method(enum.Enum):
-    HURWITZ_SUM = "HurwitzSum"
-    CLOSED_FORM_0 = "ClosedForm0"
-    EVEN_REDUCED_0 = "EvenReduced0"
-
-
-@dataclass(frozen=True)
-class LValue:
-    """An evaluated L-value or L'-value, tagged with how it was obtained."""
-
-    value: mpf
-    s: mpf
-    f_digest: str
-    method: Method
-
-    def __post_init__(self):
-        if self.method in (Method.CLOSED_FORM_0, Method.EVEN_REDUCED_0) and self.s != 0:
-            raise ValidationError(f"method {self.method.value} only applies at s = 0")
 
 
 def _reject_pole(s: RealLike) -> None:
@@ -172,8 +152,6 @@ def family_rank(fs: list[PeriodicFunction]) -> RankResult:
     integer kernel vector c (primitive, first non-zero entry positive)
     certifies sum_i c_i L'(0, f_i) = 0.
     """
-    from .arith import is_prime_power  # local import to keep module deps one-way
-
     if not fs:
         raise ValidationError("need at least one function")
     q = fs[0].q

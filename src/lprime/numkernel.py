@@ -35,7 +35,6 @@ from mpmath import mp, mpf
 
 from .errors import ConvergenceError, PoleError, ValidationError
 
-Real = mpf
 RealLike = Union[int, float, Fraction, mpf]
 
 MIN_DIGITS = 10

@@ -7,9 +7,14 @@ stored.  The two structural predicates that drive every later formula:
 * even: f(a) = f(q - a) for all a,
 * Dirichlet type: f(a) = 0 whenever gcd(a, q) > 1.
 
+Each is computed at most once per function, on first use (attributes
+``even`` and ``dirichlet``, outside equality and ``repr``).
+
 The JSON form is ``{"q": <int>, "values": {"<residue>": "<num>/<den>"}}``
 with the denominator omitted when it is 1.  Serialization is canonical
 (residues ascending), so parse -> serialize round-trips byte-exactly.
+Parsing rejects a bool ``q``, a repeated key and a residue key that is
+not ``str(a)`` ("04", "+4", "4_0"), so no residue is named twice.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from types import MappingProxyType
 from typing import Mapping
@@ -34,16 +40,25 @@ class PeriodicFunction:
     values: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 1:
+        if isinstance(self.q, bool) or not isinstance(self.q, int) or self.q < 1:
             raise ValidationError(f"period must be a positive integer, got {self.q!r}")
         clean: dict[int, Fraction] = {}
         for a, v in self.values.items():
-            if not isinstance(a, int) or not 1 <= a <= self.q:
+            if isinstance(a, bool) or not isinstance(a, int) or not 1 <= a <= self.q:
                 raise ValidationError(f"residue {a!r} outside 1..{self.q}")
             frac = Fraction(v)
             if frac != 0:
                 clean[a] = frac
         object.__setattr__(self, "values", MappingProxyType(dict(sorted(clean.items()))))
+
+    @cached_property
+    def even(self) -> bool:
+        # a pair a, q - a that breaks evenness has a stored (non-zero) side
+        return all(self.values.get(self.q - a, 0) == v for a, v in self.values.items() if a < self.q)
+
+    @cached_property
+    def dirichlet(self) -> bool:
+        return all(gcd(a, self.q) == 1 for a in self.values)
 
     def __call__(self, n: int) -> Fraction:
         """Value at any positive integer, by periodicity."""
@@ -85,6 +100,8 @@ class PeriodicFunction:
                 a = int(key)
             except (TypeError, ValueError):
                 raise ValidationError(f"residue key {key!r} is not an integer") from None
+            if str(a) != key:
+                raise ValidationError(f"residue key {key!r} is not written canonically as {str(a)!r}")
             if not isinstance(val, str):
                 raise ValidationError(f"value for residue {key!r} must be a string rational")
             try:
@@ -96,7 +113,7 @@ class PeriodicFunction:
     @classmethod
     def loads(cls, text: str) -> "PeriodicFunction":
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_dict_without_repeats)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON: {exc}") from None
         return cls.from_json_dict(data)
@@ -106,11 +123,19 @@ class PeriodicFunction:
         return hashlib.sha256(self.dumps().encode()).hexdigest()[:16]
 
 
+def _dict_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key would silently drop a value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValidationError(f"key {key!r} occurs twice in a JSON object")
+        data[key] = value
+    return data
+
+
 def validate(f: PeriodicFunction) -> tuple[bool, bool]:
-    """(even, dirichlet_type) for a structurally valid function."""
-    even = all(f(a) == f(f.q - a) for a in range(1, f.q))
-    dirichlet = all(gcd(a, f.q) == 1 for a in f.values)
-    return even, dirichlet
+    """(even, dirichlet_type), each computed once per function."""
+    return f.even, f.dirichlet
 
 
 def require_even_dirichlet(f: PeriodicFunction) -> None:

@@ -23,7 +23,6 @@ among the shortest -- not necessarily the witness vector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -93,9 +92,6 @@ class Relation:
             "residual_at_2d": nstr(self.residual_at_2d, 8),
             "verified_at_2d": self.verified_at_2d,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def log_sine_basis(q: int, digits: int, extended: bool = False) -> LogSineBasis:

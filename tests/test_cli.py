@@ -90,6 +90,20 @@ def test_bad_digits(capsys, zero9):
     assert run(["eval", "--fn", zero9, "--s", "0", "--digits", "3"]) == 2
 
 
+def test_bad_max_coeff(capsys):
+    assert run(["relations", "--q", "21", "--max-coeff", "0"]) == 2
+
+
+def test_negative_rational_as_separate_argument(capsys, golden5):
+    for head, flag, value in ((["eval", "--fn", golden5, "--digits", "30"], "--s", "-1/2"),
+                              (["witness", "--q", "55", "--digits", "30"], "--c", "-3/2")):
+        joined = run_json(capsys, head + [f"{flag}={value}"])
+        split = run_json(capsys, head + [flag, value])
+        assert joined[0] == 0 and split == joined
+    assert run(["eval", "--fn", golden5, "--s", "-x/y"]) == 2
+    assert "--s expects a rational" in capsys.readouterr().err
+
+
 def test_classify_json_round_trip(capsys):
     code, out = run_json(capsys, ["classify", "--q", "155"])
     assert code == 0

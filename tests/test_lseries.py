@@ -7,8 +7,6 @@ from mpmath import mp, mpf
 
 from lprime.errors import PoleError, ValidationError
 from lprime.lseries import (
-    LValue,
-    Method,
     family_rank,
     l_deriv,
     l_deriv0_closed,
@@ -157,12 +155,6 @@ def test_tiny_period_closed_form_still_works():
         expected = -mp.ln2 / 2
     assert abs(l_deriv0_closed(f, 50) - expected) < tol(50)
     assert abs(l_deriv(0, f, 50) - expected) < tol(50)
-
-
-def test_lvalue_method_invariant():
-    with pytest.raises(ValidationError):
-        LValue(value=mpf(1), s=mpf(2), f_digest="ab", method=Method.CLOSED_FORM_0)
-    LValue(value=mpf(1), s=mpf(0), f_digest="ab", method=Method.EVEN_REDUCED_0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Periodic-function data model and JSON round-trip tests."""
 
+import contextlib
+import io
 import json
 import random
+import tempfile
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lprime.arith import euler_phi, lift_character, quadratic_character
+from lprime.cli import run
 from lprime.errors import ValidationError
 from lprime.periodic import (
     PeriodicFunction,
@@ -155,3 +161,120 @@ def test_random_even_dirichlet_round_trip(q, seed):
     f = random_even_dirichlet(q, random.Random(seed))
     assert validate(f) == (True, True)
     assert PeriodicFunction.loads(f.dumps()) == f
+
+
+# ---------------------------------------------------------------------------
+# validate against the definitions
+
+def _validate_reference(f):
+    """The definitions, checked over every residue: O(q) per call."""
+    even = all(f(a) == f(f.q - a) for a in range(1, f.q))
+    dirichlet = all(gcd(a, f.q) == 1 for a in range(1, f.q + 1) if f(a) != 0)
+    return even, dirichlet
+
+
+_small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _any_function(draw):
+    """Functions mod q in 1..80, with draws that make them even, of Dirichlet
+    type, both or neither, so that every outcome of validate is exercised."""
+    q = draw(st.integers(min_value=1, max_value=80))
+    values = draw(st.dictionaries(st.integers(1, q), _small_fractions, max_size=12))
+    if draw(st.booleans()):
+        values.update({q - a: v for a, v in list(values.items()) if a < q})
+    if draw(st.booleans()):
+        values = {a: v for a, v in values.items() if gcd(a, q) == 1}
+    if values and draw(st.booleans()):  # perturb one value, which usually breaks evenness
+        a = draw(st.sampled_from(sorted(values)))
+        values[a] += 1
+    return PeriodicFunction(q=q, values=values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_any_function())
+def test_validate_matches_definitions(f):
+    assert validate(f) == _validate_reference(f)
+
+
+# ---------------------------------------------------------------------------
+# JSON input: only the canonical form is accepted
+
+def _canonical_text(q, values):
+    """Canonical JSON written without PeriodicFunction, residues ascending."""
+    return json.dumps({"q": q, "values": {str(a): str(v) for a, v in sorted(values.items())}})
+
+
+@st.composite
+def _canonical_input(draw):
+    q = draw(st.integers(min_value=1, max_value=80))
+    values = draw(st.dictionaries(st.integers(1, q), _small_fractions, min_size=1, max_size=12))
+    values = {a: v for a, v in values.items() if v} or {q: Fraction(1)}
+    return q, values
+
+
+#: Non-canonical spellings of a residue key that int() still parses.
+_ALIASES = {
+    "zero": lambda k: "0" + k,
+    "space": lambda k: " " + k,
+    "trailing": lambda k: k + " ",
+    "plus": lambda k: "+" + k,
+    "underscore": lambda k: k[0] + "_" + k[1:] if len(k) > 1 else "0_" + k,
+}
+_MALFORMED = sorted(_ALIASES) + ["repeat", "bool"]
+
+
+def _malformed_texts(q, values, how, key_index):
+    """One canonical input made malformed: an aliased or repeated key, or a bool "q"."""
+    if how == "bool":
+        return [json.dumps({"q": b, "values": {str(a): str(v) for a, v in sorted(values.items())}})
+                for b in (True, False)]
+    keys = [str(a) for a in sorted(values)]
+    target = keys[key_index % len(keys)]
+    if how == "repeat":
+        return [f'{{"q": {q}, "values": {{"{target}": "1", "{target}": "2"}}}}',
+                f'{{"q": {q}, "q": {q}, "values": {{}}}}']
+    alias = _ALIASES[how](target)
+    return [json.dumps({"q": q, "values": {(alias if k == target else k): str(values[int(k)])
+                                           for k in keys}}),
+            # next to its canonical key, one of the two values would be dropped
+            json.dumps({"q": q, "values": {target: "1", alias: "2"}})]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_canonical_input())
+def test_canonical_json_round_trips_byte_for_byte(data):
+    text = _canonical_text(*data)
+    f = PeriodicFunction.loads(text)
+    assert f.dumps() == text
+    assert f == PeriodicFunction(q=data[0], values=data[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_canonical_input(), how=st.sampled_from(_MALFORMED),
+       key_index=st.integers(0, 11))
+def test_non_canonical_json_rejected(data, how, key_index):
+    for text in _malformed_texts(*data, how, key_index):
+        with pytest.raises(ValidationError):
+            PeriodicFunction.loads(text)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=_canonical_input(), how=st.sampled_from(_MALFORMED),
+       key_index=st.integers(0, 11))
+def test_cli_eval_rejects_malformed_input(data, how, key_index):
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, text in enumerate(_malformed_texts(*data, how, key_index)):
+            path = Path(tmp) / f"f{i}.json"
+            path.write_text(text)
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert run(["eval", "--fn", str(path), "--s", "0"]) == 2
+
+
+def test_bool_period_and_residue_rejected():
+    for q in (True, False):
+        with pytest.raises(ValidationError):
+            PeriodicFunction(q=q, values={})
+    with pytest.raises(ValidationError):  # would serialize as the key "True"
+        PeriodicFunction(q=5, values={True: 1, 4: 1})
