@@ -16,11 +16,21 @@ The four special functions every other module needs live here:
   Euler-Maclaurin summation, valid for real s != 1 and 0 < x <= 1.
 
 All functions are pure and their returned values are immutable and safe
-to hand between threads.  Shared state is the Bernoulli cache (lock
-guarded, idempotent fills) and mpmath's process-global precision
-context, which ``working_prec`` adjusts re-entrantly: callers running
-evaluations concurrently from several threads should serialize the
-calls or pin a single precision per process.
+to hand between threads.  Shared state is:
+
+* the exact Bernoulli cache;
+* the series coefficient tables, filled on first use: the Stirling
+  coefficients B_2k/(2k(2k-1)) per binary precision, and the
+  Euler-Maclaurin coefficients C_k(s) = B_2k/(2k)! * s(s+1)...(s+2k-2)
+  with their s-derivatives D_k(s) per (precision, s).  At most
+  ``MAX_TABLES`` tables of each kind are kept; the oldest goes first.
+
+The cache and the tables grow under ``_bern_lock``: a fill builds a new
+list and publishes it whole, and computes every entry at its key's
+precision without reading mpmath's global precision.  That global
+precision is the remaining shared state, and ``working_prec`` adjusts it
+re-entrantly: callers running evaluations concurrently from several
+threads should serialize the calls or pin a single precision per process.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from fractions import Fraction
 from typing import Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import fone, from_int, from_rational, mpf_add, mpf_mul, round_nearest
 
 from .errors import ConvergenceError, PoleError, ValidationError
 
@@ -43,6 +54,13 @@ GUARD_BITS = 32
 #: Truncation target is 10**(-(d + EXTRA_DIGITS)) so series error stays
 #: far below the 10**(-d+5) contract.
 EXTRA_DIGITS = 10
+
+#: Most coefficient tables of each kind kept at once; the oldest is
+#: dropped beyond this.  A table at 240 digits holds about 110 entries.
+MAX_TABLES = 64
+#: Entries a coefficient table grows by past the index asked for, so a
+#: first evaluation fills its table in a few steps rather than one per term.
+TABLE_CHUNK = 16
 
 
 def prec_bits(digits: int) -> int:
@@ -122,6 +140,70 @@ def bernoulli(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Series coefficient tables
+
+_stirling_tables: dict[int, list[mpf]] = {}
+_em_tables: dict[tuple[int, tuple], tuple[list[tuple[mpf, mpf]], tuple, tuple]] = {}
+
+
+def _publish(tables: dict, key, table) -> None:
+    """Store a grown table whole (caller holds ``_bern_lock``)."""
+    if key not in tables and len(tables) >= MAX_TABLES:
+        del tables[next(iter(tables))]
+    tables[key] = table
+
+
+def _stirling_table(bits: int, n: int) -> list[mpf]:
+    """B_2k / (2k(2k-1)) for k = 1..n (at least), rounded to ``bits``."""
+    table = _stirling_tables.get(bits)
+    if table is not None and len(table) >= n:
+        return table
+    size = n + TABLE_CHUNK
+    bernoulli(2 * size)  # fill the exact cache before taking its lock
+    with _bern_lock:
+        table = list(_stirling_tables.get(bits, ()))
+        for k in range(len(table) + 1, size + 1):
+            b = _bern_even[k]
+            raw = from_rational(b.numerator, b.denominator * (2 * k) * (2 * k - 1), bits, round_nearest)
+            table.append(mp.make_mpf(raw))
+        _publish(_stirling_tables, bits, table)
+    return table
+
+
+def _em_table(bits: int, s: mpf, n: int) -> list[tuple[mpf, mpf]]:
+    """(C_k(s), D_k(s)) for k = 1..n (at least), rounded to ``bits``.
+
+    C_k(s) = B_2k/(2k)! * R_k(s) with the rising factorial
+    R_k(s) = s(s+1)...(s+2k-2), and D_k(s) = dC_k/ds.  Each table keeps
+    R and dR/ds at its next index so that it can grow.
+    """
+    s_raw = s._mpf_
+    key = (bits, s_raw)
+    table = _em_tables.get(key)
+    if table is not None and len(table[0]) >= n:
+        return table[0]
+    size = n + TABLE_CHUNK
+    bernoulli(2 * size)  # fill the exact cache before taking its lock
+    with _bern_lock:
+        entries, rising, d_rising = _em_tables.get(key, ([], s_raw, fone))
+        entries = list(entries)
+        for k in range(len(entries) + 1, size + 1):
+            b = _bern_even[k]
+            coeff = from_rational(b.numerator, b.denominator * math.factorial(2 * k), bits, round_nearest)
+            entries.append((mp.make_mpf(mpf_mul(coeff, rising, bits, round_nearest)),
+                            mp.make_mpf(mpf_mul(coeff, d_rising, bits, round_nearest))))
+            f1 = mpf_add(s_raw, from_int(2 * k - 1), bits, round_nearest)
+            f2 = mpf_add(s_raw, from_int(2 * k), bits, round_nearest)
+            f12 = mpf_mul(f1, f2, bits, round_nearest)
+            d_rising = mpf_add(mpf_mul(d_rising, f12, bits, round_nearest),
+                               mpf_mul(rising, mpf_add(f1, f2, bits, round_nearest), bits, round_nearest),
+                               bits, round_nearest)
+            rising = mpf_mul(rising, f12, bits, round_nearest)
+        _publish(_em_tables, key, (entries, rising, d_rising))
+    return entries
+
+
+# ---------------------------------------------------------------------------
 # Elementary special values
 
 def two_sin_pi(a: int, q: int, digits: int) -> mpf:
@@ -139,8 +221,9 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
 
     The argument x = a/q is shifted by an integer m until x + m exceeds
     1.2*d, where the asymptotic series truncates below the error target
-    before its divergent turn; the shift is undone with log(x), ...,
-    log(x+m-1).
+    before its divergent turn; the shift is undone with one log of the
+    exact integer product a(a+q)...(a+(m-1)q) = q^m x(x+1)...(x+m-1),
+    minus m*log(q).
     """
     if q < 1:
         raise ValidationError(f"denominator q must be >= 1, got {q}")
@@ -148,22 +231,23 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
         raise ValidationError(f"numerator a must be positive, got {a}")
     if a > q:
         raise ValidationError(f"argument a/q must lie in (0, 1], got {a}/{q}")
-    require_digits(digits)
+    bits = prec_bits(digits)
     threshold = 1.2 * digits
     shift = max(0, math.ceil(threshold - a / q))
     with working_prec(digits):
-        x = mpf(a) / q
-        w = x + shift
+        w = mpf(a + shift * q) / q
         lw = mp.log(w)
         value = (w - mpf(1) / 2) * lw - w + mp.log(2 * mp.pi) / 2
         target = mpf(10) ** (-(digits + EXTRA_DIGITS))
         winv2 = 1 / (w * w)
         wpow = 1 / w  # w**(-(2k-1)) at k = 1
+        coeffs = _stirling_table(bits, 1)
         prev = mp.inf
         k = 1
         while True:
-            b = bernoulli(2 * k)
-            term = mpf(b.numerator) / (b.denominator * (2 * k) * (2 * k - 1)) * wpow
+            if k > len(coeffs):
+                coeffs = _stirling_table(bits, k)
+            term = coeffs[k - 1] * wpow
             size = abs(term)
             if size < target:
                 break
@@ -176,8 +260,7 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
             value += term
             wpow *= winv2
             k += 1
-        for j in range(shift):
-            value -= mp.log(x + j)
+        value -= mp.log(math.prod(range(a, a + shift * q, q))) - shift * mp.log(q)
         return value
 
 
@@ -219,13 +302,14 @@ def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
 
 
 def _euler_maclaurin(s: RealLike, x: Fraction, digits: int, derivative: bool) -> mpf:
+    bits = prec_bits(digits)
     with working_prec(digits):
         sm = to_mpf(s)
         target = mpf(10) ** (-(digits + EXTRA_DIGITS))
         n_shift = max(10, math.ceil(0.8 * digits))
         n_cap = 64 * digits
         while True:
-            value = _em_attempt(sm, x, n_shift, target, derivative)
+            value = _em_attempt(sm, x, n_shift, target, derivative, bits)
             if value is not None:
                 return value
             if n_shift >= n_cap:
@@ -236,7 +320,7 @@ def _euler_maclaurin(s: RealLike, x: Fraction, digits: int, derivative: bool) ->
             n_shift = min(2 * n_shift, n_cap)
 
 
-def _em_attempt(s: mpf, x: Fraction, n_shift: int, target: mpf, derivative: bool):
+def _em_attempt(s: mpf, x: Fraction, n_shift: int, target: mpf, derivative: bool, bits: int):
     """One Euler-Maclaurin evaluation at fixed shift; None if the tail grows."""
     num, den = x.numerator, x.denominator
     head = mpf(0)
@@ -256,21 +340,21 @@ def _em_attempt(s: mpf, x: Fraction, n_shift: int, target: mpf, derivative: bool
         integral = a_int / (s - 1)
         half = w_neg_s / 2
 
-    # Bernoulli tail: B_{2k}/(2k)! * R_k(s) * w^(-s-2k+1) with the rising
-    # factorial R_k(s) = s(s+1)...(s+2k-2) carried with its s-derivative.
-    rising = s
-    d_rising = mpf(1)
+    # Bernoulli tail: C_k(s) * w^(-s-2k+1), differentiated by the product
+    # rule into (D_k(s) - C_k(s) log w) * w^(-s-2k+1).
+    coeffs = _em_table(bits, s, 1)
     wpow = w_neg_s / w
     winv2 = 1 / (w * w)
     tail = mpf(0)
     prev = mp.inf
     k = 1
     while True:
-        b = bernoulli(2 * k)
-        coeff = mpf(b.numerator) / (b.denominator * mpf(math.factorial(2 * k)))
-        term = coeff * rising * wpow
+        if k > len(coeffs):
+            coeffs = _em_table(bits, s, k)
+        c_k, d_k = coeffs[k - 1]
+        term = c_k * wpow
         if derivative:
-            d_term = coeff * (d_rising - rising * lw) * wpow
+            d_term = (d_k - c_k * lw) * wpow
             size = max(abs(term), abs(d_term))
         else:
             size = abs(term)
@@ -280,10 +364,6 @@ def _em_attempt(s: mpf, x: Fraction, n_shift: int, target: mpf, derivative: bool
             return None
         prev = size
         tail += d_term if derivative else term
-        f1 = s + (2 * k - 1)
-        f2 = s + 2 * k
-        d_rising = d_rising * f1 * f2 + rising * (f1 + f2)
-        rising = rising * f1 * f2
         wpow *= winv2
         k += 1
     return head + integral + half + tail

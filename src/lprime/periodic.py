@@ -46,10 +46,14 @@ class PeriodicFunction:
         for a, v in self.values.items():
             if isinstance(a, bool) or not isinstance(a, int) or not 1 <= a <= self.q:
                 raise ValidationError(f"residue {a!r} outside 1..{self.q}")
-            frac = Fraction(v)
+            frac = v if isinstance(v, Fraction) else Fraction(v)
             if frac != 0:
                 clean[a] = frac
         object.__setattr__(self, "values", MappingProxyType(dict(sorted(clean.items()))))
+
+    def __reduce__(self):
+        # the values mapping is a read-only proxy, which pickle cannot copy
+        return (type(self), (self.q, dict(self.values)))
 
     @cached_property
     def even(self) -> bool:

@@ -125,16 +125,18 @@ def sine_identity_residual(q: int, digits: int) -> mpf:
 
     Equals 0 when q has at least two distinct prime factors and log p
     when q = p^n: the product of the 2 sin values is the cyclotomic
-    polynomial evaluated at 1.
+    polynomial evaluated at 1.  Computed as twice the sum over the half
+    support k <= q/2, since sin(k pi/q) = sin((q-k) pi/q) and, for
+    q >= 3, no coprime k equals q - k.
     """
     if q < 3:
         raise ValidationError(f"identity needs q >= 3, got {q}")
     with working_prec(digits):
         total = mpf(0)
-        for k in range(1, q):
+        for k in range(1, q // 2 + 1):
             if gcd(k, q) == 1:
                 total += mp.log(two_sin_pi(k, q, digits))
-        return total
+        return 2 * total
 
 
 MIN_DETECTION_DIGITS = 5

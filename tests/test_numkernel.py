@@ -2,13 +2,16 @@
 
 import concurrent.futures
 import random
+import sys
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
+from lprime import numkernel
 from lprime.errors import PoleError, ValidationError
 from lprime.numkernel import (
     bernoulli,
@@ -35,6 +38,15 @@ with mp.workprec(300):
 
 def tol(d, slack=5):
     return mpf(10) ** (-(d - slack))
+
+
+@pytest.fixture
+def empty_tables():
+    """Start from empty coefficient tables, whatever ran before."""
+    with numkernel._bern_lock:
+        numkernel._stirling_tables.clear()
+        numkernel._em_tables.clear()
+    yield
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +141,17 @@ def test_log_gamma_against_mpmath_oracle(rng):
         assert abs(mine - ref) < tol(d)
 
 
+def test_log_gamma_high_precision_long_shift(rng):
+    # shifts of about 144, 288 and 360 terms, undone by one log of their product
+    cases = [(q, q) for q in (1, 7, 100)] + [(1, 100), (99, 100), (1, 97)]
+    for d in (120, 240, 300):
+        for a, q in cases + [(rng.randint(1, q), q) for q in rng.sample(range(2, 101), 3)]:
+            mine = log_gamma_frac(a, q, d)
+            with mp.workprec(prec_bits(d) + 40):
+                ref = mp.loggamma(mpf(a) / q)
+            assert abs(mine - ref) < tol(d), (a, q, d)
+
+
 def test_log_gamma_domain():
     with pytest.raises(ValidationError):
         log_gamma_frac(0, 4, 50)
@@ -192,6 +215,19 @@ def test_hurwitz_against_mpmath_oracle(rng):
         assert abs(mine_ds - ref_ds) < tol(d)
 
 
+def test_hurwitz_tables_keyed_by_precision(empty_tables):
+    # s = 3/4 is the same mpf at every precision, so a table keyed by s
+    # alone would serve 50-digit coefficients to the 240-digit call
+    s = Fraction(3, 4)
+    for d in (50, 240, 50):
+        for x in (Fraction(1, 7), Fraction(1)):
+            with mp.workprec(prec_bits(d) + 40):
+                ref = mp.zeta(mpf(3) / 4, mpf(x.numerator) / x.denominator)
+                ref_ds = mp.zeta(mpf(3) / 4, mpf(x.numerator) / x.denominator, 1)
+            assert abs(hurwitz_zeta(s, x, d) - ref) < tol(d), (d, x)
+            assert abs(hurwitz_zeta_ds(s, x, d) - ref_ds) < tol(d), (d, x)
+
+
 def test_hurwitz_ds_examples():
     assert abs(hurwitz_zeta_ds(0, Fraction(1), 50) - NEG_HALF_LOG_2PI) < tol(50)
     assert abs(hurwitz_zeta_ds(0, Fraction(1, 2), 50) - NEG_HALF_LOG2) < tol(50)
@@ -243,6 +279,84 @@ def test_derivative_finite_difference_consistency():
         with working_prec(60):
             central = (plus - minus) / (2 * mpf(10) ** -10)
         assert abs(central - hurwitz_zeta_ds(0, x, 60)) < mpf(10) ** -15
+
+
+# ---------------------------------------------------------------------------
+# Coefficient tables
+
+def _table_snapshot():
+    return ({bits: [c._mpf_ for c in table] for bits, table in numkernel._stirling_tables.items()},
+            {key: ([(c._mpf_, dc._mpf_) for c, dc in entries], rising, d_rising)
+             for key, (entries, rising, d_rising) in numkernel._em_tables.items()})
+
+
+def test_threaded_table_fill_matches_single_threaded(empty_tables):
+    s = mpf(3) / 4
+    bits = (prec_bits(12), prec_bits(300))
+    sizes = [3, 40, 17, 130, 64, 1, 90, 129, 33]
+
+    def fill(i):
+        order = sizes[i % len(sizes):] + sizes[:i % len(sizes)]
+        for n in order:
+            for b in bits[i % 2:] + bits[:i % 2]:
+                numkernel._stirling_table(b, n)
+                numkernel._em_table(b, s, n)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # a fill that read mpmath's global precision would round at 20 bits here
+        with mp.workprec(20), concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(fill, i) for i in range(16)]
+            for fut in futures:
+                fut.result(timeout=300)
+    finally:
+        sys.setswitchinterval(switch)
+    threaded = _table_snapshot()
+
+    with numkernel._bern_lock:
+        numkernel._stirling_tables.clear()
+        numkernel._em_tables.clear()
+    for b in bits:
+        numkernel._stirling_table(b, max(sizes))
+        numkernel._em_table(b, s, max(sizes))
+    assert _table_snapshot() == threaded
+    assert sorted(threaded[0]) == sorted(bits)
+    assert sorted(threaded[1]) == [(b, s._mpf_) for b in sorted(bits)]
+    for key, (entries, _, _) in threaded[1].items():
+        assert len(entries) == max(sizes) + numkernel.TABLE_CHUNK
+
+
+def test_table_entries_rounded_at_their_precision(empty_tables):
+    # against exact rationals: Stirling entries are correctly rounded, and
+    # the rising-factorial entries (all factors positive at s = 3/4) carry
+    # at most a few roundings per index
+    bits = prec_bits(50)
+    s = Fraction(3, 4)
+    stirling = numkernel._stirling_table(bits, 30)
+    em = numkernel._em_table(bits, mpf(3) / 4, 30)
+    rising, d_rising = s, Fraction(1)
+    for k in range(1, 31):
+        b = bernoulli(2 * k)
+        exact = b / (2 * k * (2 * k - 1))
+        assert stirling[k - 1]._mpf_ == from_rational(exact.numerator, exact.denominator, bits, round_nearest)
+        coeff = b / factorial(2 * k)
+        with mp.workprec(bits + 100):
+            for entry, value in zip(em[k - 1], (coeff * rising, coeff * d_rising)):
+                value = mpf(value.numerator) / value.denominator
+                assert abs(entry - value) <= abs(value) * mpf(2) ** (8 + k - bits)
+        f1, f2 = s + 2 * k - 1, s + 2 * k
+        rising, d_rising = rising * f1 * f2, d_rising * f1 * f2 + rising * (f1 + f2)
+
+
+def test_table_count_bounded(empty_tables):
+    bits = prec_bits(12)
+    keys = [mpf(k) / 4 for k in range(numkernel.MAX_TABLES + 3)]
+    for s in keys:
+        numkernel._em_table(bits, s, 1)
+    assert len(numkernel._em_tables) == numkernel.MAX_TABLES
+    assert (bits, keys[0]._mpf_) not in numkernel._em_tables
+    assert (bits, keys[-1]._mpf_) in numkernel._em_tables
 
 
 # ---------------------------------------------------------------------------

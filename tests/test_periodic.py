@@ -1,8 +1,10 @@
 """Periodic-function data model and JSON round-trip tests."""
 
 import contextlib
+import copy
 import io
 import json
+import pickle
 import random
 import tempfile
 from fractions import Fraction
@@ -196,6 +198,16 @@ def _any_function(draw):
 @given(f=_any_function())
 def test_validate_matches_definitions(f):
     assert validate(f) == _validate_reference(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_any_function())
+def test_pickle_and_deepcopy_round_trip(f):
+    for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert clone == f
+        assert validate(clone) == validate(f)
+        with pytest.raises(TypeError):  # still read-only
+            clone.values[1] = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
