@@ -14,11 +14,13 @@ case list is a plain disjunction with no precedence):
 
 ``independence_25`` (the full log-sine family, including a = 1, plus pi
 and log 2, is linearly independent over the algebraic numbers) is set
-for prime powers and q = 6, ``independence_24`` (the same with a = 1
-excluded) for every case except Uncovered.  The flags transcribe the
-ladder's hypotheses and are not exact: relations refute them at q = 693,
-34 and 8, and Uncovered q = 140 has only the all-ones relation (ROADMAP
-open item 2).
+for q = 6 and for prime powers other than 2^n with n >= 3: at those the
+half-support log-sines sum to (1/2) log 2, since the cyclotomic
+polynomial takes the value 2 at 1.  ``independence_24`` (the same with
+a = 1 excluded) is set for every case except Uncovered.  The
+``independence_24`` flag transcribes the ladder's hypotheses and is not
+exact: relations refute it at q = 693 and 34, and Uncovered q = 140 has
+only the all-ones relation (ROADMAP open item 2).
 
 ``vanishing_verdict`` turns the classification into what is provable
 about L'(0, f) for an even Dirichlet-type f of period q; for the moduli
@@ -264,7 +266,7 @@ def _finish(q: int, case: Case, subcase: str | None, trace: list[tuple[str, bool
         case=case,
         subcase=subcase,
         independence_24=case is not Case.UNCOVERED,
-        independence_25=case in (Case.PRIME_POWER, Case.Q_SIX),
+        independence_25=case is Case.Q_SIX or (case is Case.PRIME_POWER and (q < 8 or q & (q - 1) != 0)),
         trace=trace,
     )
 

@@ -24,18 +24,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .arith import is_prime_power
 from .errors import PoleError, ValidationError
 from .numkernel import (
     RealLike,
+    context,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     log_gamma_frac,
+    plain_mpf,
     to_mpf,
     two_sin_pi,
-    working_prec,
 )
 from .periodic import PeriodicFunction, half_support, require_even_dirichlet
 
@@ -51,12 +52,12 @@ def _reject_pole(s: RealLike) -> None:
 def l_value(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
     """L(s, f) = q^(-s) sum_{a=1}^{q} f(a) zeta(s, a/q) at d digits, s != 1."""
     _reject_pole(s)
-    with working_prec(digits):
-        sm = to_mpf(s)
-        total = mpf(0)
-        for a, v in f.values.items():
-            total += to_mpf(v) * hurwitz_zeta(sm, Fraction(a, f.q), digits)
-        return mp.power(f.q, -sm) * total
+    ctx = context(digits)
+    sm = to_mpf(s, ctx)
+    total = ctx.mpf(0)
+    for a, v in f.values.items():
+        total += to_mpf(v, ctx) * hurwitz_zeta(sm, Fraction(a, f.q), digits)
+    return plain_mpf(ctx.power(f.q, -sm) * total)
 
 
 def l_deriv(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
@@ -65,17 +66,17 @@ def l_deriv(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
     L'(s,f) = -log(q) q^(-s) sum f(a) zeta(s, a/q) + q^(-s) sum f(a) zeta'(s, a/q).
     """
     _reject_pole(s)
-    with working_prec(digits):
-        sm = to_mpf(s)
-        zsum = mpf(0)
-        dsum = mpf(0)
-        for a, v in f.values.items():
-            x = Fraction(a, f.q)
-            vm = to_mpf(v)
-            zsum += vm * hurwitz_zeta(sm, x, digits)
-            dsum += vm * hurwitz_zeta_ds(sm, x, digits)
-        qs = mp.power(f.q, -sm)
-        return -mp.log(f.q) * qs * zsum + qs * dsum
+    ctx = context(digits)
+    sm = to_mpf(s, ctx)
+    zsum = ctx.mpf(0)
+    dsum = ctx.mpf(0)
+    for a, v in f.values.items():
+        x = Fraction(a, f.q)
+        vm = to_mpf(v, ctx)
+        zsum += vm * hurwitz_zeta(sm, x, digits)
+        dsum += vm * hurwitz_zeta_ds(sm, x, digits)
+    qs = ctx.power(f.q, -sm)
+    return plain_mpf(-ctx.log(f.q) * qs * zsum + qs * dsum)
 
 
 def l_deriv0_closed(f: PeriodicFunction, digits: int) -> mpf:
@@ -92,15 +93,15 @@ def l_deriv0_closed(f: PeriodicFunction, digits: int) -> mpf:
     for a, v in f.values.items():
         offset += v * (Fraction(1, 2) - Fraction(a, f.q))
         mean += v
-    with working_prec(digits):
-        total = mpf(0)
-        for a, v in f.values.items():
-            total += to_mpf(v) * log_gamma_frac(a, f.q, digits)
-        if offset:
-            total -= mp.log(f.q) * to_mpf(offset)
-        if mean:
-            total -= mp.log(2 * mp.pi) / 2 * to_mpf(mean)
-        return total
+    ctx = context(digits)
+    total = ctx.mpf(0)
+    for a, v in f.values.items():
+        total += to_mpf(v, ctx) * log_gamma_frac(a, f.q, digits)
+    if offset:
+        total -= ctx.log(f.q) * to_mpf(offset, ctx)
+    if mean:
+        total -= ctx.log(2 * ctx.pi) / 2 * to_mpf(mean, ctx)
+    return plain_mpf(total)
 
 
 def l_deriv0_even(f: PeriodicFunction, digits: int) -> mpf:
@@ -117,12 +118,12 @@ def l_deriv0_even(f: PeriodicFunction, digits: int) -> mpf:
             "use the closed form for tiny periods"
         )
     pairs = half_support(f)
-    with working_prec(digits):
-        total = mpf(0)
-        for a, v in pairs:
-            if v:
-                total -= to_mpf(v) * mp.log(two_sin_pi(a, f.q, digits))
-        return total
+    ctx = context(digits)
+    total = ctx.mpf(0)
+    for a, v in pairs:
+        if v:
+            total -= to_mpf(v, ctx) * ctx.log(two_sin_pi(a, f.q, digits))
+    return plain_mpf(total)
 
 
 # ---------------------------------------------------------------------------

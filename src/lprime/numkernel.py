@@ -15,9 +15,19 @@ The four special functions every other module needs live here:
 * the Hurwitz zeta function zeta(s, x) and its s-derivative by
   Euler-Maclaurin summation, valid for real s != 1 and 0 < x <= 1.
 
+Each working precision has its own mpmath context, ``context(d)``: an
+``MPContext`` at the guarded precision for ``d``, built on first use and
+never changed after that.  All arithmetic runs in the context of the
+requested precision, and every public function returns a plain mpmath
+``mpf`` converted from it without rounding.  mpmath's global precision
+is never read or set, so the result of a call does not depend on the
+caller's ambient precision, and calls at different precisions may run
+concurrently from several threads.
+
 All functions are pure and their returned values are immutable and safe
 to hand between threads.  Shared state is:
 
+* the contexts, at most ``MAX_TABLES`` of them;
 * the exact Bernoulli cache;
 * the series coefficient tables, filled on first use: the Stirling
   coefficients B_2k/(2k(2k-1)) per binary precision, and the
@@ -26,23 +36,21 @@ to hand between threads.  Shared state is:
   ``MAX_TABLES`` tables of each kind are kept; the oldest goes first.
 
 The cache and the tables grow under ``_bern_lock``: a fill builds a new
-list and publishes it whole, and computes every entry at its key's
-precision without reading mpmath's global precision.  That global
-precision is the remaining shared state, and ``working_prec`` adjusts it
-re-entrantly: callers running evaluations concurrently from several
-threads should serialize the calls or pin a single precision per process.
+list and publishes it whole, and computes every entry in the context of
+its key's precision.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone, from_int, from_rational, mpf_add, mpf_mul, round_nearest
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import ConvergenceError, PoleError, ValidationError
 
@@ -55,8 +63,9 @@ GUARD_BITS = 32
 #: far below the 10**(-d+5) contract.
 EXTRA_DIGITS = 10
 
-#: Most coefficient tables of each kind kept at once; the oldest is
-#: dropped beyond this.  A table at 240 digits holds about 110 entries.
+#: Most contexts, and coefficient tables of each kind, kept at once; the
+#: oldest is dropped beyond this.  A table at 240 digits holds about 110
+#: entries.
 MAX_TABLES = 64
 #: Entries a coefficient table grows by past the index asked for, so a
 #: first evaluation fills its table in a few steps rather than one per term.
@@ -76,30 +85,38 @@ def require_digits(digits: int) -> None:
         )
 
 
-@contextmanager
-def working_prec(digits: int):
-    """Context manager setting the uniform guarded binary precision."""
-    with mp.workprec(prec_bits(digits)):
-        yield
+@functools.lru_cache(maxsize=MAX_TABLES)
+def context(digits: int) -> MPContext:
+    """The mpmath context at the guarded precision for ``digits``.
+
+    Built on first use and never changed after that, so it can be shared
+    between threads.
+    """
+    ctx = MPContext()
+    ctx.prec = prec_bits(digits)
+    return ctx
 
 
-def to_mpf(value: RealLike) -> mpf:
-    """Convert at the current working precision (Fractions divide once)."""
+def to_mpf(value: RealLike, ctx: MPContext):
+    """Convert into ``ctx`` at its precision (Fractions divide once)."""
     if isinstance(value, Fraction):
-        return mpf(value.numerator) / value.denominator
-    return mpf(value)
+        return ctx.mpf(value.numerator) / value.denominator
+    return ctx.mpf(value)
+
+
+def plain_mpf(value) -> mpf:
+    """A context value as a plain mpmath ``mpf``, bit for bit."""
+    return mp.make_mpf(value._mpf_)
 
 
 def pi_const(digits: int) -> mpf:
     """pi at d digits."""
-    with working_prec(digits):
-        return +mp.pi
+    return plain_mpf(+context(digits).pi)
 
 
 def log2_const(digits: int) -> mpf:
     """log 2 at d digits."""
-    with working_prec(digits):
-        return +mp.ln2
+    return plain_mpf(+context(digits).ln2)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +160,7 @@ def bernoulli(n: int) -> Fraction:
 # Series coefficient tables
 
 _stirling_tables: dict[int, list[mpf]] = {}
-_em_tables: dict[tuple[int, tuple], tuple[list[tuple[mpf, mpf]], tuple, tuple]] = {}
+_em_tables: dict[tuple[int, tuple], tuple[list[tuple[mpf, mpf]], mpf, mpf]] = {}
 
 
 def _publish(tables: dict, key, table) -> None:
@@ -153,8 +170,9 @@ def _publish(tables: dict, key, table) -> None:
     tables[key] = table
 
 
-def _stirling_table(bits: int, n: int) -> list[mpf]:
-    """B_2k / (2k(2k-1)) for k = 1..n (at least), rounded to ``bits``."""
+def _stirling_table(ctx: MPContext, n: int) -> list[mpf]:
+    """B_2k / (2k(2k-1)) for k = 1..n (at least), rounded in ``ctx``."""
+    bits = ctx.prec
     table = _stirling_tables.get(bits)
     if table is not None and len(table) >= n:
         return table
@@ -165,40 +183,38 @@ def _stirling_table(bits: int, n: int) -> list[mpf]:
         for k in range(len(table) + 1, size + 1):
             b = _bern_even[k]
             raw = from_rational(b.numerator, b.denominator * (2 * k) * (2 * k - 1), bits, round_nearest)
-            table.append(mp.make_mpf(raw))
+            table.append(ctx.make_mpf(raw))
         _publish(_stirling_tables, bits, table)
     return table
 
 
-def _em_table(bits: int, s: mpf, n: int) -> list[tuple[mpf, mpf]]:
-    """(C_k(s), D_k(s)) for k = 1..n (at least), rounded to ``bits``.
+def _em_table(ctx: MPContext, s: mpf, n: int) -> list[tuple[mpf, mpf]]:
+    """(C_k(s), D_k(s)) for k = 1..n (at least), rounded in ``ctx``.
 
     C_k(s) = B_2k/(2k)! * R_k(s) with the rising factorial
     R_k(s) = s(s+1)...(s+2k-2), and D_k(s) = dC_k/ds.  Each table keeps
     R and dR/ds at its next index so that it can grow.
     """
-    s_raw = s._mpf_
-    key = (bits, s_raw)
+    bits = ctx.prec
+    s = ctx.convert(s)
+    key = (bits, s._mpf_)
     table = _em_tables.get(key)
     if table is not None and len(table[0]) >= n:
         return table[0]
     size = n + TABLE_CHUNK
     bernoulli(2 * size)  # fill the exact cache before taking its lock
     with _bern_lock:
-        entries, rising, d_rising = _em_tables.get(key, ([], s_raw, fone))
+        entries, rising, d_rising = _em_tables.get(key, ([], s, ctx.one))
         entries = list(entries)
         for k in range(len(entries) + 1, size + 1):
             b = _bern_even[k]
-            coeff = from_rational(b.numerator, b.denominator * math.factorial(2 * k), bits, round_nearest)
-            entries.append((mp.make_mpf(mpf_mul(coeff, rising, bits, round_nearest)),
-                            mp.make_mpf(mpf_mul(coeff, d_rising, bits, round_nearest))))
-            f1 = mpf_add(s_raw, from_int(2 * k - 1), bits, round_nearest)
-            f2 = mpf_add(s_raw, from_int(2 * k), bits, round_nearest)
-            f12 = mpf_mul(f1, f2, bits, round_nearest)
-            d_rising = mpf_add(mpf_mul(d_rising, f12, bits, round_nearest),
-                               mpf_mul(rising, mpf_add(f1, f2, bits, round_nearest), bits, round_nearest),
-                               bits, round_nearest)
-            rising = mpf_mul(rising, f12, bits, round_nearest)
+            coeff = ctx.make_mpf(from_rational(b.numerator, b.denominator * math.factorial(2 * k),
+                                               bits, round_nearest))
+            entries.append((coeff * rising, coeff * d_rising))
+            f1, f2 = s + (2 * k - 1), s + 2 * k
+            f12 = f1 * f2
+            d_rising = d_rising * f12 + rising * (f1 + f2)
+            rising = rising * f12
         _publish(_em_tables, key, (entries, rising, d_rising))
     return entries
 
@@ -212,8 +228,8 @@ def two_sin_pi(a: int, q: int, digits: int) -> mpf:
         raise ValidationError(f"denominator q must be >= 2, got {q}")
     if not 0 < a < q:
         raise ValidationError(f"argument a must satisfy 0 < a < q, got a={a}, q={q}")
-    with working_prec(digits):
-        return 2 * mp.sin(mp.pi * a / q)
+    ctx = context(digits)
+    return plain_mpf(2 * ctx.sin(ctx.pi * a / q))
 
 
 def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
@@ -231,37 +247,36 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
         raise ValidationError(f"numerator a must be positive, got {a}")
     if a > q:
         raise ValidationError(f"argument a/q must lie in (0, 1], got {a}/{q}")
-    bits = prec_bits(digits)
+    ctx = context(digits)
     threshold = 1.2 * digits
     shift = max(0, math.ceil(threshold - a / q))
-    with working_prec(digits):
-        w = mpf(a + shift * q) / q
-        lw = mp.log(w)
-        value = (w - mpf(1) / 2) * lw - w + mp.log(2 * mp.pi) / 2
-        target = mpf(10) ** (-(digits + EXTRA_DIGITS))
-        winv2 = 1 / (w * w)
-        wpow = 1 / w  # w**(-(2k-1)) at k = 1
-        coeffs = _stirling_table(bits, 1)
-        prev = mp.inf
-        k = 1
-        while True:
-            if k > len(coeffs):
-                coeffs = _stirling_table(bits, k)
-            term = coeffs[k - 1] * wpow
-            size = abs(term)
-            if size < target:
-                break
-            if size > prev:
-                raise ConvergenceError(
-                    f"Stirling series for log Gamma({a}/{q}) diverged before reaching "
-                    f"10^-{digits + EXTRA_DIGITS}; shift threshold too small"
-                )
-            prev = size
-            value += term
-            wpow *= winv2
-            k += 1
-        value -= mp.log(math.prod(range(a, a + shift * q, q))) - shift * mp.log(q)
-        return value
+    w = ctx.mpf(a + shift * q) / q
+    lw = ctx.log(w)
+    value = (w - ctx.mpf(1) / 2) * lw - w + ctx.log(2 * ctx.pi) / 2
+    target = ctx.mpf(10) ** (-(digits + EXTRA_DIGITS))
+    winv2 = 1 / (w * w)
+    wpow = 1 / w  # w**(-(2k-1)) at k = 1
+    coeffs = _stirling_table(ctx, 1)
+    prev = ctx.inf
+    k = 1
+    while True:
+        if k > len(coeffs):
+            coeffs = _stirling_table(ctx, k)
+        term = coeffs[k - 1] * wpow
+        size = abs(term)
+        if size < target:
+            break
+        if size > prev:
+            raise ConvergenceError(
+                f"Stirling series for log Gamma({a}/{q}) diverged before reaching "
+                f"10^-{digits + EXTRA_DIGITS}; shift threshold too small"
+            )
+        prev = size
+        value += term
+        wpow *= winv2
+        k += 1
+    value -= ctx.log(math.prod(range(a, a + shift * q, q))) - shift * ctx.log(q)
+    return plain_mpf(value)
 
 
 # ---------------------------------------------------------------------------
@@ -302,37 +317,36 @@ def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
 
 
 def _euler_maclaurin(s: RealLike, x: Fraction, digits: int, derivative: bool) -> mpf:
-    bits = prec_bits(digits)
-    with working_prec(digits):
-        sm = to_mpf(s)
-        target = mpf(10) ** (-(digits + EXTRA_DIGITS))
-        n_shift = max(10, math.ceil(0.8 * digits))
-        n_cap = 64 * digits
-        while True:
-            value = _em_attempt(sm, x, n_shift, target, derivative, bits)
-            if value is not None:
-                return value
-            if n_shift >= n_cap:
-                raise ConvergenceError(
-                    f"Euler-Maclaurin tail for zeta(s={sm}, x={x}) did not fall below "
-                    f"10^-{digits + EXTRA_DIGITS} with shift up to {n_cap}"
-                )
-            n_shift = min(2 * n_shift, n_cap)
+    ctx = context(digits)
+    sm = to_mpf(s, ctx)
+    target = ctx.mpf(10) ** (-(digits + EXTRA_DIGITS))
+    n_shift = max(10, math.ceil(0.8 * digits))
+    n_cap = 64 * digits
+    while True:
+        value = _em_attempt(ctx, sm, x, n_shift, target, derivative)
+        if value is not None:
+            return plain_mpf(value)
+        if n_shift >= n_cap:
+            raise ConvergenceError(
+                f"Euler-Maclaurin tail for zeta(s={sm}, x={x}) did not fall below "
+                f"10^-{digits + EXTRA_DIGITS} with shift up to {n_cap}"
+            )
+        n_shift = min(2 * n_shift, n_cap)
 
 
-def _em_attempt(s: mpf, x: Fraction, n_shift: int, target: mpf, derivative: bool, bits: int):
+def _em_attempt(ctx: MPContext, s: mpf, x: Fraction, n_shift: int, target: mpf, derivative: bool):
     """One Euler-Maclaurin evaluation at fixed shift; None if the tail grows."""
     num, den = x.numerator, x.denominator
-    head = mpf(0)
+    head = ctx.mpf(0)
     for n in range(n_shift):
-        base = mpf(n * den + num) / den
-        p = mp.power(base, -s)
-        head += -mp.log(base) * p if derivative else p
+        base = ctx.mpf(n * den + num) / den
+        p = ctx.power(base, -s)
+        head += -ctx.log(base) * p if derivative else p
 
-    w = mpf(n_shift * den + num) / den
-    lw = mp.log(w)
-    a_int = mp.power(w, 1 - s)
-    w_neg_s = mp.power(w, -s)
+    w = ctx.mpf(n_shift * den + num) / den
+    lw = ctx.log(w)
+    a_int = ctx.power(w, 1 - s)
+    w_neg_s = ctx.power(w, -s)
     if derivative:
         integral = -a_int * (lw * (s - 1) + 1) / (s - 1) ** 2
         half = -lw * w_neg_s / 2
@@ -342,15 +356,15 @@ def _em_attempt(s: mpf, x: Fraction, n_shift: int, target: mpf, derivative: bool
 
     # Bernoulli tail: C_k(s) * w^(-s-2k+1), differentiated by the product
     # rule into (D_k(s) - C_k(s) log w) * w^(-s-2k+1).
-    coeffs = _em_table(bits, s, 1)
+    coeffs = _em_table(ctx, s, 1)
     wpow = w_neg_s / w
     winv2 = 1 / (w * w)
-    tail = mpf(0)
-    prev = mp.inf
+    tail = ctx.mpf(0)
+    prev = ctx.inf
     k = 1
     while True:
         if k > len(coeffs):
-            coeffs = _em_table(bits, s, k)
+            coeffs = _em_table(ctx, s, k)
         c_k, d_k = coeffs[k - 1]
         term = c_k * wpow
         if derivative:

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from mpmath import mp, mpf, nstr, pslq
+from mpmath import mpf, nstr
 
 from .arith import Character, character_half_sum, factorize, lift_character, quadratic_character
 from .errors import HalfSumMismatchError, NotAdmissibleError, PrecisionError, ValidationError
 from .lseries import l_deriv0_even
-from .numkernel import log2_const, pi_const, require_digits, two_sin_pi, working_prec
+from .numkernel import context, log2_const, pi_const, plain_mpf, two_sin_pi
 from .periodic import PeriodicFunction, from_character
 
 
@@ -103,17 +103,16 @@ def log_sine_basis(q: int, digits: int, extended: bool = False) -> LogSineBasis:
     """
     if q < 3:
         raise ValidationError(f"basis needs q >= 3, got {q}")
-    require_digits(digits)
+    ctx = context(digits)
     entries = []
     excluded = []
-    with working_prec(digits):
-        for a in range(1, q // 2 + 1):
-            if gcd(a, q) != 1:
-                continue
-            if 6 * a == q or 4 * a == q:
-                excluded.append(a)
-                continue
-            entries.append((a, mp.log(two_sin_pi(a, q, digits))))
+    for a in range(1, q // 2 + 1):
+        if gcd(a, q) != 1:
+            continue
+        if 6 * a == q or 4 * a == q:
+            excluded.append(a)
+            continue
+        entries.append((a, plain_mpf(ctx.log(two_sin_pi(a, q, digits)))))
     ext = None
     if extended:
         ext = [("pi", pi_const(digits)), ("log2", log2_const(digits))]
@@ -131,12 +130,12 @@ def sine_identity_residual(q: int, digits: int) -> mpf:
     """
     if q < 3:
         raise ValidationError(f"identity needs q >= 3, got {q}")
-    with working_prec(digits):
-        total = mpf(0)
-        for k in range(1, q // 2 + 1):
-            if gcd(k, q) == 1:
-                total += mp.log(two_sin_pi(k, q, digits))
-        return 2 * total
+    ctx = context(digits)
+    total = ctx.mpf(0)
+    for k in range(1, q // 2 + 1):
+        if gcd(k, q) == 1:
+            total += ctx.log(two_sin_pi(k, q, digits))
+    return plain_mpf(2 * total)
 
 
 MIN_DETECTION_DIGITS = 5
@@ -151,7 +150,7 @@ def pslq_relation(values: list[mpf], max_coeff: int, digits: int) -> list[int] |
     combination at higher precision themselves (``find_integer_relation``
     does exactly that for log-sine bases).
     """
-    require_digits(digits)
+    ctx = context(digits)
     if max_coeff < 1:
         raise ValidationError(f"max_coeff must be >= 1, got {max_coeff}")
     if len(values) < 2:
@@ -161,13 +160,12 @@ def pslq_relation(values: list[mpf], max_coeff: int, digits: int) -> list[int] |
             f"detection scale 10^{digits - 10} underflows; need digits >= "
             f"{MIN_DETECTION_DIGITS + 10}"
         )
-    with working_prec(digits):
-        candidate = pslq(
-            values,
-            tol=mpf(10) ** (-(digits - 10)),
-            maxcoeff=max_coeff,
-            maxsteps=500_000,
-        )
+    candidate = ctx.pslq(
+        values,
+        tol=ctx.mpf(10) ** (-(digits - 10)),
+        maxcoeff=max_coeff,
+        maxsteps=500_000,
+    )
     if candidate is None or max(abs(c) for c in candidate) > max_coeff:
         return None
     vec = [int(c) for c in candidate]
@@ -202,13 +200,10 @@ def find_integer_relation(
     if basis.extended:
         pi_c, log2_c = candidate[n_resid], candidate[n_resid + 1]
 
-    with working_prec(digits):
-        residual_d = abs(mp.fsum(c * v for c, v in zip(candidate, values)))
-
+    residual_d = _residual(candidate, values, digits)
     check = log_sine_basis(basis.q, 2 * digits, extended=basis.extended is not None)
-    with working_prec(2 * digits):
-        residual_2d = abs(mp.fsum(c * v for c, v in zip(candidate, check.all_values())))
-        verified = residual_2d < mpf(10) ** (-(2 * digits) + 10)
+    residual_2d = _residual(candidate, check.all_values(), 2 * digits)
+    verified = residual_2d < context(2 * digits).mpf(10) ** (-(2 * digits) + 10)
     if not verified:
         return None
     return Relation(
@@ -221,6 +216,12 @@ def find_integer_relation(
         residual_at_2d=residual_2d,
         verified_at_2d=verified,
     )
+
+
+def _residual(coeffs: list[int], values: list[mpf], digits: int) -> mpf:
+    """|sum c_i values_i| at d digits, each value lifted into the context first."""
+    ctx = context(digits)
+    return plain_mpf(abs(ctx.fsum(c * ctx.mpf(v) for c, v in zip(coeffs, values))))
 
 
 def find_relation_for_modulus(
@@ -294,5 +295,5 @@ def build_witness(q: int, c: Fraction | int, digits: int) -> WitnessResult:
             "the witness construction does not apply"
         )
     f = from_character(chi, Fraction(c))
-    residual = abs(l_deriv0_even(f, digits))
+    residual = plain_mpf(abs(context(digits).convert(l_deriv0_even(f, digits))))
     return WitnessResult(q=q, p1=p1, p2=p2, chi=chi, f=f, residual=residual, digits=digits)

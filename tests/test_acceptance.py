@@ -27,7 +27,6 @@ from lprime.numkernel import (
     log_gamma_frac,
     prec_bits,
     two_sin_pi,
-    working_prec,
 )
 from lprime.periodic import PeriodicFunction, half_support
 from lprime.relations import (
@@ -185,7 +184,7 @@ def test_criterion_09_relation_finder_positive():
 
         check = log_sine_basis(q, 240)
         lattice = _distribution_relations(q, [a for a, _ in check.entries])
-        with working_prec(240):
+        with mp.workprec(prec_bits(240)):
             for vec in lattice:
                 resid = abs(mp.fsum(c * v for c, (_, v) in zip(vec, check.entries)))
                 assert resid < mpf(10) ** -230, (
@@ -236,11 +235,11 @@ def test_criterion_11_rank_criterion():
 
 def test_criterion_12_pslq_sanity():
     t0 = time.time()
-    with working_prec(50):
+    with mp.workprec(prec_bits(50)):
         pair_dependent = [mp.log(2), mp.log(4)]
         pair_independent = [mp.log(2), mp.log(3)]
     assert pslq_relation(pair_dependent, 10**6, 50) == [2, -1]
-    with working_prec(120):
+    with mp.workprec(prec_bits(120)):
         resid = abs(2 * mp.log(2) - mp.log(4))
     assert resid < mpf(10) ** -110
     assert pslq_relation(pair_independent, 10**6, 50) is None

@@ -19,6 +19,8 @@ from lprime.errors import ValidationError
 from lprime.lseries import l_deriv0_even
 from lprime.periodic import PeriodicFunction, constant_on_units, from_character
 from lprime.arith import lift_character, quadratic_character
+from lprime.numkernel import log2_const
+from lprime.relations import find_relation_for_modulus, log_sine_basis
 from tests.conftest import random_even_dirichlet
 
 
@@ -75,11 +77,32 @@ def test_trace_entries_match_verdicts():
 def test_independence_flags():
     assert classify_modulus(9).independence_25 is True
     assert classify_modulus(6).independence_25 is True
+    # powers of 2 keep the flag where the log-sine basis is undefined (q = 2) or empty (q = 4)
+    assert classify_modulus(2).independence_25 is True
+    assert classify_modulus(4).independence_25 is True
     assert classify_modulus(12).independence_25 is False
     assert classify_modulus(12).independence_24 is True
     assert classify_modulus(10).independence_24 is True
     assert classify_modulus(155).independence_24 is False
     assert classify_modulus(155).independence_25 is False
+
+
+@pytest.mark.parametrize("q", [8, 16, 32, 64])
+def test_independence_25_refuted_at_powers_of_two(q):
+    # the half-support log-sines at q = 2^n, n >= 3, sum to (1/2) log 2
+    # (the cyclotomic polynomial is 2 at 1), a relation with log 2
+    half_sum = sum(v for _, v in log_sine_basis(q, 50).entries)
+    assert abs(half_sum - log2_const(50) / 2) < mpf(10) ** -45
+    cls = classify_modulus(q)
+    assert cls.independence_25 is False
+    assert cls.independence_24 is True
+
+
+def test_power_of_two_relation_found():
+    rel = find_relation_for_modulus(8, 10, 60, extended=True)
+    assert rel is not None and rel.verified_at_2d
+    assert rel.coefficients == {1: 2, 3: 2}
+    assert (rel.pi_coefficient, rel.log2_coefficient) == (0, -1)
 
 
 def test_classify_rejects_small():

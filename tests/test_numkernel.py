@@ -22,7 +22,6 @@ from lprime.numkernel import (
     pi_const,
     prec_bits,
     two_sin_pi,
-    working_prec,
 )
 
 # Oracle-derived 65-digit reference values (parsed at full precision).
@@ -168,7 +167,7 @@ def test_reflection_formula(rng):
         q = rng.randint(3, 60)
         a = rng.randint(1, q - 1)
         lhs = log_gamma_frac(a, q, d) + log_gamma_frac(q - a, q, d)
-        with working_prec(d):
+        with mp.workprec(prec_bits(d)):
             rhs = mp.log(mp.pi) - mp.log(mp.sin(mp.pi * a / q))
         assert abs(lhs - rhs) < tol(d)
 
@@ -240,7 +239,7 @@ def test_lerch_value_identity_grid():
     for q in range(1, 13):
         for a in range(1, q + 1):
             expected = Fraction(1, 2) - Fraction(a, q)
-            with working_prec(d):
+            with mp.workprec(prec_bits(d)):
                 gap = abs(hurwitz_zeta(0, Fraction(a, q), d) - (mpf(q - 2 * a) / (2 * q)))
             assert gap < tol(d)
 
@@ -248,7 +247,7 @@ def test_lerch_value_identity_grid():
 def test_lerch_derivative_identity_grid():
     # zeta'(0, a/q) = log Gamma(a/q) - (1/2) log(2 pi): disjoint code paths
     d = 50
-    with working_prec(d):
+    with mp.workprec(prec_bits(d)):
         half_log_2pi = mp.log(2 * mp.pi) / 2
     for q in range(1, 13):
         for a in range(1, q + 1):
@@ -276,7 +275,7 @@ def test_derivative_finite_difference_consistency():
     for x in (Fraction(1, 3), Fraction(2, 5)):
         plus = hurwitz_zeta(h, x, 60)
         minus = hurwitz_zeta(-h, x, 60)
-        with working_prec(60):
+        with mp.workprec(prec_bits(60)):
             central = (plus - minus) / (2 * mpf(10) ** -10)
         assert abs(central - hurwitz_zeta_ds(0, x, 60)) < mpf(10) ** -15
 
@@ -286,21 +285,22 @@ def test_derivative_finite_difference_consistency():
 
 def _table_snapshot():
     return ({bits: [c._mpf_ for c in table] for bits, table in numkernel._stirling_tables.items()},
-            {key: ([(c._mpf_, dc._mpf_) for c, dc in entries], rising, d_rising)
+            {key: ([(c._mpf_, dc._mpf_) for c, dc in entries], rising._mpf_, d_rising._mpf_)
              for key, (entries, rising, d_rising) in numkernel._em_tables.items()})
 
 
 def test_threaded_table_fill_matches_single_threaded(empty_tables):
     s = mpf(3) / 4
-    bits = (prec_bits(12), prec_bits(300))
+    contexts = (numkernel.context(12), numkernel.context(300))
+    bits = tuple(ctx.prec for ctx in contexts)
     sizes = [3, 40, 17, 130, 64, 1, 90, 129, 33]
 
     def fill(i):
         order = sizes[i % len(sizes):] + sizes[:i % len(sizes)]
         for n in order:
-            for b in bits[i % 2:] + bits[:i % 2]:
-                numkernel._stirling_table(b, n)
-                numkernel._em_table(b, s, n)
+            for ctx in contexts[i % 2:] + contexts[:i % 2]:
+                numkernel._stirling_table(ctx, n)
+                numkernel._em_table(ctx, s, n)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -317,9 +317,9 @@ def test_threaded_table_fill_matches_single_threaded(empty_tables):
     with numkernel._bern_lock:
         numkernel._stirling_tables.clear()
         numkernel._em_tables.clear()
-    for b in bits:
-        numkernel._stirling_table(b, max(sizes))
-        numkernel._em_table(b, s, max(sizes))
+    for ctx in contexts:
+        numkernel._stirling_table(ctx, max(sizes))
+        numkernel._em_table(ctx, s, max(sizes))
     assert _table_snapshot() == threaded
     assert sorted(threaded[0]) == sorted(bits)
     assert sorted(threaded[1]) == [(b, s._mpf_) for b in sorted(bits)]
@@ -333,8 +333,8 @@ def test_table_entries_rounded_at_their_precision(empty_tables):
     # at most a few roundings per index
     bits = prec_bits(50)
     s = Fraction(3, 4)
-    stirling = numkernel._stirling_table(bits, 30)
-    em = numkernel._em_table(bits, mpf(3) / 4, 30)
+    stirling = numkernel._stirling_table(numkernel.context(50), 30)
+    em = numkernel._em_table(numkernel.context(50), mpf(3) / 4, 30)
     rising, d_rising = s, Fraction(1)
     for k in range(1, 31):
         b = bernoulli(2 * k)
@@ -353,7 +353,7 @@ def test_table_count_bounded(empty_tables):
     bits = prec_bits(12)
     keys = [mpf(k) / 4 for k in range(numkernel.MAX_TABLES + 3)]
     for s in keys:
-        numkernel._em_table(bits, s, 1)
+        numkernel._em_table(numkernel.context(12), s, 1)
     assert len(numkernel._em_tables) == numkernel.MAX_TABLES
     assert (bits, keys[0]._mpf_) not in numkernel._em_tables
     assert (bits, keys[-1]._mpf_) in numkernel._em_tables

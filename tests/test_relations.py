@@ -15,7 +15,7 @@ from lprime.errors import (
     PrecisionError,
     ValidationError,
 )
-from lprime.numkernel import two_sin_pi, working_prec
+from lprime.numkernel import prec_bits, two_sin_pi
 from lprime.periodic import half_support
 from lprime.relations import (
     build_witness,
@@ -66,7 +66,7 @@ def test_basis_q9():
 def test_basis_values_match_two_sin_pi():
     basis = log_sine_basis(15, 40)
     for a, v in basis.entries:
-        with working_prec(40):
+        with mp.workprec(prec_bits(40)):
             assert abs(v - mp.log(two_sin_pi(a, 15, 40))) < tol(40)
 
 
@@ -112,24 +112,24 @@ def test_identity_prime_powers():
 # Relation detection
 
 def test_pslq_sanity_log2_log4():
-    with working_prec(50):
+    with mp.workprec(prec_bits(50)):
         values = [mp.log(2), mp.log(4)]
     rel = pslq_relation(values, 10**6, 50)
     assert rel == [2, -1]
     # two-precision confirmation
-    with working_prec(100):
+    with mp.workprec(prec_bits(100)):
         resid = abs(2 * mp.log(2) - mp.log(4))
         assert resid < mpf(10) ** -90
 
 
 def test_pslq_sanity_log2_log3_none():
-    with working_prec(50):
+    with mp.workprec(prec_bits(50)):
         values = [mp.log(2), mp.log(3)]
     assert pslq_relation(values, 10**6, 50) is None
 
 
 def test_pslq_rejections():
-    with working_prec(50):
+    with mp.workprec(prec_bits(50)):
         values = [mp.log(2)]
     with pytest.raises(ValidationError):
         pslq_relation(values, 10**6, 50)
