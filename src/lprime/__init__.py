@@ -9,6 +9,7 @@ rediscovery of explicit vanishing witnesses.
 from .arith import (
     Character,
     character_half_sum,
+    coset_relations,
     euler_phi,
     factorize,
     lift_character,

@@ -194,3 +194,46 @@ def character_half_sum(chi: Character) -> int:
     if not chi.is_even:
         raise ValidationError("half sum is only meaningful for even characters")
     return sum(chi(b) for b in range(2, q // 2 + 1))
+
+
+# ---------------------------------------------------------------------------
+# Multiplicative relations among the cyclotomic units 2 sin(a pi/q)
+
+def coset_relations(q: int) -> list[tuple[int, ...]]:
+    """Supports of the 0/1 relations among log(2 sin(a pi/q)) over the half support.
+
+    For each prime power p^e exactly dividing q with m = q/p^e > 1, the
+    lifts b of a unit r mod m that are coprime to q satisfy
+    prod (1 - zeta_q^b) = (1 - zeta_m^r) / (1 - zeta_m^(r/p)), so over the
+    lifts of a coset of <p, -1> in (Z/m)^* the product telescopes to 1 in
+    absolute value.  The half-support residues lying over one coset are
+    therefore a relation with every coefficient 1.  Lifted to (Z/q)^*, the
+    cosets are those of the subgroup generated by -1, p and the units that
+    are 1 mod m; the even characters trivial on it are those whose
+    log-sine sum vanishes through the Euler factor at p.  So the relations
+    span the whole rational relation space.  A prime power has none.
+
+    Order: fewest residues first, then supports without a = 1, then the
+    sorted residue tuples.  Each support appears once.
+    """
+    if q < 2:
+        raise ValidationError(f"relations need q >= 2, got {q}")
+    half = [a for a in range(1, q // 2 + 1) if gcd(a, q) == 1]
+    supports = set()
+    for p, e in factorize(q):
+        m = q // p ** e
+        if m == 1:
+            continue
+        coset = {}  # unit mod m -> least unit of its coset of <p, -1>
+        for r in range(1, m):
+            if r in coset or gcd(r, m) != 1:
+                continue
+            x = r
+            while x not in coset:
+                coset[x] = coset[m - x] = r
+                x = x * p % m
+        blocks: dict[int, list[int]] = {}
+        for a in half:
+            blocks.setdefault(coset[a % m], []).append(a)
+        supports.update(tuple(b) for b in blocks.values())
+    return sorted(supports, key=lambda s: (len(s), 1 in s, s))

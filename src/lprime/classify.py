@@ -17,10 +17,13 @@ and log 2, is linearly independent over the algebraic numbers) is set
 for q = 6 and for prime powers other than 2^n with n >= 3: at those the
 half-support log-sines sum to (1/2) log 2, since the cyclotomic
 polynomial takes the value 2 at 1.  ``independence_24`` (the same with
-a = 1 excluded) is set for every case except Uncovered.  The
-``independence_24`` flag transcribes the ladder's hypotheses and is not
-exact: relations refute it at q = 693 and 34, and Uncovered q = 140 has
-only the all-ones relation (ROADMAP open item 2).
+a = 1 excluded) is exact and does not read the case: it holds when the
+half-support log-sines carry no relation but the all-ones one.  The
+0/1 vectors of ``arith.coset_relations`` span the relations, and two
+distinct ones are independent, so that is when there is at most one.
+The case, subcase and trace record the ladder as the paper states it;
+the ladder's own claim of independence fails at, for example, q = 34
+(TwoPNPower) and 693 (PeiFeng(V,1)), and misses Uncovered q = 140.
 
 ``vanishing_verdict`` turns the classification into what is provable
 about L'(0, f) for an even Dirichlet-type f of period q; for the moduli
@@ -37,7 +40,7 @@ from math import gcd
 
 from mpmath import mpf, nstr
 
-from .arith import RootType, factorize, mult_order, root_type
+from .arith import RootType, coset_relations, factorize, mult_order, root_type
 from .errors import ValidationError
 from .lseries import l_deriv0_even
 from .periodic import PeriodicFunction, require_even_dirichlet
@@ -265,7 +268,7 @@ def _finish(q: int, case: Case, subcase: str | None, trace: list[tuple[str, bool
         q=q,
         case=case,
         subcase=subcase,
-        independence_24=case is not Case.UNCOVERED,
+        independence_24=len(coset_relations(q)) <= 1,
         independence_25=case is Case.Q_SIX or (case is Case.PRIME_POWER and (q < 8 or q & (q - 1) != 0)),
         trace=trace,
     )

@@ -8,17 +8,23 @@ can never take part in an independence statement: a/q = 1/6 (value
 log 1 = 0) and a/q = 1/4 (value (1/2) log 2).  In lowest terms those
 only occur at q = 6 and q = 4 respectively.
 
-``find_integer_relation`` hunts for integer vectors c with
-sum c_a * log(2 sin(a pi/q)) = 0 via PSLQ at the requested precision and
-accepts a candidate only after re-evaluating the combination from
-scratch at doubled precision.  A returned relation is therefore a
-two-precision numerical certificate, not a single lucky cancellation.
+``find_integer_relation`` returns an integer vector c with
+sum c_a * log(2 sin(a pi/q)) = 0.  On a plain log-sine basis the
+candidate is exact: the first of the coset relations of
+``arith.coset_relations``, which span every relation, so a prime power
+(which has none) returns None without a search.  On a basis extended by
+pi and log 2 the candidate comes from PSLQ at the requested precision.
+Either way it is accepted only after re-evaluating the combination from
+freshly computed values at doubled precision, so a returned relation
+carries a two-precision numerical certificate.
 
-Note on non-uniqueness: for composite q the relation lattice can have
-rank greater than one (distribution relations contribute coset-sum
-relations besides any character-derived witness), and the finder
-returns the first verified relation PSLQ produces, which is typically
-among the shortest -- not necessarily the witness vector.
+Note on non-uniqueness: for composite q the relation space can have
+rank greater than one (the coset relations of every prime dividing q),
+and the finder returns one relation, not a basis of the space.  It takes
+the shortest, preferring a relation without a = 1 and then the smallest
+sorted residue list; a Ramachandra witness f = chi - 1 is -2 on exactly
+such a coset, so where the witness is among the shortest it is the one
+returned (q = 55).
 """
 
 from __future__ import annotations
@@ -29,10 +35,17 @@ from math import gcd
 
 from mpmath import mpf, nstr
 
-from .arith import Character, character_half_sum, factorize, lift_character, quadratic_character
+from .arith import (
+    Character,
+    character_half_sum,
+    coset_relations,
+    factorize,
+    lift_character,
+    quadratic_character,
+)
 from .errors import HalfSumMismatchError, NotAdmissibleError, PrecisionError, ValidationError
 from .lseries import l_deriv0_even
-from .numkernel import context, log2_const, pi_const, plain_mpf, two_sin_pi
+from .numkernel import context, log2_const, pi_const, plain_mpf, require_digits, two_sin_pi
 from .periodic import PeriodicFunction, from_character
 
 
@@ -148,18 +161,10 @@ def pslq_relation(values: list[mpf], max_coeff: int, digits: int) -> list[int] |
     tolerance and max|c_i| <= max_coeff, or None.  Deterministic for
     fixed inputs; callers wanting a certificate must re-verify the
     combination at higher precision themselves (``find_integer_relation``
-    does exactly that for log-sine bases).
+    does exactly that for extended log-sine bases).
     """
+    _require_detectable(len(values), max_coeff, digits)
     ctx = context(digits)
-    if max_coeff < 1:
-        raise ValidationError(f"max_coeff must be >= 1, got {max_coeff}")
-    if len(values) < 2:
-        raise ValidationError("relation detection needs at least two values")
-    if digits - 10 < MIN_DETECTION_DIGITS:
-        raise PrecisionError(
-            f"detection scale 10^{digits - 10} underflows; need digits >= "
-            f"{MIN_DETECTION_DIGITS + 10}"
-        )
     candidate = ctx.pslq(
         values,
         tol=ctx.mpf(10) ** (-(digits - 10)),
@@ -175,22 +180,46 @@ def pslq_relation(values: list[mpf], max_coeff: int, digits: int) -> list[int] |
     return vec
 
 
+def _require_detectable(n_values: int, max_coeff: int, digits: int) -> None:
+    require_digits(digits)
+    if max_coeff < 1:
+        raise ValidationError(f"max_coeff must be >= 1, got {max_coeff}")
+    if n_values < 2:
+        raise ValidationError("relation detection needs at least two values")
+    if digits - 10 < MIN_DETECTION_DIGITS:
+        raise PrecisionError(
+            f"detection scale 10^{digits - 10} underflows; need digits >= "
+            f"{MIN_DETECTION_DIGITS + 10}"
+        )
+
+
 def find_integer_relation(
     basis: LogSineBasis, max_coeff: int, digits: int
 ) -> Relation | None:
-    """PSLQ over the basis values, accepted only after 2d re-verification.
+    """An integer relation among the basis values, accepted only after 2d re-verification.
 
-    Detection runs at ``digits``; a candidate c is kept only if
-    max|c| <= max_coeff and the combination recomputed from freshly
-    evaluated basis values at 2*digits stays below 10**(-2*digits+10).
-    Deterministic for fixed inputs.
+    On a plain log-sine basis the candidate is the first vector of
+    ``coset_relations(q)`` (all coefficients 1, so within any
+    ``max_coeff``), or None when q is a prime power and no relation
+    exists.  On an extended basis it is PSLQ's, detected at ``digits``
+    with max|c| <= max_coeff.  Either way the candidate is kept only if
+    the combination recomputed from freshly evaluated basis values at
+    2*digits stays below 10**(-2*digits+10).  Deterministic for fixed
+    inputs.
     """
     if basis.digits < digits:
         raise PrecisionError(
             f"basis carries {basis.digits} digits but detection wants {digits}"
         )
     values = basis.all_values()
-    candidate = pslq_relation(values, max_coeff, digits)
+    _require_detectable(len(values), max_coeff, digits)
+    if basis.extended:
+        candidate = pslq_relation(values, max_coeff, digits)
+    elif supports := coset_relations(basis.q):
+        first = set(supports[0])
+        candidate = [int(a in first) for a, _ in basis.entries]
+    else:
+        candidate = None
     if candidate is None:
         return None
 

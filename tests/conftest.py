@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
 from lprime.numkernel import prec_bits
 from lprime.periodic import PeriodicFunction
+
+ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+_spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
+#: The benchmark's exact oracle, which never imports lprime: exact relation
+#: ranks from characters, distribution relations and mpmath built-in values.
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 @pytest.fixture(autouse=True)

@@ -2,18 +2,19 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS lines and timings.  Criterion 9 checks the relations the finder
-returns against an exact oracle: for q = 155 the log-sine relation lattice
-has rank 6 (distribution relations over the cosets of <5, -1> mod 31 and
-of <31, -1> mod 5, provable from the factorization of 1 - z^p), and PSLQ
-returns a 12-term coset relation rather than the 30-term witness vector.
-The criterion asserts that the found relation and the witness both lie in
+returns against the benchmark's exact oracle (``perfbench/oracle.py``):
+for q = 155 the log-sine relation lattice has rank 6 (distribution
+relations over the cosets of <5, -1> mod 31 and of <31, -1> mod 5,
+provable from the factorization of 1 - z^p), and the finder returns a
+12-term coset relation rather than the 30-term witness vector.  The
+criterion asserts that the found relation and the witness both lie in
 that exactly computed span, not that they are proportional.
 """
 
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from mpmath import mp, mpf, nstr
@@ -37,7 +38,7 @@ from lprime.relations import (
     ramachandra_admissible,
     sine_identity_residual,
 )
-from tests.conftest import random_even_dirichlet
+from tests.conftest import oracle, random_even_dirichlet
 
 with mp.workprec(300):
     LOG_PHI_40 = mpf("0.4812118250596034474977589134243684231351843343856605196610181688")
@@ -174,7 +175,7 @@ def test_criterion_09_relation_finder_positive():
         witness_vec = [int(v) for _, v in half_support(wit.f)]
         found_vec = rel.vector(log_sine_basis(q, 15))
         if q == 55:
-            assert _rank([found_vec, witness_vec]) == 1, (
+            assert oracle.exact_rank([found_vec, witness_vec]) == 1, (
                 f"q={q}: the verified relation found (support "
                 f"{sorted(rel.coefficients)}) is not proportional to the witness "
                 f"vector (support {sorted(a for a, v in half_support(wit.f) if v)}); "
@@ -183,26 +184,27 @@ def test_criterion_09_relation_finder_positive():
             )
 
         check = log_sine_basis(q, 240)
-        lattice = _distribution_relations(q, [a for a, _ in check.entries])
+        assert [a for a, _ in check.entries] == oracle.half_support(q)
+        lattice = oracle.distribution_relations(q)
         with mp.workprec(prec_bits(240)):
             for vec in lattice:
                 resid = abs(mp.fsum(c * v for c, (_, v) in zip(vec, check.entries)))
                 assert resid < mpf(10) ** -230, (
                     f"q={q}: oracle relation {vec} has residual {nstr(resid, 10)} at 240 digits"
                 )
-        rank = _rank(lattice)
+        rank = oracle.exact_rank(lattice)
         assert rank == DISTRIBUTION_RANK[q], (q, rank)
-        assert _rank(lattice + [found_vec]) == rank, (
+        assert oracle.exact_rank(lattice + [found_vec]) == rank, (
             f"q={q}: the found relation (support {sorted(rel.coefficients)}) is "
             "not in the span of the distribution relations"
         )
-        assert _rank(lattice + [witness_vec]) == rank, (
+        assert oracle.exact_rank(lattice + [witness_vec]) == rank, (
             f"q={q}: the witness vector is not in the span of the distribution relations"
         )
         # negative control: log(2 sin(pi/q)) alone is no relation, so the
         # membership test above can fail
         single = [int(a == 1) for a, _ in check.entries]
-        assert _rank(lattice + [single]) == rank + 1, q
+        assert oracle.exact_rank(lattice + [single]) == rank + 1, q
     _report(9, "finder relations for q=55,155 verified at 240 digits, in the exact "
                "distribution-relation span (rank 2, 6)", t0)
 
@@ -245,47 +247,3 @@ def test_criterion_12_pslq_sanity():
     assert pslq_relation(pair_independent, 10**6, 50) is None
     _report(12, "(log 2, log 4) -> (2, -1); (log 2, log 3) -> none at maxcoeff 1e6", t0)
 
-
-def _rank(vectors):
-    """Exact rank over Q of a list of integer vectors (Gaussian elimination)."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col] / rows[rank][col]
-            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _distribution_relations(q, residues):
-    """Exact relation vectors over ``residues`` (the half support of q).
-
-    For each prime p with q = p*m, p not dividing m and m > 1: the lifts of
-    r mod m to Z/q give prod_b (1 - zeta_q^b) = 1 - zeta_m^r, and the one
-    lift divisible by p contributes 1 - zeta_m^(r/p).  So the lifts coprime
-    to q multiply to (1 - zeta_m^r) / (1 - zeta_m^(r/p)), and over a coset C
-    of <p, -1> in (Z/m)^* the product telescopes to 1.  Taking absolute
-    values, the 0/1 vector marking the residues a with a mod m in C is an
-    integer relation among the log(2 sin(a pi/q)).
-    """
-    vectors = []
-    for p in range(2, q + 1):
-        m = q // p
-        if q % p or m % p == 0 or m == 1 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
-            continue
-        seen = set()
-        for r in range(1, m):
-            if gcd(r, m) != 1 or r in seen:
-                continue
-            coset, x = set(), r
-            while x not in coset:
-                coset |= {x, m - x}
-                x = x * p % m
-            seen |= coset
-            vectors.append([int(a % m in coset) for a in residues])
-    return vectors

@@ -1,0 +1,100 @@
+"""The exact relation finder and the exact ``independence_24`` flag.
+
+Every check compares lprime against the benchmark's oracle
+(``perfbench/oracle.py``, which never imports lprime): relation ranks
+counted from characters through subgroup indices, and log-sine values
+from mpmath built-ins.  Blind PSLQ is kept as a cross-check.
+"""
+
+import pytest
+from mpmath import mp, mpf
+
+from lprime.arith import coset_relations, factorize
+from lprime.classify import classify_modulus
+from lprime.errors import PrecisionError, ValidationError
+from lprime.relations import (
+    find_integer_relation,
+    find_relation_for_modulus,
+    log_sine_basis,
+    pslq_relation,
+)
+from tests.conftest import oracle
+
+MODULI = range(3, 1000)
+
+
+def _vectors(q):
+    """The coset relations as 0/1 vectors over the oracle's half support."""
+    half = oracle.half_support(q)
+    return [[int(a in s) for a in half] for s in map(set, coset_relations(q))]
+
+
+def test_coset_relations_span_the_relation_space():
+    wrong = [q for q in MODULI if oracle.exact_rank(_vectors(q)) != oracle.relation_rank(q)]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("q", [36, 68, 100])
+def test_prime_square_relations_are_needed(q):
+    # the relations of primes p with p^2 | q are what the distribution
+    # relations (p exactly dividing q) miss here
+    short = oracle.exact_rank(oracle.distribution_relations(q))
+    assert short < oracle.relation_rank(q) == oracle.exact_rank(_vectors(q))
+
+
+def test_independence_24_is_the_exact_rank():
+    wrong = [q for q in MODULI
+             if classify_modulus(q).independence_24 != (oracle.basis_relation_rank(q) <= 1)]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("q", [36, 68, 100, 693])
+def test_coset_relations_vanish_at_240_digits(q):
+    with mp.workdps(240):
+        values = {a: oracle.log_sine(a, q) for a in oracle.half_support(q)}
+        for support in coset_relations(q):
+            residual = abs(mp.fsum(values[a] for a in support))
+            assert residual < mpf(10) ** -230, (q, support, residual)
+
+
+@pytest.mark.parametrize("q", [55, 105])
+def test_blind_pslq_relation_lies_in_the_span(q):
+    basis = log_sine_basis(q, 120)
+    assert [a for a, _ in basis.entries] == oracle.half_support(q)
+    found = pslq_relation(basis.all_values(), 4, 120)
+    assert found is not None and any(found)
+    span = _vectors(q)
+    assert oracle.in_span(found, span)
+    # negative control: the membership test can fail
+    assert not oracle.in_span([int(a == 1) for a, _ in basis.entries], span)
+
+
+def test_prime_powers_return_none():
+    for q in range(5, 201):
+        if len(factorize(q)) == 1:
+            assert coset_relations(q) == [], q
+            assert find_relation_for_modulus(q, 10**6, 30) is None, q
+
+
+def test_selection_order():
+    # q = 55: the two classes mod 5 are the shortest; the witness class
+    # {2, 3} does not contain a = 1, so it comes first
+    rel = find_relation_for_modulus(55, 4, 60)
+    assert sorted(rel.coefficients) == [a for a in oracle.half_support(55) if a % 5 in (2, 3)]
+    assert set(rel.coefficients.values()) == {1}
+    # q = 155: a 12-term coset of <5, -1> mod 31, not the one of a = 1
+    rel = find_relation_for_modulus(155, 4, 60)
+    assert len(rel.coefficients) == 12 and 1 not in rel.coefficients
+    assert rel.residual_at_2d < mpf(10) ** -110
+
+
+def test_input_errors_unchanged():
+    with pytest.raises(ValidationError):
+        find_integer_relation(log_sine_basis(21, 60), 0, 60)
+    for q in (3, 4, 6):  # fewer than two basis values
+        with pytest.raises(ValidationError):
+            find_relation_for_modulus(q, 10, 60)
+    with pytest.raises(PrecisionError):
+        find_relation_for_modulus(21, 10, 14)
+    with pytest.raises(PrecisionError):
+        find_integer_relation(log_sine_basis(21, 50), 10, 80)

@@ -1,7 +1,9 @@
 """Log-sine basis, identity, relation finder, and witness tests.
 
-The expensive q = 155 detection run lives in the acceptance suite; here
-the finder is exercised on small moduli and q = 55.
+The q = 155 relation lives in the acceptance suite, and the checks of the
+exact coset relations against the benchmark's oracle in
+``test_coset_relations.py``; here the finder is exercised on small moduli
+and q = 55.
 """
 
 from fractions import Fraction
@@ -161,11 +163,14 @@ def test_finder_rejects_low_basis_precision():
 
 def test_spurious_candidates_fail_two_precision_gate():
     # beyond-sine-identity relations do not exist mod 57; with huge
-    # coefficient bounds PSLQ's raw candidate (if any) must be rejected
-    basis = log_sine_basis(57, 30)
+    # coefficient bounds PSLQ's raw candidate (if any) must be rejected.
+    # PSLQ runs on the extended basis only: a plain one takes its
+    # relation from the exact coset relations.
+    basis = log_sine_basis(57, 30, extended=True)
     rel = find_integer_relation(basis, 10**6, 30)
     if rel is not None:  # anything accepted must be the genuine identity
         assert set(rel.coefficients.values()) == {1}
+        assert (rel.pi_coefficient, rel.log2_coefficient) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
