@@ -1,13 +1,20 @@
 """Classify a range of moduli and tabulate which vanishing regime applies.
 
-PrimePower         L'(0, f) = 0  iff  f is the zero function
-QSix               L'(0, f) = 0  always (the only half-support log-sine is log 1)
-PeiFeng(...)       L'(0, f) = 0  iff  f is constant on the units
-TwoPNPower /
-TwoTimesPeiFeng    extended log-sine family independent, but no vanishing
-                   criterion for L'(0, f) follows
-Uncovered          dependence possible: witnesses may exist (see the
-                   witness_rediscovery demo)
+The regime comes from the number of coset relations among the
+half-support log-sines (``lprime.arith.coset_relations``), not from the
+ladder's case label, which the report keeps as the paper's record:
+
+no relation        L'(0, f) = 0  iff  f is the zero function
+(the prime powers)
+q = 6              L'(0, f) = 0  always (the only half-support log-sine is log 1)
+one relation       L'(0, f) = 0  iff  f is constant on the units
+(the all-ones one)
+two or more        some non-constant f has L'(0, f) = 0; the verdict is
+                   Unknown (see the witness_rediscovery demo)
+
+indep(a>=2 basis) is true exactly when there is at most one relation.
+The labels do not decide the regime: PeiFeng 84 and 693 and TwoPNPower
+34 have two or more relations; TwoPNPower 10 and Uncovered 140 have one.
 """
 
 from collections import Counter

@@ -199,6 +199,15 @@ def character_half_sum(chi: Character) -> int:
 # ---------------------------------------------------------------------------
 # Multiplicative relations among the cyclotomic units 2 sin(a pi/q)
 
+def half_units(q: int) -> list[int]:
+    """The half support: residues 1 <= a <= q/2 coprime to q, ascending.
+
+    The fixed column order of the log-sine formulas, the relations and
+    the rank criterion.
+    """
+    return [a for a in range(1, q // 2 + 1) if gcd(a, q) == 1]
+
+
 def coset_relations(q: int) -> list[tuple[int, ...]]:
     """Supports of the 0/1 relations among log(2 sin(a pi/q)) over the half support.
 
@@ -218,7 +227,7 @@ def coset_relations(q: int) -> list[tuple[int, ...]]:
     """
     if q < 2:
         raise ValidationError(f"relations need q >= 2, got {q}")
-    half = [a for a in range(1, q // 2 + 1) if gcd(a, q) == 1]
+    half = half_units(q)
     supports = set()
     for p, e in factorize(q):
         m = q // p ** e

@@ -12,23 +12,27 @@ case list is a plain disjunction with no precedence):
 4. the Pei-Feng ladder I..V on q itself    -> PeiFeng(case, subcase)
 5. nothing matched                         -> Uncovered
 
-``independence_25`` (the full log-sine family, including a = 1, plus pi
-and log 2, is linearly independent over the algebraic numbers) is set
-for q = 6 and for prime powers other than 2^n with n >= 3: at those the
-half-support log-sines sum to (1/2) log 2, since the cyclotomic
-polynomial takes the value 2 at 1.  ``independence_24`` (the same with
-a = 1 excluded) is exact and does not read the case: it holds when the
-half-support log-sines carry no relation but the all-ones one.  The
-0/1 vectors of ``arith.coset_relations`` span the relations, and two
-distinct ones are independent, so that is when there is at most one.
-The case, subcase and trace record the ladder as the paper states it;
-the ladder's own claim of independence fails at, for example, q = 34
-(TwoPNPower) and 693 (PeiFeng(V,1)), and misses Uncovered q = 140.
+Neither the flags nor the vanishing verdict read the ladder; both come
+from ``arith.coset_relations(q)``, whose 0/1 vectors span the relations
+among the half-support log-sines.  Two distinct ones are independent,
+so their count tells rank 0, rank 1 and rank at least 2 apart.
+``independence_24`` (the family with a = 1 excluded is linearly
+independent over the algebraic numbers) holds when there is at most one
+relation, the all-ones one.  ``independence_25`` (the full family plus
+pi and log 2) holds for q = 6 and for the relation-free moduli, the
+prime powers, other than 2^n with n >= 3: at those the half-support
+log-sines sum to (1/2) log 2, since the cyclotomic polynomial takes the
+value 2 at 1.  The case, subcase and trace record the ladder as the
+paper states it; the ladder's own claim of independence fails at, for
+example, q = 34 (TwoPNPower) and 693 (PeiFeng(V,1)), and misses
+Uncovered q = 140.
 
-``vanishing_verdict`` turns the classification into what is provable
-about L'(0, f) for an even Dirichlet-type f of period q; for the moduli
-where no vanishing criterion is available it reports Unknown together
-with the numeric residual |L'(0, f)| so callers can hunt for relations.
+``vanishing_verdict`` says what is provable about L'(0, f) for an even
+Dirichlet-type f of period q, by the number of coset relations: none
+(the prime powers), zero iff f = 0; one, zero iff f is constant on the
+units; q = 6, always zero.  With two or more, vanishing depends on f
+beyond that, and the verdict is Unknown with the numeric residual
+|L'(0, f)| attached so callers can hunt for relations.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from mpmath import mpf, nstr
 from .arith import RootType, coset_relations, factorize, mult_order, root_type
 from .errors import ValidationError
 from .lseries import l_deriv0_even
+from .numkernel import require_digits
 from .periodic import PeriodicFunction, require_even_dirichlet
 
 
@@ -264,12 +269,13 @@ def classify_modulus(q: int) -> Classification:
 
 
 def _finish(q: int, case: Case, subcase: str | None, trace: list[tuple[str, bool]]) -> Classification:
+    relations = coset_relations(q)
     return Classification(
         q=q,
         case=case,
         subcase=subcase,
-        independence_24=len(coset_relations(q)) <= 1,
-        independence_25=case is Case.Q_SIX or (case is Case.PRIME_POWER and (q < 8 or q & (q - 1) != 0)),
+        independence_24=len(relations) <= 1,
+        independence_25=q == 6 or (not relations and (q < 8 or q & (q - 1) != 0)),
         trace=trace,
     )
 
@@ -286,7 +292,7 @@ class VerdictKind(enum.Enum):
 
 #: Tags naming the criterion behind each non-Unknown verdict.
 PRIME_POWER_CRITERION = "prime-power log-sine independence"
-COVERED_COMPOSITE_CRITERION = "covered-composite log-sine independence (a >= 2)"
+ONE_RELATION_CRITERION = "one log-sine relation, the all-ones one: independence for a >= 2"
 Q6_DEGENERACY = "q = 6 degeneracy: the only half-support term is log 1"
 
 
@@ -309,23 +315,21 @@ class VanishingVerdict:
 def vanishing_verdict(q: int, f: PeriodicFunction, digits: int) -> VanishingVerdict:
     """What is provable about L'(0, f) for this period.
 
-    Prime powers: zero iff f is the zero function.  Covered composite
-    moduli (the Pei-Feng ladder): zero iff f is constant on the units.
-    q = 6: always zero.  Everything else (including q = 2p^n and
-    q = 2m ladder moduli, where no vanishing criterion is available):
-    Unknown, with |L'(0, f)| attached for relation hunting.
+    Decided by the coset relations of q.  None (the prime powers): zero
+    iff f is the zero function.  q = 6: always zero.  Exactly one, the
+    all-ones relation: zero iff f is constant on the units.  More than
+    one: Unknown, with |L'(0, f)| attached for relation hunting.
     """
+    require_digits(digits)
     if f.q != q:
         raise ValidationError(f"function has period {f.q}, expected {q}")
     require_even_dirichlet(f)
-    cls = classify_modulus(q)
-    if cls.case is Case.PRIME_POWER:
+    relations = coset_relations(q)
+    if not relations:
         return VanishingVerdict(VerdictKind.ZERO_IFF_ZERO_FUNCTION, PRIME_POWER_CRITERION)
-    if cls.case is Case.Q_SIX:
+    if q == 6:
         return VanishingVerdict(VerdictKind.ALWAYS_ZERO, Q6_DEGENERACY)
-    if cls.case is Case.PEI_FENG:
-        return VanishingVerdict(
-            VerdictKind.ZERO_IFF_CONSTANT_ON_UNITS, COVERED_COMPOSITE_CRITERION
-        )
+    if len(relations) == 1:
+        return VanishingVerdict(VerdictKind.ZERO_IFF_CONSTANT_ON_UNITS, ONE_RELATION_CRITERION)
     residual = abs(l_deriv0_even(f, digits))
     return VanishingVerdict(VerdictKind.UNKNOWN, None, numeric_residual=residual)

@@ -26,7 +26,7 @@ from math import gcd
 
 from mpmath import mpf
 
-from .arith import is_prime_power
+from .arith import half_units, is_prime_power
 from .errors import PoleError, ValidationError
 from .numkernel import (
     RealLike,
@@ -165,7 +165,7 @@ def family_rank(fs: list[PeriodicFunction]) -> RankResult:
     for f in fs:
         require_even_dirichlet(f)
 
-    columns = [a for a in range(1, q // 2 + 1) if gcd(a, q) == 1]
+    columns = half_units(q)
     rows = [[f(a) for a in columns] for f in fs]
     n = len(fs)
 

@@ -28,7 +28,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import Character
+from .arith import Character, half_units
 from .errors import ValidationError
 
 RationalLike = Fraction | int
@@ -183,4 +183,4 @@ def half_support(f: PeriodicFunction) -> list[tuple[int, Fraction]]:
     used by the log-sine formulas and the rank criterion.
     """
     require_even_dirichlet(f)
-    return [(a, f(a)) for a in range(1, f.q // 2 + 1) if gcd(a, f.q) == 1]
+    return [(a, f(a)) for a in half_units(f.q)]

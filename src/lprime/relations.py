@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from mpmath import mpf, nstr
 
@@ -40,6 +39,7 @@ from .arith import (
     character_half_sum,
     coset_relations,
     factorize,
+    half_units,
     lift_character,
     quadratic_character,
 )
@@ -119,9 +119,7 @@ def log_sine_basis(q: int, digits: int, extended: bool = False) -> LogSineBasis:
     ctx = context(digits)
     entries = []
     excluded = []
-    for a in range(1, q // 2 + 1):
-        if gcd(a, q) != 1:
-            continue
+    for a in half_units(q):
         if 6 * a == q or 4 * a == q:
             excluded.append(a)
             continue
@@ -145,9 +143,8 @@ def sine_identity_residual(q: int, digits: int) -> mpf:
         raise ValidationError(f"identity needs q >= 3, got {q}")
     ctx = context(digits)
     total = ctx.mpf(0)
-    for k in range(1, q // 2 + 1):
-        if gcd(k, q) == 1:
-            total += ctx.log(two_sin_pi(k, q, digits))
+    for k in half_units(q):
+        total += ctx.log(two_sin_pi(k, q, digits))
     return plain_mpf(2 * total)
 
 

@@ -1,6 +1,7 @@
 """Classifier ladder and vanishing-verdict tests."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from mpmath import mpf
@@ -8,7 +9,7 @@ from mpmath import mpf
 from lprime.arith import RootType, mult_order, root_type
 from lprime.classify import (
     Case,
-    COVERED_COMPOSITE_CRITERION,
+    ONE_RELATION_CRITERION,
     PRIME_POWER_CRITERION,
     Q6_DEGENERACY,
     VerdictKind,
@@ -18,10 +19,10 @@ from lprime.classify import (
 from lprime.errors import ValidationError
 from lprime.lseries import l_deriv0_even
 from lprime.periodic import PeriodicFunction, constant_on_units, from_character
-from lprime.arith import lift_character, quadratic_character
+from lprime.arith import coset_relations, lift_character, quadratic_character
 from lprime.numkernel import log2_const
 from lprime.relations import find_relation_for_modulus, log_sine_basis
-from tests.conftest import random_even_dirichlet
+from tests.conftest import oracle, random_even_dirichlet
 
 
 @pytest.mark.parametrize(
@@ -134,7 +135,7 @@ def test_verdict_prime_power():
 def test_verdict_covered_composite():
     v = vanishing_verdict(12, constant_on_units(12, 3), 50)
     assert v.kind is VerdictKind.ZERO_IFF_CONSTANT_ON_UNITS
-    assert v.applied_theorem == COVERED_COMPOSITE_CRITERION
+    assert v.applied_theorem == ONE_RELATION_CRITERION
 
 
 def test_verdict_q6():
@@ -153,8 +154,8 @@ def test_verdict_witness_unknown():
 
 
 def test_verdict_two_pn_unknown(rng):
-    f = random_even_dirichlet(10, rng)
-    v = vanishing_verdict(10, f, 50)
+    f = random_even_dirichlet(34, rng)
+    v = vanishing_verdict(34, f, 50)
     assert v.kind is VerdictKind.UNKNOWN
     assert v.numeric_residual is not None
 
@@ -167,7 +168,7 @@ def test_verdict_json_dict(rng):
         "applied_theorem": PRIME_POWER_CRITERION,
         "numeric_residual": None,
     }
-    u = vanishing_verdict(10, random_even_dirichlet(10, rng), 50)
+    u = vanishing_verdict(34, random_even_dirichlet(34, rng), 50)
     assert isinstance(u.to_json_dict()["numeric_residual"], str)
 
 
@@ -176,6 +177,40 @@ def test_verdict_rejects_mismatch(rng):
         vanishing_verdict(10, random_even_dirichlet(9, rng), 50)
     with pytest.raises(ValidationError):
         vanishing_verdict(5, PeriodicFunction(q=5, values={1: 1}), 50)
+
+
+def test_verdict_rejects_bad_digits():
+    # on every path, not only where the numeric residual is computed
+    with pytest.raises(ValidationError):
+        vanishing_verdict(9, PeriodicFunction(q=9, values={}), 3)
+    with pytest.raises(ValidationError):
+        vanishing_verdict(12, constant_on_units(12, 1), -5)
+    with pytest.raises(ValidationError):
+        vanishing_verdict(6, constant_on_units(6, 1), "x")
+
+
+def test_verdict_kind_matches_relation_rank():
+    # the oracle counts the rank from characters and never imports lprime
+    for q in range(3, 1000):
+        kind = vanishing_verdict(q, PeriodicFunction(q=q, values={}), 10).kind
+        rank = oracle.relation_rank(q)
+        expected = {0: VerdictKind.ZERO_IFF_ZERO_FUNCTION,
+                    1: VerdictKind.ZERO_IFF_CONSTANT_ON_UNITS}.get(rank, VerdictKind.UNKNOWN)
+        if q == 6:
+            expected = VerdictKind.ALWAYS_ZERO
+        assert kind is expected, (q, rank, kind)
+
+
+def test_nonconstant_vanishing_at_ladder_modulus():
+    # q = 84 is PeiFeng(IV,1), yet a non-constant f has L'(0, f) = 0
+    assert classify_modulus(84).label() == "PeiFeng(IV,1)"
+    support = coset_relations(84)[0]
+    assert len(support) < len(oracle.half_support(84))
+    values = {b: Fraction(1) for a in support for b in (a, 84 - a)}
+    assert abs(oracle.l_deriv0(84, values, 50)) < mpf(10) ** -45
+    v = vanishing_verdict(84, PeriodicFunction(q=84, values=values), 50)
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.numeric_residual < mpf(10) ** -45
 
 
 def test_verdict_soundness_against_numerics(rng):
@@ -187,8 +222,8 @@ def test_verdict_soundness_against_numerics(rng):
         f = random_even_dirichlet(q, rng, allow_zero=False)
         assert abs(l_deriv0_even(f, 60)) > thresh
         assert abs(l_deriv0_even(PeriodicFunction(q=q, values={}), 60)) < thresh
-    # covered composites: zero iff constant on units
-    for q, c in ((12, 3), (45, 2), (15, 1)):
+    # one coset relation: zero iff constant on units
+    for q, c in ((12, 3), (45, 2), (15, 1), (10, 1), (140, 2)):
         assert abs(l_deriv0_even(constant_on_units(q, c), 60)) < thresh
         f = random_even_dirichlet(q, rng, allow_zero=False)
         if dict(f.values) != {a: f(1) for a in f.values}:  # non-constant draw
