@@ -1,9 +1,11 @@
 """Exact modular arithmetic: factorization, totient, multiplicative order,
 primitive/semi-primitive root predicates, and real even Dirichlet characters.
 
-Everything here is integer-exact and stateless.  Factorization is trial
-division backed by a deterministic Miller-Rabin primality test, which is
-more than enough for desk-scale moduli (q well below 10**6).
+Everything here is integer-exact and stateless.  Factorization is plain
+trial division by 2 and the odd numbers up to the square root, and a
+number is prime when it is its own factorization; no probabilistic
+test is involved.  That is ample for desk-scale moduli (q well below
+10**6).
 """
 
 from __future__ import annotations
@@ -14,33 +16,6 @@ from math import gcd
 
 from .errors import ValidationError
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization as (prime, exponent) pairs, primes increasing."""
@@ -50,19 +25,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
     rest = n
     p = 2
     while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
             factors.append((p, e))
-            if is_prime(rest):  # bail out of trial division early
-                break
         p += 1 if p == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-        factors.sort()
     return factors
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def is_prime_power(n: int) -> bool:

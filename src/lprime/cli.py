@@ -13,9 +13,12 @@ Exit codes: 0 success, 2 for rejected input (bad flags, malformed JSON,
 precondition violations), 1 for computations that start but cannot
 finish (pole, lost convergence, insufficient precision).  All numeric
 output is printed as decimal strings at an explicit digit count, so
-reports are reproducible byte-for-byte.  The default precision is 50
-digits; the ``LPRIME_DIGITS`` environment variable overrides the
-default, and an explicit ``--digits`` flag wins over both.
+reports are reproducible byte-for-byte.  Only the numeric subcommands
+(``eval``, ``identity``, ``relations``, ``witness``) take a precision:
+the default is 50 digits, the ``LPRIME_DIGITS`` environment variable
+overrides the default, and an explicit ``--digits`` flag wins over both.
+``classify`` and ``rank`` are exact, take no ``--digits`` and never read
+``LPRIME_DIGITS``.
 """
 
 from __future__ import annotations
@@ -176,10 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--digits", type=int, default=None,
-                       help=f"decimal working precision (default {DEFAULT_DIGITS}, "
-                            f"or ${DIGITS_ENV_VAR})")
+    def add_common(p, numeric=True):
+        if numeric:
+            p.add_argument("--digits", type=int, default=None,
+                           help=f"decimal working precision (default {DEFAULT_DIGITS}, "
+                                f"or ${DIGITS_ENV_VAR})")
         p.add_argument("--output", choices=("text", "json"), default="text")
 
     p_eval = sub.add_parser("eval", help="L(s, f), or L'(0, f) when s = 0")
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a modulus")
     p_classify.add_argument("--q", type=int, required=True)
-    add_common(p_classify)
+    add_common(p_classify, numeric=False)
 
     p_ident = sub.add_parser("identity", help="coprime sine-product identity residual")
     p_ident.add_argument("--q", type=int, required=True)
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="exact rank of a family of functions")
     p_rank.add_argument("--fns", nargs="+", required=True,
                         help="periodic-function JSON files")
-    add_common(p_rank)
+    add_common(p_rank, numeric=False)
     return parser
 
 
@@ -226,7 +230,7 @@ _HANDLERS = {
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """Built on the first ``run``; ``run`` reads ``LPRIME_DIGITS`` on every call."""
+    """Built on the first ``run``; ``run`` reads ``LPRIME_DIGITS`` on every numeric call."""
     return build_parser()
 
 
@@ -247,9 +251,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args.digits = _resolve_digits(args.digits)
-        if args.digits < MIN_DIGITS:
-            raise ValidationError(f"--digits must be >= {MIN_DIGITS}, got {args.digits}")
+        if "digits" in args:
+            args.digits = _resolve_digits(args.digits)
+            if args.digits < MIN_DIGITS:
+                raise ValidationError(f"--digits must be >= {MIN_DIGITS}, got {args.digits}")
         if getattr(args, "max_coeff", 1) < 1:
             raise ValidationError(f"--max-coeff must be >= 1, got {args.max_coeff}")
         return _HANDLERS[args.command](args)

@@ -14,15 +14,15 @@ the literature appears with either sign; differentiating L(s, f) fixes
 the minus sign used here, and vanishing statements do not depend on it.
 
 ``family_rank`` is exact: linear independence of even Dirichlet-type
-functions over a prime-power period is decided by rational row reduction
-over the half-support columns, never by floating point.
+functions over a prime-power period is decided by one pass of rational
+echelon reduction over the half-support columns, never by floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from mpmath import mpf
 
@@ -148,10 +148,14 @@ def family_rank(fs: list[PeriodicFunction]) -> RankResult:
 
     All functions must share one prime-power period q.  Over such q the
     derivative values L'(0, f_i) are independent exactly when the f_i
-    are, so the verdict comes from rational row reduction of the matrix
-    [f_i(a)] over the half-support columns.  When dependent, one exact
-    integer kernel vector c (primitive, first non-zero entry positive)
-    certifies sum_i c_i L'(0, f_i) = 0.
+    are, so the verdict comes from the rows [f_i(a)] over the
+    half-support columns, in one pass: each row is reduced against the
+    echelon list of the earlier independent rows, carrying the
+    combination of the f_i it equals.  The rank is the length of that
+    list.  When dependent, the first row that reduces to zero gives the
+    certificate: the unique expression of that first dependent f_j
+    through the earlier independent f_i, as the primitive integer vector
+    c (first non-zero entry positive) with sum_i c_i L'(0, f_i) = 0.
     """
     if not fs:
         raise ValidationError("need at least one function")
@@ -166,57 +170,30 @@ def family_rank(fs: list[PeriodicFunction]) -> RankResult:
         require_even_dirichlet(f)
 
     columns = half_units(q)
-    rows = [[f(a) for a in columns] for f in fs]
-    n = len(fs)
-
-    # Row-reduce the transpose augmented with an identity to track the
-    # combination: kernel vectors of the row matrix are exactly the
-    # left-null combinations sum c_i f_i = 0.
-    m = len(columns)
-    aug = [[rows[i][j] for i in range(n)] for j in range(m)]  # m x n transpose
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for r in range(rank, m):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [x / pv for x in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-
-    independent = rank == n
+    echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (pivot, row, combination)
     certificate = None
-    if not independent:
-        free = next(c for c in range(n) if c not in pivots)
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -aug[r][free]
-        certificate = _primitive_integers(vec)
-    return RankResult(rank=rank, independent=independent, certificate=certificate)
+    for i, f in enumerate(fs):
+        row = [f(a) for a in columns]
+        combo = [Fraction(int(j == i)) for j in range(len(fs))]
+        for pivot, prow, pcombo in echelon:
+            factor = row[pivot] / prow[pivot]
+            if factor:
+                row = [x - factor * y for x, y in zip(row, prow)]
+                combo = [x - factor * y for x, y in zip(combo, pcombo)]
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, row, combo))
+        elif certificate is None:
+            certificate = _primitive_integers(combo)
+    rank = len(echelon)
+    return RankResult(rank=rank, independent=rank == len(fs), certificate=certificate)
 
 
 def _primitive_integers(vec: list[Fraction]) -> list[int]:
-    """Scale a rational vector to coprime integers, first non-zero positive."""
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
+    """Scale a non-zero rational vector to coprime integers, first non-zero positive."""
+    denom = lcm(*(v.denominator for v in vec))
     ints = [int(v * denom) for v in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]

@@ -27,6 +27,8 @@ def test_is_prime_edges():
     assert is_prime(2) and is_prime(3) and is_prime(31)
     assert not is_prime(25) and not is_prime(91)
     assert is_prime(10**9 + 7)
+    for n in range(10**4 + 1):
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_factorize_examples():
@@ -37,9 +39,11 @@ def test_factorize_examples():
 
 
 def test_factorize_against_sympy(rng):
-    for _ in range(60):
-        n = rng.randint(1, 10**7)
-        assert dict(factorize(n)) == sympy.factorint(n)
+    # the fixed inputs have large prime factors; a prime left over once p*p
+    # exceeds what remains must come last, once, with exponent 1
+    fixed = [2 * 999983, 3 * (10**9 + 7), 999983**2, 2**31 - 1, 97 * 10007 * 1000003, 2**20 * 65537]
+    for n in fixed + [rng.randint(1, 10**7) for _ in range(60)]:
+        assert factorize(n) == sorted(sympy.factorint(n).items()), n
 
 
 def test_is_prime_power():

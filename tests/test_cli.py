@@ -190,3 +190,28 @@ def test_env_var_default_and_flag_priority(capsys, zero9, monkeypatch):
     assert code == 0 and json.loads(out)["digits"] == 35
     monkeypatch.setenv("LPRIME_DIGITS", "nope")
     assert run(["eval", "--fn", zero9, "--s", "0"]) == 2
+
+
+def test_exact_subcommands_take_no_precision(capsys, tmp_path, monkeypatch):
+    # classify and rank compute no number: a malformed LPRIME_DIGITS changes
+    # neither their exit code nor their reports, and they reject --digits
+    path = tmp_path / "f.json"
+    path.write_text(PeriodicFunction(q=9, values={1: 1, 8: 1}).dumps())
+    commands = [["classify", "--q", str(q), "--output", output]
+                for q in (5, 12) for output in ("text", "json")]
+    commands += [["rank", "--fns", str(path), str(path), "--output", output]
+                 for output in ("text", "json")]
+
+    def reports():
+        outs = []
+        for argv in commands:
+            assert run(argv) == 0, argv
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    monkeypatch.delenv("LPRIME_DIGITS", raising=False)
+    expected = reports()
+    monkeypatch.setenv("LPRIME_DIGITS", "abc")
+    assert reports() == expected
+    assert run(["classify", "--q", "5", "--digits", "50"]) == 2
+    assert run(["rank", "--fns", str(path), "--digits", "50"]) == 2

@@ -4,6 +4,7 @@ and the precision contract under threads and ambient precisions."""
 import concurrent.futures
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from mpmath import mp, mpf
@@ -33,7 +34,7 @@ from lprime.relations import (
     pslq_relation,
     sine_identity_residual,
 )
-from tests.conftest import random_even_dirichlet
+from tests.conftest import oracle, random_even_dirichlet
 
 with mp.workprec(300):
     PI2_OVER_6 = mpf("1.6449340668482264364724151666460251892189499012067984377355582294")
@@ -210,6 +211,40 @@ def test_family_rank_certificate_numeric(rng):
     assert res.rank == 2 and res.certificate is not None
     combo = sum(c * l_deriv0_even(h, 50) for c, h in zip(res.certificate, [f, g, mix]))
     assert abs(combo) < tol(50)
+
+
+def _combination(q, terms):
+    return PeriodicFunction(q=q, values={a: sum(c * g(a) for c, g in terms) for a in range(1, q + 1)})
+
+
+@pytest.mark.parametrize("q", [7, 9, 16, 25, 27, 49])
+def test_family_rank_against_sympy(q, rng):
+    f, g, h, k = (random_even_dirichlet(q, rng, allow_zero=False) for _ in range(4))
+    zero = PeriodicFunction(q=q, values={})
+    families = {  # name -> (family, nullity)
+        "independent": ([f, g, h], 0),
+        "one dependent": ([f, g, _combination(q, [(2, f), (Fraction(-1, 3), g)]), h], 1),
+        "nullity 2": ([f, _combination(q, [(3, f)]), g, _combination(q, [(1, f), (-5, g)]), h], 2),
+        "zero first": ([zero, f, g], 1),
+        "repeated": ([f, g, f, k], 1),
+    }
+    columns = oracle.half_support(q)
+    for name, (fs, nullity) in families.items():
+        res = family_rank(fs)
+        rows = [[fn(a) for a in columns] for fn in fs]
+        rank = oracle.sympy_rank(rows)
+        assert res.rank == rank == len(fs) - nullity, name
+        assert res.independent == (rank == len(fs)), name
+        assert (res.certificate is None) == res.independent, name
+        if res.independent:
+            continue
+        cert = res.certificate
+        assert all(sum(c * fn(a) for c, fn in zip(cert, fs)) == 0 for a in range(1, q + 1)), name
+        assert gcd(*cert) == 1 and next(c for c in cert if c) > 0, name
+        # the certificate expresses the first dependent function through the
+        # independent ones before it, so it is zero after that index
+        first = next(j for j in range(len(fs)) if oracle.sympy_rank(rows[:j + 1]) <= j)
+        assert cert[first] != 0 and not any(cert[first + 1:]), name
 
 
 def test_family_rank_preconditions():

@@ -320,11 +320,17 @@ def test_threaded_table_fill_matches_single_threaded(empty_tables):
     for ctx in contexts:
         numkernel._stirling_table(ctx, max(sizes))
         numkernel._em_table(ctx, s, max(sizes))
-    assert _table_snapshot() == threaded
-    assert sorted(threaded[0]) == sorted(bits)
-    assert sorted(threaded[1]) == [(b, s._mpf_) for b in sorted(bits)]
-    for key, (entries, _, _) in threaded[1].items():
-        assert len(entries) == max(sizes) + numkernel.TABLE_CHUNK
+    single = _table_snapshot()
+    assert sorted(threaded[0]) == sorted(single[0]) == sorted(bits)
+    assert sorted(threaded[1]) == sorted(single[1]) == [(b, s._mpf_) for b in sorted(bits)]
+    # a table holds "at least n" entries, so the interleaving decides where
+    # the threaded fill stopped; over the common length the entries agree
+    pairs = [(threaded[0][b], single[0][b]) for b in bits]
+    pairs += [(threaded[1][key][0], single[1][key][0]) for key in threaded[1]]
+    for entries, reference in pairs:
+        assert len(entries) >= max(sizes)
+        n = min(len(entries), len(reference))
+        assert entries[:n] == reference[:n]
 
 
 def test_table_entries_rounded_at_their_precision(empty_tables):

@@ -28,6 +28,7 @@ from lprime.relations import (
     ramachandra_admissible,
     sine_identity_residual,
 )
+from tests.conftest import oracle
 
 with mp.workprec(300):
     LOG2 = mpf("0.69314718055994530941723212145817656807550013436025525412068000949")
@@ -225,15 +226,4 @@ def test_finder_rediscovers_witness_mod_55():
     assert rel is not None and rel.verified_at_2d
     witness_vec = [int(v) for _, v in half_support(wit.f)]
     found_vec = rel.vector(log_sine_basis(55, 15))
-    assert _integer_rank_2xn(found_vec, witness_vec) == 1
-
-
-def _integer_rank_2xn(u, v):
-    """Exact rank of the 2 x n integer matrix [u; v]."""
-    if all(x == 0 for x in u) and all(x == 0 for x in v):
-        return 0
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] - u[j] * v[i] != 0:
-                return 2
-    return 1
+    assert oracle.exact_rank([found_vec, witness_vec]) == 1
