@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .arith import half_units, is_prime_power
 from .errors import PoleError, ValidationError
@@ -42,6 +42,8 @@ from .periodic import PeriodicFunction, half_support, require_even_dirichlet
 
 
 def _reject_pole(s: RealLike) -> None:
+    if not mp.isfinite(s):
+        raise ValidationError(f"s must be finite, got {s}")
     if s == 1:
         raise PoleError(
             "s = 1 is not evaluated: L(s, f) has a pole there unless the mean of f "

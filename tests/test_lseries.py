@@ -89,6 +89,13 @@ def test_l_value_mpmath_oracle(rng):
         assert abs(mine - ref) < tol(d)
 
 
+def test_non_finite_s_rejected(golden_f5):
+    for s in (float("nan"), float("inf"), float("-inf"), mpf("nan")):
+        for fn in (l_value, l_deriv):
+            with pytest.raises(ValidationError):
+                fn(s, golden_f5, 20)
+
+
 def test_l_value_pole():
     f = constant_on_units(5, 1)
     with pytest.raises(PoleError):
@@ -265,7 +272,7 @@ def test_concurrent_precisions_match_single_threaded(golden_f5):
     # calls at 12 and 300 digits interleaved on 4 threads must return the
     # bits each returns alone, and must leave the caller's precision alone
     calls = [(l_deriv0_closed, (golden_f5,)), (l_value, (Fraction(1, 3), golden_f5)),
-             (two_sin_pi, (2, 7))]
+             (two_sin_pi, (2, 7)), (l_deriv, (0, golden_f5)), (l_value, (2, golden_f5))]
     jobs = [(fn, args + (d,)) for fn, args in calls for d in (12, 300)] * 8
     expected = [fn(*args)._mpf_ for fn, args in jobs]
     prec = mp.prec
@@ -294,6 +301,9 @@ def _numeric_results(f):
         l_value(s, f, d), l_deriv(s, f, d), l_deriv0_closed(f, d), l_deriv0_even(f, d),
         sine_identity_residual(15, d), build_witness(55, 0, d).residual,
     ]
+    for k in (0, -1, 2):  # integer s: exact Euler-Maclaurin heads
+        values += [hurwitz_zeta(k, x, d), hurwitz_zeta_ds(k, x, d)]
+    values += [l_value(2, f, d), l_deriv(0, f, d)]
     values += log_sine_basis(15, d, extended=True).all_values()
     rel = find_relation_for_modulus(21, 10, d)
     values += [rel.residual_at_d, rel.residual_at_2d]

@@ -1,6 +1,7 @@
 """Numeric kernel tests: exactness, frozen oracle values, precision contract."""
 
 import concurrent.futures
+import math
 import random
 import sys
 from fractions import Fraction
@@ -212,6 +213,43 @@ def test_hurwitz_against_mpmath_oracle(rng):
             ref_ds = mp.zeta(sm, mpf(a) / q, 1)
         assert abs(mine - ref) < tol(d)
         assert abs(mine_ds - ref_ds) < tol(d)
+
+
+INTEGER_S_GRID_X = (Fraction(1), Fraction(1, 2), Fraction(5, 41), Fraction(99, 100))
+
+
+def _em_at_shift(s, x, d, derivative, factor):
+    """``_em_attempt`` at ``factor`` times the default shift, as a plain mpf."""
+    ctx = numkernel.context(d)
+    target = ctx.mpf(10) ** (-(d + numkernel.EXTRA_DIGITS))
+    n_shift = factor * max(10, math.ceil(0.8 * d))
+    value = numkernel._em_attempt(ctx, ctx.mpf(s), x, n_shift, target, derivative)
+    assert value is not None, (s, x, d, factor)
+    return numkernel.plain_mpf(value)
+
+
+@pytest.mark.parametrize("d", (50, 120, 240))
+def test_hurwitz_integer_s_grid_against_mpmath(d):
+    # integer s takes the exact head: value at s in -3..5, derivative at
+    # s = -1, 0, 2, each also at the retry shifts 2N and 4N
+    cases = [(s, False) for s in (-3, -2, -1, 0, 2, 3, 5)] + [(s, True) for s in (-1, 0, 2)]
+    for x in INTEGER_S_GRID_X:
+        for s, derivative in cases:
+            mine = (hurwitz_zeta_ds if derivative else hurwitz_zeta)(s, x, d)
+            with mp.workprec(prec_bits(d) + 40):
+                ref = mp.zeta(s, mpf(x.numerator) / x.denominator, int(derivative))
+            assert abs(mine - ref) < tol(d), (s, x, d, derivative)
+            for factor in (2, 4):
+                assert abs(_em_at_shift(s, x, d, derivative, factor) - mine) < tol(d), (s, x, d, factor)
+
+
+def test_hurwitz_rejects_non_finite_s():
+    # every size comparison with a NaN or an infinity is false, so the
+    # series would never stop; the arguments are refused before any sum
+    for s in (float("nan"), float("inf"), float("-inf"), mpf("nan"), mpf("inf"), mpf("-inf")):
+        for fn in (hurwitz_zeta, hurwitz_zeta_ds):
+            with pytest.raises(ValidationError):
+                fn(s, Fraction(1, 2), 20)
 
 
 def test_hurwitz_tables_keyed_by_precision(empty_tables):
