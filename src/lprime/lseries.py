@@ -52,13 +52,17 @@ def _reject_pole(s: RealLike) -> None:
 
 
 def l_value(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
-    """L(s, f) = q^(-s) sum_{a=1}^{q} f(a) zeta(s, a/q) at d digits, s != 1."""
+    """L(s, f) = q^(-s) sum_{a=1}^{q} f(a) zeta(s, a/q) at d digits, s != 1.
+
+    ``s`` reaches ``hurwitz_zeta`` unrounded: its exact value picks the
+    head of the series, and near the pole it keeps s - 1.
+    """
     _reject_pole(s)
     ctx = context(digits)
     sm = to_mpf(s, ctx)
     total = ctx.mpf(0)
     for a, v in f.values.items():
-        total += to_mpf(v, ctx) * hurwitz_zeta(sm, Fraction(a, f.q), digits)
+        total += to_mpf(v, ctx) * hurwitz_zeta(s, Fraction(a, f.q), digits)
     return plain_mpf(ctx.power(f.q, -sm) * total)
 
 
@@ -75,8 +79,8 @@ def l_deriv(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
     for a, v in f.values.items():
         x = Fraction(a, f.q)
         vm = to_mpf(v, ctx)
-        zsum += vm * hurwitz_zeta(sm, x, digits)
-        dsum += vm * hurwitz_zeta_ds(sm, x, digits)
+        zsum += vm * hurwitz_zeta(s, x, digits)
+        dsum += vm * hurwitz_zeta_ds(s, x, digits)
     qs = ctx.power(f.q, -sm)
     return plain_mpf(-ctx.log(f.q) * qs * zsum + qs * dsum)
 

@@ -16,8 +16,12 @@ The four special functions every other module needs live here:
   Euler-Maclaurin summation, valid for finite real s != 1 and
   0 < x <= 1.  The head sum_{n<N} (n+x)^(-s) is exact at integer s of
   moderate size: one rational, rounded once, for zeta(s, x), and one log
-  of an exact integer product for zeta'(0, x).  Other heads take a power
-  (and for the derivative a log) per term.
+  of an exact integer product for zeta'(0, x).  At rational s = u/v with
+  a small denominator, zeta(s, x) takes one integer sum of fixed-point
+  v-th roots, rounded once, times one power.  Other heads take a power
+  (and for the derivative a log) per term.  The route is chosen by the
+  exact value of s: an ``mpf`` or ``float`` is a dyadic rational, so
+  ``mpf("0.5")``, ``0.5`` and ``Fraction(1, 2)`` give the same bits.
 
 Each working precision has its own mpmath context, ``context(d)``: an
 ``MPContext`` at the guarded precision for ``d``, built on first use and
@@ -54,7 +58,7 @@ from typing import Union
 
 from mpmath import mp, mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from .errors import ConvergenceError, PoleError, ValidationError
 
@@ -79,6 +83,12 @@ TABLE_CHUNK = 16
 #: at 240 digits, about 100 at 50 digits) the exact integers cost more than
 #: a power per term, and they grow without bound in |s|.
 _EXACT_HEAD_BITS = 1 << 16
+#: Largest exact head at s = u/v, v > 1, measured as v * (v*P + |u|*bits(m))
+#: for its largest term m, where v*P + |u|*bits(m) is the size of that
+#: term's radicand and P its fixed-point bits.  Near the bound a v-th root
+#: costs about as much as a power (v about 9 at 240 digits, 11 at 120, 17
+#: at 50); beyond it the powers are cheaper.
+_EXACT_ROOT_BITS = 1 << 16
 
 
 def prec_bits(digits: int) -> int:
@@ -311,13 +321,34 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
     doubles until the first neglected tail term is below 10**(-d-10);
     past 64*d the evaluation is abandoned as non-convergent.
 
-    At integer s = k the partial sum runs over the integers m = n*q + a
-    for x = a/q: it is sum m^|k| / q^|k| for k <= 0 and q^k sum 1/m^k for
-    k > 0, summed exactly and rounded once into the working precision.
-    The head then carries one rounding error, half an ulp, where a
-    per-term sum carries N of them, so the result stays within
-    10**(-d+5).  Non-integer s, and integer s so large that the exact
-    integers would cost more than the powers, sum a power per term.
+    The partial sum runs over the integers m = n*q + a for x = a/q, and
+    its route is chosen by the exact value of s:
+
+    * integer s = k: sum m^|k| / q^|k| for k <= 0 and q^k sum 1/m^k for
+      k > 0, summed exactly and rounded once into the working precision.
+      The head carries one rounding error, half an ulp, where a per-term
+      sum carries N of them.
+    * s = u/v in lowest terms, v > 1: x^(-s) * sum (a/m)^(u/v), where
+      each term is floor(2^P (a/m)^(u/v)), the exact integer v-th root of
+      floor(a^u 2^(vP) / m^u) (of m^|u| 2^(vP) / a^|u| for u < 0), with
+      P = prec + bits(N).  Every term is at most (u > 0) or at least
+      (u < 0) the first, which is 1, so the sum is at least 1 and its N
+      floors lose less than N 2^-P <= 2^-prec of it.  The integer sum is
+      rounded once and multiplied by one power x^(-s): the head is within
+      a few ulps of itself.
+    * integer or rational s whose exact integers would cost more than the
+      powers (``_EXACT_HEAD_BITS``, ``_EXACT_ROOT_BITS``): a power per term.
+
+    What is left is the cancellation at negative s between the head and
+    the integral term, both of size about N^(1-s)/(1-s): it costs about
+    log10 N^(1-s) of the ten guard digits.  Over 90 random (s, x, d),
+    s in {-7/2, -1/2, 1/3, 3/4, 7/2, 13/3}, the worst error was 3.6e-6 of
+    10**(-d+5), at s = -7/2 and 240 digits (N = 192).  Below about s = -11/2 at 240 digits the cancellation
+    outgrows the guard digits, whichever head is taken (s = -15/2 misses
+    the bound by a factor of about 10^4).  s - 1 in the integral term is
+    taken from the exact s, so an s nearer the pole than the working
+    precision resolves keeps zeta's 1/(s-1) size; there the bound holds
+    relative to |zeta|.
     """
     _check_hurwitz_args(s, x, digits)
     return _euler_maclaurin(s, x, digits, derivative=False)
@@ -343,44 +374,65 @@ def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
     return _euler_maclaurin(s, x, digits, derivative=True)
 
 
+def _em_first_shift(digits: int) -> int:
+    """The first Euler-Maclaurin shift N at ``digits``; retries double it."""
+    return max(10, math.ceil(0.8 * digits))
+
+
+def _exact_real(value: RealLike) -> Fraction:
+    """A finite real value as the exact Fraction it denotes.
+
+    An ``mpf`` or a ``float`` is a dyadic rational, so nothing is rounded:
+    ``mpf("0.5")``, ``0.5`` and ``Fraction(1, 2)`` give the same Fraction.
+    """
+    if isinstance(value, (int, float, Fraction)):
+        return Fraction(value)
+    return Fraction(*to_rational(value._mpf_))
+
+
 def _euler_maclaurin(s: RealLike, x: Fraction, digits: int, derivative: bool) -> mpf:
     ctx = context(digits)
-    sm = to_mpf(s, ctx)
+    s = _exact_real(s)
     target = ctx.mpf(10) ** (-(digits + EXTRA_DIGITS))
-    n_shift = max(10, math.ceil(0.8 * digits))
+    n_shift = _em_first_shift(digits)
     n_cap = 64 * digits
     while True:
-        value = _em_attempt(ctx, sm, x, n_shift, target, derivative)
+        value = _em_attempt(ctx, s, x, n_shift, target, derivative)
         if value is not None:
             return plain_mpf(value)
         if n_shift >= n_cap:
             raise ConvergenceError(
-                f"Euler-Maclaurin tail for zeta(s={sm}, x={x}) did not fall below "
+                f"Euler-Maclaurin tail for zeta(s={s}, x={x}) did not fall below "
                 f"10^-{digits + EXTRA_DIGITS} with shift up to {n_cap}"
             )
         n_shift = min(2 * n_shift, n_cap)
 
 
-def _em_attempt(ctx: MPContext, s: mpf, x: Fraction, n_shift: int, target: mpf, derivative: bool):
+def _em_attempt(ctx: MPContext, s: Fraction, x: Fraction, n_shift: int, target: mpf, derivative: bool):
     """One Euler-Maclaurin evaluation at fixed shift; None if the tail grows.
 
-    The tail is summed first, so a shift whose tail grows costs no head.
+    ``s`` is exact.  The integral term takes s - 1 from it before rounding,
+    so an ``s`` closer to the pole than the working precision resolves is
+    still evaluated at itself.  The tail is summed first, so a shift whose
+    tail grows costs no head.
     """
     num, den = x.numerator, x.denominator
+    sm = to_mpf(s, ctx)
+    s1 = to_mpf(s - 1, ctx)
     w = ctx.mpf(n_shift * den + num) / den
     lw = ctx.log(w)
-    a_int = ctx.power(w, 1 - s)
-    w_neg_s = ctx.power(w, -s)
+    a_int = ctx.power(w, -s1)
+    w_neg_s = ctx.power(w, -sm)
     if derivative:
-        integral = -a_int * (lw * (s - 1) + 1) / (s - 1) ** 2
+        integral = -a_int * (lw * s1 + 1) / s1 ** 2
         half = -lw * w_neg_s / 2
     else:
-        integral = a_int / (s - 1)
+        integral = a_int / s1
         half = w_neg_s / 2
 
     # Bernoulli tail: C_k(s) * w^(-s-2k+1), differentiated by the product
     # rule into (D_k(s) - C_k(s) log w) * w^(-s-2k+1).
-    coeffs = _em_table(ctx, s, 1)
+    coeffs = _em_table(ctx, sm, 1)
     wpow = w_neg_s / w
     winv2 = 1 / (w * w)
     tail = ctx.mpf(0)
@@ -388,7 +440,7 @@ def _em_attempt(ctx: MPContext, s: mpf, x: Fraction, n_shift: int, target: mpf, 
     k = 1
     while True:
         if k > len(coeffs):
-            coeffs = _em_table(ctx, s, k)
+            coeffs = _em_table(ctx, sm, k)
         c_k, d_k = coeffs[k - 1]
         term = c_k * wpow
         if derivative:
@@ -404,10 +456,10 @@ def _em_attempt(ctx: MPContext, s: mpf, x: Fraction, n_shift: int, target: mpf, 
         tail += d_term if derivative else term
         wpow *= winv2
         k += 1
-    return _em_head(ctx, s, num, den, n_shift, derivative) + integral + half + tail
+    return _em_head(ctx, s, sm, num, den, n_shift, derivative) + integral + half + tail
 
 
-def _em_head(ctx: MPContext, s: mpf, num: int, den: int, n_shift: int, derivative: bool):
+def _em_head(ctx: MPContext, s: Fraction, sm: mpf, num: int, den: int, n_shift: int, derivative: bool):
     """sum_{n<N} (n+x)^(-s), or its s-derivative, for x = num/den.
 
     The terms run over the integers m = n*den + num, as (n+x) = m/den.
@@ -415,25 +467,65 @@ def _em_head(ctx: MPContext, s: mpf, num: int, den: int, n_shift: int, derivativ
     sum m^|k| / den^|k| for k <= 0, and den^k * top/bottom for k > 0,
     where top/bottom = sum 1/m^k is accumulated in integers without
     reducing.  At s = 0 the derivative is N log(den) - log(prod m).
+    At s = u/v with v > 1 the value is x^(-s) * sum (num/m)^(u/v), and
+    each term of the sum is floor(2^P (num/m)^(u/v)), the integer v-th
+    root of floor(num^u 2^(vP) / m^u) (of m^|u| 2^(vP) / num^|u| for
+    u < 0).  The roots are summed as one integer and rounded once.
     """
     ms = range(num, n_shift * den + num, den)
-    k = int(s) if s == int(s) else None
-    if k is not None and max(abs(k), 1) * n_shift * ms[-1].bit_length() <= _EXACT_HEAD_BITS:
+    u, v = s.numerator, s.denominator
+    if v == 1 and max(abs(u), 1) * n_shift * ms[-1].bit_length() <= _EXACT_HEAD_BITS:
         if not derivative:
-            if k <= 0:
-                top, bottom = sum(m ** -k for m in ms), den ** -k
+            if u <= 0:
+                top, bottom = sum(m ** -u for m in ms), den ** -u
             else:
                 top, bottom = 0, 1
                 for m in ms:
-                    power = m ** k
+                    power = m ** u
                     top, bottom = top * power + bottom, bottom * power
-                top *= den ** k
+                top *= den ** u
             return ctx.make_mpf(from_rational(top, bottom, ctx.prec, round_nearest))
-        if k == 0:
+        if u == 0:
             return n_shift * ctx.log(den) - ctx.log(math.prod(ms))
+    point = ctx.prec + n_shift.bit_length()
+    if (v > 1 and not derivative
+            and v * (v * point + abs(u) * ms[-1].bit_length()) <= _EXACT_ROOT_BITS):
+        if u > 0:
+            top = num ** u << (v * point)
+            total = sum(_iroot(top // m ** u, v) for m in ms)
+        else:
+            bottom = num ** -u
+            total = sum(_iroot((m ** -u << (v * point)) // bottom, v) for m in ms)
+        return ctx.power(ctx.mpf(num) / den, -sm) * ctx.ldexp(total, -point)
     head = ctx.mpf(0)
     for m in ms:
         base = ctx.mpf(m) / den
-        p = ctx.power(base, -s)
+        p = ctx.power(base, -sm)
         head += -ctx.log(base) * p if derivative else p
     return head
+
+
+def _iroot(x: int, v: int) -> int:
+    """floor(x^(1/v)) for integers x >= 0 and v >= 1.
+
+    Even v halves through ``math.isqrt``.  Odd v > 1 takes the root of the
+    top half of x's bits (recursively), which bounds the root from above to
+    about half its bits, then one integer Newton step from above, which
+    doubles them; Newton never steps below the floor, so a final downward
+    check fixes the last unit.
+    """
+    while v % 2 == 0:
+        x = math.isqrt(x)
+        v //= 2
+    if v == 1 or x < 2:
+        return x
+    bits = x.bit_length()
+    if bits <= 40 * v:
+        y = int(math.exp(math.log(x) / v)) + 2
+    else:
+        shift = (bits // v - 16) // 2
+        y = (_iroot(x >> (v * shift), v) + 1) << shift
+        y = ((v - 1) * y + x // y ** (v - 1)) // v
+    while y ** v > x:
+        y -= 1
+    return y

@@ -96,6 +96,17 @@ def test_non_finite_s_rejected(golden_f5):
                 fn(s, golden_f5, 20)
 
 
+def test_l_value_near_pole_against_mpmath():
+    # s - 1 = 10^-60 is below the resolution of 20 digits: the exact s
+    # reaches the kernel, so L keeps its mean(f)/(s - 1) size
+    f = PeriodicFunction(q=5, values={1: 1, 4: 1})
+    s, d = Fraction(10**60 + 1, 10**60), 20
+    with mp.workdps(300):
+        sm = 1 + mpf(10) ** -60
+        ref = mp.power(5, -sm) * (mp.zeta(sm, mpf(1) / 5) + mp.zeta(sm, mpf(4) / 5))
+    assert abs(l_value(s, f, d) / ref - 1) < tol(d)
+
+
 def test_l_value_pole():
     f = constant_on_units(5, 1)
     with pytest.raises(PoleError):
@@ -304,6 +315,8 @@ def _numeric_results(f):
     for k in (0, -1, 2):  # integer s: exact Euler-Maclaurin heads
         values += [hurwitz_zeta(k, x, d), hurwitz_zeta_ds(k, x, d)]
     values += [l_value(2, f, d), l_deriv(0, f, d)]
+    # exact heads of integer roots: v = 2 from a Fraction, v = 4 from an mpf
+    values += [hurwitz_zeta(Fraction(-7, 2), x, d), hurwitz_zeta(mpf("0.75"), x, d)]
     values += log_sine_basis(15, d, extended=True).all_values()
     rel = find_relation_for_modulus(21, 10, d)
     values += [rel.residual_at_d, rel.residual_at_2d]

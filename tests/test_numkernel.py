@@ -1,7 +1,6 @@
 """Numeric kernel tests: exactness, frozen oracle values, precision contract."""
 
 import concurrent.futures
-import math
 import random
 import sys
 from fractions import Fraction
@@ -9,6 +8,8 @@ from math import factorial, gcd
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
@@ -222,8 +223,8 @@ def _em_at_shift(s, x, d, derivative, factor):
     """``_em_attempt`` at ``factor`` times the default shift, as a plain mpf."""
     ctx = numkernel.context(d)
     target = ctx.mpf(10) ** (-(d + numkernel.EXTRA_DIGITS))
-    n_shift = factor * max(10, math.ceil(0.8 * d))
-    value = numkernel._em_attempt(ctx, ctx.mpf(s), x, n_shift, target, derivative)
+    n_shift = factor * numkernel._em_first_shift(d)
+    value = numkernel._em_attempt(ctx, Fraction(s), x, n_shift, target, derivative)
     assert value is not None, (s, x, d, factor)
     return numkernel.plain_mpf(value)
 
@@ -241,6 +242,87 @@ def test_hurwitz_integer_s_grid_against_mpmath(d):
             assert abs(mine - ref) < tol(d), (s, x, d, derivative)
             for factor in (2, 4):
                 assert abs(_em_at_shift(s, x, d, derivative, factor) - mine) < tol(d), (s, x, d, factor)
+
+
+#: Rational s with the head of integer roots (v = 2, 3, 4), and -5/29,
+#: whose roots would cost more than the powers at every d here.
+RATIONAL_S_GRID = (Fraction(-7, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4),
+                   Fraction(7, 2), Fraction(13, 3))
+PAST_ROOT_BOUND = Fraction(-5, 29)
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    """Count the calls of the integer-root helper."""
+    calls = []
+    iroot = numkernel._iroot
+
+    def counted(x, v):
+        calls.append(v)
+        return iroot(x, v)
+    monkeypatch.setattr(numkernel, "_iroot", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", (50, 120, 240))
+def test_hurwitz_rational_s_grid_against_mpmath(d, root_calls):
+    # s = u/v takes the head of integer v-th roots, within the cost bound;
+    # each value also at the retry shifts 2N and 4N
+    for s in RATIONAL_S_GRID + (PAST_ROOT_BOUND,):
+        root_calls.clear()
+        for x in INTEGER_S_GRID_X:
+            mine = hurwitz_zeta(s, x, d)
+            with mp.workprec(prec_bits(d) + 40):
+                ref = mp.zeta(mpf(s.numerator) / s.denominator, mpf(x.numerator) / x.denominator)
+            assert abs(mine - ref) < tol(d), (s, x, d)
+            for factor in (2, 4):
+                assert abs(_em_at_shift(s, x, d, False, factor) - mine) < tol(d), (s, x, d, factor)
+        assert bool(root_calls) == (s != PAST_ROOT_BOUND), (s, d)
+        assert set(root_calls) <= {s.denominator}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 4000), st.integers(min_value=2, max_value=7))
+def test_iroot_is_floor_of_root(x, v):
+    y = numkernel._iroot(x, v)
+    assert y ** v <= x < (y + 1) ** v
+
+
+def test_iroot_near_powers():
+    # the floor must hold exactly at and next to a perfect power
+    for v in range(2, 8):
+        for y in (1, 2, 3, 10**40 + 7, (1 << 1000) - 1, 3**1500):
+            for x in (y ** v - 1, y ** v, y ** v + 1):
+                r = numkernel._iroot(x, v)
+                assert r ** v <= x < (r + 1) ** v, (x, v)
+
+
+def test_hurwitz_same_exact_s_same_bits(root_calls):
+    # Fraction(1, 2), mpf("0.5") and 0.5 are one exact value and take one
+    # route; 1/3 rounded to an mpf is dyadic, so it takes the power loop
+    x, d = Fraction(5, 41), 60
+    half = [hurwitz_zeta(s, x, d)._mpf_ for s in (Fraction(1, 2), mpf("0.5"), 0.5)]
+    assert half[0] == half[1] == half[2]
+    with mp.workprec(prec_bits(d) + 40):
+        third = mpf(1) / 3
+    root_calls.clear()
+    rounded = hurwitz_zeta(third, x, d)
+    assert not root_calls
+    exact = hurwitz_zeta(Fraction(1, 3), x, d)
+    assert root_calls
+    assert abs(rounded - exact) < tol(d)
+
+
+def test_hurwitz_near_pole_against_mpmath():
+    # s - 1 = 10^-60 is below the resolution of 20 digits; the integral
+    # term takes it from the exact s, so zeta keeps its 1/(s - 1) size
+    s, x, d = Fraction(10**60 + 1, 10**60), Fraction(1, 2), 20
+    with mp.workdps(300):
+        sm = 1 + mpf(10) ** -60
+        ref = mp.zeta(sm, mpf(1) / 2)
+        ref_ds = mp.zeta(sm, mpf(1) / 2, 1)
+    assert abs(hurwitz_zeta(s, x, d) / ref - 1) < tol(d)
+    assert abs(hurwitz_zeta_ds(s, x, d) / ref_ds - 1) < tol(d)
 
 
 def test_hurwitz_rejects_non_finite_s():
