@@ -222,3 +222,20 @@ def coset_relations(q: int) -> list[tuple[int, ...]]:
             blocks.setdefault(coset[a % m], []).append(a)
         supports.update(tuple(b) for b in blocks.values())
     return sorted(supports, key=lambda s: (len(s), 1 in s, s))
+
+
+def has_log2_relation(q: int) -> bool:
+    """Whether log 2 takes part in the relations of the half-support log-sines of q.
+
+    True exactly at q = 2^n with n >= 3.  Since |1 - zeta_q^k| equals
+    2 sin(k pi/q), the product of the 2 sin(k pi/q) over the units k of q
+    is the cyclotomic polynomial at 1: p at q = p^n and 1 at every other
+    q.  At q = 2^n the half support takes one k of each pair {k, q - k},
+    so its log-sines sum to (1/2) log 2, and from n = 3 on none of its
+    residues is the excluded a = q/4 (at q = 4 the single residue is
+    2 sin(pi/4) = 2^(1/2) itself).  At any other q no product of rational
+    powers of the 2 sin(a pi/q) is a power of 2: with two distinct primes
+    in q they are absolute values of units of Z[zeta_q], and at an odd
+    prime power they generate only powers of the prime above p.
+    """
+    return q >= 8 and q & (q - 1) == 0

@@ -20,9 +20,9 @@ so their count tells rank 0, rank 1 and rank at least 2 apart.
 independent over the algebraic numbers) holds when there is at most one
 relation, the all-ones one.  ``independence_25`` (the full family plus
 pi and log 2) holds for q = 6 and for the relation-free moduli, the
-prime powers, other than 2^n with n >= 3: at those the half-support
-log-sines sum to (1/2) log 2, since the cyclotomic polynomial takes the
-value 2 at 1.  The case, subcase and trace record the ladder as the
+prime powers, other than 2^n with n >= 3 (``arith.has_log2_relation``):
+at those the half-support log-sines sum to (1/2) log 2, since the
+cyclotomic polynomial takes the value 2 at 1.  The case, subcase and trace record the ladder as the
 paper states it; the ladder's own claim of independence fails at, for
 example, q = 34 (TwoPNPower) and 693 (PeiFeng(V,1)), and misses
 Uncovered q = 140.
@@ -44,7 +44,7 @@ from math import gcd
 
 from mpmath import mpf, nstr
 
-from .arith import RootType, coset_relations, factorize, mult_order, root_type
+from .arith import RootType, coset_relations, factorize, has_log2_relation, mult_order, root_type
 from .errors import ValidationError
 from .lseries import l_deriv0_even
 from .numkernel import require_digits
@@ -275,7 +275,7 @@ def _finish(q: int, case: Case, subcase: str | None, trace: list[tuple[str, bool
         case=case,
         subcase=subcase,
         independence_24=len(relations) <= 1,
-        independence_25=q == 6 or (not relations and (q < 8 or q & (q - 1) != 0)),
+        independence_25=q == 6 or not (relations or has_log2_relation(q)),
         trace=trace,
     )
 

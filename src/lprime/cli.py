@@ -5,7 +5,7 @@ Subcommands map one-to-one onto library operations:
 * ``eval``      L(s, f) for s != 0, or L'(0, f) when s = 0
 * ``classify``  modulus classification with the full condition trace
 * ``identity``  the coprime sine-product identity residual for q
-* ``relations`` integer-relation search over the log-sine basis of q
+* ``relations`` a certified integer relation over the log-sine basis of q
 * ``witness``   construct a vanishing witness function for q
 * ``rank``      exact linear-independence rank of a family of functions
 
@@ -199,11 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--q", type=int, required=True)
     add_common(p_ident)
 
-    p_rel = sub.add_parser("relations", help="integer-relation search over the log-sine basis")
+    p_rel = sub.add_parser("relations", help="certified integer relation over the log-sine basis")
     p_rel.add_argument("--q", type=int, required=True)
     p_rel.add_argument("--max-coeff", type=int, default=DEFAULT_MAX_COEFF)
     p_rel.add_argument("--extended", action="store_true",
-                       help="append pi and log 2 to the basis")
+                       help="append pi and log 2 (no relation has pi; log 2 only at q = 2^n, n >= 3)")
     add_common(p_rel)
 
     p_wit = sub.add_parser("witness", help="construct a vanishing witness for q")

@@ -9,14 +9,21 @@ log 1 = 0) and a/q = 1/4 (value (1/2) log 2).  In lowest terms those
 only occur at q = 6 and q = 4 respectively.
 
 ``find_integer_relation`` returns an integer vector c with
-sum c_a * log(2 sin(a pi/q)) = 0.  On a plain log-sine basis the
-candidate is exact: the first of the coset relations of
-``arith.coset_relations``, which span every relation, so a prime power
-(which has none) returns None without a search.  On a basis extended by
-pi and log 2 the candidate comes from PSLQ at the requested precision.
-Either way it is accepted only after re-evaluating the combination from
+sum c_a * log(2 sin(a pi/q)) + c_pi pi + c_2 log 2 = 0 (the last two
+terms on an extended basis only), and takes it from theory, with no
+search.  On a plain basis the candidate is the first of the coset
+relations of ``arith.coset_relations``, which span every relation, so a
+prime power (which has none) returns None.  On a basis extended by pi
+and log 2 it is the same relation with c_pi = c_2 = 0.  No relation
+involves pi: pi = -i log(-1), log(-1) is linearly independent over Q of
+the real logs, and Baker's theorem makes it independent over the
+algebraic numbers too.  log 2 takes part only at q = 2^n, n >= 3
+(``arith.has_log2_relation``), where the half support sums to
+(1/2) log 2 and the one relation is (2, ..., 2, 0, -1).  Either way the
+candidate is accepted only after re-evaluating the combination from
 freshly computed values at doubled precision, so a returned relation
-carries a two-precision numerical certificate.
+carries a two-precision numerical certificate.  ``pslq_relation`` is
+the blind search the tests and demos cross-check these answers with.
 
 Note on non-uniqueness: for composite q the relation space can have
 rank greater than one (the coset relations of every prime dividing q),
@@ -40,6 +47,7 @@ from .arith import (
     coset_relations,
     factorize,
     half_units,
+    has_log2_relation,
     lift_character,
     quadratic_character,
 )
@@ -77,7 +85,11 @@ class LogSineBasis:
 
 @dataclass(frozen=True)
 class Relation:
-    """Integer relation among basis values, certified at two precisions."""
+    """Integer relation among basis values, certified at two precisions.
+
+    ``pi_coefficient`` is always 0, since no relation involves pi; the
+    report keeps it so that its schema stays fixed.
+    """
 
     q: int
     digits: int
@@ -157,8 +169,9 @@ def pslq_relation(values: list[mpf], max_coeff: int, digits: int) -> list[int] |
     Returns an integer vector c with |sum c_i values_i| below the
     tolerance and max|c_i| <= max_coeff, or None.  Deterministic for
     fixed inputs; callers wanting a certificate must re-verify the
-    combination at higher precision themselves (``find_integer_relation``
-    does exactly that for extended log-sine bases).
+    combination at higher precision themselves.  ``find_integer_relation``
+    never calls it: this blind search is the independent cross-check of
+    the relations it takes from theory.
     """
     _require_detectable(len(values), max_coeff, digits)
     ctx = context(digits)
@@ -195,14 +208,18 @@ def find_integer_relation(
 ) -> Relation | None:
     """An integer relation among the basis values, accepted only after 2d re-verification.
 
-    On a plain log-sine basis the candidate is the first vector of
-    ``coset_relations(q)`` (all coefficients 1, so within any
-    ``max_coeff``), or None when q is a prime power and no relation
-    exists.  On an extended basis it is PSLQ's, detected at ``digits``
-    with max|c| <= max_coeff.  Either way the candidate is kept only if
-    the combination recomputed from freshly evaluated basis values at
-    2*digits stays below 10**(-2*digits+10).  Deterministic for fixed
-    inputs.
+    The candidate comes from theory.  On a plain basis it is the first
+    vector of ``coset_relations(q)`` (all coefficients 1, so within any
+    ``max_coeff``).  On an extended basis it is that vector restricted to
+    the basis entries, followed by 0 for pi and 0 for log 2; at
+    q = 2^n, n >= 3, it is (2, ..., 2) followed by 0 and -1, and only
+    when ``max_coeff >= 2``.  None when there is no candidate: at prime
+    powers, at q = 6 extended (its one coset relation lies on the
+    excluded a = 1), and at q = 2^n with ``max_coeff = 1``.  The
+    candidate is kept only if the combination recomputed from freshly
+    evaluated basis values at 2*digits stays below 10**(-2*digits+10).
+    ``digits`` and ``max_coeff`` are checked as a search would need them.
+    Deterministic for fixed inputs.
     """
     if basis.digits < digits:
         raise PrecisionError(
@@ -210,21 +227,17 @@ def find_integer_relation(
         )
     values = basis.all_values()
     _require_detectable(len(values), max_coeff, digits)
-    if basis.extended:
-        candidate = pslq_relation(values, max_coeff, digits)
-    elif supports := coset_relations(basis.q):
-        first = set(supports[0])
-        candidate = [int(a in first) for a, _ in basis.entries]
+    if basis.extended and has_log2_relation(basis.q):
+        # the half support sums to (1/2) log 2; the relation needs |c| = 2
+        coeffs, log2_c = ({a: 2 for a, _ in basis.entries} if max_coeff >= 2 else {}), -1
     else:
-        candidate = None
-    if candidate is None:
+        first = set(next(iter(coset_relations(basis.q)), ()))
+        coeffs, log2_c = {a: 1 for a, _ in basis.entries if a in first}, 0
+    if not coeffs:
         return None
-
-    n_resid = len(basis.entries)
-    coeffs = {a: c for (a, _), c in zip(basis.entries, candidate[:n_resid]) if c}
-    pi_c = log2_c = 0
+    candidate = [coeffs.get(a, 0) for a, _ in basis.entries]
     if basis.extended:
-        pi_c, log2_c = candidate[n_resid], candidate[n_resid + 1]
+        candidate += [0, log2_c]
 
     residual_d = _residual(candidate, values, digits)
     check = log_sine_basis(basis.q, 2 * digits, extended=basis.extended is not None)
@@ -236,7 +249,7 @@ def find_integer_relation(
         q=basis.q,
         digits=digits,
         coefficients=coeffs,
-        pi_coefficient=pi_c,
+        pi_coefficient=0,
         log2_coefficient=log2_c,
         residual_at_d=residual_d,
         residual_at_2d=residual_2d,
@@ -253,7 +266,7 @@ def _residual(coeffs: list[int], values: list[mpf], digits: int) -> mpf:
 def find_relation_for_modulus(
     q: int, max_coeff: int, digits: int, extended: bool = False
 ) -> Relation | None:
-    """Convenience wrapper: build the basis for q, then search."""
+    """Convenience wrapper: build the basis for q, then find its relation."""
     return find_integer_relation(log_sine_basis(q, digits, extended), max_coeff, digits)
 
 

@@ -143,6 +143,18 @@ def test_relations_found(capsys):
     assert json.dumps(data) == out.strip()
 
 
+def test_relations_extended_composite(capsys):
+    # q = 77: a 32-value extended basis whose relation is the sine identity
+    code, out = run_json(capsys, ["relations", "--q", "77", "--extended"])
+    assert code == 0
+    data = json.loads(out)
+    rel = data["relation"]
+    assert rel is not None and rel["verified_at_2d"] is True
+    assert (rel["pi"], rel["log2"]) == (0, 0)
+    assert set(rel["coefficients"].values()) == {1}
+    assert json.dumps(data) == out.strip()
+
+
 def test_witness_command(capsys):
     code, out = run_json(capsys, ["witness", "--q", "55", "--c", "0", "--digits", "60"])
     assert code == 0

@@ -3,7 +3,8 @@
 Every check compares lprime against the benchmark's oracle
 (``perfbench/oracle.py``, which never imports lprime): relation ranks
 counted from characters through subgroup indices, and log-sine values
-from mpmath built-ins.  Blind PSLQ is kept as a cross-check.
+from mpmath built-ins.  Blind PSLQ, which no library route calls, is the
+independent cross-check on plain and extended bases.
 """
 
 import pytest
@@ -67,6 +68,24 @@ def test_blind_pslq_relation_lies_in_the_span(q):
     assert oracle.in_span(found, span)
     # negative control: the membership test can fail
     assert not oracle.in_span([int(a == 1) for a, _ in basis.entries], span)
+
+
+@pytest.mark.parametrize("q", [8, 12, 16, 30, 36, 57, 64, 66, 84])
+def test_blind_pslq_on_extended_basis_agrees_with_theory(q):
+    # no relation involves pi, and log 2 only at q = 2^n, n >= 3, where the
+    # half support sums to (1/2) log 2; elsewhere the residue part is a
+    # relation of the plain basis
+    basis = log_sine_basis(q, 60, extended=True)
+    assert [a for a, _ in basis.entries] == oracle.half_support(q)
+    found = pslq_relation(basis.all_values(), 10, 60)
+    assert found is not None
+    *residues, c_pi, c_2 = found
+    assert c_pi == 0
+    if q in (8, 16, 64):
+        assert (residues, c_2) == ([2] * len(residues), -1)
+    else:
+        assert c_2 == 0 and any(residues)
+        assert oracle.in_span(residues, _vectors(q))
 
 
 def test_prime_powers_return_none():

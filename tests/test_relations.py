@@ -163,15 +163,51 @@ def test_finder_rejects_low_basis_precision():
 
 
 def test_spurious_candidates_fail_two_precision_gate():
-    # beyond-sine-identity relations do not exist mod 57; with huge
-    # coefficient bounds PSLQ's raw candidate (if any) must be rejected.
-    # PSLQ runs on the extended basis only: a plain one takes its
-    # relation from the exact coset relations.
+    # the only relation mod 57 is the sine identity, so whatever the
+    # coefficient bound, anything accepted on the extended basis must be
+    # the all-ones vector with no pi or log 2 term.  The rejection of a
+    # wrong candidate is exercised by the test below.
     basis = log_sine_basis(57, 30, extended=True)
     rel = find_integer_relation(basis, 10**6, 30)
-    if rel is not None:  # anything accepted must be the genuine identity
+    if rel is not None:
         assert set(rel.coefficients.values()) == {1}
         assert (rel.pi_coefficient, rel.log2_coefficient) == (0, 0)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_two_precision_gate_rejects_a_wrong_candidate(monkeypatch, extended):
+    # a non-relation handed to the finder as a coset relation must fail
+    # the 2d re-verification: log(2 sin(pi/21)) alone is not 0
+    import lprime.relations as rel_mod
+
+    monkeypatch.setattr(rel_mod, "coset_relations", lambda q: [(1,)])
+    assert find_relation_for_modulus(21, 10, 40, extended=extended) is None
+
+
+def test_extended_relations_come_from_theory(monkeypatch):
+    # no PSLQ on any basis: the extended relation space is the coset
+    # relations with c_pi = c_2 = 0, or (2, ..., 2, 0, -1) at q = 2^n, n >= 3
+    import lprime.relations as rel_mod
+
+    def no_search(*args):
+        raise AssertionError("find_integer_relation must not run PSLQ")
+
+    monkeypatch.setattr(rel_mod, "pslq_relation", no_search)
+    for q in range(3, 131):
+        rel = find_relation_for_modulus(q, 100, 50, extended=True)
+        power_of_two = q in (8, 16, 32, 64, 128)
+        assert (rel is not None) == (oracle.basis_relation_rank(q) > 0 or power_of_two), q
+        if rel is None:
+            continue
+        assert rel.verified_at_2d and rel.pi_coefficient == 0, q
+        assert rel.log2_coefficient == (-1 if power_of_two else 0), q
+        vector = [rel.coefficients.get(a, 0) for a in oracle.half_support(q)]
+        if power_of_two:
+            assert vector == [2] * len(vector), q
+        if all(e == 1 for _, e in oracle.prime_factors(q)):
+            assert oracle.in_span(vector, oracle.distribution_relations(q)), q
+    assert find_relation_for_modulus(8, 1, 50, extended=True) is None
+    assert find_relation_for_modulus(6, 100, 50, extended=True) is None
 
 
 # ---------------------------------------------------------------------------
