@@ -5,7 +5,8 @@ under an explicit decimal-digit working precision ``d``: every public
 operation takes ``d`` and evaluates with ceil(d*log2(10)) + 32 bits, i.e.
 roughly ten guard digits beyond the request.  The accuracy contract is
 uniform: a value computed at ``d`` digits agrees with the same value at
-``2d`` digits to within 10**(-d+5).
+``2d`` digits to within 10**(-d+5), relative to the value where its size
+exceeds 1 (a float at the working precision resolves no more).
 
 The four special functions every other module needs live here:
 
@@ -14,20 +15,30 @@ The four special functions every other module needs live here:
 * log Gamma(a/q) by an argument-shifted Stirling series,
 * the Hurwitz zeta function zeta(s, x) and its s-derivative by
   Euler-Maclaurin summation, valid for finite real s != 1 and
-  0 < x <= 1.  The head sum_{n<N} (n+x)^(-s) is exact at integer s of
-  moderate size: one rational, rounded once, for zeta(s, x), and one log
-  of an exact integer product for zeta'(0, x).  At rational s = u/v with
-  a small denominator, zeta(s, x) takes one integer sum of fixed-point
-  v-th roots, rounded once, times one power.  Other heads take a power
-  (and for the derivative a log) per term.  The route is chosen by the
-  exact value of s: an ``mpf`` or ``float`` is a dyadic rational, so
-  ``mpf("0.5")``, ``0.5`` and ``Fraction(1, 2)`` give the same bits.
+  0 < x <= 1.  At integer s <= 0, zeta(s, x) is the exact
+  -B_(1-s)(x)/(1-s), rounded once.  Otherwise the head
+  sum_{n<N} (n+x)^(-s) is exact at integer s of moderate size: one
+  rational, rounded once, for zeta(s, x), and one log of an exact integer
+  product for zeta'(0, x).  At rational s = u/v with a small denominator,
+  zeta(s, x) takes one integer sum of fixed-point v-th roots, rounded
+  once, times one power.  Other heads take a power (and for the
+  derivative a log) per term.  The route is chosen by the exact value of
+  s: an ``mpf`` or ``float`` is a dyadic rational, so ``mpf("0.5")``,
+  ``0.5`` and ``Fraction(1, 2)`` give the same bits.
+
+Both series end in a Bernoulli tail, sum_k c_k w^-(2k-1) at w = m/den, an
+exact rational.  ``_bernoulli_tail`` sums it in integers: the coefficients
+and the powers (den/m)^(2k-1) are fixed-point integers, and the sum is
+rounded once into the working precision.
 
 Each working precision has its own mpmath context, ``context(d)``: an
 ``MPContext`` at the guarded precision for ``d``, built on first use and
 never changed after that.  All arithmetic runs in the context of the
 requested precision, and every public function returns a plain mpmath
-``mpf`` converted from it without rounding.  mpmath's global precision
+``mpf`` converted from it without rounding.  The one exception is the
+Euler-Maclaurin series at s < 0, which cancels: it runs in the context
+of a few more digits, and its result is rounded once into the context
+of the request.  mpmath's global precision
 is never read or set, so the result of a call does not depend on the
 caller's ambient precision, and calls at different precisions may run
 concurrently from several threads.
@@ -37,15 +48,17 @@ to hand between threads.  Shared state is:
 
 * the contexts, at most ``MAX_TABLES`` of them;
 * the exact Bernoulli cache;
-* the series coefficient tables, filled on first use: the Stirling
-  coefficients B_2k/(2k(2k-1)) per binary precision, and the
-  Euler-Maclaurin coefficients C_k(s) = B_2k/(2k)! * s(s+1)...(s+2k-2)
-  with their s-derivatives D_k(s) per (precision, s).  At most
-  ``MAX_TABLES`` tables of each kind are kept; the oldest goes first.
+* the series coefficient tables, filled on first use as fixed-point
+  integers: the Stirling coefficients B_2k/(2k(2k-1)) per fixed point
+  (in bits), and the Euler-Maclaurin coefficients
+  C_k(s) = B_2k/(2k)! * s(s+1)...(s+2k-2) with their s-derivatives
+  D_k(s) per (fixed point, exact s).  At most ``MAX_TABLES`` tables of
+  each kind are kept; the oldest goes first.
 
-The cache and the tables grow under ``_bern_lock``: a fill builds a new
-list and publishes it whole, and computes every entry in the context of
-its key's precision.
+The cache and the tables grow under ``_bern_lock``: a fill builds new
+lists and publishes them whole.  Every entry is its exact rational,
+correctly rounded at its key's fixed point, so no entry depends on a
+context or on the order of the fills.
 """
 
 from __future__ import annotations
@@ -58,7 +71,7 @@ from typing import Union
 
 from mpmath import mp, mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_rational, round_nearest, to_rational
+from mpmath.libmp import from_rational, round_nearest, to_fixed, to_rational
 
 from .errors import ConvergenceError, PoleError, ValidationError
 
@@ -89,6 +102,15 @@ _EXACT_HEAD_BITS = 1 << 16
 #: costs about as much as a power (v about 9 at 240 digits, 11 at 120, 17
 #: at 50); beyond it the powers are cheaper.
 _EXACT_ROOT_BITS = 1 << 16
+#: Fractional bits of a Bernoulli tail sum beyond the working precision.
+#: Its truncation target 10**-(d + EXTRA_DIGITS) lies just below
+#: 2**-prec, and the sum's floors have to stay below that target.
+TAIL_EXTRA_BITS = 16
+#: Fractional bits the powers of a Bernoulli tail carry beyond its largest
+#: coefficient so far; ``_bernoulli_tail`` states the error bound they give.
+TAIL_GUARD_BITS = 48
+#: Most terms a Bernoulli tail sums before it counts as divergent.
+MAX_TAIL_TERMS = 10_000
 
 
 def prec_bits(digits: int) -> int:
@@ -176,10 +198,10 @@ def bernoulli(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Series coefficient tables
+# Series coefficient tables and the Bernoulli tail
 
-_stirling_tables: dict[int, list[mpf]] = {}
-_em_tables: dict[tuple[int, tuple], tuple[list[tuple[mpf, mpf]], mpf, mpf]] = {}
+_stirling_tables: dict[int, list[int]] = {}
+_em_tables: dict[tuple[int, Fraction], tuple[list[int], list[int], int, int]] = {}
 
 
 def _publish(tables: dict, key, table) -> None:
@@ -189,53 +211,116 @@ def _publish(tables: dict, key, table) -> None:
     tables[key] = table
 
 
-def _stirling_table(ctx: MPContext, n: int) -> list[mpf]:
-    """B_2k / (2k(2k-1)) for k = 1..n (at least), rounded in ``ctx``."""
-    bits = ctx.prec
-    table = _stirling_tables.get(bits)
+def _fixed(num: int, den: int, point: int) -> int:
+    """num/den at ``point`` fractional bits, correctly rounded (ties to even)."""
+    return round(Fraction(num << point, den))
+
+
+def _stirling_table(point: int, n: int) -> list[int]:
+    """B_2k / (2k(2k-1)) for k = 1..n (at least), at ``point`` fractional bits."""
+    table = _stirling_tables.get(point)
     if table is not None and len(table) >= n:
         return table
     size = n + TABLE_CHUNK
     bernoulli(2 * size)  # fill the exact cache before taking its lock
     with _bern_lock:
-        table = list(_stirling_tables.get(bits, ()))
+        table = list(_stirling_tables.get(point, ()))
         for k in range(len(table) + 1, size + 1):
             b = _bern_even[k]
-            raw = from_rational(b.numerator, b.denominator * (2 * k) * (2 * k - 1), bits, round_nearest)
-            table.append(ctx.make_mpf(raw))
-        _publish(_stirling_tables, bits, table)
+            table.append(_fixed(b.numerator, b.denominator * (2 * k) * (2 * k - 1), point))
+        _publish(_stirling_tables, point, table)
     return table
 
 
-def _em_table(ctx: MPContext, s: mpf, n: int) -> list[tuple[mpf, mpf]]:
-    """(C_k(s), D_k(s)) for k = 1..n (at least), rounded in ``ctx``.
+def _em_table(point: int, s: Fraction, n: int) -> tuple[list[int], list[int]]:
+    """(C_k(s)) and (D_k(s)) for k = 1..n (at least), at ``point`` fractional bits.
 
     C_k(s) = B_2k/(2k)! * R_k(s) with the rising factorial
-    R_k(s) = s(s+1)...(s+2k-2), and D_k(s) = dC_k/ds.  Each table keeps
-    R and dR/ds at its next index so that it can grow.
+    R_k(s) = s(s+1)...(s+2k-2), and D_k(s) = dC_k/ds.  For s = u/v,
+    R_k = P_k / v^(2k-1) and dR_k/ds = Q_k / v^(2k-2) with integers
+    P_1 = u, Q_1 = 1 and, for f1 = u + (2k-1)v, f2 = u + 2kv,
+    P_(k+1) = P_k f1 f2, Q_(k+1) = Q_k f1 f2 + P_k (f1 + f2).  Every
+    entry is its exact rational, correctly rounded.  Each table keeps P
+    and Q at its next index so that it can grow.
     """
-    bits = ctx.prec
-    s = ctx.convert(s)
-    key = (bits, s._mpf_)
+    key = (point, s)
     table = _em_tables.get(key)
     if table is not None and len(table[0]) >= n:
-        return table[0]
+        return table[0], table[1]
     size = n + TABLE_CHUNK
     bernoulli(2 * size)  # fill the exact cache before taking its lock
+    u, v = s.numerator, s.denominator
     with _bern_lock:
-        entries, rising, d_rising = _em_tables.get(key, ([], s, ctx.one))
-        entries = list(entries)
-        for k in range(len(entries) + 1, size + 1):
+        cs, ds, p, q = _em_tables.get(key, ((), (), u, 1))
+        cs, ds = list(cs), list(ds)
+        for k in range(len(cs) + 1, size + 1):
             b = _bern_even[k]
-            coeff = ctx.make_mpf(from_rational(b.numerator, b.denominator * math.factorial(2 * k),
-                                               bits, round_nearest))
-            entries.append((coeff * rising, coeff * d_rising))
-            f1, f2 = s + (2 * k - 1), s + 2 * k
-            f12 = f1 * f2
-            d_rising = d_rising * f12 + rising * (f1 + f2)
-            rising = rising * f12
-        _publish(_em_tables, key, (entries, rising, d_rising))
-    return entries
+            scale = b.denominator * math.factorial(2 * k) * v ** (2 * k - 2)
+            cs.append(_fixed(b.numerator * p, scale * v, point))
+            ds.append(_fixed(b.numerator * q, scale, point))
+            f1, f2 = u + (2 * k - 1) * v, u + 2 * k * v
+            p, q = p * f1 * f2, q * f1 * f2 + p * (f1 + f2)
+        _publish(_em_tables, key, (cs, ds, p, q))
+    return cs, ds
+
+
+def _bernoulli_tail(table, m: int, den: int, point: int, cutoff: int, log_w: int | None = None):
+    """sum_{k>=1} a_k z_k, z_k = (den/m)^(2k-1), at ``point`` fractional bits.
+
+    ``table(n)`` gives at least n coefficients at ``point`` fractional
+    bits: the c_k, summed as a_k = c_k, or, with ``log_w`` (log(m/den) at
+    ``point`` bits), the lists (c_k) and (d_k), summed as
+    a_k = d_k - c_k log w.  The sum stops before the first term whose size,
+    |c_k z_k| or the larger of |c_k z_k| and |a_k z_k|, is at most
+    ``cutoff`` units of 2^-point, so a zero term always stops it.  It is
+    None if a size exceeds the one before, or past ``MAX_TAIL_TERMS``
+    terms.
+
+    z_k is one floor of z_(k-1) den^2/m^2, carried at ``TAIL_GUARD_BITS``
+    fractional bits more than the largest coefficient so far, so it widens
+    as the coefficients grow.  The floor that made z_j is below
+    2^-width(j) and reaches term k multiplied by
+    |c_k| (den/m)^(2(k-j)) = |c_j| |t_k/t_j|, t_k = c_k z_k.  The stopping
+    rule keeps the sizes non-increasing, so |t_k/t_j| <= 1, and
+    (1 + log w)^3 bounds the same quotient for the derivative.  Over
+    K <= MAX_TAIL_TERMS terms, and for w = m/den below 10^8, these errors
+    add up to less than K^2 2^(13 - TAIL_GUARD_BITS) < 1/100 unit of
+    2^-point.  Each term adds one floor (two for the derivative), and the
+    rounded coefficients add at most (1 + log w)/2 * sum z_k, with
+    sum z_k < 1/(w - 1).  So the value sum is within K + 1 units of the
+    exact series, and the derivative sum within 2K + 2 units plus the
+    error of ``log_w`` times sum |c_k z_k|.
+    """
+    den2, m2 = den * den, m * m
+    numer, divisor, width = den, m, 0  # z_k = floor(numer * 2^width / divisor) / 2^width
+    total, prev = 0, math.inf
+    cs = ds = ()
+    k = 0
+    while True:
+        k += 1
+        if k > len(cs):
+            if log_w is None:
+                cs = table(k)
+            else:
+                cs, ds = table(k)
+        c = cs[k - 1]
+        bits = c.bit_length() if log_w is None else max(c.bit_length(), ds[k - 1].bit_length())
+        if bits + TAIL_GUARD_BITS > width:
+            numer <<= bits + TAIL_GUARD_BITS - width
+            width = bits + TAIL_GUARD_BITS
+        z = numer // divisor
+        term = c * z >> width
+        size = abs(term)
+        if log_w is not None:
+            term = (ds[k - 1] * z >> width) - (term * log_w >> point)
+            size = max(size, abs(term))
+        if size <= cutoff:
+            return total
+        if size > prev or k > MAX_TAIL_TERMS:
+            return None
+        prev = size
+        total += term
+        numer, divisor = z * den2, m2
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +343,9 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
     1.2*d, where the asymptotic series truncates below the error target
     before its divergent turn; the shift is undone with one log of the
     exact integer product a(a+q)...(a+(m-1)q) = q^m x(x+1)...(x+m-1),
-    minus m*log(q).
+    minus m*log(q).  The series' Bernoulli tail, at w = (a + mq)/q, is
+    one fixed-point integer sum (``_bernoulli_tail``) at
+    ``TAIL_EXTRA_BITS`` beyond the working precision, rounded once.
     """
     if q < 1:
         raise ValidationError(f"denominator q must be >= 1, got {q}")
@@ -269,32 +356,20 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
     ctx = context(digits)
     threshold = 1.2 * digits
     shift = max(0, math.ceil(threshold - a / q))
-    w = ctx.mpf(a + shift * q) / q
+    m = a + shift * q
+    w = ctx.mpf(m) / q
     lw = ctx.log(w)
     value = (w - ctx.mpf(1) / 2) * lw - w + ctx.log(2 * ctx.pi) / 2
-    target = ctx.mpf(10) ** (-(digits + EXTRA_DIGITS))
-    winv2 = 1 / (w * w)
-    wpow = 1 / w  # w**(-(2k-1)) at k = 1
-    coeffs = _stirling_table(ctx, 1)
-    prev = ctx.inf
-    k = 1
-    while True:
-        if k > len(coeffs):
-            coeffs = _stirling_table(ctx, k)
-        term = coeffs[k - 1] * wpow
-        size = abs(term)
-        if size < target:
-            break
-        if size > prev:
-            raise ConvergenceError(
-                f"Stirling series for log Gamma({a}/{q}) diverged before reaching "
-                f"10^-{digits + EXTRA_DIGITS}; shift threshold too small"
-            )
-        prev = size
-        value += term
-        wpow *= winv2
-        k += 1
-    value -= ctx.log(math.prod(range(a, a + shift * q, q))) - shift * ctx.log(q)
+    point = ctx.prec + TAIL_EXTRA_BITS
+    tail = _bernoulli_tail(functools.partial(_stirling_table, point), m, q, point,
+                           (1 << point) // 10 ** (digits + EXTRA_DIGITS))
+    if tail is None:
+        raise ConvergenceError(
+            f"Stirling series for log Gamma({a}/{q}) diverged before reaching "
+            f"10^-{digits + EXTRA_DIGITS}; shift threshold too small"
+        )
+    value += ctx.ldexp(tail, -point)
+    value -= ctx.log(math.prod(range(a, m, q))) - shift * ctx.log(q)
     return plain_mpf(value)
 
 
@@ -316,18 +391,24 @@ def _check_hurwitz_args(s: RealLike, x: Fraction, digits: int) -> None:
 def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
     """zeta(s, x) = sum_{n>=0} (n+x)^(-s) at d digits, finite real s != 1.
 
-    Euler-Maclaurin: partial sum to N, integral term (N+x)^(1-s)/(s-1),
-    half-term, then the Bernoulli tail.  N starts at max(10, 0.8*d) and
-    doubles until the first neglected tail term is below 10**(-d-10);
-    past 64*d the evaluation is abandoned as non-convergent.
+    At integer s = -k <= 0 the value is the exact rational
+    -B_(k+1)(x)/(k+1), from the cached Bernoulli numbers, rounded once.
+
+    Every other s takes Euler-Maclaurin: partial sum to N, integral term
+    (N+x)^(1-s)/(s-1), half-term, then the Bernoulli tail
+    w^(-s) sum_k C_k(s) w^-(2k-1), w = N + x.  N starts at max(10, 0.8*d)
+    and doubles until the first neglected tail term is below
+    10**(-d-10); past 64*d the evaluation is abandoned as non-convergent.
+    The tail is one fixed-point integer sum (``_bernoulli_tail``), whose
+    stated error bound stays below 2^-prec, rounded once and multiplied
+    by one power w^(-s).
 
     The partial sum runs over the integers m = n*q + a for x = a/q, and
     its route is chosen by the exact value of s:
 
-    * integer s = k: sum m^|k| / q^|k| for k <= 0 and q^k sum 1/m^k for
-      k > 0, summed exactly and rounded once into the working precision.
-      The head carries one rounding error, half an ulp, where a per-term
-      sum carries N of them.
+    * integer s = k > 0: q^k sum 1/m^k, summed exactly and rounded once
+      into the working precision.  The head carries one rounding error,
+      half an ulp, where a per-term sum carries N of them.
     * s = u/v in lowest terms, v > 1: x^(-s) * sum (a/m)^(u/v), where
       each term is floor(2^P (a/m)^(u/v)), the exact integer v-th root of
       floor(a^u 2^(vP) / m^u) (of m^|u| 2^(vP) / a^|u| for u < 0), with
@@ -339,16 +420,19 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
     * integer or rational s whose exact integers would cost more than the
       powers (``_EXACT_HEAD_BITS``, ``_EXACT_ROOT_BITS``): a power per term.
 
-    What is left is the cancellation at negative s between the head and
-    the integral term, both of size about N^(1-s)/(1-s): it costs about
-    log10 N^(1-s) of the ten guard digits.  Over 90 random (s, x, d),
-    s in {-7/2, -1/2, 1/3, 3/4, 7/2, 13/3}, the worst error was 3.6e-6 of
-    10**(-d+5), at s = -7/2 and 240 digits (N = 192).  Below about s = -11/2 at 240 digits the cancellation
-    outgrows the guard digits, whichever head is taken (s = -15/2 misses
-    the bound by a factor of about 10^4).  s - 1 in the integral term is
-    taken from the exact s, so an s nearer the pole than the working
-    precision resolves keeps zeta's 1/(s-1) size; there the bound holds
-    relative to |zeta|.
+    At s < 0 the head and the integral term, both of size about
+    N^(1-s)/(1-s), cancel down to zeta, which costs about
+    (1-s) log10(N+1) digits; the series is then summed with that many
+    more working digits, and the result rounded back to ``d`` digits.
+    Over 90 random (s, x, d), s in {-12, -21/2, -15/2, -5, -7/2, -1,
+    -1/2, 1/3, 3/4, 7/2, 13/3}, values and derivatives, the worst error
+    was 7.2e-13 of 10**(-d+5) (s = 1/3, derivative, 240 digits).
+
+    Where |zeta| exceeds 1 (s = 30 at x = 1/97, or s = -40) the bound
+    holds relative to |zeta|: a result rounded to the working precision
+    resolves no more.  s - 1 in the integral term is taken from the exact
+    s, so an s nearer the pole than the working precision resolves keeps
+    zeta's 1/(s-1) size; there too the bound holds relative to |zeta|.
     """
     _check_hurwitz_args(s, x, digits)
     return _euler_maclaurin(s, x, digits, derivative=False)
@@ -368,7 +452,9 @@ def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
     log(prod m), a number of size about N log(N q), which costs about 11
     of the 32 guard bits at 240 digits and q = 100, so the result stays
     within 10**(-d+5).  At any other s the head takes a power and a log
-    per term.
+    per term, and at s < 0 the series gets the extra working digits of
+    ``hurwitz_zeta``.  The tail is w^(-s) sum_k (D_k(s) - C_k(s) log w)
+    w^-(2k-1): one fixed-point integer sum, with log w in fixed point.
     """
     _check_hurwitz_args(s, x, digits)
     return _euler_maclaurin(s, x, digits, derivative=True)
@@ -393,13 +479,22 @@ def _exact_real(value: RealLike) -> Fraction:
 def _euler_maclaurin(s: RealLike, x: Fraction, digits: int, derivative: bool) -> mpf:
     ctx = context(digits)
     s = _exact_real(s)
+    if s.denominator == 1 and s <= 0 and not derivative:
+        # zeta(1 - n, x) = -B_n(x)/n, B_n(x) = sum_j C(n, j) B_j x^(n-j)
+        n = 1 - s.numerator
+        exact = -sum(math.comb(n, j) * bernoulli(j) * x ** (n - j) for j in range(n + 1)) / n
+        return plain_mpf(ctx.make_mpf(
+            from_rational(exact.numerator, exact.denominator, ctx.prec, round_nearest)))
     target = ctx.mpf(10) ** (-(digits + EXTRA_DIGITS))
     n_shift = _em_first_shift(digits)
     n_cap = 64 * digits
     while True:
-        value = _em_attempt(ctx, s, x, n_shift, target, derivative)
+        # at s < 0 the head and the integral term, both of size about
+        # N^(1-s)/(1-s), cancel down to zeta: work with that many more digits
+        extra = math.ceil((1 - s) * math.log10(n_shift + 1)) if s < 0 else 0
+        value = _em_attempt(context(digits + extra), s, x, n_shift, target, derivative)
         if value is not None:
-            return plain_mpf(value)
+            return plain_mpf(+ctx.make_mpf(value._mpf_))
         if n_shift >= n_cap:
             raise ConvergenceError(
                 f"Euler-Maclaurin tail for zeta(s={s}, x={x}) did not fall below "
@@ -414,15 +509,17 @@ def _em_attempt(ctx: MPContext, s: Fraction, x: Fraction, n_shift: int, target: 
     ``s`` is exact.  The integral term takes s - 1 from it before rounding,
     so an ``s`` closer to the pole than the working precision resolves is
     still evaluated at itself.  The tail is summed first, so a shift whose
-    tail grows costs no head.
+    tail grows costs no head.  ``target`` bounds the tail's last term, and
+    may come from a context of lower precision than ``ctx``.
     """
     num, den = x.numerator, x.denominator
     sm = to_mpf(s, ctx)
     s1 = to_mpf(s - 1, ctx)
-    w = ctx.mpf(n_shift * den + num) / den
+    m = n_shift * den + num
+    w = ctx.mpf(m) / den
     lw = ctx.log(w)
-    a_int = ctx.power(w, -s1)
     w_neg_s = ctx.power(w, -sm)
+    a_int = w * w_neg_s
     if derivative:
         integral = -a_int * (lw * s1 + 1) / s1 ** 2
         half = -lw * w_neg_s / 2
@@ -430,43 +527,31 @@ def _em_attempt(ctx: MPContext, s: Fraction, x: Fraction, n_shift: int, target: 
         integral = a_int / s1
         half = w_neg_s / 2
 
-    # Bernoulli tail: C_k(s) * w^(-s-2k+1), differentiated by the product
-    # rule into (D_k(s) - C_k(s) log w) * w^(-s-2k+1).
-    coeffs = _em_table(ctx, sm, 1)
-    wpow = w_neg_s / w
-    winv2 = 1 / (w * w)
-    tail = ctx.mpf(0)
-    prev = ctx.inf
-    k = 1
-    while True:
-        if k > len(coeffs):
-            coeffs = _em_table(ctx, sm, k)
-        c_k, d_k = coeffs[k - 1]
-        term = c_k * wpow
-        if derivative:
-            d_term = (d_k - c_k * lw) * wpow
-            size = max(abs(term), abs(d_term))
-        else:
-            size = abs(term)
-        if size < target:
-            break
-        if size > prev or k > 10_000:
-            return None
-        prev = size
-        tail += d_term if derivative else term
-        wpow *= winv2
-        k += 1
-    return _em_head(ctx, s, sm, num, den, n_shift, derivative) + integral + half + tail
+    # Bernoulli tail: w^-s sum_k C_k(s) w^-(2k-1), differentiated by the
+    # product rule into w^-s sum_k (D_k(s) - C_k(s) log w) w^-(2k-1).  The
+    # sum runs in fixed point.
+    point = ctx.prec + TAIL_EXTRA_BITS
+    cutoff = to_fixed((ctx.convert(target) / w_neg_s)._mpf_, point)
+    if derivative:
+        tail = _bernoulli_tail(lambda n: _em_table(point, s, n), m, den, point, cutoff,
+                               to_fixed(lw._mpf_, point))
+    else:
+        tail = _bernoulli_tail(lambda n: _em_table(point, s, n)[0], m, den, point, cutoff)
+    if tail is None:
+        return None
+    return (_em_head(ctx, s, sm, num, den, n_shift, derivative) + integral + half
+            + w_neg_s * ctx.ldexp(tail, -point))
 
 
 def _em_head(ctx: MPContext, s: Fraction, sm: mpf, num: int, den: int, n_shift: int, derivative: bool):
     """sum_{n<N} (n+x)^(-s), or its s-derivative, for x = num/den.
 
     The terms run over the integers m = n*den + num, as (n+x) = m/den.
-    At an integer s = k the value is one exact rational, rounded once:
-    sum m^|k| / den^|k| for k <= 0, and den^k * top/bottom for k > 0,
-    where top/bottom = sum 1/m^k is accumulated in integers without
-    reducing.  At s = 0 the derivative is N log(den) - log(prod m).
+    At an integer s = k > 0 the value is one exact rational, rounded
+    once: den^k * top/bottom, where top/bottom = sum 1/m^k is accumulated
+    in integers without reducing (the value at k <= 0 never comes here:
+    it is a Bernoulli polynomial).  At s = 0 the derivative is
+    N log(den) - log(prod m).
     At s = u/v with v > 1 the value is x^(-s) * sum (num/m)^(u/v), and
     each term of the sum is floor(2^P (num/m)^(u/v)), the integer v-th
     root of floor(num^u 2^(vP) / m^u) (of m^|u| 2^(vP) / num^|u| for
@@ -475,17 +560,13 @@ def _em_head(ctx: MPContext, s: Fraction, sm: mpf, num: int, den: int, n_shift: 
     ms = range(num, n_shift * den + num, den)
     u, v = s.numerator, s.denominator
     if v == 1 and max(abs(u), 1) * n_shift * ms[-1].bit_length() <= _EXACT_HEAD_BITS:
-        if not derivative:
-            if u <= 0:
-                top, bottom = sum(m ** -u for m in ms), den ** -u
-            else:
-                top, bottom = 0, 1
-                for m in ms:
-                    power = m ** u
-                    top, bottom = top * power + bottom, bottom * power
-                top *= den ** u
-            return ctx.make_mpf(from_rational(top, bottom, ctx.prec, round_nearest))
-        if u == 0:
+        if not derivative and u > 0:
+            top, bottom = 0, 1
+            for m in ms:
+                power = m ** u
+                top, bottom = top * power + bottom, bottom * power
+            return ctx.make_mpf(from_rational(top * den ** u, bottom, ctx.prec, round_nearest))
+        if derivative and u == 0:
             return n_shift * ctx.log(den) - ctx.log(math.prod(ms))
     point = ctx.prec + n_shift.bit_length()
     if (v > 1 and not derivative

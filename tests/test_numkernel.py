@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
 
 from lprime import numkernel
 from lprime.errors import PoleError, ValidationError
@@ -231,8 +230,10 @@ def _em_at_shift(s, x, d, derivative, factor):
 
 @pytest.mark.parametrize("d", (50, 120, 240))
 def test_hurwitz_integer_s_grid_against_mpmath(d):
-    # integer s takes the exact head: value at s in -3..5, derivative at
-    # s = -1, 0, 2, each also at the retry shifts 2N and 4N
+    # the value at s in -3..0 is the exact Bernoulli polynomial; at s = 2,
+    # 3, 5 it takes the exact head, and the derivative at s = -1, 0, 2 the
+    # exact head at s = 0; the Euler-Maclaurin cases also at the retry
+    # shifts 2N and 4N
     cases = [(s, False) for s in (-3, -2, -1, 0, 2, 3, 5)] + [(s, True) for s in (-1, 0, 2)]
     for x in INTEGER_S_GRID_X:
         for s, derivative in cases:
@@ -240,8 +241,51 @@ def test_hurwitz_integer_s_grid_against_mpmath(d):
             with mp.workprec(prec_bits(d) + 40):
                 ref = mp.zeta(s, mpf(x.numerator) / x.denominator, int(derivative))
             assert abs(mine - ref) < tol(d), (s, x, d, derivative)
-            for factor in (2, 4):
-                assert abs(_em_at_shift(s, x, d, derivative, factor) - mine) < tol(d), (s, x, d, factor)
+            if derivative or s > 0:
+                for factor in (2, 4):
+                    assert abs(_em_at_shift(s, x, d, derivative, factor) - mine) < tol(d), (s, x, d, factor)
+
+
+def _zeta_error(s, x, d, derivative):
+    """|mine - mp.zeta| in units of 10^(-d+5), relative where |zeta| > 1."""
+    mine = (hurwitz_zeta_ds if derivative else hurwitz_zeta)(s, x, d)
+    with mp.workprec(prec_bits(d) + 80):
+        ref = mp.zeta(mpf(s.numerator) / s.denominator, mpf(x.numerator) / x.denominator, int(derivative))
+        return abs(mine - ref) / (tol(d) * max(1, abs(ref)))
+
+
+@pytest.mark.parametrize("d, s", [(50, Fraction(-12)), (50, Fraction(-40)),
+                                  (240, Fraction(-15, 2)), (240, Fraction(-12))])
+def test_hurwitz_strongly_negative_s(d, s):
+    # the head and the integral term cancel down to zeta, about
+    # (1 - s) log10(N + 1) digits, more than the ten guard digits
+    for x in (Fraction(1, 97), Fraction(1, 2), Fraction(1)):
+        for derivative in (False, True):
+            assert _zeta_error(s, x, d, derivative) < 1, (s, x, d, derivative)
+
+
+@pytest.mark.parametrize("x", (Fraction(1, 97), Fraction(1, 2), Fraction(1)))
+def test_tail_error_bound_at_600_digits(x):
+    # the coefficients grow far past 2^prec here; the powers of the tail are
+    # carried at the coefficients' width, which a fixed width would miss
+    d = 600
+    for s in (Fraction(-1, 2), Fraction(1, 3), Fraction(7, 2), Fraction(30)):
+        for derivative in (False, True):
+            assert _zeta_error(s, x, d, derivative) < 1, (s, x, derivative)
+    mine = log_gamma_frac(x.numerator, x.denominator, d)
+    with mp.workprec(prec_bits(d) + 40):
+        assert abs(mine - mp.loggamma(mpf(x.numerator) / x.denominator)) < tol(d), x
+
+
+def test_hurwitz_retry_doubles_the_shift(monkeypatch):
+    # a first shift of 2 makes the tail grow, so the attempt returns None
+    # and the shift doubles until the tail falls below the target
+    monkeypatch.setattr(numkernel, "_em_first_shift", lambda digits: 2)
+    d, x = 50, Fraction(1, 97)
+    for s in (Fraction(1, 3), Fraction(-1, 2), Fraction(2)):
+        assert numkernel._em_attempt(numkernel.context(d), s, x, 2, mpf(10) ** -(d + 10), False) is None
+        for derivative in (False, True):
+            assert _zeta_error(s, x, d, derivative) < 1, (s, derivative)
 
 
 #: Rational s with the head of integer roots (v = 2, 3, 4), and -5/29,
@@ -404,28 +448,25 @@ def test_derivative_finite_difference_consistency():
 # Coefficient tables
 
 def _table_snapshot():
-    return ({bits: [c._mpf_ for c in table] for bits, table in numkernel._stirling_tables.items()},
-            {key: ([(c._mpf_, dc._mpf_) for c, dc in entries], rising._mpf_, d_rising._mpf_)
-             for key, (entries, rising, d_rising) in numkernel._em_tables.items()})
+    return (dict(numkernel._stirling_tables), dict(numkernel._em_tables))
 
 
 def test_threaded_table_fill_matches_single_threaded(empty_tables):
-    s = mpf(3) / 4
-    contexts = (numkernel.context(12), numkernel.context(300))
-    bits = tuple(ctx.prec for ctx in contexts)
+    s = Fraction(3, 4)
+    points = (prec_bits(12), prec_bits(300))
     sizes = [3, 40, 17, 130, 64, 1, 90, 129, 33]
 
     def fill(i):
         order = sizes[i % len(sizes):] + sizes[:i % len(sizes)]
         for n in order:
-            for ctx in contexts[i % 2:] + contexts[:i % 2]:
-                numkernel._stirling_table(ctx, n)
-                numkernel._em_table(ctx, s, n)
+            for point in points[i % 2:] + points[:i % 2]:
+                numkernel._stirling_table(point, n)
+                numkernel._em_table(point, s, n)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        # a fill that read mpmath's global precision would round at 20 bits here
+        # the fill reads no global precision, so a low one here changes nothing
         with mp.workprec(20), concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(fill, i) for i in range(16)]
             for fut in futures:
@@ -437,16 +478,16 @@ def test_threaded_table_fill_matches_single_threaded(empty_tables):
     with numkernel._bern_lock:
         numkernel._stirling_tables.clear()
         numkernel._em_tables.clear()
-    for ctx in contexts:
-        numkernel._stirling_table(ctx, max(sizes))
-        numkernel._em_table(ctx, s, max(sizes))
+    for point in points:
+        numkernel._stirling_table(point, max(sizes))
+        numkernel._em_table(point, s, max(sizes))
     single = _table_snapshot()
-    assert sorted(threaded[0]) == sorted(single[0]) == sorted(bits)
-    assert sorted(threaded[1]) == sorted(single[1]) == [(b, s._mpf_) for b in sorted(bits)]
+    assert sorted(threaded[0]) == sorted(single[0]) == sorted(points)
+    assert sorted(threaded[1]) == sorted(single[1]) == [(p, s) for p in sorted(points)]
     # a table holds "at least n" entries, so the interleaving decides where
     # the threaded fill stopped; over the common length the entries agree
-    pairs = [(threaded[0][b], single[0][b]) for b in bits]
-    pairs += [(threaded[1][key][0], single[1][key][0]) for key in threaded[1]]
+    pairs = [(threaded[0][p], single[0][p]) for p in points]
+    pairs += [(threaded[1][key][i], single[1][key][i]) for key in threaded[1] for i in (0, 1)]
     for entries, reference in pairs:
         assert len(entries) >= max(sizes)
         n = min(len(entries), len(reference))
@@ -454,35 +495,31 @@ def test_threaded_table_fill_matches_single_threaded(empty_tables):
 
 
 def test_table_entries_rounded_at_their_precision(empty_tables):
-    # against exact rationals: Stirling entries are correctly rounded, and
-    # the rising-factorial entries (all factors positive at s = 3/4) carry
-    # at most a few roundings per index
-    bits = prec_bits(50)
-    s = Fraction(3, 4)
-    stirling = numkernel._stirling_table(numkernel.context(50), 30)
-    em = numkernel._em_table(numkernel.context(50), mpf(3) / 4, 30)
-    rising, d_rising = s, Fraction(1)
-    for k in range(1, 31):
-        b = bernoulli(2 * k)
-        exact = b / (2 * k * (2 * k - 1))
-        assert stirling[k - 1]._mpf_ == from_rational(exact.numerator, exact.denominator, bits, round_nearest)
-        coeff = b / factorial(2 * k)
-        with mp.workprec(bits + 100):
-            for entry, value in zip(em[k - 1], (coeff * rising, coeff * d_rising)):
-                value = mpf(value.numerator) / value.denominator
-                assert abs(entry - value) <= abs(value) * mpf(2) ** (8 + k - bits)
-        f1, f2 = s + 2 * k - 1, s + 2 * k
-        rising, d_rising = rising * f1 * f2, d_rising * f1 * f2 + rising * (f1 + f2)
+    # every entry is its exact rational at the table's fixed point,
+    # correctly rounded, ties to even
+    point = prec_bits(50)
+    for s in (Fraction(3, 4), Fraction(-7, 3)):
+        stirling = numkernel._stirling_table(point, 30)
+        em_c, em_d = numkernel._em_table(point, s, 30)
+        rising, d_rising = s, Fraction(1)
+        for k in range(1, 31):
+            b = bernoulli(2 * k)
+            assert stirling[k - 1] == round(b / (2 * k * (2 * k - 1)) * 2 ** point)
+            coeff = b / factorial(2 * k)
+            assert em_c[k - 1] == round(coeff * rising * 2 ** point), (s, k)
+            assert em_d[k - 1] == round(coeff * d_rising * 2 ** point), (s, k)
+            f1, f2 = s + 2 * k - 1, s + 2 * k
+            rising, d_rising = rising * f1 * f2, d_rising * f1 * f2 + rising * (f1 + f2)
 
 
 def test_table_count_bounded(empty_tables):
-    bits = prec_bits(12)
-    keys = [mpf(k) / 4 for k in range(numkernel.MAX_TABLES + 3)]
+    point = prec_bits(12)
+    keys = [Fraction(k, 4) for k in range(numkernel.MAX_TABLES + 3)]
     for s in keys:
-        numkernel._em_table(numkernel.context(12), s, 1)
+        numkernel._em_table(point, s, 1)
     assert len(numkernel._em_tables) == numkernel.MAX_TABLES
-    assert (bits, keys[0]._mpf_) not in numkernel._em_tables
-    assert (bits, keys[-1]._mpf_) in numkernel._em_tables
+    assert (point, keys[0]) not in numkernel._em_tables
+    assert (point, keys[-1]) in numkernel._em_tables
 
 
 # ---------------------------------------------------------------------------
