@@ -17,14 +17,13 @@ The four special functions every other module needs live here:
   Euler-Maclaurin summation, valid for finite real s != 1 and
   0 < x <= 1.  At integer s <= 0, zeta(s, x) is the exact
   -B_(1-s)(x)/(1-s), rounded once.  Otherwise the head
-  sum_{n<N} (n+x)^(-s) is exact at integer s of moderate size: one
-  rational, rounded once, for zeta(s, x), and one log of an exact integer
-  product for zeta'(0, x).  At rational s = u/v with a small denominator,
-  zeta(s, x) takes one integer sum of fixed-point v-th roots, rounded
-  once, times one power.  Other heads take a power (and for the
-  derivative a log) per term.  The route is chosen by the exact value of
-  s: an ``mpf`` or ``float`` is a dyadic rational, so ``mpf("0.5")``,
-  ``0.5`` and ``Fraction(1, 2)`` give the same bits.
+  sum_{n<N} (n+x)^(-s) takes one of three routes: one log of an exact
+  integer product for zeta'(0, x); for zeta(s, x) at rational s = u/v
+  (integer s is v = 1) of moderate size, one integer sum of fixed-point
+  v-th roots, rounded once, times one power; and a power (and for the
+  derivative a log) per term for every other head.  The route is chosen
+  by the exact value of s: an ``mpf`` or ``float`` is a dyadic rational,
+  so ``mpf("0.5")``, ``0.5`` and ``Fraction(1, 2)`` give the same bits.
 
 Both series end in a Bernoulli tail, sum_k c_k w^-(2k-1) at w = m/den, an
 exact rational.  ``_bernoulli_tail`` sums it in integers: the coefficients
@@ -91,16 +90,11 @@ MAX_TABLES = 64
 #: Entries a coefficient table grows by past the index asked for, so a
 #: first evaluation fills its table in a few steps rather than one per term.
 TABLE_CHUNK = 16
-#: Largest exact Euler-Maclaurin head at integer s, measured as
-#: |s| * N * bits(m) for its largest term m.  Beyond it (|s| above about 20
-#: at 240 digits, about 100 at 50 digits) the exact integers cost more than
-#: a power per term, and they grow without bound in |s|.
-_EXACT_HEAD_BITS = 1 << 16
-#: Largest exact head at s = u/v, v > 1, measured as v * (v*P + |u|*bits(m))
-#: for its largest term m, where v*P + |u|*bits(m) is the size of that
-#: term's radicand and P its fixed-point bits.  Near the bound a v-th root
-#: costs about as much as a power (v about 9 at 240 digits, 11 at 120, 17
-#: at 50); beyond it the powers are cheaper.
+#: Largest fixed-point Euler-Maclaurin head at s = u/v, measured as
+#: v * (v*P + |u|*bits(m)) for its largest term m, where v*P + |u|*bits(m)
+#: is the size of that term's radicand and P its fixed-point bits.  Near
+#: the bound a v-th root costs about as much as a power (v about 9 at 240
+#: digits, 11 at 120, 17 at 50); beyond it the powers are cheaper.
 _EXACT_ROOT_BITS = 1 << 16
 #: Fractional bits of a Bernoulli tail sum beyond the working precision.
 #: Its truncation target 10**-(d + EXTRA_DIGITS) lies just below
@@ -406,19 +400,17 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
     The partial sum runs over the integers m = n*q + a for x = a/q, and
     its route is chosen by the exact value of s:
 
-    * integer s = k > 0: q^k sum 1/m^k, summed exactly and rounded once
-      into the working precision.  The head carries one rounding error,
-      half an ulp, where a per-term sum carries N of them.
-    * s = u/v in lowest terms, v > 1: x^(-s) * sum (a/m)^(u/v), where
-      each term is floor(2^P (a/m)^(u/v)), the exact integer v-th root of
+    * s = u/v in lowest terms, v >= 1 (an integer s is v = 1, where the
+      root is the identity): x^(-s) * sum (a/m)^(u/v), where each term is
+      floor(2^P (a/m)^(u/v)), the exact integer v-th root of
       floor(a^u 2^(vP) / m^u) (of m^|u| 2^(vP) / a^|u| for u < 0), with
       P = prec + bits(N).  Every term is at most (u > 0) or at least
       (u < 0) the first, which is 1, so the sum is at least 1 and its N
       floors lose less than N 2^-P <= 2^-prec of it.  The integer sum is
       rounded once and multiplied by one power x^(-s): the head is within
-      a few ulps of itself.
-    * integer or rational s whose exact integers would cost more than the
-      powers (``_EXACT_HEAD_BITS``, ``_EXACT_ROOT_BITS``): a power per term.
+      a few ulps of itself, where a per-term sum carries N roundings.
+    * s whose integers would cost more than the powers
+      (``_EXACT_ROOT_BITS``): a power per term.
 
     At s < 0 the head and the integral term, both of size about
     N^(1-s)/(1-s), cancel down to zeta, which costs about
@@ -450,11 +442,12 @@ def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
     is N log(q) - log(m_0 m_1 ... m_{N-1}): one log of an exact integer
     instead of N rounded logs.  Its absolute error is a few ulps of
     log(prod m), a number of size about N log(N q), which costs about 11
-    of the 32 guard bits at 240 digits and q = 100, so the result stays
-    within 10**(-d+5).  At any other s the head takes a power and a log
-    per term, and at s < 0 the series gets the extra working digits of
-    ``hurwitz_zeta``.  The tail is w^(-s) sum_k (D_k(s) - C_k(s) log w)
-    w^-(2k-1): one fixed-point integer sum, with log w in fixed point.
+    of the 32 guard bits at 240 digits and q = 100 (about 18 at the
+    largest shift, 64 d), so the result stays within 10**(-d+5).  At any
+    other s the head takes a power and a log per term, and at s < 0 the
+    series gets the extra working digits of ``hurwitz_zeta``.  The tail is
+    w^(-s) sum_k (D_k(s) - C_k(s) log w) w^-(2k-1): one fixed-point integer
+    sum, with log w in fixed point.
     """
     _check_hurwitz_args(s, x, digits)
     return _euler_maclaurin(s, x, digits, derivative=True)
@@ -547,30 +540,20 @@ def _em_head(ctx: MPContext, s: Fraction, sm: mpf, num: int, den: int, n_shift: 
     """sum_{n<N} (n+x)^(-s), or its s-derivative, for x = num/den.
 
     The terms run over the integers m = n*den + num, as (n+x) = m/den.
-    At an integer s = k > 0 the value is one exact rational, rounded
-    once: den^k * top/bottom, where top/bottom = sum 1/m^k is accumulated
-    in integers without reducing (the value at k <= 0 never comes here:
-    it is a Bernoulli polynomial).  At s = 0 the derivative is
-    N log(den) - log(prod m).
-    At s = u/v with v > 1 the value is x^(-s) * sum (num/m)^(u/v), and
+    At s = 0 the derivative is N log(den) - log(prod m).  At s = u/v in
+    lowest terms, v >= 1, the value is x^(-s) * sum (num/m)^(u/v), and
     each term of the sum is floor(2^P (num/m)^(u/v)), the integer v-th
     root of floor(num^u 2^(vP) / m^u) (of m^|u| 2^(vP) / num^|u| for
-    u < 0).  The roots are summed as one integer and rounded once.
+    u < 0); at v = 1 the root is the identity.  The roots are summed as
+    one integer and rounded once.  (The value at integer s <= 0 never
+    comes here: it is a Bernoulli polynomial.)
     """
     ms = range(num, n_shift * den + num, den)
+    if derivative and s == 0:
+        return n_shift * ctx.log(den) - ctx.log(math.prod(ms))
     u, v = s.numerator, s.denominator
-    if v == 1 and max(abs(u), 1) * n_shift * ms[-1].bit_length() <= _EXACT_HEAD_BITS:
-        if not derivative and u > 0:
-            top, bottom = 0, 1
-            for m in ms:
-                power = m ** u
-                top, bottom = top * power + bottom, bottom * power
-            return ctx.make_mpf(from_rational(top * den ** u, bottom, ctx.prec, round_nearest))
-        if derivative and u == 0:
-            return n_shift * ctx.log(den) - ctx.log(math.prod(ms))
     point = ctx.prec + n_shift.bit_length()
-    if (v > 1 and not derivative
-            and v * (v * point + abs(u) * ms[-1].bit_length()) <= _EXACT_ROOT_BITS):
+    if not derivative and v * (v * point + abs(u) * ms[-1].bit_length()) <= _EXACT_ROOT_BITS:
         if u > 0:
             top = num ** u << (v * point)
             total = sum(_iroot(top // m ** u, v) for m in ms)

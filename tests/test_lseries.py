@@ -303,7 +303,7 @@ def _numeric_results(f):
     """Every public numeric result at 30 digits, as raw mantissa/exponent tuples.
 
     ``vanishing_verdict`` is left out: its Unknown residual is still
-    |L'(0, f)| rounded at the caller's precision (ROADMAP open item 4).
+    |L'(0, f)| rounded at the caller's precision (ROADMAP open item 2).
     """
     d, s, x = 30, Fraction(1, 3), Fraction(2, 7)
     values = [
@@ -312,10 +312,10 @@ def _numeric_results(f):
         l_value(s, f, d), l_deriv(s, f, d), l_deriv0_closed(f, d), l_deriv0_even(f, d),
         sine_identity_residual(15, d), build_witness(55, 0, d).residual,
     ]
-    for k in (0, -1, 2):  # integer s: exact Euler-Maclaurin heads
+    for k in (0, -1, 2):  # integer s: Bernoulli polynomial, one log, roots (v = 1), powers
         values += [hurwitz_zeta(k, x, d), hurwitz_zeta_ds(k, x, d)]
     values += [l_value(2, f, d), l_deriv(0, f, d)]
-    # exact heads of integer roots: v = 2 from a Fraction, v = 4 from an mpf
+    # heads of integer roots: v = 2 from a Fraction, v = 4 from an mpf
     values += [hurwitz_zeta(Fraction(-7, 2), x, d), hurwitz_zeta(mpf("0.75"), x, d)]
     values += log_sine_basis(15, d, extended=True).all_values()
     rel = find_relation_for_modulus(21, 10, d)

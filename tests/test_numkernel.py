@@ -228,22 +228,46 @@ def _em_at_shift(s, x, d, derivative, factor):
     return numkernel.plain_mpf(value)
 
 
+#: Integer s whose values and heads at 240 digits are large: the bound
+#: is relative to |zeta| there.
+LARGE_INTEGER_S = (30, 60)
+
+
 @pytest.mark.parametrize("d", (50, 120, 240))
-def test_hurwitz_integer_s_grid_against_mpmath(d):
-    # the value at s in -3..0 is the exact Bernoulli polynomial; at s = 2,
-    # 3, 5 it takes the exact head, and the derivative at s = -1, 0, 2 the
-    # exact head at s = 0; the Euler-Maclaurin cases also at the retry
-    # shifts 2N and 4N
-    cases = [(s, False) for s in (-3, -2, -1, 0, 2, 3, 5)] + [(s, True) for s in (-1, 0, 2)]
+def test_hurwitz_integer_s_grid_against_mpmath(d, root_calls):
+    # the value at s in -3..0 is the exact Bernoulli polynomial and takes
+    # no root; at s > 0, 30 and 60 included, every head term is an
+    # integer root with v = 1; the derivative at s = -1, 0, 2 takes the
+    # one log at s = 0 and powers elsewhere; the Euler-Maclaurin cases
+    # also at the retry shifts 2N and 4N
+    n_first = numkernel._em_first_shift(d)
+    cases = ([(s, False) for s in (-3, -2, -1, 0, 2, 3, 5) + LARGE_INTEGER_S]
+             + [(s, True) for s in (-1, 0, 2)])
     for x in INTEGER_S_GRID_X:
         for s, derivative in cases:
+            roots = not derivative and s > 0
+            root_calls.clear()
             mine = (hurwitz_zeta_ds if derivative else hurwitz_zeta)(s, x, d)
+            assert set(root_calls) == ({1} if roots else set()), (s, x, d, derivative)
             with mp.workprec(prec_bits(d) + 40):
                 ref = mp.zeta(s, mpf(x.numerator) / x.denominator, int(derivative))
-            assert abs(mine - ref) < tol(d), (s, x, d, derivative)
+            bound = tol(d) * (max(1, abs(ref)) if s in LARGE_INTEGER_S else 1)
+            assert abs(mine - ref) < bound, (s, x, d, derivative)
             if derivative or s > 0:
                 for factor in (2, 4):
-                    assert abs(_em_at_shift(s, x, d, derivative, factor) - mine) < tol(d), (s, x, d, factor)
+                    root_calls.clear()
+                    assert abs(_em_at_shift(s, x, d, derivative, factor) - mine) < bound, (s, x, d, factor)
+                    assert root_calls == ([1] * factor * n_first if roots else []), (s, x, d, factor)
+
+
+def test_log_head_at_64_times_the_first_shift():
+    # the derivative head at s = 0 is one log of prod m at every shift:
+    # here N = 64 * 192 = 12,288 terms at 240 digits, a product of about
+    # 258k bits
+    x, d = Fraction(1, 97), 240
+    with mp.workprec(prec_bits(d) + 40):
+        ref = mp.zeta(0, mpf(x.numerator) / x.denominator, 1)
+    assert abs(_em_at_shift(0, x, d, True, 64) - ref) < tol(d)
 
 
 def _zeta_error(s, x, d, derivative):
