@@ -5,9 +5,10 @@ For any q with at least two distinct prime factors,
     2^phi(q) * prod_{1 <= k <= q-1, (k,q)=1} sin(k pi / q) = 1,
 
 while for a prime power q = p^n the same product equals p (it is the
-cyclotomic polynomial of q evaluated at 1).  The log of the product is
-what ``sine_identity_residual`` returns, so composite q sit at the
-rounding floor and prime powers sit at log p.
+cyclotomic polynomial of q evaluated at 1).  ``sine_identity_residual``
+computes literally the log of that product: twice one log of the product
+over k <= q/2, so composite q sit at the rounding floor (often exactly 0)
+and prime powers sit at log p.
 
 This identity is also why every non-prime-power modulus carries at least
 one integer relation among its half-support log-sines: the all-ones

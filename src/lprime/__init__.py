@@ -30,7 +30,15 @@ from .errors import (
     ValidationError,
 )
 from .lseries import RankResult, family_rank, l_deriv, l_deriv0_closed, l_deriv0_even, l_value
-from .numkernel import bernoulli, hurwitz_zeta, hurwitz_zeta_ds, log_gamma_frac, two_sin_pi
+from .numkernel import (
+    bernoulli,
+    hurwitz_zeta,
+    hurwitz_zeta_ds,
+    log_gamma_frac,
+    log_sine_sum,
+    two_sin_pi,
+    two_sines,
+)
 from .periodic import PeriodicFunction, constant_on_units, from_character, half_support, validate
 from .relations import (
     LogSineBasis,

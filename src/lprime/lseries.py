@@ -34,9 +34,9 @@ from .numkernel import (
     hurwitz_zeta,
     hurwitz_zeta_ds,
     log_gamma_frac,
+    log_sine_sum,
     plain_mpf,
     to_mpf,
-    two_sin_pi,
 )
 from .periodic import PeriodicFunction, half_support, require_even_dirichlet
 
@@ -113,23 +113,18 @@ def l_deriv0_closed(f: PeriodicFunction, digits: int) -> mpf:
 def l_deriv0_even(f: PeriodicFunction, digits: int) -> mpf:
     """L'(0, f) = -sum over the half support of f(a) log(2 sin(a pi/q)).
 
-    Requires f even and Dirichlet type with period >= 3: the reduction
-    pairs a with q - a, and for q <= 2 the pairing degenerates (a = q/2
-    is its own partner), so those periods are rejected rather than
-    silently mis-weighted.
+    One ``log_sine_sum``: the residues that share a value of f share one
+    log of their product of sines.  Requires f even and Dirichlet type
+    with period >= 3: the reduction pairs a with q - a, and for q <= 2 the
+    pairing degenerates (a = q/2 is its own partner), so those periods are
+    rejected rather than silently mis-weighted.
     """
     if f.q < 3:
         raise ValidationError(
             f"half-support reduction needs period >= 3, got {f.q}; "
             "use the closed form for tiny periods"
         )
-    pairs = half_support(f)
-    ctx = context(digits)
-    total = ctx.mpf(0)
-    for a, v in pairs:
-        if v:
-            total -= to_mpf(v, ctx) * ctx.log(two_sin_pi(a, f.q, digits))
-    return plain_mpf(total)
+    return log_sine_sum(f.q, [(a, -v) for a, v in half_support(f)], digits)
 
 
 # ---------------------------------------------------------------------------

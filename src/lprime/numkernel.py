@@ -11,7 +11,14 @@ exceeds 1 (a float at the working precision resolves no more).
 The four special functions every other module needs live here:
 
 * exact Bernoulli numbers (cached),
-* 2*sin(a*pi/q),
+* 2*sin(a*pi/q) for ascending residues a <= q/2 of one q
+  (``two_sines``): one integer rotation by pi/q in fixed point, at
+  bits(q) + ``SINE_GUARD_BITS`` bits beyond the working precision, with
+  each value rounded once, within 2^-prec (1 + 2^-21) relative; and sums
+  of their logs (``log_sine_sum``), one log per distinct coefficient of
+  the product of the sines that share it.  Every log-sine of the library
+  comes from this rotation.  ``two_sin_pi`` is mpmath's one-value sin,
+  kept as the independent oracle the rotation is tested against,
 * log Gamma(a/q) by an argument-shifted Stirling series,
 * the Hurwitz zeta function zeta(s, x) and its s-derivative by
   Euler-Maclaurin summation, valid for finite real s != 1 and
@@ -70,7 +77,17 @@ from typing import Union
 
 from mpmath import mp, mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_rational, round_nearest, to_fixed, to_rational
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    from_rational,
+    mpf_cos_sin,
+    mpf_div,
+    mpf_pi,
+    round_nearest,
+    to_fixed,
+    to_rational,
+)
 
 from .errors import ConvergenceError, PoleError, ValidationError
 
@@ -105,6 +122,9 @@ TAIL_EXTRA_BITS = 16
 TAIL_GUARD_BITS = 48
 #: Most terms a Bernoulli tail sums before it counts as divergent.
 MAX_TAIL_TERMS = 10_000
+#: Fractional bits the sine rotation of ``two_sines`` carries beyond the
+#: working precision and bits(q); its docstring states what they absorb.
+SINE_GUARD_BITS = 24
 
 
 def prec_bits(digits: int) -> int:
@@ -321,13 +341,110 @@ def _bernoulli_tail(table, m: int, den: int, point: int, cutoff: int, log_w: int
 # Elementary special values
 
 def two_sin_pi(a: int, q: int, digits: int) -> mpf:
-    """2*sin(a*pi/q) at d digits; requires 0 < a < q, so strictly positive."""
+    """2*sin(a*pi/q) at d digits; requires 0 < a < q, so strictly positive.
+
+    One value by mpmath's own ``sin``.  No library route calls it: the
+    log-sines come from ``two_sines``, and this is the independent oracle
+    that kernel is tested against.
+    """
     if q < 2:
         raise ValidationError(f"denominator q must be >= 2, got {q}")
     if not 0 < a < q:
         raise ValidationError(f"argument a must satisfy 0 < a < q, got a={a}, q={q}")
     ctx = context(digits)
     return plain_mpf(2 * ctx.sin(ctx.pi * a / q))
+
+
+def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
+    """2*sin(a*pi/q) at d digits for each of the ascending ``residues``, 0 < a <= q/2.
+
+    One cos/sin pair of pi/q, at P = prec + bits(q) + ``SINE_GUARD_BITS``
+    fractional bits, is the step (c, s) of an integer rotation: from
+    (C, S) = (2^P, 0), each k = 1 .. max(residues) sets
+    (C, S) <- ((C c - S s) >> P, (S c + C s) >> P), so that S / 2^P is
+    sin(k pi/q), and each wanted 2 S / 2^P is rounded once into the
+    working precision.
+
+    The step is within 3 units u = 2^-P of e^(i pi/q), and a step's two
+    floors add less than sqrt(2) u, so after k steps C + iS is within
+    5k u of e^(i k pi/q) (k u is far below 1).  Since sin(a pi/q) >= 2a/q
+    for a <= q/2, the relative error of 2 S / 2^P is below
+    10a u / (4a/q) = 2.5 q u < 2^(2 - prec - SINE_GUARD_BITS), whatever
+    a is.  The one rounding then leaves each value within
+    2^-prec (1 + 2^(3 - SINE_GUARD_BITS)) of 2 sin(a pi/q), relative:
+    correctly rounded but for near-ties.
+    """
+    prec = context(digits).prec
+    point, sines = _sine_walk(q, residues, prec)
+    return [mp.make_mpf(from_man_exp(s, 1 - point, prec, round_nearest)) for s in sines]
+
+
+def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
+    """(P, [S_a]): the rotation of ``two_sines``, 2 S_a / 2^P ~ 2 sin(a pi/q), unrounded."""
+    if q < 2:
+        raise ValidationError(f"denominator q must be >= 2, got {q}")
+    last = 0
+    for a in residues:
+        if not last < a or 2 * a > q:
+            raise ValidationError(
+                f"residues must ascend within 0 < a <= q/2, got a={a} after {last}, q={q}")
+        last = a
+    point = prec + q.bit_length() + SINE_GUARD_BITS
+    wp = point + 8
+    cos, sin = mpf_cos_sin(mpf_div(mpf_pi(wp), from_int(q), wp, round_nearest), wp, round_nearest)
+    c, s = to_fixed(cos, point), to_fixed(sin, point)
+    sines = []
+    big_c, big_s, k = 1 << point, 0, 0
+    for a in residues:
+        while k < a:
+            big_c, big_s = (big_c * c - big_s * s) >> point, (big_s * c + big_c * s) >> point
+            k += 1
+        sines.append(big_s)
+    return point, sines
+
+
+def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
+    """sum c_a log(2 sin(a pi/q)) at d digits over pairs (a, c_a), ascending a <= q/2.
+
+    The coefficients are ints or Fractions, and every residue must be one
+    that ``two_sines`` takes, whatever its coefficient.  Residues with one
+    coefficient c share one log: the sum is
+    sum_c c * log(prod_{c_a = c} 2 sin(a pi/q)), one log per distinct
+    non-zero coefficient.  The factors are the fixed-point values of the
+    ``two_sines`` rotation, before it rounds them, and each product is an
+    integer kept at P bits (a floor per factor), so a product of n
+    factors is within n 2^(3 - prec - SINE_GUARD_BITS) relative before it
+    is rounded once for its log.  With |log P_c| <= n_c log q for the
+    product P_c of n_c factors, the sum is within
+    sum_c |c| (1 + n_c log q + n_c 2^(3 - SINE_GUARD_BITS)) 2^-prec of the
+    exact one, plus the roundings of the products by c and of the partial
+    sums: with n <= 500 residues, |c_a| <= 5 and q < 10^4, at most 15 of
+    the ``GUARD_BITS``.
+    """
+    ctx = context(digits)
+    pairs = list(coefficients)
+    point, sines = _sine_walk(q, [a for a, _ in pairs], ctx.prec)
+    # (numerator, denominator) of c -> [mantissa, exponent] of its product,
+    # a P-bit mantissa; the pair hashes faster than a Fraction
+    products: dict[tuple[int, int], list[int]] = {}
+    for (_, c), man in zip(pairs, sines):
+        if not c:
+            continue
+        key = c.numerator, c.denominator
+        product = products.get(key)
+        if product is None:
+            products[key] = [man, 1 - point]
+            continue
+        man, exp = man * product[0], product[1] + 1 - point
+        extra = man.bit_length() - point
+        if extra > 0:
+            man, exp = man >> extra, exp + extra
+        product[:] = man, exp
+    total = ctx.mpf(0)
+    for (num, den), (man, exp) in products.items():
+        product = ctx.make_mpf(from_man_exp(man, exp, ctx.prec, round_nearest))
+        total += ctx.mpf(num) / den * ctx.log(product)
+    return plain_mpf(total)
 
 
 def log_gamma_frac(a: int, q: int, digits: int) -> mpf:

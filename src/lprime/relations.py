@@ -21,9 +21,10 @@ algebraic numbers too.  log 2 takes part only at q = 2^n, n >= 3
 (``arith.has_log2_relation``), where the half support sums to
 (1/2) log 2 and the one relation is (2, ..., 2, 0, -1).  Either way the
 candidate is accepted only after re-evaluating the combination from
-freshly computed values at doubled precision, so a returned relation
-carries a two-precision numerical certificate.  ``pslq_relation`` is
-the blind search the tests and demos cross-check these answers with.
+sines computed afresh at doubled precision (one ``log_sine_sum``), so a
+returned relation carries a two-precision numerical certificate.
+``pslq_relation`` is the blind search the tests and demos cross-check
+these answers with.
 
 Note on non-uniqueness: for composite q the relation space can have
 rank greater than one (the coset relations of every prime dividing q),
@@ -53,7 +54,15 @@ from .arith import (
 )
 from .errors import HalfSumMismatchError, NotAdmissibleError, PrecisionError, ValidationError
 from .lseries import l_deriv0_even
-from .numkernel import context, log2_const, pi_const, plain_mpf, require_digits, two_sin_pi
+from .numkernel import (
+    context,
+    log2_const,
+    log_sine_sum,
+    pi_const,
+    plain_mpf,
+    require_digits,
+    two_sines,
+)
 from .periodic import PeriodicFunction, from_character
 
 
@@ -122,20 +131,22 @@ class Relation:
 def log_sine_basis(q: int, digits: int, extended: bool = False) -> LogSineBasis:
     """Basis entries (a, log(2 sin(a pi/q))) for coprime a <= q/2.
 
-    Residues with 6a = q or 4a = q are excluded (rational powers of 2;
-    in lowest terms this only fires for q = 6 and q = 4).  When
+    The sines come from one ``two_sines`` call, and each entry takes one
+    log.  Residues with 6a = q or 4a = q are excluded (rational powers of
+    2; in lowest terms this only fires for q = 6 and q = 4).  When
     ``extended`` is set, pi and log 2 are appended.
     """
     if q < 3:
         raise ValidationError(f"basis needs q >= 3, got {q}")
-    ctx = context(digits)
-    entries = []
+    residues = []
     excluded = []
     for a in half_units(q):
         if 6 * a == q or 4 * a == q:
             excluded.append(a)
-            continue
-        entries.append((a, plain_mpf(ctx.log(two_sin_pi(a, q, digits)))))
+        else:
+            residues.append(a)
+    ctx = context(digits)
+    entries = [(a, plain_mpf(ctx.log(v))) for a, v in zip(residues, two_sines(q, residues, digits))]
     ext = None
     if extended:
         ext = [("pi", pi_const(digits)), ("log2", log2_const(digits))]
@@ -149,15 +160,13 @@ def sine_identity_residual(q: int, digits: int) -> mpf:
     when q = p^n: the product of the 2 sin values is the cyclotomic
     polynomial evaluated at 1.  Computed as twice the sum over the half
     support k <= q/2, since sin(k pi/q) = sin((q-k) pi/q) and, for
-    q >= 3, no coprime k equals q - k.
+    q >= 3, no coprime k equals q - k.  Every coefficient is 2, so
+    ``log_sine_sum`` takes one log: twice the log of the half-support
+    product of the 2 sin values.
     """
     if q < 3:
         raise ValidationError(f"identity needs q >= 3, got {q}")
-    ctx = context(digits)
-    total = ctx.mpf(0)
-    for k in half_units(q):
-        total += ctx.log(two_sin_pi(k, q, digits))
-    return plain_mpf(2 * total)
+    return log_sine_sum(q, [(k, 2) for k in half_units(q)], digits)
 
 
 MIN_DETECTION_DIGITS = 5
@@ -216,8 +225,10 @@ def find_integer_relation(
     when ``max_coeff >= 2``.  None when there is no candidate: at prime
     powers, at q = 6 extended (its one coset relation lies on the
     excluded a = 1), and at q = 2^n with ``max_coeff = 1``.  The
-    candidate is kept only if the combination recomputed from freshly
-    evaluated basis values at 2*digits stays below 10**(-2*digits+10).
+    candidate is kept only if the combination, evaluated afresh at
+    2*digits, stays below 10**(-2*digits+10): one ``log_sine_sum`` of the
+    candidate's log-sine coefficients at 2*digits, plus its log 2 term,
+    with no basis built at 2*digits.
     ``digits`` and ``max_coeff`` are checked as a search would need them.
     Deterministic for fixed inputs.
     """
@@ -240,9 +251,10 @@ def find_integer_relation(
         candidate += [0, log2_c]
 
     residual_d = _residual(candidate, values, digits)
-    check = log_sine_basis(basis.q, 2 * digits, extended=basis.extended is not None)
-    residual_2d = _residual(candidate, check.all_values(), 2 * digits)
-    verified = residual_2d < context(2 * digits).mpf(10) ** (-(2 * digits) + 10)
+    ctx = context(2 * digits)
+    log_sines = ctx.convert(log_sine_sum(basis.q, coeffs.items(), 2 * digits))
+    residual_2d = plain_mpf(abs(log_sines + log2_c * ctx.ln2))
+    verified = residual_2d < ctx.mpf(10) ** (-(2 * digits) + 10)
     if not verified:
         return None
     return Relation(

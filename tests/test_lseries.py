@@ -22,9 +22,11 @@ from lprime.numkernel import (
     hurwitz_zeta_ds,
     log2_const,
     log_gamma_frac,
+    log_sine_sum,
     pi_const,
     prec_bits,
     two_sin_pi,
+    two_sines,
 )
 from lprime.periodic import PeriodicFunction, constant_on_units
 from lprime.relations import (
@@ -283,7 +285,8 @@ def test_concurrent_precisions_match_single_threaded(golden_f5):
     # calls at 12 and 300 digits interleaved on 4 threads must return the
     # bits each returns alone, and must leave the caller's precision alone
     calls = [(l_deriv0_closed, (golden_f5,)), (l_value, (Fraction(1, 3), golden_f5)),
-             (two_sin_pi, (2, 7)), (l_deriv, (0, golden_f5)), (l_value, (2, golden_f5))]
+             (two_sin_pi, (2, 7)), (l_deriv, (0, golden_f5)), (l_value, (2, golden_f5)),
+             (l_deriv0_even, (golden_f5,)), (sine_identity_residual, (15,))]
     jobs = [(fn, args + (d,)) for fn, args in calls for d in (12, 300)] * 8
     expected = [fn(*args)._mpf_ for fn, args in jobs]
     prec = mp.prec
@@ -307,7 +310,9 @@ def _numeric_results(f):
     """
     d, s, x = 30, Fraction(1, 3), Fraction(2, 7)
     values = [
-        two_sin_pi(2, 7, d), log_gamma_frac(3, 7, d), hurwitz_zeta(s, x, d),
+        two_sin_pi(2, 7, d), *two_sines(15, [1, 2, 4, 7], d),
+        log_sine_sum(15, [(1, 3), (2, Fraction(-1, 2)), (7, 3)], d),
+        log_gamma_frac(3, 7, d), hurwitz_zeta(s, x, d),
         hurwitz_zeta_ds(s, x, d), pi_const(d), log2_const(d),
         l_value(s, f, d), l_deriv(s, f, d), l_deriv0_closed(f, d), l_deriv0_even(f, d),
         sine_identity_residual(15, d), build_witness(55, 0, d).residual,

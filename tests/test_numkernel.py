@@ -20,9 +20,11 @@ from lprime.numkernel import (
     hurwitz_zeta_ds,
     log2_const,
     log_gamma_frac,
+    log_sine_sum,
     pi_const,
     prec_bits,
     two_sin_pi,
+    two_sines,
 )
 
 # Oracle-derived 65-digit reference values (parsed at full precision).
@@ -112,6 +114,79 @@ def test_two_sin_pi_domain():
     for a in (0, -1, 7, 8):
         with pytest.raises(ValidationError):
             two_sin_pi(a, 7, 50)
+
+
+# ---------------------------------------------------------------------------
+# two_sines and log_sine_sum, against mpmath's own sin and log
+
+SINE_MODULI = list(range(3, 201)) + [997, 1000, 4096, 10007]
+
+
+def _sine_residues(q):
+    """Every residue up to q/2, or for q > 1000 the 50 smallest (the smallest
+    values), the 50 largest (the longest walks) and every 37th between."""
+    half = q // 2
+    if q <= 1000:
+        return list(range(1, half + 1))
+    return sorted(set(range(1, 51)) | set(range(51, half - 50, 37)) | set(range(half - 49, half + 1)))
+
+
+@pytest.mark.parametrize("d", [10, 15, 50, 120, 240])
+def test_two_sines_against_mpmath_sin(d):
+    # within 2^-prec relative of mp.sin at d + 40 digits
+    worst = mpf(0)
+    for q in SINE_MODULI:
+        residues = _sine_residues(q)
+        values = two_sines(q, residues, d)
+        assert all(type(v) is mpf for v in values)
+        with mp.workdps(d + 40):
+            for a, value in zip(residues, values):
+                exact = 2 * mp.sin(mp.pi * a / q)
+                worst = max(worst, abs(value - exact) / exact)
+    assert worst <= mpf(2) ** -prec_bits(d)
+
+
+def test_two_sines_precision_contract():
+    for q in (7, 60, 997):
+        residues = [a for a in range(1, q // 2 + 1) if gcd(a, q) == 1]
+        for d in (15, 50, 120):
+            for lo, hi in zip(two_sines(q, residues, d), two_sines(q, residues, 2 * d)):
+                assert abs(lo - hi) < tol(d)
+
+
+def test_two_sines_domain():
+    assert two_sines(8, [], 50) == []
+    assert two_sines(8, [4], 50) == [2]
+    assert two_sines(2, [1], 50) == [2]
+    for residues in ([2, 1], [1, 1], [0, 1], [-1], [4], [1, 2, 4]):
+        with pytest.raises(ValidationError):
+            two_sines(7, residues, 50)
+    with pytest.raises(ValidationError):
+        two_sines(1, [], 50)
+    with pytest.raises(ValidationError):
+        log_sine_sum(7, [(3, 1), (2, 1)], 50)
+    with pytest.raises(ValidationError):
+        log_sine_sum(7, [(1, 1), (4, 0)], 50)  # a zero coefficient is still checked
+
+
+@pytest.mark.parametrize("d", [15, 50, 240])
+def test_log_sine_sum_against_per_residue_logs(d):
+    cases = [
+        (7, [(1, 0), (2, 0), (3, 0)]),
+        (31, [(a, -3) for a in range(1, 16)]),
+        (60, [(a, 2) for a in (1, 7, 11, 13, 17, 19, 23, 29)]),
+        (97, [(a, 10**6 if a == 5 else (-1) ** a) for a in range(1, 49)]),
+        (155, [(a, Fraction(a % 7 - 3, 1 + a % 3)) for a in range(1, 78) if gcd(a, 155) == 1]),
+        (1000, [(a, a % 5 - 2) for a in range(1, 501)]),
+    ]
+    for q, pairs in cases:
+        got = log_sine_sum(q, pairs, d)
+        assert type(got) is mpf
+        with mp.workdps(d + 40):
+            exact = mp.fsum(mpf(Fraction(c).numerator) / Fraction(c).denominator
+                            * mp.log(2 * mp.sin(mp.pi * a / q)) for a, c in pairs)
+        assert abs(got - exact) < tol(d) * max(1, abs(exact)), q
+    assert log_sine_sum(7, [(1, 0), (2, 0), (3, 0)], d) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ exact coset relations against the benchmark's oracle in
 and q = 55.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from lprime.errors import (
     PrecisionError,
     ValidationError,
 )
+from lprime import numkernel
+from lprime.lseries import l_deriv0_even
 from lprime.numkernel import prec_bits, two_sin_pi
-from lprime.periodic import half_support
+from lprime.periodic import PeriodicFunction, half_support
 from lprime.relations import (
     build_witness,
     find_integer_relation,
@@ -263,3 +266,36 @@ def test_finder_rediscovers_witness_mod_55():
     witness_vec = [int(v) for _, v in half_support(wit.f)]
     found_vec = rel.vector(log_sine_basis(55, 15))
     assert oracle.exact_rank([found_vec, witness_vec]) == 1
+
+
+# ---------------------------------------------------------------------------
+# One route for the log-sines
+
+def _log_sine_results():
+    f = PeriodicFunction(q=21, values={1: 3, 20: 3, 2: -1, 19: -1, 8: Fraction(1, 2), 13: Fraction(1, 2)})
+    rel = find_relation_for_modulus(21, 10, 40)
+    rel8 = find_relation_for_modulus(8, 10, 40, extended=True)
+    values = [*log_sine_basis(15, 40).all_values(), sine_identity_residual(21, 40),
+              l_deriv0_even(f, 40), rel.residual_at_d, rel.residual_at_2d, rel8.residual_at_2d,
+              build_witness(55, 0, 40).residual]
+    return [v._mpf_ for v in values]
+
+
+def test_log_sines_come_from_one_kernel(monkeypatch):
+    # the library takes every log-sine from numkernel.two_sines: with
+    # two_sin_pi, the oracle, raising wherever lprime binds it, every route
+    # still returns the same bits
+    expected = _log_sine_results()
+
+    def oracle_only(*args):
+        raise AssertionError("two_sin_pi is the oracle, not a library route")
+
+    original, patched = numkernel.two_sin_pi, []
+    for name, module in list(sys.modules.items()):
+        if name == "lprime" or name.startswith("lprime."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    patched.append(name)
+                    monkeypatch.setattr(module, key, oracle_only)
+    assert {"lprime", "lprime.numkernel"} <= set(patched)
+    assert _log_sine_results() == expected
