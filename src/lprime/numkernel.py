@@ -140,6 +140,11 @@ def require_digits(digits: int) -> None:
         )
 
 
+def _is_int(n) -> bool:
+    """An ``int`` and not a ``bool``."""
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 @functools.lru_cache(maxsize=MAX_TABLES)
 def context(digits: int) -> MPContext:
     """The mpmath context at the guarded precision for ``digits``.
@@ -356,7 +361,7 @@ def two_sin_pi(a: int, q: int, digits: int) -> mpf:
 
 
 def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
-    """2*sin(a*pi/q) at d digits for each of the ascending ``residues``, 0 < a <= q/2.
+    """2*sin(a*pi/q) at d digits for each of the ascending integer ``residues``, 0 < a <= q/2.
 
     One cos/sin pair of pi/q, at P = prec + bits(q) + ``SINE_GUARD_BITS``
     fractional bits, is the step (c, s) of an integer rotation: from
@@ -381,13 +386,14 @@ def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
 
 def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
     """(P, [S_a]): the rotation of ``two_sines``, 2 S_a / 2^P ~ 2 sin(a pi/q), unrounded."""
-    if q < 2:
-        raise ValidationError(f"denominator q must be >= 2, got {q}")
+    if not _is_int(q) or q < 2:
+        raise ValidationError(f"denominator q must be an integer >= 2, got {q!r}")
     last = 0
     for a in residues:
-        if not last < a or 2 * a > q:
+        if not _is_int(a) or not last < a or 2 * a > q:
             raise ValidationError(
-                f"residues must ascend within 0 < a <= q/2, got a={a} after {last}, q={q}")
+                f"residues must be integers ascending within 0 < a <= q/2, "
+                f"got a={a!r} after {last}, q={q}")
         last = a
     point = prec + q.bit_length() + SINE_GUARD_BITS
     wp = point + 8
@@ -458,6 +464,8 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
     one fixed-point integer sum (``_bernoulli_tail``) at
     ``TAIL_EXTRA_BITS`` beyond the working precision, rounded once.
     """
+    if not _is_int(a) or not _is_int(q):
+        raise ValidationError(f"log Gamma(a/q) needs integers a and q, got a={a!r}, q={q!r}")
     if q < 1:
         raise ValidationError(f"denominator q must be >= 1, got {q}")
     if a <= 0:

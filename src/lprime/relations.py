@@ -8,22 +8,26 @@ can never take part in an independence statement: a/q = 1/6 (value
 log 1 = 0) and a/q = 1/4 (value (1/2) log 2).  In lowest terms those
 only occur at q = 6 and q = 4 respectively.
 
-``find_integer_relation`` returns an integer vector c with
+``find_relation_for_modulus`` returns an integer vector c with
 sum c_a * log(2 sin(a pi/q)) + c_pi pi + c_2 log 2 = 0 (the last two
 terms on an extended basis only), and takes it from theory, with no
-search.  On a plain basis the candidate is the first of the coset
-relations of ``arith.coset_relations``, which span every relation, so a
-prime power (which has none) returns None.  On a basis extended by pi
-and log 2 it is the same relation with c_pi = c_2 = 0.  No relation
-involves pi: pi = -i log(-1), log(-1) is linearly independent over Q of
-the real logs, and Baker's theorem makes it independent over the
-algebraic numbers too.  log 2 takes part only at q = 2^n, n >= 3
-(``arith.has_log2_relation``), where the half support sums to
-(1/2) log 2 and the one relation is (2, ..., 2, 0, -1).  Either way the
-candidate is accepted only after re-evaluating the combination from
-sines computed afresh at doubled precision (one ``log_sine_sum``), so a
+search and with no basis built.  Without the extension the candidate is
+the first of the coset relations of ``arith.coset_relations``, which
+span every relation, so a prime power (which has none) returns None.
+Extended by pi and log 2 it is the same relation with c_pi = c_2 = 0.
+No relation involves pi: pi = -i log(-1), log(-1) is linearly
+independent over Q of the real logs, and Baker's theorem makes it
+independent over the algebraic numbers too.  log 2 takes part only at
+q = 2^n, n >= 3 (``arith.has_log2_relation``), where the half support
+sums to (1/2) log 2 and the one relation is (2, ..., 2, 0, -1).  Both
+residuals of the candidate, at d and at 2d digits, are one
+``log_sine_sum`` of its coefficients from sines computed afresh, plus
+its log 2 term; the candidate is accepted only on the 2d one, so a
 returned relation carries a two-precision numerical certificate.
-``pslq_relation`` is the blind search the tests and demos cross-check
+``find_integer_relation`` takes a basis for the same answer and reads
+only its modulus and extension.  ``log_sine_basis`` has no library
+caller: it is the numeric basis of the cross-check, and
+``pslq_relation`` the blind search the tests and demos cross-check
 these answers with.
 
 Note on non-uniqueness: for composite q the relation space can have
@@ -96,8 +100,10 @@ class LogSineBasis:
 class Relation:
     """Integer relation among basis values, certified at two precisions.
 
-    ``pi_coefficient`` is always 0, since no relation involves pi; the
-    report keeps it so that its schema stays fixed.
+    ``pi_coefficient`` is always 0, since no relation involves pi, and
+    ``verified_at_2d`` is always true, since only a candidate that passes
+    the 2d gate is returned; the report keeps both so that its schema
+    stays fixed.
     """
 
     q: int
@@ -128,23 +134,30 @@ class Relation:
         }
 
 
+def _basis_residues(q: int) -> tuple[list[int], list[int]]:
+    """(residues, excluded): the half support of q split by the 6a = q, 4a = q rule."""
+    if q < 3:
+        raise ValidationError(f"basis needs q >= 3, got {q}")
+    residues, excluded = [], []
+    for a in half_units(q):
+        if 6 * a == q or 4 * a == q:
+            excluded.append(a)
+        else:
+            residues.append(a)
+    return residues, excluded
+
+
 def log_sine_basis(q: int, digits: int, extended: bool = False) -> LogSineBasis:
     """Basis entries (a, log(2 sin(a pi/q))) for coprime a <= q/2.
 
     The sines come from one ``two_sines`` call, and each entry takes one
     log.  Residues with 6a = q or 4a = q are excluded (rational powers of
     2; in lowest terms this only fires for q = 6 and q = 4).  When
-    ``extended`` is set, pi and log 2 are appended.
+    ``extended`` is set, pi and log 2 are appended.  No library route
+    builds one: it is the numeric basis of the PSLQ cross-check, while the
+    finder evaluates its candidate with ``log_sine_sum``.
     """
-    if q < 3:
-        raise ValidationError(f"basis needs q >= 3, got {q}")
-    residues = []
-    excluded = []
-    for a in half_units(q):
-        if 6 * a == q or 4 * a == q:
-            excluded.append(a)
-        else:
-            residues.append(a)
+    residues, excluded = _basis_residues(q)
     ctx = context(digits)
     entries = [(a, plain_mpf(ctx.log(v))) for a, v in zip(residues, two_sines(q, residues, digits))]
     ext = None
@@ -212,74 +225,73 @@ def _require_detectable(n_values: int, max_coeff: int, digits: int) -> None:
         )
 
 
+def find_relation_for_modulus(
+    q: int, max_coeff: int, digits: int, extended: bool = False
+) -> Relation | None:
+    """The integer relation of q's log-sine basis, accepted only after 2d verification.
+
+    The basis is log(2 sin(a pi/q)) over the half support without
+    6a = q and 4a = q, followed by pi and log 2 when ``extended`` is
+    set; the finder computes its residues and never its values.  The
+    candidate comes from theory.  Without the extension it is the first
+    vector of ``coset_relations(q)`` (all coefficients 1, so within any
+    ``max_coeff``).  Extended, it is that vector restricted to the basis
+    residues, followed by 0 for pi and 0 for log 2; at q = 2^n, n >= 3,
+    it is (2, ..., 2) followed by 0 and -1, and only when
+    ``max_coeff >= 2``.  None when there is no candidate: at prime
+    powers, at q = 6 extended (its one coset relation lies on the
+    excluded a = 1), and at q = 2^n with ``max_coeff = 1``.  The
+    candidate's residual is one ``log_sine_sum`` of its log-sine
+    coefficients plus its log 2 term, computed afresh at ``digits`` and
+    at 2*digits; it is kept only if the one at 2*digits stays below
+    10**(-2*digits+10).  ``digits`` and ``max_coeff`` are checked as a
+    search over the basis would need them.  Deterministic for fixed
+    inputs.
+    """
+    residues, _ = _basis_residues(q)
+    _require_detectable(len(residues) + 2 * extended, max_coeff, digits)
+    if extended and has_log2_relation(q):
+        # the half support sums to (1/2) log 2; the relation needs |c| = 2
+        coeffs, log2_c = ({a: 2 for a in residues} if max_coeff >= 2 else {}), -1
+    else:
+        first = set(next(iter(coset_relations(q)), ()))
+        coeffs, log2_c = {a: 1 for a in residues if a in first}, 0
+    if not coeffs:
+        return None
+    residual_2d = _relation_residual(q, coeffs, log2_c, 2 * digits)
+    if not residual_2d < context(2 * digits).mpf(10) ** (-(2 * digits) + 10):
+        return None
+    return Relation(
+        q=q,
+        digits=digits,
+        coefficients=coeffs,
+        pi_coefficient=0,
+        log2_coefficient=log2_c,
+        residual_at_d=_relation_residual(q, coeffs, log2_c, digits),
+        residual_at_2d=residual_2d,
+        verified_at_2d=True,
+    )
+
+
+def _relation_residual(q: int, coeffs: dict[int, int], log2_c: int, digits: int) -> mpf:
+    """|sum c_a log(2 sin(a pi/q)) + c_2 log 2| at d digits, the sines computed afresh."""
+    ctx = context(digits)
+    return plain_mpf(abs(ctx.convert(log_sine_sum(q, coeffs.items(), digits)) + log2_c * ctx.ln2))
+
+
 def find_integer_relation(
     basis: LogSineBasis, max_coeff: int, digits: int
 ) -> Relation | None:
-    """An integer relation among the basis values, accepted only after 2d re-verification.
+    """``find_relation_for_modulus`` for the basis's modulus and extension.
 
-    The candidate comes from theory.  On a plain basis it is the first
-    vector of ``coset_relations(q)`` (all coefficients 1, so within any
-    ``max_coeff``).  On an extended basis it is that vector restricted to
-    the basis entries, followed by 0 for pi and 0 for log 2; at
-    q = 2^n, n >= 3, it is (2, ..., 2) followed by 0 and -1, and only
-    when ``max_coeff >= 2``.  None when there is no candidate: at prime
-    powers, at q = 6 extended (its one coset relation lies on the
-    excluded a = 1), and at q = 2^n with ``max_coeff = 1``.  The
-    candidate is kept only if the combination, evaluated afresh at
-    2*digits, stays below 10**(-2*digits+10): one ``log_sine_sum`` of the
-    candidate's log-sine coefficients at 2*digits, plus its log 2 term,
-    with no basis built at 2*digits.
-    ``digits`` and ``max_coeff`` are checked as a search would need them.
-    Deterministic for fixed inputs.
+    The basis must carry at least ``digits`` digits; its values are not
+    read.
     """
     if basis.digits < digits:
         raise PrecisionError(
             f"basis carries {basis.digits} digits but detection wants {digits}"
         )
-    values = basis.all_values()
-    _require_detectable(len(values), max_coeff, digits)
-    if basis.extended and has_log2_relation(basis.q):
-        # the half support sums to (1/2) log 2; the relation needs |c| = 2
-        coeffs, log2_c = ({a: 2 for a, _ in basis.entries} if max_coeff >= 2 else {}), -1
-    else:
-        first = set(next(iter(coset_relations(basis.q)), ()))
-        coeffs, log2_c = {a: 1 for a, _ in basis.entries if a in first}, 0
-    if not coeffs:
-        return None
-    candidate = [coeffs.get(a, 0) for a, _ in basis.entries]
-    if basis.extended:
-        candidate += [0, log2_c]
-
-    residual_d = _residual(candidate, values, digits)
-    ctx = context(2 * digits)
-    log_sines = ctx.convert(log_sine_sum(basis.q, coeffs.items(), 2 * digits))
-    residual_2d = plain_mpf(abs(log_sines + log2_c * ctx.ln2))
-    verified = residual_2d < ctx.mpf(10) ** (-(2 * digits) + 10)
-    if not verified:
-        return None
-    return Relation(
-        q=basis.q,
-        digits=digits,
-        coefficients=coeffs,
-        pi_coefficient=0,
-        log2_coefficient=log2_c,
-        residual_at_d=residual_d,
-        residual_at_2d=residual_2d,
-        verified_at_2d=verified,
-    )
-
-
-def _residual(coeffs: list[int], values: list[mpf], digits: int) -> mpf:
-    """|sum c_i values_i| at d digits, each value lifted into the context first."""
-    ctx = context(digits)
-    return plain_mpf(abs(ctx.fsum(c * ctx.mpf(v) for c, v in zip(coeffs, values))))
-
-
-def find_relation_for_modulus(
-    q: int, max_coeff: int, digits: int, extended: bool = False
-) -> Relation | None:
-    """Convenience wrapper: build the basis for q, then find its relation."""
-    return find_integer_relation(log_sine_basis(q, digits, extended), max_coeff, digits)
+    return find_relation_for_modulus(basis.q, max_coeff, digits, basis.extended is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def test_selection_order():
 def test_input_errors_unchanged():
     with pytest.raises(ValidationError):
         find_integer_relation(log_sine_basis(21, 60), 0, 60)
-    for q in (3, 4, 6):  # fewer than two basis values
+    for q in (2, 3, 4, 6):  # no basis below q = 3, fewer than two basis values above
         with pytest.raises(ValidationError):
             find_relation_for_modulus(q, 10, 60)
     with pytest.raises(PrecisionError):

@@ -158,11 +158,17 @@ def test_two_sines_domain():
     assert two_sines(8, [], 50) == []
     assert two_sines(8, [4], 50) == [2]
     assert two_sines(2, [1], 50) == [2]
-    for residues in ([2, 1], [1, 1], [0, 1], [-1], [4], [1, 2, 4]):
+    for residues in ([2, 1], [1, 1], [0, 1], [-1], [4], [1, 2, 4], [1.5], [1, 2.0], [True],
+                     [Fraction(3, 2)]):
         with pytest.raises(ValidationError):
             two_sines(7, residues, 50)
+        with pytest.raises(ValidationError):
+            log_sine_sum(7, [(a, 1) for a in residues], 50)
+    for q in (1, 7.0, Fraction(7), True):
+        with pytest.raises(ValidationError):
+            two_sines(q, [], 50)
     with pytest.raises(ValidationError):
-        two_sines(1, [], 50)
+        log_sine_sum(7.5, [(1, 1)], 50)
     with pytest.raises(ValidationError):
         log_sine_sum(7, [(3, 1), (2, 1)], 50)
     with pytest.raises(ValidationError):
@@ -234,6 +240,9 @@ def test_log_gamma_domain():
         log_gamma_frac(-2, 4, 50)
     with pytest.raises(ValidationError):
         log_gamma_frac(5, 4, 50)
+    for a, q in ((1.5, 3), (1, 3.0), (Fraction(1, 2), 3), (True, 3), (1, True)):
+        with pytest.raises(ValidationError):
+            log_gamma_frac(a, q, 50)
 
 
 def test_reflection_formula(rng):

@@ -19,6 +19,7 @@ from lprime.errors import (
     ValidationError,
 )
 from lprime import numkernel
+from lprime.arith import coset_relations
 from lprime.lseries import l_deriv0_even
 from lprime.numkernel import prec_bits, two_sin_pi
 from lprime.periodic import PeriodicFunction, half_support
@@ -281,6 +282,18 @@ def _log_sine_results():
     return [v._mpf_ for v in values]
 
 
+def _patch_bindings(monkeypatch, original, replacement) -> set[str]:
+    """Replace ``original`` wherever an lprime module binds it; the names of those modules."""
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "lprime" or name.startswith("lprime."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    patched.add(name)
+                    monkeypatch.setattr(module, key, replacement)
+    return patched
+
+
 def test_log_sines_come_from_one_kernel(monkeypatch):
     # the library takes every log-sine from numkernel.two_sines: with
     # two_sin_pi, the oracle, raising wherever lprime binds it, every route
@@ -290,12 +303,43 @@ def test_log_sines_come_from_one_kernel(monkeypatch):
     def oracle_only(*args):
         raise AssertionError("two_sin_pi is the oracle, not a library route")
 
-    original, patched = numkernel.two_sin_pi, []
-    for name, module in list(sys.modules.items()):
-        if name == "lprime" or name.startswith("lprime."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    patched.append(name)
-                    monkeypatch.setattr(module, key, oracle_only)
-    assert {"lprime", "lprime.numkernel"} <= set(patched)
+    patched = _patch_bindings(monkeypatch, numkernel.two_sin_pi, oracle_only)
+    assert {"lprime", "lprime.numkernel"} <= patched
     assert _log_sine_results() == expected
+
+
+def test_finder_builds_no_numeric_basis(monkeypatch):
+    # the finder takes its residues from q and both residuals from one
+    # log_sine_sum each: with log_sine_basis and two_sines raising, it
+    # still returns the candidate theory gives, or None where there is none
+    import lprime.relations as rel_mod
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("the finder builds no numeric basis")
+
+    monkeypatch.setattr(rel_mod, "log_sine_basis", no_basis)
+    assert {"lprime", "lprime.numkernel", "lprime.relations"} <= _patch_bindings(
+        monkeypatch, numkernel.two_sines, no_basis)
+    d = 30
+    for q in range(3, 131):
+        residues = [a for a in oracle.half_support(q) if 6 * a != q and 4 * a != q]
+        first = set(next(iter(coset_relations(q)), ()))
+        for extended in (False, True):
+            if len(residues) + 2 * extended < 2:
+                with pytest.raises(ValidationError):
+                    find_relation_for_modulus(q, 4, d, extended)
+                continue
+            rel = find_relation_for_modulus(q, 4, d, extended)
+            power_of_two = extended and q in (8, 16, 32, 64, 128)
+            if power_of_two:
+                expected = {a: 2 for a in residues}, -1
+            else:
+                expected = {a: 1 for a in residues if a in first}, 0
+            if len(oracle.prime_factors(q)) == 1 and not power_of_two or q == 6:
+                assert rel is None, (q, extended)
+                continue
+            assert (rel.coefficients, rel.log2_coefficient) == expected, (q, extended)
+            assert rel.verified_at_2d and rel.pi_coefficient == 0, q
+            assert rel.residual_at_d < mpf(10) ** (-d + 10), q
+            assert rel.residual_at_2d < mpf(10) ** (-2 * d + 10), q
+    assert find_relation_for_modulus(8, 1, d, extended=True) is None
