@@ -14,8 +14,10 @@ the literature appears with either sign; differentiating L(s, f) fixes
 the minus sign used here, and vanishing statements do not depend on it.
 
 ``family_rank`` is exact: linear independence of even Dirichlet-type
-functions over a prime-power period is decided by one pass of rational
-echelon reduction over the half-support columns, never by floating point.
+functions over a prime-power period is decided by one pass of fraction-free
+integer echelon reduction over the half-support columns, never by floating
+point.  Its certificate is the primitive integer vector that rational
+elimination gives.
 """
 
 from __future__ import annotations
@@ -157,6 +159,14 @@ def family_rank(fs: list[PeriodicFunction]) -> RankResult:
     certificate: the unique expression of that first dependent f_j
     through the earlier independent f_i, as the primitive integer vector
     c (first non-zero entry positive) with sum_i c_i L'(0, f_i) = 0.
+
+    The reduction is fraction-free.  Row i starts as den_i f_i over its
+    common denominator den_i, with combination den_i e_i; each step
+    cross-multiplies by the two pivot entries and divides row and
+    combination by their gcd, so both stay integer and row = sum_j
+    combination_j f_j throughout.  Each row is a non-zero multiple of the
+    one rational elimination gives, so the pivots, the rank and the
+    (unique up to scale) certificate are the same.
     """
     if not fs:
         raise ValidationError("need at least one function")
@@ -171,16 +181,22 @@ def family_rank(fs: list[PeriodicFunction]) -> RankResult:
         require_even_dirichlet(f)
 
     columns = half_units(q)
-    echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (pivot, row, combination)
+    echelon: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, combination)
     certificate = None
     for i, f in enumerate(fs):
-        row = [f(a) for a in columns]
-        combo = [Fraction(int(j == i)) for j in range(len(fs))]
+        values = [f.values.get(a, 0) for a in columns]
+        den = lcm(*(v.denominator for v in values))
+        row = [v.numerator * (den // v.denominator) for v in values]
+        combo = [den if j == i else 0 for j in range(len(fs))]
         for pivot, prow, pcombo in echelon:
-            factor = row[pivot] / prow[pivot]
-            if factor:
-                row = [x - factor * y for x, y in zip(row, prow)]
-                combo = [x - factor * y for x, y in zip(combo, pcombo)]
+            b = row[pivot]
+            if b:
+                a = prow[pivot]
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                combo = [a * x - b * y for x, y in zip(combo, pcombo)]
+                g = gcd(*row, *combo)
+                row = [x // g for x in row]
+                combo = [x // g for x in combo]
         pivot = next((j for j, x in enumerate(row) if x), None)
         if pivot is not None:
             echelon.append((pivot, row, combo))
@@ -190,11 +206,9 @@ def family_rank(fs: list[PeriodicFunction]) -> RankResult:
     return RankResult(rank=rank, independent=rank == len(fs), certificate=certificate)
 
 
-def _primitive_integers(vec: list[Fraction]) -> list[int]:
-    """Scale a non-zero rational vector to coprime integers, first non-zero positive."""
-    denom = lcm(*(v.denominator for v in vec))
-    ints = [int(v * denom) for v in vec]
-    g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
+def _primitive_integers(vec: list[int]) -> list[int]:
+    """Divide a non-zero integer vector to coprime integers, first non-zero positive."""
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
         g = -g
-    return [x // g for x in ints]
+    return [x // g for x in vec]

@@ -14,13 +14,17 @@ The JSON form is ``{"q": <int>, "values": {"<residue>": "<num>/<den>"}}``
 with the denominator omitted when it is 1.  Serialization is canonical
 (residues ascending), so parse -> serialize round-trips byte-exactly.
 Parsing rejects a bool ``q``, a repeated key and a residue key that is
-not ``str(a)`` ("04", "+4", "4_0"), so no residue is named twice.
+not ``str(a)`` ("04", "+4", "4_0"), so no residue is named twice.  A value
+string is read with the grammar of ``Fraction(str)``; each distinct string
+of one file is parsed once, and its residues share the resulting
+``Fraction``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -32,6 +36,10 @@ from .arith import Character, half_units
 from .errors import ValidationError
 
 RationalLike = Fraction | int
+
+_ZERO = Fraction(0)
+#: Value strings that two ``int`` calls read exactly as ``Fraction(str)`` does.
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,7 @@ class PeriodicFunction:
             if isinstance(a, bool) or not isinstance(a, int) or not 1 <= a <= self.q:
                 raise ValidationError(f"residue {a!r} outside 1..{self.q}")
             frac = v if isinstance(v, Fraction) else Fraction(v)
-            if frac != 0:
+            if frac:
                 clean[a] = frac
         object.__setattr__(self, "values", MappingProxyType(dict(sorted(clean.items()))))
 
@@ -57,8 +65,11 @@ class PeriodicFunction:
 
     @cached_property
     def even(self) -> bool:
-        # a pair a, q - a that breaks evenness has a stored (non-zero) side
-        return all(self.values.get(self.q - a, 0) == v for a, v in self.values.items() if a < self.q)
+        # zero values are not stored, so a pair a, q - a with one zero side
+        # shows as a key missing from one of the two dicts
+        q = self.q
+        below = {a: v for a, v in self.values.items() if a < q}
+        return below == {q - a: v for a, v in below.items()}
 
     @cached_property
     def dirichlet(self) -> bool:
@@ -66,10 +77,10 @@ class PeriodicFunction:
 
     def __call__(self, n: int) -> Fraction:
         """Value at any positive integer, by periodicity."""
-        if n < 1:
-            raise ValidationError(f"argument must be a positive integer, got {n}")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValidationError(f"argument must be a positive integer, got {n!r}")
         r = n % self.q
-        return self.values.get(r if r else self.q, Fraction(0))
+        return self.values.get(r if r else self.q, _ZERO)
 
     def is_zero(self) -> bool:
         return not self.values
@@ -99,6 +110,7 @@ class PeriodicFunction:
         if not isinstance(raw, dict):
             raise ValidationError('"values" must be an object mapping residues to rationals')
         values: dict[int, Fraction] = {}
+        seen: dict[str, Fraction] = {}
         for key, val in raw.items():
             try:
                 a = int(key)
@@ -108,10 +120,13 @@ class PeriodicFunction:
                 raise ValidationError(f"residue key {key!r} is not written canonically as {str(a)!r}")
             if not isinstance(val, str):
                 raise ValidationError(f"value for residue {key!r} must be a string rational")
-            try:
-                values[a] = Fraction(val)
-            except (ValueError, ZeroDivisionError):
-                raise ValidationError(f"malformed rational {val!r} at residue {key!r}") from None
+            frac = seen.get(val)
+            if frac is None:
+                try:
+                    frac = seen[val] = _parse_rational(val)
+                except (ValueError, ZeroDivisionError):
+                    raise ValidationError(f"malformed rational {val!r} at residue {key!r}") from None
+            values[a] = frac
         return cls(q=data["q"], values=values)
 
     @classmethod
@@ -125,6 +140,14 @@ class PeriodicFunction:
     def digest(self) -> str:
         """Stable content hash (canonical JSON, SHA-256, first 16 hex chars)."""
         return hashlib.sha256(self.dumps().encode()).hexdigest()[:16]
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, with the plain ``n`` and ``n/d`` spellings read by ``int``."""
+    if not _PLAIN_RATIONAL.fullmatch(text):
+        return Fraction(text)
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def _dict_without_repeats(pairs: list[tuple[str, object]]) -> dict:
@@ -183,4 +206,4 @@ def half_support(f: PeriodicFunction) -> list[tuple[int, Fraction]]:
     used by the log-sine formulas and the rank criterion.
     """
     require_even_dirichlet(f)
-    return [(a, f(a)) for a in half_units(f.q)]
+    return [(a, f.values.get(a, _ZERO)) for a in half_units(f.q)]

@@ -4,7 +4,7 @@ and the precision contract under threads and ambient precisions."""
 import concurrent.futures
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from mpmath import mp, mpf
@@ -265,6 +265,60 @@ def test_family_rank_against_sympy(q, rng):
         # independent ones before it, so it is zero after that index
         first = next(j for j in range(len(fs)) if oracle.sympy_rank(rows[:j + 1]) <= j)
         assert cert[first] != 0 and not any(cert[first + 1:]), name
+
+
+#: Pairwise coprime denominators near 10^6 (the primes below it), and 1.
+_LARGE_DENOMINATORS = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907, 1)
+
+
+def _large_even_dirichlet(q, rng, pool_size):
+    """Even Dirichlet-type f mod q, each value one of ``pool_size`` draws k/p,
+    |k| <= 10^20 and p in _LARGE_DENOMINATORS."""
+    pool = [Fraction(rng.randint(-10**20, 10**20), rng.choice(_LARGE_DENOMINATORS))
+            for _ in range(pool_size)]
+    values = {}
+    for a in oracle.half_support(q):
+        values[a] = values[q - a] = rng.choice(pool)
+    return PeriodicFunction(q=q, values=values)
+
+
+def _primitive(vec):
+    """The rational vector scaled to coprime integers, first non-zero entry positive."""
+    vec = [Fraction(v) for v in vec]
+    den = lcm(*(v.denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
+
+
+@pytest.mark.parametrize("q", [49, 121, 128, 343])
+def test_family_rank_large_values(q, rng):
+    # sizes and magnitudes the census never reaches: up to 147 columns, values
+    # k/p with |k| up to 10^20 over pairwise coprime p near 10^6
+    f, g, h = (_large_even_dirichlet(q, rng, pool_size=q) for _ in range(3))
+    c = (Fraction(10**20 + 39, 999983), Fraction(-7 * 10**12, 999979 * 3), Fraction(5, 11))
+    mix = _combination(q, [(c[0], f), (c[1], g), (c[2], h)])
+    k = Fraction(-10**19 - 3, 999961)
+    scaled = _combination(q, [(k, g)])
+    # few distinct value strings, so parsed residues share their Fractions
+    r, s, t = (_large_even_dirichlet(q, rng, pool_size=3) for _ in range(3))
+    parsed = [PeriodicFunction.loads(fn.dumps())
+              for fn in (r, s, t, _combination(q, [(c[0], r), (c[1], s), (c[2], t)]))]
+    families = {  # name -> (family, expected certificate)
+        "independent": ([f, g, h], None),
+        "combination": ([f, g, h, mix], _primitive([*c, -1])),
+        "scaled early": ([f, g, scaled, h], _primitive([0, k, -1, 0])),
+        "parsed": (parsed, _primitive([*c, -1])),
+    }
+    columns = oracle.half_support(q)
+    for name, (fs, certificate) in families.items():
+        res = family_rank(fs)
+        rank = oracle.sympy_rank([[fn(a) for a in columns] for fn in fs])
+        assert res.rank == rank == len(fs) - (certificate is not None), name
+        assert res.independent == (certificate is None), name
+        assert res.certificate == certificate, name
 
 
 def test_family_rank_preconditions():

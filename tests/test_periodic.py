@@ -49,6 +49,10 @@ def test_periodicity_of_call():
     assert f(5) == f(10) == 0
     with pytest.raises(ValidationError):
         f(0)
+    # only ints: no rounding, truncation or bool-as-int
+    for n in (1.5, Fraction(3, 2), 2.0, Fraction(2), True, False, "2", None):
+        with pytest.raises(ValidationError):
+            f(n)
 
 
 def test_validate_examples():
@@ -198,6 +202,30 @@ def _any_function(draw):
 @given(f=_any_function())
 def test_validate_matches_definitions(f):
     assert validate(f) == _validate_reference(f)
+    parsed = PeriodicFunction.loads(f.dumps())  # residues share their parsed values
+    assert validate(parsed) == _validate_reference(parsed) == _validate_reference(f)
+
+
+@pytest.mark.parametrize("q, values", [
+    (7, {7: 1}),                                # stored at a = q, which pairs with itself
+    (7, {7: 1, 2: 3, 5: 3}),
+    (8, {4: 3}),                                # a = q/2 for even q
+    (8, {4: 3, 1: 1}),
+    (8, {8: 2, 4: 3, 3: 1, 5: 1}),
+    (9, {2: 1}),                                # one side of a pair only
+    (9, {2: 1, 7: 1, 4: Fraction(1, 2)}),
+    (9, {2: Fraction(1, 3), 7: Fraction(2, 6)}),  # equal values, distinct objects
+    (9, {2: Fraction(1, 3), 7: Fraction(1, 3) + 1}),
+])
+def test_validate_edge_residues(q, values):
+    f = PeriodicFunction(q=q, values=values)
+    assert validate(f) == _validate_reference(f)
+    assert validate(PeriodicFunction.loads(f.dumps())) == _validate_reference(f)
+
+
+def test_evenness_of_distinct_strings_for_one_value():
+    g = PeriodicFunction.loads('{"q": 9, "values": {"2": "1/3", "7": "2/6"}}')
+    assert g.values[2] is not g.values[7] and validate(g) == (True, True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -290,3 +318,53 @@ def test_bool_period_and_residue_rejected():
             PeriodicFunction(q=q, values={})
     with pytest.raises(ValidationError):  # would serialize as the key "True"
         PeriodicFunction(q=5, values={True: 1, 4: 1})
+
+
+# ---------------------------------------------------------------------------
+# Value strings: the grammar of Fraction(str), one parse per distinct string
+
+def _reference_loads(q, strings):
+    """The function read value by value with ``Fraction(str)``, or None where that rejects."""
+    try:
+        return PeriodicFunction(q=q, values={a: Fraction(s) for a, s in strings.items()})
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _assert_parses_as_fraction_str(q, strings):
+    text = json.dumps({"q": q, "values": {str(a): s for a, s in sorted(strings.items())}})
+    expected = _reference_loads(q, strings)
+    if expected is None:
+        with pytest.raises(ValidationError):
+            PeriodicFunction.loads(text)
+        return
+    f = PeriodicFunction.loads(text)
+    assert f == expected
+    assert f.dumps() == expected.dumps()
+    # residues written with one string share one Fraction
+    stored = {s: f.values[a] for a, s in strings.items() if a in f.values}
+    assert all(f.values[a] is stored[s] for a, s in strings.items() if a in f.values)
+
+
+_VALUE_STRINGS = [" 1/2 ", "+3", "0.5", "1e3", "1_0", "-0", "0/7", "2/4", "-6/4", "3/0",
+                  "1/-2", "/2", "1/", "", "-", "1//2", "1/2\n", "١/٢",
+                  "٣", "7٠", "１/２", "00012/0004", "-00/5"]
+
+
+@pytest.mark.parametrize("s", _VALUE_STRINGS)
+def test_value_strings_parse_as_fraction_str(s):
+    _assert_parses_as_fraction_str(7, {1: s, 6: s})
+    _assert_parses_as_fraction_str(7, {1: s, 2: "1/3", 5: "1/3", 6: s})
+
+
+_plain_rational_string = st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.integers(min_value=1, max_value=40),
+       pool=st.lists(_plain_rational_string, min_size=1, max_size=4),
+       data=st.data())
+def test_plain_value_strings_parse_as_fraction_str(q, pool, data):
+    residues = data.draw(st.lists(st.integers(1, q), min_size=1, max_size=12, unique=True))
+    strings = {a: data.draw(st.sampled_from(pool)) for a in residues}  # repeats share a string
+    _assert_parses_as_fraction_str(q, strings)
