@@ -37,6 +37,7 @@ from .numkernel import (
     hurwitz_zeta_ds,
     log_gamma_frac,
     log_sine_sum,
+    periodic_zeta,
     plain_mpf,
     to_mpf,
 )
@@ -56,16 +57,13 @@ def _reject_pole(s: RealLike) -> None:
 def l_value(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
     """L(s, f) = q^(-s) sum_{a=1}^{q} f(a) zeta(s, a/q) at d digits, s != 1.
 
-    ``s`` reaches ``hurwitz_zeta`` unrounded: its exact value picks the
-    head of the series, and near the pole it keeps s - 1.
+    One ``periodic_zeta``: a single Euler-Maclaurin head over every
+    m <= Nq with f(m) != 0, with roots or powers at the primes only, and
+    one tail per residue.  ``s`` is taken at its exact value, which picks
+    the head's route, and near the pole it keeps s - 1.
     """
     _reject_pole(s)
-    ctx = context(digits)
-    sm = to_mpf(s, ctx)
-    total = ctx.mpf(0)
-    for a, v in f.values.items():
-        total += to_mpf(v, ctx) * hurwitz_zeta(s, Fraction(a, f.q), digits)
-    return plain_mpf(ctx.power(f.q, -sm) * total)
+    return periodic_zeta(s, f.q, f.values, digits)
 
 
 def l_deriv(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:

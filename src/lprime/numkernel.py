@@ -8,7 +8,7 @@ uniform: a value computed at ``d`` digits agrees with the same value at
 ``2d`` digits to within 10**(-d+5), relative to the value where its size
 exceeds 1 (a float at the working precision resolves no more).
 
-The four special functions every other module needs live here:
+The special functions every other module needs live here:
 
 * exact Bernoulli numbers (cached),
 * 2*sin(a*pi/q) for ascending residues a <= q/2 of one q
@@ -30,7 +30,15 @@ The four special functions every other module needs live here:
   v-th roots, rounded once, times one power; and a power (and for the
   derivative a log) per term for every other head.  The route is chosen
   by the exact value of s: an ``mpf`` or ``float`` is a dyadic rational,
-  so ``mpf("0.5")``, ``0.5`` and ``Fraction(1, 2)`` give the same bits.
+  so ``mpf("0.5")``, ``0.5`` and ``Fraction(1, 2)`` give the same bits,
+* L(s, f) = sum f(m) m^(-s) for f of period q (``periodic_zeta``), the
+  same series at one shift N for all residues a: the exact Bernoulli
+  polynomials at integer s <= 0, and otherwise one tail per residue and
+  one head for all of them, over m <= Nq.  m^(-s) is completely
+  multiplicative, so the head takes its fixed-point v-th root at s = u/v
+  at the primes only (one power per prime past the root cost bound) and
+  one integer product at every other m, except at v = 1, where a
+  quotient per term costs less than a product.
 
 Both series end in a Bernoulli tail, sum_k c_k w^-(2k-1) at w = m/den, an
 exact rational.  ``_bernoulli_tail`` sums it in integers: the coefficients
@@ -70,10 +78,12 @@ context or on the order of the fills.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
+from array import array
 from fractions import Fraction
-from typing import Union
+from typing import Mapping, Union
 
 from mpmath import mp, mpf
 from mpmath.ctx_mp import MPContext
@@ -84,6 +94,8 @@ from mpmath.libmp import (
     mpf_cos_sin,
     mpf_div,
     mpf_pi,
+    mpf_pow,
+    round_floor,
     round_nearest,
     to_fixed,
     to_rational,
@@ -493,7 +505,14 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta by Euler-Maclaurin
+# Hurwitz zeta and L(s, f) by Euler-Maclaurin
+
+def _check_s(s: RealLike) -> None:
+    if not mp.isfinite(s):
+        raise ValidationError(f"s must be finite, got {s}")
+    if s == 1:
+        raise PoleError("Hurwitz zeta has a simple pole at s = 1")
+
 
 def _check_hurwitz_args(s: RealLike, x: Fraction, digits: int) -> None:
     require_digits(digits)
@@ -501,10 +520,7 @@ def _check_hurwitz_args(s: RealLike, x: Fraction, digits: int) -> None:
         raise ValidationError(f"x must be a Fraction, got {type(x).__name__}")
     if not 0 < x <= 1:
         raise ValidationError(f"x must lie in (0, 1], got {x}")
-    if not mp.isfinite(s):
-        raise ValidationError(f"s must be finite, got {s}")
-    if s == 1:
-        raise PoleError("Hurwitz zeta has a simple pole at s = 1")
+    _check_s(s)
 
 
 def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
@@ -578,6 +594,69 @@ def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
     return _euler_maclaurin(s, x, digits, derivative=True)
 
 
+def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: int) -> mpf:
+    """L(s, f) = sum_{m>=1} f(m) m^(-s) at d digits, finite real s != 1.
+
+    f has period ``q``: f(m) = values[a] for m = a mod q, with the
+    residues a in 1..q (a = q for m = 0 mod q), and 0 at a residue not
+    listed.  The values are ints or Fractions.  L(s, f) is
+    q^(-s) sum_a f(a) zeta(s, a/q), and exactly 0 when every value is 0.
+
+    At integer s = -k <= 0 the value is the exact rational
+    q^k sum_a f(a) zeta(-k, a/q), by the Bernoulli polynomials of
+    ``hurwitz_zeta``, rounded once.  Every other s takes Euler-Maclaurin
+    with one shift N for all residues, the shifts and extra digits of
+    ``hurwitz_zeta``: N doubles for all residues while any tail grows.
+    Each residue with f(a) != 0 keeps its own integral term, half term and
+    Bernoulli tail at w = N + a/q, from the coefficient tables of
+    ``hurwitz_zeta``; their sum is multiplied by one power q^(-s).
+
+    The heads of all residues together are one sum over m <= Nq,
+    sum f(m) m^(-s), and m^(-s) is completely multiplicative.  So
+    r(m) = floor(2^P m^(-s)) is taken at primes only.  Every other m the
+    sum needs, the support and the cofactors its composites are built
+    from, is r(m) = (r(m/p) r(p)) >> P, with p the least prime factor of
+    m.  At a prime, for s = u/v in lowest terms, r(p) is the integer
+    v-th root of floor(2^(vP) / p^u) (of p^|u| 2^(vP) for u < 0); where
+    that root would cost more than a power (``_EXACT_ROOT_BITS``, as in
+    ``hurwitz_zeta``), it is one power p^(-s) at P + 8 bits, floored to
+    P bits.  Either is within one unit of 2^-P.  At v = 1 the root is the
+    identity, floor(2^P / m^u), and that quotient costs less than a
+    product, so there every m is taken directly, as if it were prime.  The
+    r(m) of the residues that share a value of f are summed as one
+    integer, the sums take one multiply per distinct value, exactly, and
+    the head is rounded once.
+
+    Error of the head.  r(m) carries Omega(m) roots or powers and
+    Omega(m) - 1 products, each off by less than one unit, and at s > 0
+    no factor exceeds 1, so r(m) is within 2 Omega(m) < 2 bits(Nq) units
+    of 2^P m^(-s).  At s < 0 every factor is at least 1, so r(m) is within
+    2 bits(Nq) 2^-P of itself, relative.  With
+    P = prec + bits(2 Nq bits(Nq)), the head is within
+    2^-prec sum_a |f(a)| of its exact value at s > 0, and within 2^-prec
+    relative to sum |f(m)| m^(-s) at s < 0, where the extra digits cover
+    its cancellation against the integral terms.
+    """
+    require_digits(digits)
+    _check_s(s)
+    if not _is_int(q) or q < 1:
+        raise ValidationError(f"period q must be a positive integer, got {q!r}")
+    for a in values:
+        if not _is_int(a) or not 1 <= a <= q:
+            raise ValidationError(f"residue {a!r} outside 1..{q}")
+    ctx = context(digits)
+    support = {a: c for a, c in values.items() if c}
+    if not support:
+        return plain_mpf(ctx.mpf(0))
+    s = _exact_real(s)
+    if s.denominator == 1 and s <= 0:
+        n = 1 - s.numerator
+        return _rounded(ctx, q ** (n - 1) * sum(
+            c * _zeta_at_nonpositive(n, Fraction(a, q)) for a, c in support.items()))
+    return _em_shifts(s, digits, lambda wctx, n_shift, target: _periodic_attempt(
+        wctx, s, q, support, n_shift, target), f"L(s={s}) of period {q}")
+
+
 def _em_first_shift(digits: int) -> int:
     """The first Euler-Maclaurin shift N at ``digits``; retries double it."""
     return max(10, math.ceil(0.8 * digits))
@@ -594,15 +673,32 @@ def _exact_real(value: RealLike) -> Fraction:
     return Fraction(*to_rational(value._mpf_))
 
 
+def _zeta_at_nonpositive(n: int, x: Fraction) -> Fraction:
+    """zeta(1 - n, x) = -B_n(x)/n exactly, n >= 1, B_n(x) = sum_j C(n, j) B_j x^(n-j)."""
+    return -sum(math.comb(n, j) * bernoulli(j) * x ** (n - j) for j in range(n + 1)) / n
+
+
+def _rounded(ctx: MPContext, value: Fraction) -> mpf:
+    """An exact rational rounded once into ``ctx``, as a plain mpf."""
+    return plain_mpf(ctx.make_mpf(from_rational(value.numerator, value.denominator, ctx.prec, round_nearest)))
+
+
 def _euler_maclaurin(s: RealLike, x: Fraction, digits: int, derivative: bool) -> mpf:
-    ctx = context(digits)
     s = _exact_real(s)
     if s.denominator == 1 and s <= 0 and not derivative:
-        # zeta(1 - n, x) = -B_n(x)/n, B_n(x) = sum_j C(n, j) B_j x^(n-j)
-        n = 1 - s.numerator
-        exact = -sum(math.comb(n, j) * bernoulli(j) * x ** (n - j) for j in range(n + 1)) / n
-        return plain_mpf(ctx.make_mpf(
-            from_rational(exact.numerator, exact.denominator, ctx.prec, round_nearest)))
+        return _rounded(context(digits), _zeta_at_nonpositive(1 - s.numerator, x))
+    return _em_shifts(s, digits, lambda wctx, n_shift, target: _em_attempt(
+        wctx, s, x, n_shift, target, derivative), f"zeta(s={s}, x={x})")
+
+
+def _em_shifts(s: Fraction, digits: int, attempt, what: str) -> mpf:
+    """The first value ``attempt(ctx, N, target)`` gives over the shifts N, rounded to ``digits``.
+
+    N starts at ``_em_first_shift`` and doubles while the attempt returns
+    None, up to 64 d.  ``target`` is 10**-(d + EXTRA_DIGITS), the bound on
+    a tail's last term.
+    """
+    ctx = context(digits)
     target = ctx.mpf(10) ** (-(digits + EXTRA_DIGITS))
     n_shift = _em_first_shift(digits)
     n_cap = 64 * digits
@@ -610,40 +706,58 @@ def _euler_maclaurin(s: RealLike, x: Fraction, digits: int, derivative: bool) ->
         # at s < 0 the head and the integral term, both of size about
         # N^(1-s)/(1-s), cancel down to zeta: work with that many more digits
         extra = math.ceil((1 - s) * math.log10(n_shift + 1)) if s < 0 else 0
-        value = _em_attempt(context(digits + extra), s, x, n_shift, target, derivative)
+        value = attempt(context(digits + extra), n_shift, target)
         if value is not None:
             return plain_mpf(+ctx.make_mpf(value._mpf_))
         if n_shift >= n_cap:
             raise ConvergenceError(
-                f"Euler-Maclaurin tail for zeta(s={s}, x={x}) did not fall below "
+                f"Euler-Maclaurin tail for {what} did not fall below "
                 f"10^-{digits + EXTRA_DIGITS} with shift up to {n_cap}"
             )
         n_shift = min(2 * n_shift, n_cap)
 
 
 def _em_attempt(ctx: MPContext, s: Fraction, x: Fraction, n_shift: int, target: mpf, derivative: bool):
-    """One Euler-Maclaurin evaluation at fixed shift; None if the tail grows.
+    """zeta(s, x), or its s-derivative, at fixed shift N; None if the tail grows.
 
-    ``s`` is exact.  The integral term takes s - 1 from it before rounding,
-    so an ``s`` closer to the pole than the working precision resolves is
-    still evaluated at itself.  The tail is summed first, so a shift whose
-    tail grows costs no head.  ``target`` bounds the tail's last term, and
-    may come from a context of lower precision than ``ctx``.
+    ``s`` is exact.  The tail is summed first (``_em_rest``), so a shift
+    whose tail grows costs no head.
     """
     num, den = x.numerator, x.denominator
     sm = to_mpf(s, ctx)
-    s1 = to_mpf(s - 1, ctx)
-    m = n_shift * den + num
+    rest = _em_rest(ctx, s, sm, n_shift * den + num, den, target, derivative)
+    if rest is None:
+        return None
+    integral, half, tail = rest
+    return _em_head(ctx, s, sm, num, den, n_shift, derivative) + integral + half + tail
+
+
+def _periodic_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int, target: mpf):
+    """L(s, f) at fixed shift N for every residue; None if any tail grows."""
+    sm = to_mpf(s, ctx)
+    rests = ctx.mpf(0)
+    for a, c in support.items():
+        rest = _em_rest(ctx, s, sm, n_shift * q + a, q, target, False)
+        if rest is None:
+            return None
+        integral, half, tail = rest
+        rests += to_mpf(c, ctx) * (integral + half + tail)
+    return _periodic_head(ctx, s, q, support, n_shift) + ctx.power(q, -sm) * rests
+
+
+def _em_rest(ctx: MPContext, s: Fraction, sm: mpf, m: int, den: int, target: mpf, derivative: bool):
+    """(integral term, half term, Bernoulli tail) of Euler-Maclaurin at w = m/den; None if the tail grows.
+
+    These are the terms of zeta(s, x), or of its s-derivative, past the
+    head of N terms, for w = N + x.  ``s`` is exact and ``sm`` is it in
+    ``ctx``.  The integral term takes s - 1 from the exact s before
+    rounding, so an ``s`` closer to the pole than the working precision
+    resolves is still evaluated at itself.  ``target`` bounds the tail's
+    last term, and may come from a context of lower precision than
+    ``ctx``.
+    """
     w = ctx.mpf(m) / den
-    lw = ctx.log(w)
     w_neg_s = ctx.power(w, -sm)
-    a_int = w * w_neg_s
-    if derivative:
-        integral = -a_int * (lw * s1 + 1) / s1 ** 2
-        half = -lw * w_neg_s / 2
-    else:
-        integral = a_int / s1
-        half = w_neg_s / 2
 
     # Bernoulli tail: w^-s sum_k C_k(s) w^-(2k-1), differentiated by the
     # product rule into w^-s sum_k (D_k(s) - C_k(s) log w) w^-(2k-1).  The
@@ -651,14 +765,23 @@ def _em_attempt(ctx: MPContext, s: Fraction, x: Fraction, n_shift: int, target: 
     point = ctx.prec + TAIL_EXTRA_BITS
     cutoff = to_fixed((ctx.convert(target) / w_neg_s)._mpf_, point)
     if derivative:
+        lw = ctx.log(w)
         tail = _bernoulli_tail(lambda n: _em_table(point, s, n), m, den, point, cutoff,
                                to_fixed(lw._mpf_, point))
     else:
         tail = _bernoulli_tail(lambda n: _em_table(point, s, n)[0], m, den, point, cutoff)
     if tail is None:
         return None
-    return (_em_head(ctx, s, sm, num, den, n_shift, derivative) + integral + half
-            + w_neg_s * ctx.ldexp(tail, -point))
+
+    s1 = to_mpf(s - 1, ctx)
+    a_int = w * w_neg_s
+    if derivative:
+        integral = -a_int * (lw * s1 + 1) / s1 ** 2
+        half = -lw * w_neg_s / 2
+    else:
+        integral = a_int / s1
+        half = w_neg_s / 2
+    return integral, half, w_neg_s * ctx.ldexp(tail, -point)
 
 
 def _em_head(ctx: MPContext, s: Fraction, sm: mpf, num: int, den: int, n_shift: int, derivative: bool):
@@ -692,6 +815,78 @@ def _em_head(ctx: MPContext, s: Fraction, sm: mpf, num: int, den: int, n_shift: 
         p = ctx.power(base, -sm)
         head += -ctx.log(base) * p if derivative else p
     return head
+
+
+def _periodic_head(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int):
+    """sum_{m <= Nq} f(m) m^(-s) in ``ctx``, by the sieve of ``periodic_zeta``.
+
+    f(m) is ``support[a]`` for m = a mod q (a = q for m = 0 mod q).
+    """
+    top = n_shift * q
+    u, v = s.numerator, s.denominator
+    point = ctx.prec + (2 * top * top.bit_length()).bit_length()
+    if v * (v * point + abs(u) * top.bit_length()) <= _EXACT_ROOT_BITS:
+        scale = 1 << (v * point)
+        if u > 0:
+            def at_prime(p):
+                return _iroot(scale // p ** u, v)
+        else:
+            def at_prime(p):
+                return _iroot(p ** -u * scale, v)
+    else:
+        wp = point + 8
+        neg_s = from_rational(-u, v, wp, round_nearest)
+
+        def at_prime(p):
+            return to_fixed(mpf_pow(from_int(p), neg_s, wp, round_floor), point)
+
+    # slot[m mod q]: the index of f(m) among the distinct values, -1 for 0
+    distinct = list(dict.fromkeys(support.values()))
+    index = {c: i for i, c in enumerate(distinct)}
+    slot = [-1] * q
+    for a, c in support.items():
+        slot[a % q] = index[c]
+    # wanted[m]: r(m) is computed (the support, and the cofactor m/p and
+    # the prime p of every composite m computed); kept[m]: it is read again
+    wanted = bytearray(i >= 0 for i in slot) * (n_shift + 1)
+    del wanted[top + 1:]
+    wanted[0] = wanted[1] = 0
+    kept = bytearray(top // 2 + 1)
+    if v == 1:
+        # the root is the identity, and one quotient costs less than a
+        # product: every m is taken directly, as if it were prime
+        lpf = range(top + 1)
+    else:
+        lpf = _least_prime_factors(top)
+        for m in range(top, 3, -1):
+            if wanted[m]:
+                p = lpf[m]
+                if p != m:
+                    wanted[p] = wanted[m // p] = kept[p] = kept[m // p] = 1
+    sums = [0] * len(distinct)
+    if slot[1 % q] >= 0:
+        sums[slot[1 % q]] = 1 << point
+    r_kept = [0] * len(kept)
+    for m in itertools.compress(range(top + 1), wanted):
+        p = lpf[m]
+        r = at_prime(m) if p == m else r_kept[m // p] * r_kept[p] >> point
+        if m < len(kept) and kept[m]:
+            r_kept[m] = r
+        i = slot[m % q]
+        if i >= 0:
+            sums[i] += r
+    den = math.lcm(*(c.denominator for c in distinct))
+    total = sum(c.numerator * (den // c.denominator) * t for c, t in zip(distinct, sums))
+    return ctx.make_mpf(from_rational(total, den << point, ctx.prec, round_nearest))
+
+
+def _least_prime_factors(n: int) -> array:
+    """The least prime factor of each m in 0..n, as an array; m itself at 0, 1 and the primes."""
+    table = array("I", range(n + 1))
+    primes = [p for p in range(2, math.isqrt(n) + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for p in reversed(primes):  # the least prime writes last
+        table[p * p::p] = array("I", [p]) * len(range(p * p, n + 1, p))
+    return table
 
 
 def _iroot(x: int, v: int) -> int:

@@ -4,7 +4,7 @@ import concurrent.futures
 import random
 import sys
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 
 import mpmath
 import pytest
@@ -26,6 +26,8 @@ from lprime.numkernel import (
     two_sin_pi,
     two_sines,
 )
+from lprime.lseries import l_value
+from lprime.periodic import PeriodicFunction
 
 # Oracle-derived 65-digit reference values (parsed at full precision).
 with mp.workprec(300):
@@ -465,6 +467,23 @@ def test_hurwitz_same_exact_s_same_bits(root_calls):
     assert abs(rounded - exact) < tol(d)
 
 
+def test_l_value_roots_only_at_primes(root_calls):
+    # one head for all of L(s, f): r(m) = floor(2^P m^(-s)) is a root at
+    # the primes and a product elsewhere.  At s = 1/2 (v = 2, no root
+    # recurses) an even Dirichlet-type f that is non-zero on every unit
+    # takes one root per prime p <= Nq not dividing q, and no other
+    q, d, s = 36, 50, Fraction(1, 2)
+    f = PeriodicFunction(q=q, values={a: 1 + min(a, q - a) % 3 for a in range(1, q) if gcd(a, q) == 1})
+    top = numkernel._em_first_shift(d) * q
+    primes = [p for p in range(2, top + 1) if q % p and all(p % k for k in range(2, isqrt(p) + 1))]
+    root_calls.clear()
+    mine = l_value(s, f, d)
+    assert root_calls == [2] * len(primes)
+    with mp.workprec(prec_bits(d) + 40):
+        ref = mp.power(q, -0.5) * mp.fsum(v * mp.zeta(0.5, mpf(a) / q) for a, v in f.values.items())
+    assert abs(mine - ref) < tol(d)
+
+
 def test_hurwitz_near_pole_against_mpmath():
     # s - 1 = 10^-60 is below the resolution of 20 digits; the integral
     # term takes it from the exact s, so zeta keeps its 1/(s - 1) size
@@ -484,6 +503,18 @@ def test_hurwitz_rejects_non_finite_s():
         for fn in (hurwitz_zeta, hurwitz_zeta_ds):
             with pytest.raises(ValidationError):
                 fn(s, Fraction(1, 2), 20)
+
+
+def test_periodic_zeta_domain():
+    for q, values in ((0, {}), (True, {1: 1}), (5, {0: 1}), (5, {6: 1}), (5, {True: 1})):
+        with pytest.raises(ValidationError):
+            numkernel.periodic_zeta(2, q, values, 20)
+    for s in (float("nan"), mpf("inf")):
+        with pytest.raises(ValidationError):
+            numkernel.periodic_zeta(s, 5, {1: 1}, 20)
+    with pytest.raises(PoleError):
+        numkernel.periodic_zeta(1, 5, {1: 1}, 20)
+    assert numkernel.periodic_zeta(Fraction(1, 3), 5, {2: 0}, 20) == 0
 
 
 def test_hurwitz_tables_keyed_by_precision(empty_tables):
