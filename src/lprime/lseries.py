@@ -58,9 +58,10 @@ def l_value(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
     """L(s, f) = q^(-s) sum_{a=1}^{q} f(a) zeta(s, a/q) at d digits, s != 1.
 
     One ``periodic_zeta``: a single Euler-Maclaurin head over every
-    m <= Nq with f(m) != 0, with roots or powers at the primes only, and
-    one tail per residue.  ``s`` is taken at its exact value, which picks
-    the head's route, and near the pole it keeps s - 1.
+    m <= Nq with f(m) != 0, with a root or power per term for a sparse f
+    and at the primes only for a dense one, and one tail per residue.
+    ``s`` is taken at its exact value, which picks the head's route, and
+    near the pole it keeps s - 1.
     """
     _reject_pole(s)
     return periodic_zeta(s, f.q, f.values, digits)

@@ -34,11 +34,13 @@ The special functions every other module needs live here:
 * L(s, f) = sum f(m) m^(-s) for f of period q (``periodic_zeta``), the
   same series at one shift N for all residues a: the exact Bernoulli
   polynomials at integer s <= 0, and otherwise one tail per residue and
-  one head for all of them, over m <= Nq.  m^(-s) is completely
-  multiplicative, so the head takes its fixed-point v-th root at s = u/v
-  at the primes only (one power per prime past the root cost bound) and
-  one integer product at every other m, except at v = 1, where a
-  quotient per term costs less than a product.
+  one head for all of them, sum f(m) floor(2^P m^(-s)) over m <= Nq in
+  integers, with a fixed-point v-th root at s = u/v (one power past the
+  root cost bound).  A sparse f, and every f at v = 1, takes one root
+  per term.  A dense f (|support| ln(Nq) > q, as for the Dirichlet-type
+  f of small q) takes its roots at the primes only, by a least-prime-
+  factor sieve over 1..Nq, and one integer product at every other m,
+  since m^(-s) is completely multiplicative.
 
 Both series end in a Bernoulli tail, sum_k c_k w^-(2k-1) at w = m/den, an
 exact rational.  ``_bernoulli_tail`` sums it in integers: the coefficients
@@ -599,7 +601,8 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
 
     f has period ``q``: f(m) = values[a] for m = a mod q, with the
     residues a in 1..q (a = q for m = 0 mod q), and 0 at a residue not
-    listed.  The values are ints or Fractions.  L(s, f) is
+    listed.  The values are ints or Fractions.  q and the residues are
+    taken as given: ``PeriodicFunction`` has checked them.  L(s, f) is
     q^(-s) sum_a f(a) zeta(s, a/q), and exactly 0 when every value is 0.
 
     At integer s = -k <= 0 the value is the exact rational
@@ -612,38 +615,45 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
     ``hurwitz_zeta``; their sum is multiplied by one power q^(-s).
 
     The heads of all residues together are one sum over m <= Nq,
-    sum f(m) m^(-s), and m^(-s) is completely multiplicative.  So
-    r(m) = floor(2^P m^(-s)) is taken at primes only.  Every other m the
-    sum needs, the support and the cofactors its composites are built
-    from, is r(m) = (r(m/p) r(p)) >> P, with p the least prime factor of
-    m.  At a prime, for s = u/v in lowest terms, r(p) is the integer
-    v-th root of floor(2^(vP) / p^u) (of p^|u| 2^(vP) for u < 0); where
-    that root would cost more than a power (``_EXACT_ROOT_BITS``, as in
-    ``hurwitz_zeta``), it is one power p^(-s) at P + 8 bits, floored to
-    P bits.  Either is within one unit of 2^-P.  At v = 1 the root is the
-    identity, floor(2^P / m^u), and that quotient costs less than a
-    product, so there every m is taken directly, as if it were prime.  The
-    r(m) of the residues that share a value of f are summed as one
+    sum f(m) r(m) with r(m) = floor(2^P m^(-s)), which takes no power of
+    q or of a/q.  For s = u/v in lowest terms, r(m) taken directly is the
+    integer v-th root of floor(2^(vP) / m^u) (of m^|u| 2^(vP) for u < 0);
+    where that root would cost more than a power (``_EXACT_ROOT_BITS``, as
+    in ``hurwitz_zeta``), it is one power m^(-s) at P + 8 bits, floored to
+    P bits.  Either is within one unit of 2^-P.  The head takes one of two
+    routes, so that its cost follows the support of f and not q alone:
+
+    * directly: r(m) at each of the N terms of each residue of the
+      support.  At v = 1 the root is the identity, floor(2^P / m^u), and
+      that quotient costs less than a product, so v = 1 always goes here.
+    * by a sieve, where f is dense: m^(-s) is completely multiplicative,
+      so r(m) is taken directly at primes only.  Every other m the sum
+      needs, the support and the cofactors its composites are built from,
+      is r(m) = (r(m/p) r(p)) >> P, with p the least prime factor of m.
+      This takes about Nq / ln(Nq) roots, one per prime, against
+      N |support| directly, and it walks all of 1..Nq, with about ten
+      bytes and a stored cofactor per m.  So it is taken only where
+      |support| ln(Nq) > q, that is where the primes up to Nq are fewer
+      than the terms: for the Dirichlet-type f of small q, where the
+      roots at the primes are shared by many m, and never for a sparse f
+      at large q.
+
+    The r(m) of the residues that share a value of f are summed as one
     integer, the sums take one multiply per distinct value, exactly, and
     the head is rounded once.
 
-    Error of the head.  r(m) carries Omega(m) roots or powers and
-    Omega(m) - 1 products, each off by less than one unit, and at s > 0
-    no factor exceeds 1, so r(m) is within 2 Omega(m) < 2 bits(Nq) units
-    of 2^P m^(-s).  At s < 0 every factor is at least 1, so r(m) is within
-    2 bits(Nq) 2^-P of itself, relative.  With
-    P = prec + bits(2 Nq bits(Nq)), the head is within
-    2^-prec sum_a |f(a)| of its exact value at s > 0, and within 2^-prec
-    relative to sum |f(m)| m^(-s) at s < 0, where the extra digits cover
-    its cancellation against the integral terms.
+    Error of the head.  By the sieve, r(m) carries Omega(m) roots or
+    powers and Omega(m) - 1 products (directly, one root or power), each
+    off by less than one unit, and at s > 0 no factor exceeds 1, so r(m)
+    is within 2 Omega(m) < 2 bits(Nq) units of 2^P m^(-s).  At s < 0
+    every factor is at least 1, so r(m) is within 2 bits(Nq) 2^-P of
+    itself, relative.  With P = prec + bits(2 Nq bits(Nq)), the head is
+    within 2^-prec sum_a |f(a)| of its exact value at s > 0, and within
+    2^-prec relative to sum |f(m)| m^(-s) at s < 0, where the extra digits
+    cover its cancellation against the integral terms.
     """
     require_digits(digits)
     _check_s(s)
-    if not _is_int(q) or q < 1:
-        raise ValidationError(f"period q must be a positive integer, got {q!r}")
-    for a in values:
-        if not _is_int(a) or not 1 <= a <= q:
-            raise ValidationError(f"residue {a!r} outside 1..{q}")
     ctx = context(digits)
     support = {a: c for a, c in values.items() if c}
     if not support:
@@ -818,7 +828,7 @@ def _em_head(ctx: MPContext, s: Fraction, sm: mpf, num: int, den: int, n_shift: 
 
 
 def _periodic_head(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int):
-    """sum_{m <= Nq} f(m) m^(-s) in ``ctx``, by the sieve of ``periodic_zeta``.
+    """sum_{m <= Nq} f(m) m^(-s) in ``ctx``, by one of the two routes of ``periodic_zeta``.
 
     f(m) is ``support[a]`` for m = a mod q (a = q for m = 0 mod q).
     """
@@ -828,64 +838,76 @@ def _periodic_head(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: 
     if v * (v * point + abs(u) * top.bit_length()) <= _EXACT_ROOT_BITS:
         scale = 1 << (v * point)
         if u > 0:
-            def at_prime(p):
-                return _iroot(scale // p ** u, v)
+            def root(m):
+                return _iroot(scale // m ** u, v)
         else:
-            def at_prime(p):
-                return _iroot(p ** -u * scale, v)
+            def root(m):
+                return _iroot(m ** -u * scale, v)
     else:
         wp = point + 8
         neg_s = from_rational(-u, v, wp, round_nearest)
 
-        def at_prime(p):
-            return to_fixed(mpf_pow(from_int(p), neg_s, wp, round_floor), point)
+        def root(m):
+            return to_fixed(mpf_pow(from_int(m), neg_s, wp, round_floor), point)
 
-    # slot[m mod q]: the index of f(m) among the distinct values, -1 for 0
-    distinct = list(dict.fromkeys(support.values()))
-    index = {c: i for i, c in enumerate(distinct)}
-    slot = [-1] * q
-    for a, c in support.items():
-        slot[a % q] = index[c]
-    # wanted[m]: r(m) is computed (the support, and the cofactor m/p and
-    # the prime p of every composite m computed); kept[m]: it is read again
-    wanted = bytearray(i >= 0 for i in slot) * (n_shift + 1)
-    del wanted[top + 1:]
-    wanted[0] = wanted[1] = 0
-    kept = bytearray(top // 2 + 1)
-    if v == 1:
-        # the root is the identity, and one quotient costs less than a
-        # product: every m is taken directly, as if it were prime
-        lpf = range(top + 1)
+    # the sieve where the primes up to Nq, about Nq / ln(Nq), are fewer
+    # than the N |support| terms; at v = 1 a quotient costs less than a product
+    if v > 1 and len(support) * math.log(top) > q:
+        by_class = _sieve_sums(root, q, support, top, point)
     else:
-        lpf = _least_prime_factors(top)
-        for m in range(top, 3, -1):
-            if wanted[m]:
-                p = lpf[m]
-                if p != m:
-                    wanted[p] = wanted[m // p] = kept[p] = kept[m // p] = 1
-    sums = [0] * len(distinct)
-    if slot[1 % q] >= 0:
-        sums[slot[1 % q]] = 1 << point
-    r_kept = [0] * len(kept)
-    for m in itertools.compress(range(top + 1), wanted):
-        p = lpf[m]
-        r = at_prime(m) if p == m else r_kept[m // p] * r_kept[p] >> point
-        if m < len(kept) and kept[m]:
-            r_kept[m] = r
-        i = slot[m % q]
-        if i >= 0:
-            sums[i] += r
-    den = math.lcm(*(c.denominator for c in distinct))
-    total = sum(c.numerator * (den // c.denominator) * t for c, t in zip(distinct, sums))
+        by_class = {a % q: sum(map(root, range(a, top + 1, q))) for a in support}
+    # the classes that share a value of f are summed first, so each value
+    # takes one multiply
+    sums = dict.fromkeys(support.values(), 0)
+    for a, c in support.items():
+        sums[c] += by_class[a % q]
+    den = math.lcm(*(c.denominator for c in sums))
+    total = sum(c.numerator * (den // c.denominator) * t for c, t in sums.items())
     return ctx.make_mpf(from_rational(total, den << point, ctx.prec, round_nearest))
 
 
+def _sieve_sums(root, q: int, support: dict, top: int, point: int) -> list[int]:
+    """sum r(m) over m <= top in each class m mod q, r(m) = root(m) at primes and a product elsewhere.
+
+    Only the classes of the support are complete: r(m) is computed for the
+    support, and for the cofactor m/p and the least prime factor p of every
+    composite m computed; r(1) = 2^point.
+    """
+    wanted = bytearray(q)
+    for a in support:
+        wanted[a % q] = 1
+    wanted *= top // q + 1
+    del wanted[top + 1:]
+    wanted[0] = wanted[1] = 0
+    # kept[m]: r(m) is read again, as a factor
+    kept = bytearray(top // 2 + 1)
+    lpf = _least_prime_factors(top)
+    # descending, so the factors of m are marked before the walk reaches them
+    for m in itertools.compress(range(top, -1, -1), reversed(wanted)):
+        p = lpf[m]
+        if p:
+            wanted[p] = wanted[m // p] = kept[p] = kept[m // p] = 1
+    by_class = [0] * q
+    by_class[1 % q] = 1 << point
+    r_kept = [0] * len(kept)
+    for m in itertools.compress(range(top + 1), wanted):
+        p = lpf[m]
+        r = r_kept[m // p] * r_kept[p] >> point if p else root(m)
+        if m < len(kept) and kept[m]:
+            r_kept[m] = r
+        by_class[m % q] += r
+    return by_class
+
+
 def _least_prime_factors(n: int) -> array:
-    """The least prime factor of each m in 0..n, as an array; m itself at 0, 1 and the primes."""
-    table = array("I", range(n + 1))
-    primes = [p for p in range(2, math.isqrt(n) + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
-    for p in reversed(primes):  # the least prime writes last
-        table[p * p::p] = array("I", [p]) * len(range(p * p, n + 1, p))
+    """The least prime factor of each composite m in 0..n, as an array; 0 at 0, 1 and the primes."""
+    table = array("I", [0]) * (n + 1)
+    if n < 4:
+        return table
+    small = _least_prime_factors(math.isqrt(n))
+    for p in reversed(range(2, len(small))):  # the least prime writes last
+        if not small[p]:
+            table[p * p::p] = array("I", [p]) * len(range(p * p, n + 1, p))
     return table
 
 

@@ -58,6 +58,7 @@ def test_l_value_basel():
 def test_l_value_zero_function():
     zero7 = PeriodicFunction(q=7, values={})
     assert l_value(2, zero7, 50) == 0
+    assert l_value(Fraction(1, 3), PeriodicFunction(q=7, values={3: 0}), 50) == 0
 
 
 def test_l_value_partial_sum_oracle():
@@ -77,19 +78,22 @@ def test_l_value_partial_sum_oracle():
 
 def test_l_value_mpmath_oracle(rng):
     # random even Dirichlet-type f; every rational head route at 50 and 240
-    # digits, on such an f and on one with support on non-units and on
-    # a = q; s as a float and as an mpf, whose dyadic values take powers at
-    # the primes; the periods 1 and 2
+    # digits, on such an f, on one with support on non-units and on a = q,
+    # and on a sparse one, whose head takes a root per term instead of the
+    # sieve; s as a float and as an mpf, whose dyadic values take powers;
+    # the periods 1 and 2
     non_units = PeriodicFunction(q=12, values={2: 3, 3: Fraction(-1, 2), 5: 1, 6: 2, 8: -1, 12: Fraction(5, 3)})
+    sparse = PeriodicFunction(q=97, values={5: 2, 97: Fraction(-1, 3)})
     cases = [(random_even_dirichlet(rng.randint(2, 20), rng), rng.choice([2, 3, Fraction(1, 2)]), 40)
              for _ in range(8)]
     for d in (50, 240):
         for s in (Fraction(-15, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(7, 2), Fraction(13, 3)):
-            cases += [(random_even_dirichlet(rng.randint(3, 20 if d == 50 else 10), rng), s, d), (non_units, s, d)]
+            cases += [(random_even_dirichlet(rng.randint(3, 20 if d == 50 else 10), rng), s, d),
+                      (non_units, s, d), (sparse, s, d)]
     with mp.workprec(prec_bits(60)):
         third = mpf(1) / 3
     for s in (0.3, third):
-        cases += [(random_even_dirichlet(rng.randint(3, 20), rng), s, 50), (non_units, s, 50)]
+        cases += [(random_even_dirichlet(rng.randint(3, 20), rng), s, 50), (non_units, s, 50), (sparse, s, 50)]
     for s in (Fraction(-1, 2), Fraction(3, 4), 2):
         cases += [(PeriodicFunction(q=1, values={1: Fraction(-7, 3)}), s, 50),
                   (PeriodicFunction(q=2, values={1: 1, 2: Fraction(-5, 2)}), s, 50)]

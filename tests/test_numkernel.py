@@ -451,6 +451,14 @@ def test_iroot_near_powers():
                 assert r ** v <= x < (r + 1) ** v, (x, v)
 
 
+def test_least_prime_factors_brute_force():
+    # the sieving primes come from the table of isqrt(n), recursively, so
+    # check every n across several levels of that recursion
+    for n in (*range(12), 48, 49, 50, 1000, 10**4 + 9):
+        least = [next((p for p in range(2, isqrt(m) + 1) if m % p == 0), 0) for m in range(n + 1)]
+        assert list(numkernel._least_prime_factors(n)) == least, n
+
+
 def test_hurwitz_same_exact_s_same_bits(root_calls):
     # Fraction(1, 2), mpf("0.5") and 0.5 are one exact value and take one
     # route; 1/3 rounded to an mpf is dyadic, so it takes the power loop
@@ -484,6 +492,21 @@ def test_l_value_roots_only_at_primes(root_calls):
     assert abs(mine - ref) < tol(d)
 
 
+def test_l_value_sparse_f_at_large_period(root_calls):
+    # a sparse f takes one root per head term, so its cost follows its
+    # support and not q: one residue of q = 10^7 is N roots, not a sieve
+    # over 1..Nq
+    q, d, s = 10**7, 30, Fraction(1, 2)
+    n_first = numkernel._em_first_shift(d)
+    with mp.workprec(prec_bits(d) + 40):
+        refs = {1: mp.zeta(0.5, mpf(1) / q), q: mp.zeta(0.5)}
+        for a, ref in refs.items():
+            root_calls.clear()
+            mine = l_value(s, PeriodicFunction(q=q, values={a: 1}), d)
+            assert root_calls == [2] * n_first, a
+            assert abs(mine - mp.power(q, -0.5) * ref) < tol(d), a
+
+
 def test_hurwitz_near_pole_against_mpmath():
     # s - 1 = 10^-60 is below the resolution of 20 digits; the integral
     # term takes it from the exact s, so zeta keeps its 1/(s - 1) size
@@ -503,18 +526,6 @@ def test_hurwitz_rejects_non_finite_s():
         for fn in (hurwitz_zeta, hurwitz_zeta_ds):
             with pytest.raises(ValidationError):
                 fn(s, Fraction(1, 2), 20)
-
-
-def test_periodic_zeta_domain():
-    for q, values in ((0, {}), (True, {1: 1}), (5, {0: 1}), (5, {6: 1}), (5, {True: 1})):
-        with pytest.raises(ValidationError):
-            numkernel.periodic_zeta(2, q, values, 20)
-    for s in (float("nan"), mpf("inf")):
-        with pytest.raises(ValidationError):
-            numkernel.periodic_zeta(s, 5, {1: 1}, 20)
-    with pytest.raises(PoleError):
-        numkernel.periodic_zeta(1, 5, {1: 1}, 20)
-    assert numkernel.periodic_zeta(Fraction(1, 3), 5, {2: 0}, 20) == 0
 
 
 def test_hurwitz_tables_keyed_by_precision(empty_tables):
