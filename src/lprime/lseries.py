@@ -23,7 +23,6 @@ elimination gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from mpmath import mp, mpf
@@ -32,14 +31,10 @@ from .arith import half_units, is_prime_power
 from .errors import PoleError, ValidationError
 from .numkernel import (
     RealLike,
-    context,
-    hurwitz_zeta,
-    hurwitz_zeta_ds,
-    log_gamma_frac,
     log_sine_sum,
     periodic_zeta,
-    plain_mpf,
-    to_mpf,
+    periodic_zeta_ds,
+    stirling_closed_form,
 )
 from .periodic import PeriodicFunction, half_support, require_even_dirichlet
 
@@ -70,20 +65,13 @@ def l_value(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
 def l_deriv(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
     """L'(s, f) by term-wise differentiation of the Hurwitz decomposition.
 
-    L'(s,f) = -log(q) q^(-s) sum f(a) zeta(s, a/q) + q^(-s) sum f(a) zeta'(s, a/q).
+    L'(s,f) = -log(q) L(s, f) + q^(-s) sum f(a) zeta'(s, a/q): one
+    ``numkernel.periodic_zeta_ds``.  Each zeta'(s, a/q) keeps its own
+    Euler-Maclaurin head, and the rests of all residues (integral, half
+    and Bernoulli tail terms) are summed together, with one batched tail.
     """
     _reject_pole(s)
-    ctx = context(digits)
-    sm = to_mpf(s, ctx)
-    zsum = ctx.mpf(0)
-    dsum = ctx.mpf(0)
-    for a, v in f.values.items():
-        x = Fraction(a, f.q)
-        vm = to_mpf(v, ctx)
-        zsum += vm * hurwitz_zeta(s, x, digits)
-        dsum += vm * hurwitz_zeta_ds(s, x, digits)
-    qs = ctx.power(f.q, -sm)
-    return plain_mpf(-ctx.log(f.q) * qs * zsum + qs * dsum)
+    return periodic_zeta_ds(s, f.q, f.values, digits)
 
 
 def l_deriv0_closed(f: PeriodicFunction, digits: int) -> mpf:
@@ -92,23 +80,13 @@ def l_deriv0_closed(f: PeriodicFunction, digits: int) -> mpf:
     L'(0,f) = -log(q) sum f(a)(1/2 - a/q) + sum f(a) log Gamma(a/q)
               - (1/2) log(2 pi) sum f(a).
 
-    The first coefficient sum is exact rational arithmetic; for even
-    Dirichlet-type f it cancels identically under the pairing a <-> q-a.
+    One ``numkernel.stirling_closed_form``: Stirling's series for every
+    log Gamma(a/q), shifted past 1.2 d, whose log q and log(2 pi) terms
+    cancel those of the closed form exactly; what is left takes one log of
+    the shifted argument and one of the shift product per residue, and
+    one batched Bernoulli tail for all residues.
     """
-    offset = Fraction(0)   # sum f(a) (1/2 - a/q)
-    mean = Fraction(0)     # sum f(a)
-    for a, v in f.values.items():
-        offset += v * (Fraction(1, 2) - Fraction(a, f.q))
-        mean += v
-    ctx = context(digits)
-    total = ctx.mpf(0)
-    for a, v in f.values.items():
-        total += to_mpf(v, ctx) * log_gamma_frac(a, f.q, digits)
-    if offset:
-        total -= ctx.log(f.q) * to_mpf(offset, ctx)
-    if mean:
-        total -= ctx.log(2 * ctx.pi) / 2 * to_mpf(mean, ctx)
-    return plain_mpf(total)
+    return stirling_closed_form(f.q, f.values, digits)
 
 
 def l_deriv0_even(f: PeriodicFunction, digits: int) -> mpf:

@@ -19,7 +19,10 @@ The special functions every other module needs live here:
   the product of the sines that share it.  Every log-sine of the library
   comes from this rotation.  ``two_sin_pi`` is mpmath's one-value sin,
   kept as the independent oracle the rotation is tested against,
-* log Gamma(a/q) by an argument-shifted Stirling series,
+* log Gamma(a/q) by an argument-shifted Stirling series, and L'(0, f)
+  for f of period q by the log-Gamma closed form with that series for
+  every residue (``stirling_closed_form``), whose log q and log(2 pi)
+  terms cancel exactly,
 * the Hurwitz zeta function zeta(s, x) and its s-derivative by
   Euler-Maclaurin summation, valid for finite real s != 1 and
   0 < x <= 1.  At integer s <= 0, zeta(s, x) is the exact
@@ -33,19 +36,25 @@ The special functions every other module needs live here:
   so ``mpf("0.5")``, ``0.5`` and ``Fraction(1, 2)`` give the same bits,
 * L(s, f) = sum f(m) m^(-s) for f of period q (``periodic_zeta``), the
   same series at one shift N for all residues a: the exact Bernoulli
-  polynomials at integer s <= 0, and otherwise one tail per residue and
-  one head for all of them, sum f(m) floor(2^P m^(-s)) over m <= Nq in
-  integers, with a fixed-point v-th root at s = u/v (one power past the
-  root cost bound).  A sparse f, and every f at v = 1, takes one root
-  per term.  A dense f (|support| ln(Nq) > q, as for the Dirichlet-type
-  f of small q) takes its roots at the primes only, by a least-prime-
-  factor sieve over 1..Nq, and one integer product at every other m,
-  since m^(-s) is completely multiplicative.
+  polynomials at integer s <= 0, and otherwise one head for all residues,
+  sum f(m) floor(2^P m^(-s)) over m <= Nq in integers, with a fixed-point
+  v-th root at s = u/v (one power past the root cost bound), and the
+  rests of all residues at m_a = Nq + a in the same integers, where
+  floor(2^P m_a^(-s)) stands for every power.  A sparse f, and every f
+  at v = 1, takes one root per term.  A dense f (|support| ln(Nq) > q,
+  as for the Dirichlet-type f of small q) takes its roots at the primes
+  only, by a least-prime-factor sieve over 1..(N+1)q, and one integer
+  product at every other m, since m^(-s) is completely multiplicative.
+  Its s-derivative (``periodic_zeta_ds``) keeps one head per residue and
+  sums the rests of all residues together.
 
-Both series end in a Bernoulli tail, sum_k c_k w^-(2k-1) at w = m/den, an
-exact rational.  ``_bernoulli_tail`` sums it in integers: the coefficients
-and the powers (den/m)^(2k-1) are fixed-point integers, and the sum is
-rounded once into the working precision.
+Every series ends in a Bernoulli tail, sum_k c_k w^-(2k-1) at w = m/den,
+an exact rational, and every sum over residues a of such tails, weighted,
+is one ``_bernoulli_tails``: the coefficients, the weights and the
+weighted powers w_a (den/m_a)^(2k-1) are fixed-point integers, and each
+k takes one list update of the powers and one coefficient multiply for
+all residues.  A one-residue series (``hurwitz_zeta``, ``hurwitz_zeta_ds``,
+``log_gamma_frac``) is the call with one residue.
 
 Each working precision has its own mpmath context, ``context(d)``: an
 ``MPContext`` at the guarded precision for ``d``, built on first use and
@@ -95,6 +104,7 @@ from mpmath.libmp import (
     from_rational,
     mpf_cos_sin,
     mpf_div,
+    mpf_log,
     mpf_pi,
     mpf_pow,
     round_floor,
@@ -132,7 +142,7 @@ _EXACT_ROOT_BITS = 1 << 16
 #: 2**-prec, and the sum's floors have to stay below that target.
 TAIL_EXTRA_BITS = 16
 #: Fractional bits the powers of a Bernoulli tail carry beyond its largest
-#: coefficient so far; ``_bernoulli_tail`` states the error bound they give.
+#: coefficient so far; ``_bernoulli_tails`` states the error bound they give.
 TAIL_GUARD_BITS = 48
 #: Most terms a Bernoulli tail sums before it counts as divergent.
 MAX_TAIL_TERMS = 10_000
@@ -297,63 +307,95 @@ def _em_table(point: int, s: Fraction, n: int) -> tuple[list[int], list[int]]:
     return cs, ds
 
 
-def _bernoulli_tail(table, m: int, den: int, point: int, cutoff: int, log_w: int | None = None):
-    """sum_{k>=1} a_k z_k, z_k = (den/m)^(2k-1), at ``point`` fractional bits.
+def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int,
+                     weights: list[int], logs: list[int] | None = None):
+    """sum_a w_a sum_{k>=1} a_k (den/m_a)^(2k-1) over the n residues a, at ``point`` fractional bits.
 
+    The m_a are integers, all at least 10 den, and the weights w_a and the
+    ``logs`` l_a = log(m_a/den) are integers at ``point`` fractional bits.
     ``table(n)`` gives at least n coefficients at ``point`` fractional
-    bits: the c_k, summed as a_k = c_k, or, with ``log_w`` (log(m/den) at
-    ``point`` bits), the lists (c_k) and (d_k), summed as
-    a_k = d_k - c_k log w.  The sum stops before the first term whose size,
-    |c_k z_k| or the larger of |c_k z_k| and |a_k z_k|, is at most
-    ``cutoff`` units of 2^-point, so a zero term always stops it.  It is
-    None if a size exceeds the one before, or past ``MAX_TAIL_TERMS``
-    terms.
+    bits: the c_k, summed as a_k = c_k, or, with ``logs``, the lists (c_k)
+    and (d_k), summed as a_k = d_k - c_k l_a.  One call sums the tails of
+    every residue, and a one-residue tail is the call with n = 1.
 
-    z_k is one floor of z_(k-1) den^2/m^2, carried at ``TAIL_GUARD_BITS``
-    fractional bits more than the largest coefficient so far, so it widens
-    as the coefficients grow.  The floor that made z_j is below
-    2^-width(j) and reaches term k multiplied by
-    |c_k| (den/m)^(2(k-j)) = |c_j| |t_k/t_j|, t_k = c_k z_k.  The stopping
-    rule keeps the sizes non-increasing, so |t_k/t_j| <= 1, and
-    (1 + log w)^3 bounds the same quotient for the derivative.  Over
-    K <= MAX_TAIL_TERMS terms, and for w = m/den below 10^8, these errors
-    add up to less than K^2 2^(13 - TAIL_GUARD_BITS) < 1/100 unit of
-    2^-point.  Each term adds one floor (two for the derivative), and the
-    rounded coefficients add at most (1 + log w)/2 * sum z_k, with
-    sum z_k < 1/(w - 1).  So the value sum is within K + 1 units of the
-    exact series, and the derivative sum within 2K + 2 units plus the
-    error of ``log_w`` times sum |c_k z_k|.
+    Per k, one list update z_a <- floor(z_a den^2/m_a^2) carries
+    w_a (den/m_a)^(2k-1) at ``width`` fractional bits, and the term is one
+    coefficient multiply, floor(c_k sum_a z_a 2^-width).  With ``logs`` a
+    second list carries the weights floor(w_a l_a) the same way, and the
+    term is floor((d_k sum_a z_a - c_k sum_a z'_a) 2^-width).  The width
+    starts at ``point`` or at the first coefficient's width plus
+    ``TAIL_GUARD_BITS``, whichever is larger, and widens with the
+    coefficients: it is never below the largest coefficient's width plus
+    ``TAIL_GUARD_BITS``.
+
+    The size of term k is b_k W r^(2k-1), with W = sum |w_a|, r = den/m_0
+    for the least m_0 of the m_a, and b_k = |c_k|, or |d_k| + |c_k| lam
+    with lam the largest l_a.  It bounds the term of every residue, since
+    den/m_a <= r and |a_k| <= b_k, and it is taken from the top 64 bits of
+    W r^(2k-1), carried like the z_a.  The sum stops before the first term
+    whose size is at most ``cutoff`` units of 2^-point, so zero weights
+    stop it at once.  It is None if a size exceeds the one before, or past
+    ``MAX_TAIL_TERMS`` terms.
+
+    Error bound, in units of 2^-point, over the K terms summed, with the
+    coefficients and weights as reals.  Each term adds one floor.  The
+    rounded coefficients add at most (1 + lam) W/(2(w - 1)), w = m_0/den,
+    since sum_k (den/m_a)^(2k-1) < 1/(w - 1).  The floor that made z_a (or
+    z'_a) at step j is below 2^-width(j) <= 2^-TAIL_GUARD_BITS (1 + lam)/b_j,
+    and reaches term k multiplied by at most b_k r^(2(k-j)).  The rule
+    keeps the sizes non-increasing, so b_k r^(2(k-j)) <= b_j up to the
+    rounding of the sizes, and these floors add less than
+    2 n K^2 (1 + lam) 2^-TAIL_GUARD_BITS: below 1/100 unit for
+    n K^2 < 2^34 and lam < 16 (lam = 0 without ``logs``).  So the sum is
+    within K + 1 + W/(2(w - 1)) units of the exact series.  With ``logs``
+    it is within K + 1 + (1 + lam) W/(2(w - 1)) + (n + e W) S units, where
+    S = sum_k |c_k| r^(2k-1) and e is the error of the l_a in units: the
+    first floor of each z'_a, and the l_a themselves, reach the sum times
+    the c_k.
     """
-    den2, m2 = den * den, m * m
-    numer, divisor, width = den, m, 0  # z_k = floor(numer * 2^width / divisor) / 2^width
+    den2 = den * den
+    m2s = [m * m for m in ms]
+    m0 = min(ms)
+    lam = 0 if logs is None else max(logs)
+    # z_a, z'_a and the size bound zb are floor(x 2^width): x starts at the
+    # weight and takes the factor den/m at the first step, den^2/m^2 after
+    zs, factor, divisors = weights, den, ms
+    zls = None if logs is None else [w * l >> point for w, l in zip(weights, logs)]
+    zb, divisor0, width = sum(map(abs, weights)), m0, point
     total, prev = 0, math.inf
     cs = ds = ()
     k = 0
     while True:
         k += 1
         if k > len(cs):
-            if log_w is None:
+            if logs is None:
                 cs = table(k)
             else:
                 cs, ds = table(k)
         c = cs[k - 1]
-        bits = c.bit_length() if log_w is None else max(c.bit_length(), ds[k - 1].bit_length())
-        if bits + TAIL_GUARD_BITS > width:
-            numer <<= bits + TAIL_GUARD_BITS - width
-            width = bits + TAIL_GUARD_BITS
-        z = numer // divisor
-        term = c * z >> width
-        size = abs(term)
-        if log_w is not None:
-            term = (ds[k - 1] * z >> width) - (term * log_w >> point)
-            size = max(size, abs(term))
+        if logs is None:
+            b, bits = abs(c), c.bit_length()
+        else:
+            d = ds[k - 1]
+            b, bits = abs(d) + (abs(c) * lam >> point), max(c.bit_length(), d.bit_length())
+        shift = max(bits + TAIL_GUARD_BITS - width, 0)
+        width += shift
+        zb = (zb * factor << shift) // divisor0
+        # the size from the top 64 bits of zb: one short multiply
+        drop = zb.bit_length() - 64
+        size = b * (zb >> drop) >> width - drop if 0 < drop < width else b * zb >> width
         if size <= cutoff:
             return total
         if size > prev or k > MAX_TAIL_TERMS:
             return None
         prev = size
-        total += term
-        numer, divisor = z * den2, m2
+        zs = [(z * factor << shift) // m for z, m in zip(zs, divisors)]
+        if logs is None:
+            total += c * sum(zs) >> width
+        else:
+            zls = [(z * factor << shift) // m for z, m in zip(zls, divisors)]
+            total += d * sum(zs) - c * sum(zls) >> width
+        factor, divisors, divisor0 = den2, m2s, m0 * m0
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +512,8 @@ def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
 def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
     """log Gamma(a/q) at d digits by the shifted Stirling series.
 
-    The argument x = a/q is shifted by an integer m until x + m exceeds
-    1.2*d, where the asymptotic series truncates below the error target
-    before its divergent turn; the shift is undone with one log of the
-    exact integer product a(a+q)...(a+(m-1)q) = q^m x(x+1)...(x+m-1),
-    minus m*log(q).  The series' Bernoulli tail, at w = (a + mq)/q, is
-    one fixed-point integer sum (``_bernoulli_tail``) at
-    ``TAIL_EXTRA_BITS`` beyond the working precision, rounded once.
+    The one-residue ``stirling_closed_form``: log Gamma(a/q) is its sum for
+    f = 1 at a, plus (1/2 - a/q) log q + (1/2) log(2 pi).
     """
     if not _is_int(a) or not _is_int(q):
         raise ValidationError(f"log Gamma(a/q) needs integers a and q, got a={a!r}, q={q!r}")
@@ -487,23 +524,75 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
     if a > q:
         raise ValidationError(f"argument a/q must lie in (0, 1], got {a}/{q}")
     ctx = context(digits)
-    threshold = 1.2 * digits
-    shift = max(0, math.ceil(threshold - a / q))
-    m = a + shift * q
-    w = ctx.mpf(m) / q
-    lw = ctx.log(w)
-    value = (w - ctx.mpf(1) / 2) * lw - w + ctx.log(2 * ctx.pi) / 2
+    value = _stirling_sum(ctx, q, {a: 1}, digits)
+    value += to_mpf(Fraction(1, 2) - Fraction(a, q), ctx) * ctx.log(q) + ctx.log(2 * ctx.pi) / 2
+    return plain_mpf(value)
+
+
+def stirling_closed_form(q: int, values: Mapping[int, Fraction], digits: int) -> mpf:
+    """L'(0, f) at d digits by the log-Gamma closed form and Stirling's series, f of period q.
+
+    f(m) = values[a] for m = a mod q, as for ``periodic_zeta``, and 0 off
+    the residues listed.  The closed form is
+    L'(0, f) = sum f(a) log Gamma(a/q) - log q sum f(a) (1/2 - a/q)
+               - (1/2) log(2 pi) sum f(a).
+    Each x = a/q is shifted by an integer j_a until w_a = x + j_a exceeds
+    1.2 d, where the asymptotic series truncates below the error target
+    before its divergent turn, and the shift is undone by the exact
+    integer product P_a = a (a + q) ... (m_a - q), m_a = q w_a:
+    log Gamma(a/q) = (w_a - 1/2) log(m_a/q) - w_a + (1/2) log(2 pi)
+    + T_a - log(P_a / q^j_a), with the Bernoulli tail
+    T_a = sum_k B_2k/(2k(2k-1)) w_a^-(2k-1).  The log q and log(2 pi)
+    terms of these cancel those of the closed form exactly, which leaves
+    L'(0, f) = sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a):
+    per residue one log of m_a and one of P_a, and no log of q or of 2 pi.
+    """
+    require_digits(digits)
+    ctx = context(digits)
+    support = {a: c for a, c in values.items() if c}
+    if not support:
+        return plain_mpf(ctx.mpf(0))
+    return plain_mpf(_stirling_sum(ctx, q, support, digits))
+
+
+def _stirling_sum(ctx: MPContext, q: int, support: dict, digits: int):
+    """sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a) of ``stirling_closed_form``, in ``ctx``.
+
+    The logs, at P = prec + ``TAIL_EXTRA_BITS`` fractional bits, and the
+    tails, one ``_bernoulli_tails`` with the weights f(a), are integers;
+    their sum with the exact rationals w_a and f(a) is rounded once.  Each
+    log is within one unit of 2^-P and has a coefficient of size at most
+    |f(a)| (w_a - 1/2) or |f(a)|, so the logs add less than
+    sum |f(a)| (1.2 d + 2) units of 2^-P, below 2^-prec sum |f(a)| for
+    d < 50000, and the tails their stated bound, a few hundred units.
+    """
     point = ctx.prec + TAIL_EXTRA_BITS
-    tail = _bernoulli_tail(functools.partial(_stirling_table, point), m, q, point,
-                           (1 << point) // 10 ** (digits + EXTRA_DIGITS))
+    wp = point + 8
+    threshold = 1.2 * digits
+    # everything is at P fractional bits, in units of 1/(2 q den)
+    den = math.lcm(*(c.denominator for c in support.values()))
+    ms, weights, numer, linear = [], [], 0, 0
+    for a, c in support.items():
+        scaled = c.numerator * (den // c.denominator)
+        m = a + max(0, math.ceil(threshold - a / q)) * q
+        product = math.prod(range(a, m, q))
+        log_m = to_fixed(mpf_log(from_int(m), wp), point)
+        # |log P_a| < bits(P_a): its integer part takes bits(bits(P_a)) more
+        wp_p = wp + product.bit_length().bit_length()
+        log_p = to_fixed(mpf_log(from_int(product, wp_p, round_nearest), wp_p), point)
+        numer += scaled * ((2 * m - q) * log_m - 2 * q * log_p)
+        linear += scaled * m
+        ms.append(m)
+        weights.append(scaled << point)
+    cutoff = sum(map(abs, weights)) // 10 ** (digits + EXTRA_DIGITS)
+    tail = _bernoulli_tails(functools.partial(_stirling_table, point), ms, q, point, cutoff, weights)
     if tail is None:
         raise ConvergenceError(
-            f"Stirling series for log Gamma({a}/{q}) diverged before reaching "
+            f"Stirling series for log Gamma(a/{q}) diverged before reaching "
             f"10^-{digits + EXTRA_DIGITS}; shift threshold too small"
         )
-    value += ctx.ldexp(tail, -point)
-    value -= ctx.log(math.prod(range(a, m, q))) - shift * ctx.log(q)
-    return plain_mpf(value)
+    numer += 2 * q * tail - (2 * linear << point)
+    return ctx.make_mpf(from_rational(numer, 2 * q * den << point, ctx.prec, round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +625,9 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
     w^(-s) sum_k C_k(s) w^-(2k-1), w = N + x.  N starts at max(10, 0.8*d)
     and doubles until the first neglected tail term is below
     10**(-d-10); past 64*d the evaluation is abandoned as non-convergent.
-    The tail is one fixed-point integer sum (``_bernoulli_tail``), whose
-    stated error bound stays below 2^-prec, rounded once and multiplied
-    by one power w^(-s).
+    The tail is the one-residue ``_bernoulli_tails`` with the weight
+    w^(-s) (one power), a fixed-point integer sum whose stated error bound
+    stays below 2^-prec.
 
     The partial sum runs over the integers m = n*q + a for x = a/q, and
     its route is chosen by the exact value of s:
@@ -589,8 +678,8 @@ def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
     largest shift, 64 d), so the result stays within 10**(-d+5).  At any
     other s the head takes a power and a log per term, and at s < 0 the
     series gets the extra working digits of ``hurwitz_zeta``.  The tail is
-    w^(-s) sum_k (D_k(s) - C_k(s) log w) w^-(2k-1): one fixed-point integer
-    sum, with log w in fixed point.
+    w^(-s) sum_k (D_k(s) - C_k(s) log w) w^-(2k-1): the one-residue
+    ``_bernoulli_tails`` with log w in fixed point.
     """
     _check_hurwitz_args(s, x, digits)
     return _euler_maclaurin(s, x, digits, derivative=True)
@@ -609,29 +698,37 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
     q^k sum_a f(a) zeta(-k, a/q), by the Bernoulli polynomials of
     ``hurwitz_zeta``, rounded once.  Every other s takes Euler-Maclaurin
     with one shift N for all residues, the shifts and extra digits of
-    ``hurwitz_zeta``: N doubles for all residues while any tail grows.
-    Each residue with f(a) != 0 keeps its own integral term, half term and
-    Bernoulli tail at w = N + a/q, from the coefficient tables of
-    ``hurwitz_zeta``; their sum is multiplied by one power q^(-s).
+    ``hurwitz_zeta``: N doubles while the tail grows.  Everything is summed
+    in integers at P fractional bits, and head plus rest are rounded once.
 
     The heads of all residues together are one sum over m <= Nq,
     sum f(m) r(m) with r(m) = floor(2^P m^(-s)), which takes no power of
-    q or of a/q.  For s = u/v in lowest terms, r(m) taken directly is the
-    integer v-th root of floor(2^(vP) / m^u) (of m^|u| 2^(vP) for u < 0);
-    where that root would cost more than a power (``_EXACT_ROOT_BITS``, as
-    in ``hurwitz_zeta``), it is one power m^(-s) at P + 8 bits, floored to
-    P bits.  Either is within one unit of 2^-P.  The head takes one of two
-    routes, so that its cost follows the support of f and not q alone:
+    q or of a/q.  The rest of each residue a with f(a) != 0, at
+    w_a = N + a/q, is q^(-s) w_a^(-s) = m_a^(-s), m_a = Nq + a, times
+    w_a/(s - 1) + 1/2 + sum_k C_k(s) w_a^-(2k-1), so r(m_a) stands for
+    every power of it: the integral and half terms are r(m_a) times exact
+    rationals, and the tails of all residues are one ``_bernoulli_tails``
+    with the weights f(a) r(m_a), from the coefficient tables of
+    ``hurwitz_zeta``.  The tail stops before the first term whose size is
+    at most 10**-(d + 10) sum |f(a)|.
 
-    * directly: r(m) at each of the N terms of each residue of the
-      support.  At v = 1 the root is the identity, floor(2^P / m^u), and
-      that quotient costs less than a product, so v = 1 always goes here.
+    For s = u/v in lowest terms, r(m) taken directly is the integer v-th
+    root of floor(2^(vP) / m^u) (of m^|u| 2^(vP) for u < 0); where that
+    root would cost more than a power (``_EXACT_ROOT_BITS``, as in
+    ``hurwitz_zeta``), it is one power m^(-s) at P + 8 bits, floored to P
+    bits.  Either is within one unit of 2^-P.  The r(m) take one of two
+    routes, so that their cost follows the support of f and not q alone:
+
+    * directly: r(m) at each of the N + 1 terms m <= Nq + a of each
+      residue a of the support.  At v = 1 the root is the identity,
+      floor(2^P / m^u), and that quotient costs less than a product, so
+      v = 1 always goes here.
     * by a sieve, where f is dense: m^(-s) is completely multiplicative,
       so r(m) is taken directly at primes only.  Every other m the sum
       needs, the support and the cofactors its composites are built from,
       is r(m) = (r(m/p) r(p)) >> P, with p the least prime factor of m.
       This takes about Nq / ln(Nq) roots, one per prime, against
-      N |support| directly, and it walks all of 1..Nq, with about ten
+      N |support| directly, and it walks all of 1..(N+1)q, with about ten
       bytes and a stored cofactor per m.  So it is taken only where
       |support| ln(Nq) > q, that is where the primes up to Nq are fewer
       than the terms: for the Dirichlet-type f of small q, where the
@@ -640,17 +737,22 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
 
     The r(m) of the residues that share a value of f are summed as one
     integer, the sums take one multiply per distinct value, exactly, and
-    the head is rounded once.
+    the head is exact past the r(m).
 
-    Error of the head.  By the sieve, r(m) carries Omega(m) roots or
-    powers and Omega(m) - 1 products (directly, one root or power), each
-    off by less than one unit, and at s > 0 no factor exceeds 1, so r(m)
-    is within 2 Omega(m) < 2 bits(Nq) units of 2^P m^(-s).  At s < 0
-    every factor is at least 1, so r(m) is within 2 bits(Nq) 2^-P of
-    itself, relative.  With P = prec + bits(2 Nq bits(Nq)), the head is
-    within 2^-prec sum_a |f(a)| of its exact value at s > 0, and within
-    2^-prec relative to sum |f(m)| m^(-s) at s < 0, where the extra digits
-    cover its cancellation against the integral terms.
+    Error.  By the sieve, r(m) carries Omega(m) roots or powers and
+    Omega(m) - 1 products (directly, one root or power), each off by less
+    than one unit, and at s > 0 no factor exceeds 1, so r(m) is within
+    2 Omega(m) <= 2 bits((N+1)q) units of 2^P m^(-s).  At s < 0 every
+    factor is at least 1, so r(m) is within 2 bits((N+1)q) 2^-P of
+    itself, relative.  With P = prec + bits(2 Nq bits(Nq)), at least
+    prec + ``TAIL_EXTRA_BITS``, the head is within 2^-prec sum_a |f(a)|
+    of its exact value at s > 0, and within 2^-prec relative to
+    sum |f(m)| m^(-s) at s < 0, where the extra digits cover its
+    cancellation against the integral terms.  The rest multiplies each
+    r(m_a) by at most (N+1)/|s - 1| + 1, which adds less than
+    2^(1-prec) sum_a |f(a)| (1 + 1/|s - 1|) at s > 0 (and as much relative
+    to the integral terms at s < 0), and the tail's own bound is a few
+    hundred units of 2^-P.
     """
     require_digits(digits)
     _check_s(s)
@@ -665,6 +767,31 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
             c * _zeta_at_nonpositive(n, Fraction(a, q)) for a, c in support.items()))
     return _em_shifts(s, digits, lambda wctx, n_shift, target: _periodic_attempt(
         wctx, s, q, support, n_shift, target), f"L(s={s}) of period {q}")
+
+
+def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits: int) -> mpf:
+    """d/ds L(s, f) at d digits, finite real s != 1, for f of period q as in ``periodic_zeta``.
+
+    L'(s, f) = -log(q) L(s, f) + q^(-s) sum_a f(a) zeta'(s, a/q): one
+    ``periodic_zeta`` and the Euler-Maclaurin series of ``hurwitz_zeta_ds``
+    at one shift N for all residues.  Each residue keeps its own head; the
+    rests of all of them are summed together, with one
+    ``_bernoulli_tails`` for their tails, weighted by f(a) w_a^(-s).
+    """
+    require_digits(digits)
+    _check_s(s)
+    ctx = context(digits)
+    support = {a: c for a, c in values.items() if c}
+    if not support:
+        return plain_mpf(ctx.mpf(0))
+    s = _exact_real(s)
+    value = periodic_zeta(s, q, support, digits)
+    zeta_ds = _em_shifts(s, digits, lambda wctx, n_shift, target: _ds_sum_attempt(
+        wctx, s, q, support, n_shift, target), f"L'(s={s}) of period {q}")
+    total = ctx.power(q, -to_mpf(s, ctx)) * zeta_ds
+    if value:
+        total -= ctx.log(q) * value
+    return plain_mpf(total)
 
 
 def _em_first_shift(digits: int) -> int:
@@ -730,68 +857,76 @@ def _em_shifts(s: Fraction, digits: int, attempt, what: str) -> mpf:
 def _em_attempt(ctx: MPContext, s: Fraction, x: Fraction, n_shift: int, target: mpf, derivative: bool):
     """zeta(s, x), or its s-derivative, at fixed shift N; None if the tail grows.
 
-    ``s`` is exact.  The tail is summed first (``_em_rest``), so a shift
-    whose tail grows costs no head.
+    ``s`` is exact.  The rest is summed first (``_em_rests``, one
+    residue), so a shift whose tail grows costs no head.
     """
     num, den = x.numerator, x.denominator
     sm = to_mpf(s, ctx)
-    rest = _em_rest(ctx, s, sm, n_shift * den + num, den, target, derivative)
+    rest = _em_rests(ctx, s, sm, [n_shift * den + num], den, [1], target, derivative)
     if rest is None:
         return None
-    integral, half, tail = rest
-    return _em_head(ctx, s, sm, num, den, n_shift, derivative) + integral + half + tail
+    return _em_head(ctx, s, sm, num, den, n_shift, derivative) + rest
 
 
-def _periodic_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int, target: mpf):
-    """L(s, f) at fixed shift N for every residue; None if any tail grows."""
-    sm = to_mpf(s, ctx)
-    rests = ctx.mpf(0)
-    for a, c in support.items():
-        rest = _em_rest(ctx, s, sm, n_shift * q + a, q, target, False)
-        if rest is None:
-            return None
-        integral, half, tail = rest
-        rests += to_mpf(c, ctx) * (integral + half + tail)
-    return _periodic_head(ctx, s, q, support, n_shift) + ctx.power(q, -sm) * rests
+def _ds_sum_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int, target: mpf):
+    """sum_a f(a) zeta'(s, a/q) at fixed shift N for every residue; None if the tail grows.
 
-
-def _em_rest(ctx: MPContext, s: Fraction, sm: mpf, m: int, den: int, target: mpf, derivative: bool):
-    """(integral term, half term, Bernoulli tail) of Euler-Maclaurin at w = m/den; None if the tail grows.
-
-    These are the terms of zeta(s, x), or of its s-derivative, past the
-    head of N terms, for w = N + x.  ``s`` is exact and ``sm`` is it in
-    ``ctx``.  The integral term takes s - 1 from the exact s before
-    rounding, so an ``s`` closer to the pole than the working precision
-    resolves is still evaluated at itself.  ``target`` bounds the tail's
-    last term, and may come from a context of lower precision than
-    ``ctx``.
+    Each residue keeps its own head; the rests are one ``_em_rests``.
     """
-    w = ctx.mpf(m) / den
-    w_neg_s = ctx.power(w, -sm)
+    sm = to_mpf(s, ctx)
+    rest = _em_rests(ctx, s, sm, [n_shift * q + a for a in support], q, list(support.values()),
+                     target, True)
+    if rest is None:
+        return None
+    return rest + ctx.fsum(to_mpf(c, ctx) * _em_head(ctx, s, sm, a, q, n_shift, True)
+                           for a, c in support.items())
 
-    # Bernoulli tail: w^-s sum_k C_k(s) w^-(2k-1), differentiated by the
-    # product rule into w^-s sum_k (D_k(s) - C_k(s) log w) w^-(2k-1).  The
-    # sum runs in fixed point.
+
+def _em_rests(ctx: MPContext, s: Fraction, sm: mpf, ms: list[int], den: int, coefficients: list,
+              target: mpf, derivative: bool):
+    """sum_a c_a (integral term + half term + Bernoulli tail) of Euler-Maclaurin at w_a = m_a/den.
+
+    These are the terms of zeta(s, x_a), or of its s-derivative, past the
+    head of N terms, for w_a = N + x_a, each times its coefficient c_a (an
+    int or a Fraction); None if the tail grows.  ``s`` is exact and ``sm``
+    is it in ``ctx``.  The integral term takes s - 1 from the exact s
+    before rounding, so an ``s`` closer to the pole than the working
+    precision resolves is still evaluated at itself.
+
+    The tails are one ``_bernoulli_tails`` with the weights c_a w_a^(-s):
+    w^-s sum_k C_k(s) w^-(2k-1), differentiated by the product rule into
+    w^-s sum_k (D_k(s) - C_k(s) log w) w^-(2k-1), where C_k(0) = 0 leaves
+    the D_k alone.  It stops before the first term whose size is at most
+    ``target`` sum |c_a|, and ``target`` may come from a context of lower
+    precision than ``ctx``.
+    """
     point = ctx.prec + TAIL_EXTRA_BITS
-    cutoff = to_fixed((ctx.convert(target) / w_neg_s)._mpf_, point)
-    if derivative:
-        lw = ctx.log(w)
-        tail = _bernoulli_tail(lambda n: _em_table(point, s, n), m, den, point, cutoff,
-                               to_fixed(lw._mpf_, point))
+    ws = [ctx.mpf(m) / den for m in ms]
+    cms = [to_mpf(c, ctx) for c in coefficients]
+    powers = [ctx.power(w, -sm) for w in ws]
+    weights = [to_fixed((c * p)._mpf_, point) for c, p in zip(cms, powers)]
+    cutoff = to_fixed((ctx.convert(target) * sum(map(abs, cms)))._mpf_, point)
+    if not derivative:
+        tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[0], ms, den, point, cutoff, weights)
     else:
-        tail = _bernoulli_tail(lambda n: _em_table(point, s, n)[0], m, den, point, cutoff)
+        lws = [ctx.log(w) for w in ws]
+        if s == 0:
+            tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[1], ms, den, point, cutoff, weights)
+        else:
+            tail = _bernoulli_tails(lambda n: _em_table(point, s, n), ms, den, point, cutoff, weights,
+                                    [to_fixed(lw._mpf_, point) for lw in lws])
     if tail is None:
         return None
 
     s1 = to_mpf(s - 1, ctx)
-    a_int = w * w_neg_s
+    total = ctx.ldexp(tail, -point)
     if derivative:
-        integral = -a_int * (lw * s1 + 1) / s1 ** 2
-        half = -lw * w_neg_s / 2
+        for c, w, p, lw in zip(cms, ws, powers, lws):
+            total -= c * p * (w * (lw * s1 + 1) / s1 ** 2 + lw / 2)
     else:
-        integral = a_int / s1
-        half = w_neg_s / 2
-    return integral, half, w_neg_s * ctx.ldexp(tail, -point)
+        for c, w, p in zip(cms, ws, powers):
+            total += c * p * (w / s1 + ctx.mpf(1) / 2)
+    return total
 
 
 def _em_head(ctx: MPContext, s: Fraction, sm: mpf, num: int, den: int, n_shift: int, derivative: bool):
@@ -827,15 +962,48 @@ def _em_head(ctx: MPContext, s: Fraction, sm: mpf, num: int, den: int, n_shift: 
     return head
 
 
-def _periodic_head(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int):
-    """sum_{m <= Nq} f(m) m^(-s) in ``ctx``, by one of the two routes of ``periodic_zeta``.
-
-    f(m) is ``support[a]`` for m = a mod q (a = q for m = 0 mod q).
-    """
+def _periodic_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int, target: mpf):
+    """L(s, f) at fixed shift N, by the integer route of ``periodic_zeta``; None if the tail grows."""
     top = n_shift * q
     u, v = s.numerator, s.denominator
-    point = ctx.prec + (2 * top * top.bit_length()).bit_length()
-    if v * (v * point + abs(u) * top.bit_length()) <= _EXACT_ROOT_BITS:
+    point = ctx.prec + max(TAIL_EXTRA_BITS, (2 * top * top.bit_length()).bit_length())
+    by_class, roots = _periodic_roots(s, q, support, top, point)
+    # everything is at P fractional bits, in units of 1/den
+    den = math.lcm(*(c.denominator for c in support.values()))
+    scaled = [c.numerator * (den // c.denominator) for c in support.values()]
+    ms = [top + a for a in support]
+    weights = [c * roots[m] for c, m in zip(scaled, ms)]
+    cutoff = sum(map(abs, scaled)) * to_fixed(ctx.convert(target)._mpf_, point)
+    tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[0], ms, q, point, cutoff, weights)
+    if tail is None:
+        return None
+    # the classes that share a value of f are summed first, so each value
+    # takes one multiply
+    sums = dict.fromkeys(support.values(), 0)
+    for a, c in support.items():
+        sums[c] += by_class[a % q]
+    head = sum(c.numerator * (den // c.denominator) * t for c, t in sums.items())
+    half = sum(weights)
+    integral = sum(w * m for w, m in zip(weights, ms))
+    # head + tail + half/2 + integral v/(q(u - v)), over one denominator
+    q_s1 = q * (u - v)
+    numer = (2 * (head + tail) + half) * q_s1 + 2 * v * integral
+    denom = 2 * q_s1 * den << point
+    if denom < 0:
+        numer, denom = -numer, -denom
+    return ctx.make_mpf(from_rational(numer, denom, ctx.prec, round_nearest))
+
+
+def _periodic_roots(s: Fraction, q: int, support: dict, top: int, point: int) -> tuple:
+    """The integers of ``periodic_zeta`` at N = top/q, by one of its two routes.
+
+    r(m) = floor(2^point m^(-s)), and the result is (class sums, roots):
+    sum r(m) over m <= top in each class m mod q of the support (a = q is
+    the class 0), and {top + a: r(top + a)} for each residue a.
+    """
+    u, v = s.numerator, s.denominator
+    last = top + q
+    if v * (v * point + abs(u) * last.bit_length()) <= _EXACT_ROOT_BITS:
         scale = 1 << (v * point)
         if u > 0:
             def root(m):
@@ -853,50 +1021,51 @@ def _periodic_head(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: 
     # the sieve where the primes up to Nq, about Nq / ln(Nq), are fewer
     # than the N |support| terms; at v = 1 a quotient costs less than a product
     if v > 1 and len(support) * math.log(top) > q:
-        by_class = _sieve_sums(root, q, support, top, point)
-    else:
-        by_class = {a % q: sum(map(root, range(a, top + 1, q))) for a in support}
-    # the classes that share a value of f are summed first, so each value
-    # takes one multiply
-    sums = dict.fromkeys(support.values(), 0)
-    for a, c in support.items():
-        sums[c] += by_class[a % q]
-    den = math.lcm(*(c.denominator for c in sums))
-    total = sum(c.numerator * (den // c.denominator) * t for c, t in sums.items())
-    return ctx.make_mpf(from_rational(total, den << point, ctx.prec, round_nearest))
+        return _sieve_sums(root, q, support, top, point)
+    by_class, roots = {}, {}
+    for a in support:
+        terms = list(map(root, range(a, last + 1, q)))
+        roots[top + a] = terms.pop()
+        by_class[a % q] = sum(terms)
+    return by_class, roots
 
 
-def _sieve_sums(root, q: int, support: dict, top: int, point: int) -> list[int]:
-    """sum r(m) over m <= top in each class m mod q, r(m) = root(m) at primes and a product elsewhere.
+def _sieve_sums(root, q: int, support: dict, top: int, point: int) -> tuple:
+    """``_periodic_roots`` by the sieve: r(m) = root(m) at primes and a product elsewhere.
 
-    Only the classes of the support are complete: r(m) is computed for the
-    support, and for the cofactor m/p and the least prime factor p of every
-    composite m computed; r(1) = 2^point.
+    The walk runs over 1..top + q.  Only the classes of the support are
+    complete: r(m) is computed for the support, and for the cofactor m/p
+    and the least prime factor p of every composite m computed; r(1) = 2^point.
     """
+    last = top + q
     wanted = bytearray(q)
     for a in support:
         wanted[a % q] = 1
-    wanted *= top // q + 1
-    del wanted[top + 1:]
+    wanted *= last // q + 1
+    del wanted[last + 1:]
     wanted[0] = wanted[1] = 0
     # kept[m]: r(m) is read again, as a factor
-    kept = bytearray(top // 2 + 1)
-    lpf = _least_prime_factors(top)
+    kept = bytearray(last // 2 + 1)
+    lpf = _least_prime_factors(last)
     # descending, so the factors of m are marked before the walk reaches them
-    for m in itertools.compress(range(top, -1, -1), reversed(wanted)):
+    for m in itertools.compress(range(last, -1, -1), reversed(wanted)):
         p = lpf[m]
         if p:
             wanted[p] = wanted[m // p] = kept[p] = kept[m // p] = 1
     by_class = [0] * q
     by_class[1 % q] = 1 << point
+    roots = {}
     r_kept = [0] * len(kept)
-    for m in itertools.compress(range(top + 1), wanted):
+    for m in itertools.compress(range(last + 1), wanted):
         p = lpf[m]
         r = r_kept[m // p] * r_kept[p] >> point if p else root(m)
         if m < len(kept) and kept[m]:
             r_kept[m] = r
-        by_class[m % q] += r
-    return by_class
+        if m > top:
+            roots[m] = r
+        else:
+            by_class[m % q] += r
+    return by_class, roots
 
 
 def _least_prime_factors(n: int) -> array:

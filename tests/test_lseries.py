@@ -81,7 +81,8 @@ def test_l_value_mpmath_oracle(rng):
     # digits, on such an f, on one with support on non-units and on a = q,
     # and on a sparse one, whose head takes a root per term instead of the
     # sieve; s as a float and as an mpf, whose dyadic values take powers;
-    # the periods 1 and 2
+    # the periods 1 and 2; even f on one to three residue pairs of
+    # q = 1000 and 10^5, and a dense f of q = 24 at 240 digits
     non_units = PeriodicFunction(q=12, values={2: 3, 3: Fraction(-1, 2), 5: 1, 6: 2, 8: -1, 12: Fraction(5, 3)})
     sparse = PeriodicFunction(q=97, values={5: 2, 97: Fraction(-1, 3)})
     cases = [(random_even_dirichlet(rng.randint(2, 20), rng), rng.choice([2, 3, Fraction(1, 2)]), 40)
@@ -97,6 +98,10 @@ def test_l_value_mpmath_oracle(rng):
     for s in (Fraction(-1, 2), Fraction(3, 4), 2):
         cases += [(PeriodicFunction(q=1, values={1: Fraction(-7, 3)}), s, 50),
                   (PeriodicFunction(q=2, values={1: 1, 2: Fraction(-5, 2)}), s, 50)]
+    for f in _sparse_even(rng):
+        cases += [(f, s, 50) for s in (Fraction(-1, 2), Fraction(1, 3), 2, Fraction(7, 2))]
+    dense = random_even_dirichlet(24, rng, allow_zero=False)
+    cases += [(dense, s, 240) for s in (Fraction(-15, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(7, 2))]
     for f, s, d in cases:
         mine = l_value(s, f, d)
         with mp.workprec(prec_bits(d) + 60):
@@ -106,6 +111,19 @@ def test_l_value_mpmath_oracle(rng):
                 for a, v in f.values.items()
             )
         assert abs(mine - ref) < tol(d), (f, s, d)
+
+
+def _sparse_even(rng):
+    """Even Dirichlet-type f on one, two and three residue pairs of q = 1000 and q = 10^5."""
+    out = []
+    for q in (1000, 10**5):
+        units = [a for a in range(1, q // 2) if gcd(a, q) == 1]
+        for pairs in (1, 2, 3):
+            values = {}
+            for a in rng.sample(units, pairs):
+                values[a] = values[q - a] = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+            out.append(PeriodicFunction(q=q, values=values))
+    return out
 
 
 def test_non_finite_s_rejected(golden_f5):
@@ -166,8 +184,7 @@ def test_q6_degeneracy(rng):
 
 def test_three_way_agreement(rng):
     d = 30
-    for q in range(3, 51):
-        f = random_even_dirichlet(q, rng)
+    for f in [random_even_dirichlet(q, rng) for q in range(3, 51)] + _sparse_even(rng):
         a = l_deriv(0, f, d)
         b = l_deriv0_closed(f, d)
         c = l_deriv0_even(f, d)

@@ -477,12 +477,13 @@ def test_hurwitz_same_exact_s_same_bits(root_calls):
 
 def test_l_value_roots_only_at_primes(root_calls):
     # one head for all of L(s, f): r(m) = floor(2^P m^(-s)) is a root at
-    # the primes and a product elsewhere.  At s = 1/2 (v = 2, no root
+    # the primes and a product elsewhere.  The rest of each residue a takes
+    # r(Nq + a), so the sieve runs to (N + 1)q.  At s = 1/2 (v = 2, no root
     # recurses) an even Dirichlet-type f that is non-zero on every unit
-    # takes one root per prime p <= Nq not dividing q, and no other
+    # takes one root per prime p <= (N + 1)q not dividing q, and no other
     q, d, s = 36, 50, Fraction(1, 2)
     f = PeriodicFunction(q=q, values={a: 1 + min(a, q - a) % 3 for a in range(1, q) if gcd(a, q) == 1})
-    top = numkernel._em_first_shift(d) * q
+    top = (numkernel._em_first_shift(d) + 1) * q
     primes = [p for p in range(2, top + 1) if q % p and all(p % k for k in range(2, isqrt(p) + 1))]
     root_calls.clear()
     mine = l_value(s, f, d)
@@ -494,8 +495,8 @@ def test_l_value_roots_only_at_primes(root_calls):
 
 def test_l_value_sparse_f_at_large_period(root_calls):
     # a sparse f takes one root per head term, so its cost follows its
-    # support and not q: one residue of q = 10^7 is N roots, not a sieve
-    # over 1..Nq
+    # support and not q: one residue of q = 10^7 is N roots, and one for
+    # its rest, r(Nq + a), not a sieve over 1..Nq
     q, d, s = 10**7, 30, Fraction(1, 2)
     n_first = numkernel._em_first_shift(d)
     with mp.workprec(prec_bits(d) + 40):
@@ -503,7 +504,7 @@ def test_l_value_sparse_f_at_large_period(root_calls):
         for a, ref in refs.items():
             root_calls.clear()
             mine = l_value(s, PeriodicFunction(q=q, values={a: 1}), d)
-            assert root_calls == [2] * n_first, a
+            assert root_calls == [2] * (n_first + 1), a
             assert abs(mine - mp.power(q, -0.5) * ref) < tol(d), a
 
 
@@ -596,6 +597,89 @@ def test_derivative_finite_difference_consistency():
 
 # ---------------------------------------------------------------------------
 # Coefficient tables
+
+def _exact_em_coefficients(s, n):
+    """(C_k(s), D_k(s)) for k = 1..n, exactly."""
+    out, rising, d_rising = [], s, Fraction(1)
+    for k in range(1, n + 1):
+        coeff = bernoulli(2 * k) / factorial(2 * k)
+        out.append((coeff * rising, coeff * d_rising))
+        f1, f2 = s + 2 * k - 1, s + 2 * k
+        rising, d_rising = rising * f1 * f2, d_rising * f1 * f2 + rising * (f1 + f2)
+    return out
+
+
+def _tail_bound(coefficients, ms, den, weights, logs, point):
+    """The bound ``_bernoulli_tails`` states, in units of 2^-point, and the exact series.
+
+    The series runs with the exact coefficients until its size, which the
+    docstring defines, falls below 2^-40 units; the number of terms K in
+    the bound is the count until that size falls below 1 unit, plus 2.
+    Returns (bound, exact series, the largest of the K terms' coefficients).
+    """
+    r = Fraction(den, min(ms))
+    total_w = Fraction(sum(map(abs, weights)), 1 << point)
+    lam = Fraction(max(logs), 1 << point) if logs else 0
+    exact, k_units, s_sum, k = Fraction(0), None, Fraction(0), 0
+    for k, coeff in enumerate(coefficients, 1):
+        c, d = coeff if logs else (coeff, coeff)
+        b = abs(d) + abs(c) * lam if logs else abs(c)
+        size = b * total_w * r ** (2 * k - 1) * (1 << point)
+        if size < 1 and k_units is None:
+            k_units = k
+        if size < Fraction(1, 1 << 40):
+            break
+        s_sum += abs(c) * r ** (2 * k - 1)
+        for m, w, l in zip(ms, weights, logs or [0] * len(ms)):
+            a = d - c * Fraction(l, 1 << point) if logs else c
+            exact += a * w * Fraction(den, m) ** (2 * k - 1)
+    else:
+        raise AssertionError("too few coefficients for the exact series")
+    big_k, n, w_min = k_units + 2, len(ms), Fraction(min(ms), den)
+    bound = big_k + 1 + (1 + lam) * total_w / (2 * (w_min - 1))
+    if logs:
+        bound += n * s_sum
+    largest = max(max(map(abs, coeff)) if logs else abs(coeff) for coeff in coefficients[:big_k])
+    return bound, exact, largest
+
+
+@pytest.mark.parametrize("d", (50, 240))
+def test_bernoulli_tails_batch_against_one_residue_calls(d):
+    # one call over n residues agrees with its n one-residue calls, and
+    # each with the exact series, within the bound the docstring states;
+    # the value, derivative and Stirling tables, and at s = 30 tables whose
+    # coefficients grow far past 2^prec, where the width has to widen.
+    # A cutoff of 0 sums each series until its size falls below one unit,
+    # which the shift N >= 100 lets it reach at s = 30 too
+    point = prec_bits(d) + numkernel.TAIL_EXTRA_BITS
+    q, n_shift = 41, max(100, numkernel._em_first_shift(d))
+    ms = [n_shift * q + a for a in (1, 5, 20, 40, 41)]
+    # the least m has the smallest weight, so a size from one residue stops early
+    weights = [(1 << point) // 1000, -(1 << point) // 7, (5 << point) // 2, -(2 << point), 3 << point]
+    with mp.workprec(point + 20):
+        logs = [int(mp.floor(mp.log(mpf(m) / q) * 2 ** point)) for m in ms]
+    stirling = [bernoulli(2 * k) / (2 * k * (2 * k - 1)) for k in range(1, 400)]
+    cases = [("Stirling", lambda n: numkernel._stirling_table(point, n), stirling, None)]
+    for s in (Fraction(1, 3), Fraction(30)):
+        exact = _exact_em_coefficients(s, 400)
+        cases += [(f"value s={s}", lambda n, s=s: numkernel._em_table(point, s, n)[0], [c for c, _ in exact], None),
+                  (f"derivative s={s}", lambda n, s=s: numkernel._em_table(point, s, n), exact, logs)]
+    for name, table, coefficients, lg in cases:
+        batch = numkernel._bernoulli_tails(table, ms, q, point, 0, weights, lg)
+        bound, exact, largest = _tail_bound(coefficients, ms, q, weights, lg, point)
+        assert abs(batch - exact) <= bound, (name, float(abs(batch - exact)), float(bound))
+        singles, single_bounds = 0, 0
+        for i, (m, w) in enumerate(zip(ms, weights)):
+            one = [lg[i]] if lg else None
+            single = numkernel._bernoulli_tails(table, [m], q, point, 0, [w], one)
+            single_bound, single_exact, _ = _tail_bound(coefficients, [m], q, [w], one, point)
+            assert abs(single - single_exact) <= single_bound, (name, m)
+            singles += single
+            single_bounds += single_bound
+        assert abs(batch - singles) <= bound + single_bounds, (name, float(abs(batch - singles)))
+        if "30" in name:
+            assert largest > 2 ** point, name
+
 
 def _table_snapshot():
     return (dict(numkernel._stirling_tables), dict(numkernel._em_tables))
