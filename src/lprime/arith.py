@@ -11,6 +11,8 @@ test is involved.  That is ample for desk-scale moduli (q well below
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -179,9 +181,17 @@ def half_units(q: int) -> list[int]:
     """The half support: residues 1 <= a <= q/2 coprime to q, ascending.
 
     The fixed column order of the log-sine formulas, the relations and
-    the rank criterion.
+    the rank criterion.  A sieve: the multiples of each prime factor of q
+    are cleared, so no gcd is taken.
     """
-    return [a for a in range(1, q // 2 + 1) if gcd(a, q) == 1]
+    half = q // 2
+    if half < 1:
+        return []
+    coprime = bytearray([1]) * (half + 1)
+    coprime[0] = 0
+    for p, _ in factorize(q):
+        coprime[p::p] = bytes(len(range(p, half + 1, p)))
+    return list(itertools.compress(range(half + 1), coprime))
 
 
 def coset_relations(q: int) -> list[tuple[int, ...]]:
@@ -199,10 +209,18 @@ def coset_relations(q: int) -> list[tuple[int, ...]]:
     span the whole rational relation space.  A prime power has none.
 
     Order: fewest residues first, then supports without a = 1, then the
-    sorted residue tuples.  Each support appears once.
+    sorted residue tuples.  Each support appears once.  The supports of
+    the last few q are kept, so the classifier and the vanishing verdict
+    of one q build them once; each call returns a new list.
     """
     if q < 2:
         raise ValidationError(f"relations need q >= 2, got {q}")
+    return list(_coset_supports(q))
+
+
+@functools.lru_cache(maxsize=16)
+def _coset_supports(q: int) -> tuple[tuple[int, ...], ...]:
+    """The supports of ``coset_relations(q)``, in its order, as a tuple."""
     half = half_units(q)
     supports = set()
     for p, e in factorize(q):
@@ -221,7 +239,7 @@ def coset_relations(q: int) -> list[tuple[int, ...]]:
         for a in half:
             blocks.setdefault(coset[a % m], []).append(a)
         supports.update(tuple(b) for b in blocks.values())
-    return sorted(supports, key=lambda s: (len(s), 1 in s, s))
+    return tuple(sorted(supports, key=lambda s: (len(s), 1 in s, s)))
 
 
 def has_log2_relation(q: int) -> bool:

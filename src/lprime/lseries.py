@@ -93,10 +93,11 @@ def l_deriv0_even(f: PeriodicFunction, digits: int) -> mpf:
     """L'(0, f) = -sum over the half support of f(a) log(2 sin(a pi/q)).
 
     One ``log_sine_sum``: the residues that share a value of f share one
-    log of their product of sines.  Requires f even and Dirichlet type
-    with period >= 3: the reduction pairs a with q - a, and for q <= 2 the
-    pairing degenerates (a = q/2 is its own partner), so those periods are
-    rejected rather than silently mis-weighted.
+    product of sines, and the values that share a denominator one log.
+    Requires f even and Dirichlet type with period >= 3: the reduction
+    pairs a with q - a, and for q <= 2 the pairing degenerates (a = q/2 is
+    its own partner), so those periods are rejected rather than silently
+    mis-weighted.
     """
     if f.q < 3:
         raise ValidationError(

@@ -12,13 +12,16 @@ The special functions every other module needs live here:
 
 * exact Bernoulli numbers (cached),
 * 2*sin(a*pi/q) for ascending residues a <= q/2 of one q
-  (``two_sines``): one integer rotation by pi/q in fixed point, at
-  bits(q) + ``SINE_GUARD_BITS`` bits beyond the working precision, with
-  each value rounded once, within 2^-prec (1 + 2^-21) relative; and sums
-  of their logs (``log_sine_sum``), one log per distinct coefficient of
-  the product of the sines that share it.  Every log-sine of the library
-  comes from this rotation.  ``two_sin_pi`` is mpmath's one-value sin,
-  kept as the independent oracle the rotation is tested against,
+  (``two_sines``): one integer three-term recurrence
+  sin((k+1) pi/q) = 2 cos(pi/q) sin(k pi/q) - sin((k-1) pi/q) in fixed
+  point, one multiply per step, at 2 bits(q) + ``SINE_GUARD_BITS`` bits
+  beyond the working precision, with each value rounded once, within
+  2^-prec (1 + 2^-25) relative; and sums of their logs
+  (``log_sine_sum``), one log per denominator of the coefficients, of
+  the quotient of the powers of the products of the sines that share a
+  coefficient.  Every log-sine of the library comes from this
+  recurrence.  ``two_sin_pi`` is mpmath's one-value sin, kept as the
+  independent oracle the recurrence is tested against,
 * log Gamma(a/q) by an argument-shifted Stirling series, and L'(0, f)
   for f of period q by the log-Gamma closed form with that series for
   every residue (``stirling_closed_form``), whose log q and log(2 pi)
@@ -102,11 +105,16 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     from_rational,
+    fone,
+    fzero,
+    mpf_add,
     mpf_cos_sin,
     mpf_div,
     mpf_log,
+    mpf_mul,
     mpf_pi,
     mpf_pow,
+    mpf_pow_int,
     round_floor,
     round_nearest,
     to_fixed,
@@ -146,9 +154,12 @@ TAIL_EXTRA_BITS = 16
 TAIL_GUARD_BITS = 48
 #: Most terms a Bernoulli tail sums before it counts as divergent.
 MAX_TAIL_TERMS = 10_000
-#: Fractional bits the sine rotation of ``two_sines`` carries beyond the
-#: working precision and bits(q); its docstring states what they absorb.
+#: Fractional bits the sine recurrence of ``two_sines`` carries beyond the
+#: working precision and 2 bits(q); its docstring states what they absorb.
 SINE_GUARD_BITS = 24
+#: Walk values ``log_sine_sum`` multiplies exactly before it floors their
+#: product back to the walk's fixed point.
+_PRODUCT_CHUNK = 4
 
 
 def prec_bits(digits: int) -> int:
@@ -419,20 +430,24 @@ def two_sin_pi(a: int, q: int, digits: int) -> mpf:
 def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
     """2*sin(a*pi/q) at d digits for each of the ascending integer ``residues``, 0 < a <= q/2.
 
-    One cos/sin pair of pi/q, at P = prec + bits(q) + ``SINE_GUARD_BITS``
-    fractional bits, is the step (c, s) of an integer rotation: from
-    (C, S) = (2^P, 0), each k = 1 .. max(residues) sets
-    (C, S) <- ((C c - S s) >> P, (S c + C s) >> P), so that S / 2^P is
-    sin(k pi/q), and each wanted 2 S / 2^P is rounded once into the
-    working precision.
+    One cos/sin pair of t = pi/q, at P = prec + 2 bits(q) + ``SINE_GUARD_BITS``
+    fractional bits, starts the three-term recurrence
+    sin((k+1) t) = 2 cos(t) sin(k t) - sin((k-1) t) in integers: with
+    T = floor(2^(P+1) cos t), S_0 = 0 and S_1 = floor(2^P sin t), each step
+    sets S_(k+1) = floor(T S_k / 2^P) - S_(k-1), one multiply, so that
+    S_k / 2^P is sin(k pi/q), and each wanted 2 S_a / 2^P is rounded once
+    into the working precision.
 
-    The step is within 3 units u = 2^-P of e^(i pi/q), and a step's two
-    floors add less than sqrt(2) u, so after k steps C + iS is within
-    5k u of e^(i k pi/q) (k u is far below 1).  Since sin(a pi/q) >= 2a/q
-    for a <= q/2, the relative error of 2 S / 2^P is below
-    10a u / (4a/q) = 2.5 q u < 2^(2 - prec - SINE_GUARD_BITS), whatever
-    a is.  The one rounding then leaves each value within
-    2^-prec (1 + 2^(3 - SINE_GUARD_BITS)) of 2 sin(a pi/q), relative:
+    Error, in units u = 2^-P.  T u and S_1 u are within one unit of
+    2 cos t and sin t (the pair is taken at P + 8 bits), and |S_k| u <= 1,
+    so each step's two floors add at most 2 units.  The error e_k of S_k
+    obeys the same recurrence, e_(k+1) = 2 cos(t) e_k - e_(k-1) + delta_k,
+    so an error made at step j reaches step k times U_(k-1-j)(cos t), and
+    |U_n| <= n + 1 gives |e_k| <= k + 2 (1 + ... + (k - 1)) = k^2 units.
+    Since sin(k pi/q) >= 2k/q for k <= q/2, the relative error of S_k u is
+    at most k q u / 2 <= q^2 u / 4 < 2^(-2 - prec - SINE_GUARD_BITS),
+    whatever k is.  The one rounding then leaves each value within
+    2^-prec (1 + 2^(-1 - SINE_GUARD_BITS)) of 2 sin(a pi/q), relative:
     correctly rounded but for near-ties.
     """
     prec = context(digits).prec
@@ -441,7 +456,7 @@ def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
 
 
 def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
-    """(P, [S_a]): the rotation of ``two_sines``, 2 S_a / 2^P ~ 2 sin(a pi/q), unrounded."""
+    """(P, [S_a]): the recurrence of ``two_sines``, 2 S_a / 2^P ~ 2 sin(a pi/q), unrounded."""
     if not _is_int(q) or q < 2:
         raise ValidationError(f"denominator q must be an integer >= 2, got {q!r}")
     last = 0
@@ -451,15 +466,15 @@ def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
                 f"residues must be integers ascending within 0 < a <= q/2, "
                 f"got a={a!r} after {last}, q={q}")
         last = a
-    point = prec + q.bit_length() + SINE_GUARD_BITS
+    point = prec + 2 * q.bit_length() + SINE_GUARD_BITS
     wp = point + 8
     cos, sin = mpf_cos_sin(mpf_div(mpf_pi(wp), from_int(q), wp, round_nearest), wp, round_nearest)
-    c, s = to_fixed(cos, point), to_fixed(sin, point)
+    twice_cos = to_fixed(cos, point + 1)
     sines = []
-    big_c, big_s, k = 1 << point, 0, 0
+    before, big_s, k = 0, to_fixed(sin, point), 1
     for a in residues:
         while k < a:
-            big_c, big_s = (big_c * c - big_s * s) >> point, (big_s * c + big_c * s) >> point
+            before, big_s = big_s, (twice_cos * big_s >> point) - before
             k += 1
         sines.append(big_s)
     return point, sines
@@ -469,44 +484,69 @@ def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
     """sum c_a log(2 sin(a pi/q)) at d digits over pairs (a, c_a), ascending a <= q/2.
 
     The coefficients are ints or Fractions, and every residue must be one
-    that ``two_sines`` takes, whatever its coefficient.  Residues with one
-    coefficient c share one log: the sum is
-    sum_c c * log(prod_{c_a = c} 2 sin(a pi/q)), one log per distinct
-    non-zero coefficient.  The factors are the fixed-point values of the
-    ``two_sines`` rotation, before it rounds them, and each product is an
-    integer kept at P bits (a floor per factor), so a product of n
-    factors is within n 2^(3 - prec - SINE_GUARD_BITS) relative before it
-    is rounded once for its log.  With |log P_c| <= n_c log q for the
-    product P_c of n_c factors, the sum is within
-    sum_c |c| (1 + n_c log q + n_c 2^(3 - SINE_GUARD_BITS)) 2^-prec of the
-    exact one, plus the roundings of the products by c and of the partial
-    sums: with n <= 500 residues, |c_a| <= 5 and q < 10^4, at most 15 of
-    the ``GUARD_BITS``.
+    that ``two_sines`` takes, whatever its coefficient.  The sum takes one
+    log per denominator of the coefficients: with P_c the product of the
+    2 sin(a pi/q) whose coefficient is c = num/den, it is
+    sum_den (1/den) log(prod_(num > 0) P_c^num / prod_(num < 0) P_c^|num|).
+    The factors are the fixed-point values of the ``two_sines`` recurrence,
+    before it rounds them.  Each P_c multiplies ``_PRODUCT_CHUNK`` of them
+    exactly before it floors the product back to P bits, and the powers,
+    the products of powers and the quotient are taken at P bits.  The
+    quotient is rounded to the working precision before its log: mpmath's
+    ``mpf_log`` misreads an x within 2^-(prec + 20) above 1/4 that carries
+    more bits than its precision as lying near 1.
+
+    Error.  A factor is within 2^(-2 - prec - SINE_GUARD_BITS) relative and
+    a floor to P bits within 2^(1 - P) <= 2^(-3 - prec - SINE_GUARD_BITS),
+    so P_c of n_c factors is within n_c 2^(-1 - prec - SINE_GUARD_BITS),
+    and the quotient of one denominator within
+    sum_c |num| n_c 2^(-1 - prec - SINE_GUARD_BITS) plus a few units of
+    2^-P, before its rounding (2^-prec) and its log (2^-prec relative).
+    With |log P_c| <= n_c log q, the sum is within
+    2^-prec sum_c |c| n_c (log q + 2^(-SINE_GUARD_BITS)) plus 2^(1 - prec)
+    per log of the exact one, plus the roundings of the divisions by den
+    and of the partial sums: with n <= 500 residues, |c_a| <= 5 and
+    q < 10^4, at most 15 of the ``GUARD_BITS``.
     """
     ctx = context(digits)
+    prec = ctx.prec
     pairs = list(coefficients)
-    point, sines = _sine_walk(q, [a for a, _ in pairs], ctx.prec)
-    # (numerator, denominator) of c -> [mantissa, exponent] of its product,
-    # a P-bit mantissa; the pair hashes faster than a Fraction
-    products: dict[tuple[int, int], list[int]] = {}
+    point, sines = _sine_walk(q, [a for a, _ in pairs], prec)
+    # (numerator, denominator) of c -> its walk values; the pair hashes
+    # faster than a Fraction
+    groups: dict[tuple[int, int], list[int]] = {}
     for (_, c), man in zip(pairs, sines):
-        if not c:
-            continue
-        key = c.numerator, c.denominator
-        product = products.get(key)
-        if product is None:
-            products[key] = [man, 1 - point]
-            continue
-        man, exp = man * product[0], product[1] + 1 - point
+        if c:
+            groups.setdefault((c.numerator, c.denominator), []).append(man)
+    # denominator -> [numerator, denominator] of its quotient, at P bits
+    quotients: dict[int, list[tuple]] = {}
+    for (num, den), factors in groups.items():
+        power = mpf_pow_int(_walk_product(factors, point), abs(num), point)
+        quotient = quotients.setdefault(den, [fone, fone])
+        quotient[num < 0] = mpf_mul(quotient[num < 0], power, point)
+    total = fzero
+    for den, (top, bottom) in quotients.items():
+        log = mpf_log(mpf_div(top, bottom, prec, round_nearest), prec, round_nearest)
+        total = mpf_add(total, mpf_div(log, from_int(den), prec, round_nearest), prec, round_nearest)
+    return mp.make_mpf(total)
+
+
+def _walk_product(factors: list[int], point: int) -> tuple:
+    """prod 2 S / 2^P over the walk values S, a raw mpf of at most P bits.
+
+    ``_PRODUCT_CHUNK`` factors are multiplied exactly, and the product is
+    floored to P bits after each chunk.
+    """
+    man, exp = 1, 0
+    for i in range(0, len(factors), _PRODUCT_CHUNK):
+        chunk = factors[i:i + _PRODUCT_CHUNK]
+        man *= math.prod(chunk)
+        exp += (1 - point) * len(chunk)
         extra = man.bit_length() - point
         if extra > 0:
-            man, exp = man >> extra, exp + extra
-        product[:] = man, exp
-    total = ctx.mpf(0)
-    for (num, den), (man, exp) in products.items():
-        product = ctx.make_mpf(from_man_exp(man, exp, ctx.prec, round_nearest))
-        total += ctx.mpf(num) / den * ctx.log(product)
-    return plain_mpf(total)
+            man >>= extra
+            exp += extra
+    return from_man_exp(man, exp)
 
 
 def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
@@ -776,7 +816,9 @@ def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits
     ``periodic_zeta`` and the Euler-Maclaurin series of ``hurwitz_zeta_ds``
     at one shift N for all residues.  Each residue keeps its own head; the
     rests of all of them are summed together, with one
-    ``_bernoulli_tails`` for their tails, weighted by f(a) w_a^(-s).
+    ``_bernoulli_tails`` for their tails, weighted by f(a) w_a^(-s).  At
+    s = 0, L(0, f) is the exact sum f(a) (1/2 - a/q), rounded once: 0 for
+    an even f.
     """
     require_digits(digits)
     _check_s(s)
@@ -785,7 +827,10 @@ def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits
     if not support:
         return plain_mpf(ctx.mpf(0))
     s = _exact_real(s)
-    value = periodic_zeta(s, q, support, digits)
+    if s:
+        value = periodic_zeta(s, q, support, digits)
+    else:
+        value = _rounded(ctx, sum(c * (q - 2 * a) for a, c in support.items()) / Fraction(2 * q))
     zeta_ds = _em_shifts(s, digits, lambda wctx, n_shift, target: _ds_sum_attempt(
         wctx, s, q, support, n_shift, target), f"L'(s={s}) of period {q}")
     total = ctx.power(q, -to_mpf(s, ctx)) * zeta_ds

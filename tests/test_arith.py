@@ -12,6 +12,7 @@ from lprime.arith import (
     character_half_sum,
     euler_phi,
     factorize,
+    half_units,
     is_prime,
     is_prime_power,
     lift_character,
@@ -216,3 +217,9 @@ def test_character_half_sum_zero_including_one():
         full = sum(chi(b) for b in range(1, q // 2 + 1))
         assert full == 0
         assert character_half_sum(chi) == -1
+
+
+def test_half_units_sieve_matches_gcd_definition():
+    for q in range(2, 3001):
+        assert half_units(q) == [a for a in range(1, q // 2 + 1) if gcd(a, q) == 1], q
+    assert half_units(1) == half_units(0) == half_units(-7) == []

@@ -95,6 +95,16 @@ def test_prime_powers_return_none():
             assert find_relation_for_modulus(q, 10**6, 30) is None, q
 
 
+def test_coset_relations_returns_a_fresh_list():
+    for q in (84, 155, 210):
+        first = coset_relations(q)
+        expected = list(first)
+        first.clear()
+        first.append((1,))
+        assert coset_relations(q) == expected, q
+        assert coset_relations(q) is not coset_relations(q)
+
+
 def test_selection_order():
     # q = 55: the two classes mod 5 are the shortest; the witness class
     # {2, 3} does not contain a = 1, so it comes first

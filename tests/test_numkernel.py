@@ -186,6 +186,11 @@ def test_log_sine_sum_against_per_residue_logs(d):
         (97, [(a, 10**6 if a == 5 else (-1) ** a) for a in range(1, 49)]),
         (155, [(a, Fraction(a % 7 - 3, 1 + a % 3)) for a in range(1, 78) if gcd(a, 155) == 1]),
         (1000, [(a, a % 5 - 2) for a in range(1, 501)]),
+        (97, [(3, Fraction(10**6, 7)), (4, -1), (9, Fraction(1, 7))]),
+        # exact values: -2 log 2 and -(2/3) log 2, where the product before
+        # its log lies within a few units of 1/4; 2 log 2, within a few
+        # units of 4; and 0, since 2 sin(pi/6) = 1
+        (4, [(1, -4)]), (4, [(1, Fraction(-4, 3))]), (8, [(1, 4), (3, 4)]), (6, [(1, 5)]),
     ]
     for q, pairs in cases:
         got = log_sine_sum(q, pairs, d)
