@@ -22,10 +22,19 @@ relation, the all-ones one.  ``independence_25`` (the full family plus
 pi and log 2) holds for q = 6 and for the relation-free moduli, the
 prime powers, other than 2^n with n >= 3 (``arith.has_log2_relation``):
 at those the half-support log-sines sum to (1/2) log 2, since the
-cyclotomic polynomial takes the value 2 at 1.  The case, subcase and trace record the ladder as the
-paper states it; the ladder's own claim of independence fails at, for
-example, q = 34 (TwoPNPower) and 693 (PeiFeng(V,1)), and misses
-Uncovered q = 140.
+cyclotomic polynomial takes the value 2 at 1.
+
+The case, subcase and trace record the ladder as the paper states it, and
+its own claim of independence is not exact.  Below 2000 it files 780
+moduli under a label, and at 174 of them the half-support log-sines have
+two or more relations (counted from characters by the benchmark's
+oracle, ``relation_rank``): TwoTimesPeiFeng(III) 81 of 141 (66, 102,
+...), TwoPNPower 69 of 183 (34, 62, ...), PeiFeng(IV,1) all 14 (84,
+252, ...), PeiFeng(IV,2) 5 of 20 (204, ...), TwoTimesPeiFeng(V) all 3
+(462, 966, 1386) and PeiFeng(V,1) 2 of 6 (693, 1449).  The other labels
+hold at every modulus they file.  The ladder also misses Uncovered
+q = 140, 460, 940 and 980, which have at most one relation.
+``tests/test_classify.py`` pins these moduli.
 
 ``vanishing_verdict`` says what is provable about L'(0, f) for an even
 Dirichlet-type f of period q, by the number of coset relations: none

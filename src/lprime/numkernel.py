@@ -26,20 +26,10 @@ The special functions every other module needs live here:
   for f of period q by the log-Gamma closed form with that series for
   every residue (``stirling_closed_form``), whose log q and log(2 pi)
   terms cancel exactly,
-* the Hurwitz zeta function zeta(s, x) and its s-derivative by
-  Euler-Maclaurin summation, valid for finite real s != 1 and
-  0 < x <= 1.  At integer s <= 0, zeta(s, x) is the exact
-  -B_(1-s)(x)/(1-s), rounded once.  Otherwise the head
-  sum_{n<N} (n+x)^(-s) takes one of three routes: one log of an exact
-  integer product for zeta'(0, x); for zeta(s, x) at rational s = u/v
-  (integer s is v = 1) of moderate size, one integer sum of fixed-point
-  v-th roots, rounded once, times one power; and a power (and for the
-  derivative a log) per term for every other head.  The route is chosen
-  by the exact value of s: an ``mpf`` or ``float`` is a dyadic rational,
-  so ``mpf("0.5")``, ``0.5`` and ``Fraction(1, 2)`` give the same bits,
-* L(s, f) = sum f(m) m^(-s) for f of period q (``periodic_zeta``), the
-  same series at one shift N for all residues a: the exact Bernoulli
-  polynomials at integer s <= 0, and otherwise one head for all residues,
+* L(s, f) = sum f(m) m^(-s) for f of period q (``periodic_zeta``) by
+  Euler-Maclaurin summation, valid for finite real s != 1, at one shift
+  N for all residues a: the exact Bernoulli polynomials at integer
+  s <= 0, and otherwise one head for all residues,
   sum f(m) floor(2^P m^(-s)) over m <= Nq in integers, with a fixed-point
   v-th root at s = u/v (one power past the root cost bound), and the
   rests of all residues at m_a = Nq + a in the same integers, where
@@ -48,8 +38,18 @@ The special functions every other module needs live here:
   as for the Dirichlet-type f of small q) takes its roots at the primes
   only, by a least-prime-factor sieve over 1..(N+1)q, and one integer
   product at every other m, since m^(-s) is completely multiplicative.
-  Its s-derivative (``periodic_zeta_ds``) keeps one head per residue and
-  sums the rests of all residues together.
+  The route is chosen by the exact value of s: an ``mpf`` or ``float``
+  is a dyadic rational, so ``mpf("0.5")``, ``0.5`` and
+  ``Fraction(1, 2)`` give the same bits.
+  Its s-derivative (``periodic_zeta_ds``) keeps one head per residue, a
+  power and a log per term (at s = 0 one log of an exact integer
+  product), and sums the rests of all residues together,
+* the Hurwitz zeta function zeta(s, x), 0 < x = a/q <= 1, and its
+  s-derivative as these series with one residue: zeta(s, a/q) is
+  q^s L(s, f) for f = 1 at a (``hurwitz_zeta``), taken at a few more
+  digits where |zeta| may exceed 1, and zeta'(s, a/q) the one-residue
+  series of ``periodic_zeta_ds`` (``hurwitz_zeta_ds``).  At integer
+  s <= 0, zeta(s, x) is the exact -B_(1-s)(x)/(1-s), rounded once.
 
 Every series ends in a Bernoulli tail, sum_k c_k w^-(2k-1) at w = m/den,
 an exact rational, and every sum over residues a of such tails, weighted,
@@ -63,10 +63,10 @@ Each working precision has its own mpmath context, ``context(d)``: an
 ``MPContext`` at the guarded precision for ``d``, built on first use and
 never changed after that.  All arithmetic runs in the context of the
 requested precision, and every public function returns a plain mpmath
-``mpf`` converted from it without rounding.  The one exception is the
-Euler-Maclaurin series at s < 0, which cancels: it runs in the context
-of a few more digits, and its result is rounded once into the context
-of the request.  mpmath's global precision
+``mpf`` converted from it without rounding.  The exceptions are the
+Euler-Maclaurin series at s < 0, which cancels, and ``hurwitz_zeta``:
+they run in the context of a few more digits, and their result is
+rounded once into the context of the request.  mpmath's global precision
 is never read or set, so the result of a call does not depend on the
 caller's ambient precision, and calls at different precisions may run
 concurrently from several threads.
@@ -459,20 +459,19 @@ def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
     """(P, [S_a]): the recurrence of ``two_sines``, 2 S_a / 2^P ~ 2 sin(a pi/q), unrounded."""
     if not _is_int(q) or q < 2:
         raise ValidationError(f"denominator q must be an integer >= 2, got {q!r}")
-    last = 0
-    for a in residues:
-        if not _is_int(a) or not last < a or 2 * a > q:
-            raise ValidationError(
-                f"residues must be integers ascending within 0 < a <= q/2, "
-                f"got a={a!r} after {last}, q={q}")
-        last = a
     point = prec + 2 * q.bit_length() + SINE_GUARD_BITS
     wp = point + 8
     cos, sin = mpf_cos_sin(mpf_div(mpf_pi(wp), from_int(q), wp, round_nearest), wp, round_nearest)
     twice_cos = to_fixed(cos, point + 1)
     sines = []
-    before, big_s, k = 0, to_fixed(sin, point), 1
+    last, before, big_s, k = 0, 0, to_fixed(sin, point), 1
     for a in residues:
+        # an exact int passes without the call of ``_is_int``
+        if type(a) is not int and not _is_int(a) or not last < a or 2 * a > q:
+            raise ValidationError(
+                f"residues must be integers ascending within 0 < a <= q/2, "
+                f"got a={a!r} after {last}, q={q}")
+        last = a
         while k < a:
             before, big_s = big_s, (twice_cos * big_s >> point) - before
             k += 1
@@ -659,70 +658,54 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
 
     At integer s = -k <= 0 the value is the exact rational
     -B_(k+1)(x)/(k+1), from the cached Bernoulli numbers, rounded once.
+    Every other s takes the one-residue ``periodic_zeta``: for x = a/q in
+    lowest terms, zeta(s, x) = q^s L(s, f) with f = 1 at a and 0 elsewhere.
 
-    Every other s takes Euler-Maclaurin: partial sum to N, integral term
-    (N+x)^(1-s)/(s-1), half-term, then the Bernoulli tail
-    w^(-s) sum_k C_k(s) w^-(2k-1), w = N + x.  N starts at max(10, 0.8*d)
-    and doubles until the first neglected tail term is below
-    10**(-d-10); past 64*d the evaluation is abandoned as non-convergent.
-    The tail is the one-residue ``_bernoulli_tails`` with the weight
-    w^(-s) (one power), a fixed-point integer sum whose stated error bound
-    stays below 2^-prec.
+    The bound of L(s, f) is absolute, 10**-(d + 10), and zeta's must be
+    relative where |zeta| > 1, so L(s, f) is taken at d + e digits and
+    q^s L(s, f) is rounded once to d:
 
-    The partial sum runs over the integers m = n*q + a for x = a/q, and
-    its route is chosen by the exact value of s:
+    * e = ceil(s log10 a) for s > 1, where L(s, f) >= a^(-s), so the
+      bound is relative, and zeta >= x^(-s);
+    * e = ceil(s log10 q) for 0 < s < 1, where the bound stays absolute
+      and q^s scales it;
+    * e = 0 for s < 0, where q^s < 1.
 
-    * s = u/v in lowest terms, v >= 1 (an integer s is v = 1, where the
-      root is the identity): x^(-s) * sum (a/m)^(u/v), where each term is
-      floor(2^P (a/m)^(u/v)), the exact integer v-th root of
-      floor(a^u 2^(vP) / m^u) (of m^|u| 2^(vP) / a^|u| for u < 0), with
-      P = prec + bits(N).  Every term is at most (u > 0) or at least
-      (u < 0) the first, which is 1, so the sum is at least 1 and its N
-      floors lose less than N 2^-P <= 2^-prec of it.  The integer sum is
-      rounded once and multiplied by one power x^(-s): the head is within
-      a few ulps of itself, where a per-term sum carries N roundings.
-    * s whose integers would cost more than the powers
-      (``_EXACT_ROOT_BITS``): a power per term.
-
-    At s < 0 the head and the integral term, both of size about
-    N^(1-s)/(1-s), cancel down to zeta, which costs about
-    (1-s) log10(N+1) digits; the series is then summed with that many
-    more working digits, and the result rounded back to ``d`` digits.
-    Over 90 random (s, x, d), s in {-12, -21/2, -15/2, -5, -7/2, -1,
-    -1/2, 1/3, 3/4, 7/2, 13/3}, values and derivatives, the worst error
-    was 7.2e-13 of 10**(-d+5) (s = 1/3, derivative, 240 digits).
-
-    Where |zeta| exceeds 1 (s = 30 at x = 1/97, or s = -40) the bound
-    holds relative to |zeta|: a result rounded to the working precision
-    resolves no more.  s - 1 in the integral term is taken from the exact
-    s, so an s nearer the pole than the working precision resolves keeps
-    zeta's 1/(s-1) size; there too the bound holds relative to |zeta|.
+    Over 324 random (s, x, d), x = a/q with q up to 10007, d from 20 to
+    240 and s in {-12, -21/2, -15/2, -5, -7/2, -1, -1/2, 1/3, 3/4, 7/2,
+    13/3, 45/4, 61/2}, the worst error was 6.1e-15 of 10**(-d+5),
+    relative where |zeta| > 1.  An s nearer the pole than the working
+    precision resolves keeps zeta's 1/(s-1) size; there too the bound
+    holds relative to |zeta|.
     """
     _check_hurwitz_args(s, x, digits)
-    return _euler_maclaurin(s, x, digits, derivative=False)
+    s = _exact_real(s)
+    if s.denominator == 1 and s <= 0:
+        return _rounded(context(digits), _zeta_at_nonpositive(1 - s.numerator, x))
+    a, q = x.numerator, x.denominator
+    extra = math.ceil(s * math.log10(a if s > 1 else q)) if s > 0 else 0
+    wctx = context(digits + extra)
+    value = wctx.make_mpf(periodic_zeta(s, q, {a: 1}, digits + extra)._mpf_)
+    return plain_mpf(+context(digits).make_mpf((wctx.power(q, to_mpf(s, wctx)) * value)._mpf_))
 
 
 def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
-    """d/ds zeta(s, x) at d digits, by term-wise differentiation.
+    """d/ds zeta(s, x) at d digits, finite real s != 1.
 
-    Every Euler-Maclaurin term picks up a -log(n+x) factor; the rising
-    factorials in the Bernoulli tail differentiate by the product rule,
-    so the same N / tail-length policy as ``hurwitz_zeta`` applies to
-    the differentiated terms.
-
-    At s = 0 the partial sum -sum log(m/q), over m = n*q + a for x = a/q,
-    is N log(q) - log(m_0 m_1 ... m_{N-1}): one log of an exact integer
-    instead of N rounded logs.  Its absolute error is a few ulps of
-    log(prod m), a number of size about N log(N q), which costs about 11
-    of the 32 guard bits at 240 digits and q = 100 (about 18 at the
-    largest shift, 64 d), so the result stays within 10**(-d+5).  At any
-    other s the head takes a power and a log per term, and at s < 0 the
-    series gets the extra working digits of ``hurwitz_zeta``.  The tail is
-    w^(-s) sum_k (D_k(s) - C_k(s) log w) w^-(2k-1): the one-residue
-    ``_bernoulli_tails`` with log w in fixed point.
+    The one-residue series of ``periodic_zeta_ds``: for x = a/q it is
+    sum_a' f(a') zeta'(s, a'/q) with f = 1 at a (``_ds_sum_attempt``), at
+    the shifts N and, for s < 0, the extra digits of ``periodic_zeta``.
+    Its head is a sum of floating-point terms at the working precision,
+    and its tail's bound is absolute, 10**-(d + 10), so it takes no other
+    extra digits.  Over the 324 random (s, x, d) of ``hurwitz_zeta`` the
+    worst error was 7.0e-13 of 10**(-d+5) (s = 1/3, x = 5/7, 120 digits),
+    relative where |zeta'| > 1.
     """
     _check_hurwitz_args(s, x, digits)
-    return _euler_maclaurin(s, x, digits, derivative=True)
+    s = _exact_real(s)
+    a, q = x.numerator, x.denominator
+    return _em_shifts(s, digits, lambda wctx, n_shift, target: _ds_sum_attempt(
+        wctx, s, q, {a: 1}, n_shift, target), f"zeta'(s={s}, x={x})")
 
 
 def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: int) -> mpf:
@@ -735,11 +718,12 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
     q^(-s) sum_a f(a) zeta(s, a/q), and exactly 0 when every value is 0.
 
     At integer s = -k <= 0 the value is the exact rational
-    q^k sum_a f(a) zeta(-k, a/q), by the Bernoulli polynomials of
-    ``hurwitz_zeta``, rounded once.  Every other s takes Euler-Maclaurin
-    with one shift N for all residues, the shifts and extra digits of
-    ``hurwitz_zeta``: N doubles while the tail grows.  Everything is summed
-    in integers at P fractional bits, and head plus rest are rounded once.
+    q^k sum_a f(a) zeta(-k, a/q), by the Bernoulli polynomials, rounded
+    once.  Every other s takes Euler-Maclaurin with one shift N for all
+    residues: N starts at max(10, 0.8 d) and doubles while the tail grows,
+    up to 64 d, and at s < 0 the sum runs at the extra digits of
+    ``_em_shifts``.  Everything is summed in integers at P fractional
+    bits, and head plus rest are rounded once.
 
     The heads of all residues together are one sum over m <= Nq,
     sum f(m) r(m) with r(m) = floor(2^P m^(-s)), which takes no power of
@@ -748,16 +732,16 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
     w_a/(s - 1) + 1/2 + sum_k C_k(s) w_a^-(2k-1), so r(m_a) stands for
     every power of it: the integral and half terms are r(m_a) times exact
     rationals, and the tails of all residues are one ``_bernoulli_tails``
-    with the weights f(a) r(m_a), from the coefficient tables of
-    ``hurwitz_zeta``.  The tail stops before the first term whose size is
-    at most 10**-(d + 10) sum |f(a)|.
+    with the weights f(a) r(m_a), from the coefficient tables C_k(s).
+    The tail stops before the first term whose size is at most
+    10**-(d + 10) sum |f(a)|.
 
     For s = u/v in lowest terms, r(m) taken directly is the integer v-th
     root of floor(2^(vP) / m^u) (of m^|u| 2^(vP) for u < 0); where that
-    root would cost more than a power (``_EXACT_ROOT_BITS``, as in
-    ``hurwitz_zeta``), it is one power m^(-s) at P + 8 bits, floored to P
-    bits.  Either is within one unit of 2^-P.  The r(m) take one of two
-    routes, so that their cost follows the support of f and not q alone:
+    root would cost more than a power (``_EXACT_ROOT_BITS``), it is one
+    power m^(-s) at P + 8 bits, floored to P bits.  Either is within one
+    unit of 2^-P.  The r(m) take one of two routes, so that their cost
+    follows the support of f and not q alone:
 
     * directly: r(m) at each of the N + 1 terms m <= Nq + a of each
       residue a of the support.  At v = 1 the root is the identity,
@@ -813,12 +797,12 @@ def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits
     """d/ds L(s, f) at d digits, finite real s != 1, for f of period q as in ``periodic_zeta``.
 
     L'(s, f) = -log(q) L(s, f) + q^(-s) sum_a f(a) zeta'(s, a/q): one
-    ``periodic_zeta`` and the Euler-Maclaurin series of ``hurwitz_zeta_ds``
-    at one shift N for all residues.  Each residue keeps its own head; the
-    rests of all of them are summed together, with one
-    ``_bernoulli_tails`` for their tails, weighted by f(a) w_a^(-s).  At
-    s = 0, L(0, f) is the exact sum f(a) (1/2 - a/q), rounded once: 0 for
-    an even f.
+    ``periodic_zeta`` and the term-wise derivative of its Euler-Maclaurin
+    series at one shift N for all residues (``_ds_sum_attempt``).  Each
+    residue keeps its own head; the rests of all of them are summed
+    together, with one ``_bernoulli_tails`` for their tails, weighted by
+    f(a) w_a^(-s).  At s = 0, L(0, f) is the exact sum
+    f(a) (1/2 - a/q), rounded once: 0 for an even f.
     """
     require_digits(digits)
     _check_s(s)
@@ -865,14 +849,6 @@ def _rounded(ctx: MPContext, value: Fraction) -> mpf:
     return plain_mpf(ctx.make_mpf(from_rational(value.numerator, value.denominator, ctx.prec, round_nearest)))
 
 
-def _euler_maclaurin(s: RealLike, x: Fraction, digits: int, derivative: bool) -> mpf:
-    s = _exact_real(s)
-    if s.denominator == 1 and s <= 0 and not derivative:
-        return _rounded(context(digits), _zeta_at_nonpositive(1 - s.numerator, x))
-    return _em_shifts(s, digits, lambda wctx, n_shift, target: _em_attempt(
-        wctx, s, x, n_shift, target, derivative), f"zeta(s={s}, x={x})")
-
-
 def _em_shifts(s: Fraction, digits: int, attempt, what: str) -> mpf:
     """The first value ``attempt(ctx, N, target)`` gives over the shifts N, rounded to ``digits``.
 
@@ -899,112 +875,60 @@ def _em_shifts(s: Fraction, digits: int, attempt, what: str) -> mpf:
         n_shift = min(2 * n_shift, n_cap)
 
 
-def _em_attempt(ctx: MPContext, s: Fraction, x: Fraction, n_shift: int, target: mpf, derivative: bool):
-    """zeta(s, x), or its s-derivative, at fixed shift N; None if the tail grows.
-
-    ``s`` is exact.  The rest is summed first (``_em_rests``, one
-    residue), so a shift whose tail grows costs no head.
-    """
-    num, den = x.numerator, x.denominator
-    sm = to_mpf(s, ctx)
-    rest = _em_rests(ctx, s, sm, [n_shift * den + num], den, [1], target, derivative)
-    if rest is None:
-        return None
-    return _em_head(ctx, s, sm, num, den, n_shift, derivative) + rest
-
-
 def _ds_sum_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int, target: mpf):
     """sum_a f(a) zeta'(s, a/q) at fixed shift N for every residue; None if the tail grows.
 
-    Each residue keeps its own head; the rests are one ``_em_rests``.
-    """
-    sm = to_mpf(s, ctx)
-    rest = _em_rests(ctx, s, sm, [n_shift * q + a for a in support], q, list(support.values()),
-                     target, True)
-    if rest is None:
-        return None
-    return rest + ctx.fsum(to_mpf(c, ctx) * _em_head(ctx, s, sm, a, q, n_shift, True)
-                           for a, c in support.items())
+    ``s`` is exact.  The rests are summed first, so a shift whose tail
+    grows costs no head.  Past the head of N terms, the rest of residue a
+    at w_a = N + a/q = m_a/q is
+    -w_a^(-s) (w_a (log(w_a) (s - 1) + 1)/(s - 1)^2 + log(w_a)/2), the
+    integral and half terms, plus the Bernoulli tail
+    w_a^(-s) sum_k (D_k(s) - C_k(s) log w_a) w_a^-(2k-1), where C_k(0) = 0
+    leaves the D_k alone.  The tails of all residues are one
+    ``_bernoulli_tails`` with the weights f(a) w_a^(-s), which stops
+    before the first term whose size is at most ``target`` sum |f(a)|.
+    s - 1 is taken from the exact s, so an s nearer the pole than the
+    working precision resolves is still evaluated at itself.
 
-
-def _em_rests(ctx: MPContext, s: Fraction, sm: mpf, ms: list[int], den: int, coefficients: list,
-              target: mpf, derivative: bool):
-    """sum_a c_a (integral term + half term + Bernoulli tail) of Euler-Maclaurin at w_a = m_a/den.
-
-    These are the terms of zeta(s, x_a), or of its s-derivative, past the
-    head of N terms, for w_a = N + x_a, each times its coefficient c_a (an
-    int or a Fraction); None if the tail grows.  ``s`` is exact and ``sm``
-    is it in ``ctx``.  The integral term takes s - 1 from the exact s
-    before rounding, so an ``s`` closer to the pole than the working
-    precision resolves is still evaluated at itself.
-
-    The tails are one ``_bernoulli_tails`` with the weights c_a w_a^(-s):
-    w^-s sum_k C_k(s) w^-(2k-1), differentiated by the product rule into
-    w^-s sum_k (D_k(s) - C_k(s) log w) w^-(2k-1), where C_k(0) = 0 leaves
-    the D_k alone.  It stops before the first term whose size is at most
-    ``target`` sum |c_a|, and ``target`` may come from a context of lower
-    precision than ``ctx``.
+    Each residue keeps its own head, -sum_{m} log(m/q) (m/q)^(-s) over
+    m = a, a + q, ..., m_a - q: a power and a log per term, except at
+    s = 0, where it is N log q - log(prod m), one log of an exact integer.
+    Its absolute error is a few ulps of log(prod m), a number of size
+    about N log(N q): about 11 of the 32 guard bits at 240 digits and
+    q = 100, and about 18 at the largest shift, 64 d.
     """
     point = ctx.prec + TAIL_EXTRA_BITS
-    ws = [ctx.mpf(m) / den for m in ms]
-    cms = [to_mpf(c, ctx) for c in coefficients]
+    sm = to_mpf(s, ctx)
+    ms = [n_shift * q + a for a in support]
+    ws = [ctx.mpf(m) / q for m in ms]
+    cms = [to_mpf(c, ctx) for c in support.values()]
     powers = [ctx.power(w, -sm) for w in ws]
     weights = [to_fixed((c * p)._mpf_, point) for c, p in zip(cms, powers)]
     cutoff = to_fixed((ctx.convert(target) * sum(map(abs, cms)))._mpf_, point)
-    if not derivative:
-        tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[0], ms, den, point, cutoff, weights)
+    lws = [ctx.log(w) for w in ws]
+    if s == 0:
+        tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[1], ms, q, point, cutoff, weights)
     else:
-        lws = [ctx.log(w) for w in ws]
-        if s == 0:
-            tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[1], ms, den, point, cutoff, weights)
-        else:
-            tail = _bernoulli_tails(lambda n: _em_table(point, s, n), ms, den, point, cutoff, weights,
-                                    [to_fixed(lw._mpf_, point) for lw in lws])
+        tail = _bernoulli_tails(lambda n: _em_table(point, s, n), ms, q, point, cutoff, weights,
+                                [to_fixed(lw._mpf_, point) for lw in lws])
     if tail is None:
         return None
-
     s1 = to_mpf(s - 1, ctx)
     total = ctx.ldexp(tail, -point)
-    if derivative:
-        for c, w, p, lw in zip(cms, ws, powers, lws):
-            total -= c * p * (w * (lw * s1 + 1) / s1 ** 2 + lw / 2)
-    else:
-        for c, w, p in zip(cms, ws, powers):
-            total += c * p * (w / s1 + ctx.mpf(1) / 2)
-    return total
-
-
-def _em_head(ctx: MPContext, s: Fraction, sm: mpf, num: int, den: int, n_shift: int, derivative: bool):
-    """sum_{n<N} (n+x)^(-s), or its s-derivative, for x = num/den.
-
-    The terms run over the integers m = n*den + num, as (n+x) = m/den.
-    At s = 0 the derivative is N log(den) - log(prod m).  At s = u/v in
-    lowest terms, v >= 1, the value is x^(-s) * sum (num/m)^(u/v), and
-    each term of the sum is floor(2^P (num/m)^(u/v)), the integer v-th
-    root of floor(num^u 2^(vP) / m^u) (of m^|u| 2^(vP) / num^|u| for
-    u < 0); at v = 1 the root is the identity.  The roots are summed as
-    one integer and rounded once.  (The value at integer s <= 0 never
-    comes here: it is a Bernoulli polynomial.)
-    """
-    ms = range(num, n_shift * den + num, den)
-    if derivative and s == 0:
-        return n_shift * ctx.log(den) - ctx.log(math.prod(ms))
-    u, v = s.numerator, s.denominator
-    point = ctx.prec + n_shift.bit_length()
-    if not derivative and v * (v * point + abs(u) * ms[-1].bit_length()) <= _EXACT_ROOT_BITS:
-        if u > 0:
-            top = num ** u << (v * point)
-            total = sum(_iroot(top // m ** u, v) for m in ms)
+    for c, w, p, lw in zip(cms, ws, powers, lws):
+        total -= c * p * (w * (lw * s1 + 1) / s1 ** 2 + lw / 2)
+    heads = []
+    for a, m_a in zip(support, ms):
+        terms = range(a, m_a, q)
+        if s == 0:
+            head = n_shift * ctx.log(q) - ctx.log(math.prod(terms))
         else:
-            bottom = num ** -u
-            total = sum(_iroot((m ** -u << (v * point)) // bottom, v) for m in ms)
-        return ctx.power(ctx.mpf(num) / den, -sm) * ctx.ldexp(total, -point)
-    head = ctx.mpf(0)
-    for m in ms:
-        base = ctx.mpf(m) / den
-        p = ctx.power(base, -sm)
-        head += -ctx.log(base) * p if derivative else p
-    return head
+            head = ctx.mpf(0)
+            for m in terms:
+                base = ctx.mpf(m) / q
+                head += -ctx.log(base) * ctx.power(base, -sm)
+        heads.append(head)
+    return total + ctx.fsum(c * head for c, head in zip(cms, heads))
 
 
 def _periodic_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int, target: mpf):

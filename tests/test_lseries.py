@@ -405,10 +405,14 @@ def _numeric_results(f):
         l_value(s, f, d), l_deriv(s, f, d), l_deriv0_closed(f, d), l_deriv0_even(f, d),
         sine_identity_residual(15, d), build_witness(55, 0, d).residual,
     ]
-    for k in (0, -1, 2):  # integer s: Bernoulli polynomial, one log, roots (v = 1), powers
+    # integer s: the value is a Bernoulli polynomial (k <= 0) or the
+    # one-residue L(s, f) with roots v = 1 (k = 2); the derivative takes
+    # one log (k = 0) or a power and a log per term
+    for k in (0, -1, 2):
         values += [hurwitz_zeta(k, x, d), hurwitz_zeta_ds(k, x, d)]
     values += [l_value(2, f, d), l_deriv(0, f, d)]
-    # heads of integer roots: v = 2 from a Fraction, v = 4 from an mpf
+    # the one-residue L(s, f) with integer roots: v = 2 from a Fraction,
+    # v = 4 from an mpf
     values += [hurwitz_zeta(Fraction(-7, 2), x, d), hurwitz_zeta(mpf("0.75"), x, d)]
     values += log_sine_basis(15, d, extended=True).all_values()
     rel = find_relation_for_modulus(21, 10, d)

@@ -4,7 +4,7 @@ import concurrent.futures
 import random
 import sys
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import ceil, factorial, gcd, isqrt, log10
 
 import mpmath
 import pytest
@@ -310,13 +310,11 @@ INTEGER_S_GRID_X = (Fraction(1), Fraction(1, 2), Fraction(5, 41), Fraction(99, 1
 
 
 def _em_at_shift(s, x, d, derivative, factor):
-    """``_em_attempt`` at ``factor`` times the default shift, as a plain mpf."""
-    ctx = numkernel.context(d)
-    target = ctx.mpf(10) ** (-(d + numkernel.EXTRA_DIGITS))
-    n_shift = factor * numkernel._em_first_shift(d)
-    value = numkernel._em_attempt(ctx, Fraction(s), x, n_shift, target, derivative)
-    assert value is not None, (s, x, d, factor)
-    return numkernel.plain_mpf(value)
+    """The public value, or derivative, with ``factor`` times the first shift N."""
+    first_shift = numkernel._em_first_shift
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numkernel, "_em_first_shift", lambda digits: factor * first_shift(digits))
+        return (hurwitz_zeta_ds if derivative else hurwitz_zeta)(s, x, d)
 
 
 #: Integer s whose values and heads at 240 digits are large: the bound
@@ -327,11 +325,11 @@ LARGE_INTEGER_S = (30, 60)
 @pytest.mark.parametrize("d", (50, 120, 240))
 def test_hurwitz_integer_s_grid_against_mpmath(d, root_calls):
     # the value at s in -3..0 is the exact Bernoulli polynomial and takes
-    # no root; at s > 0, 30 and 60 included, every head term is an
-    # integer root with v = 1; the derivative at s = -1, 0, 2 takes the
-    # one log at s = 0 and powers elsewhere; the Euler-Maclaurin cases
-    # also at the retry shifts 2N and 4N
-    n_first = numkernel._em_first_shift(d)
+    # no root; at s > 0, 30 and 60 included, it is the one-residue
+    # L(s, f) at d + ceil(s log10 a) digits, whose N head terms and rest
+    # r(Nq + a) are integer roots with v = 1; the derivative at s = -1,
+    # 0, 2 takes the one log at s = 0 and powers elsewhere; the
+    # Euler-Maclaurin cases also at the retry shifts 2N and 4N
     cases = ([(s, False) for s in (-3, -2, -1, 0, 2, 3, 5) + LARGE_INTEGER_S]
              + [(s, True) for s in (-1, 0, 2)])
     for x in INTEGER_S_GRID_X:
@@ -345,10 +343,11 @@ def test_hurwitz_integer_s_grid_against_mpmath(d, root_calls):
             bound = tol(d) * (max(1, abs(ref)) if s in LARGE_INTEGER_S else 1)
             assert abs(mine - ref) < bound, (s, x, d, derivative)
             if derivative or s > 0:
+                n_first = numkernel._em_first_shift(d + ceil(s * log10(x.numerator)) if roots else d)
                 for factor in (2, 4):
                     root_calls.clear()
                     assert abs(_em_at_shift(s, x, d, derivative, factor) - mine) < bound, (s, x, d, factor)
-                    assert root_calls == ([1] * factor * n_first if roots else []), (s, x, d, factor)
+                    assert root_calls == ([1] * (factor * n_first + 1) if roots else []), (s, x, d, factor)
 
 
 def test_log_head_at_64_times_the_first_shift():
@@ -398,7 +397,9 @@ def test_hurwitz_retry_doubles_the_shift(monkeypatch):
     monkeypatch.setattr(numkernel, "_em_first_shift", lambda digits: 2)
     d, x = 50, Fraction(1, 97)
     for s in (Fraction(1, 3), Fraction(-1, 2), Fraction(2)):
-        assert numkernel._em_attempt(numkernel.context(d), s, x, 2, mpf(10) ** -(d + 10), False) is None
+        attempt = numkernel._periodic_attempt(numkernel.context(d), s, x.denominator, {x.numerator: 1}, 2,
+                                              mpf(10) ** -(d + 10))
+        assert attempt is None, s
         for derivative in (False, True):
             assert _zeta_error(s, x, d, derivative) < 1, (s, derivative)
 
@@ -408,6 +409,12 @@ def test_hurwitz_retry_doubles_the_shift(monkeypatch):
 RATIONAL_S_GRID = (Fraction(-7, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4),
                    Fraction(7, 2), Fraction(13, 3))
 PAST_ROOT_BOUND = Fraction(-5, 29)
+#: Inputs where ``hurwitz_zeta`` meets its bound only by its extra digits:
+#: large s, where zeta(s, a/q) is about (q/a)^s and L(s, f) about a^(-s),
+#: and 0 < s < 1 at a large q, where q^s scales the bound of L(s, f).
+EXTRA_DIGIT_CASES = ([(s, x) for s in (Fraction(61, 2), Fraction(45, 4))
+                      for x in (Fraction(5, 41), Fraction(99, 100), Fraction(9999, 10000))]
+                     + [(s, Fraction(3, 10007)) for s in (Fraction(1, 3), Fraction(3, 4))])
 
 
 @pytest.fixture
@@ -438,6 +445,9 @@ def test_hurwitz_rational_s_grid_against_mpmath(d, root_calls):
                 assert abs(_em_at_shift(s, x, d, False, factor) - mine) < tol(d), (s, x, d, factor)
         assert bool(root_calls) == (s != PAST_ROOT_BOUND), (s, d)
         assert set(root_calls) <= {s.denominator}
+    for s, x in EXTRA_DIGIT_CASES:
+        for derivative in (False, True):
+            assert _zeta_error(s, x, d, derivative) < 1, (s, x, d, derivative)
 
 
 @settings(max_examples=300, deadline=None)
@@ -466,7 +476,8 @@ def test_least_prime_factors_brute_force():
 
 def test_hurwitz_same_exact_s_same_bits(root_calls):
     # Fraction(1, 2), mpf("0.5") and 0.5 are one exact value and take one
-    # route; 1/3 rounded to an mpf is dyadic, so it takes the power loop
+    # route; 1/3 rounded to an mpf is dyadic, past the root cost bound, so
+    # it takes one power per term
     x, d = Fraction(5, 41), 60
     half = [hurwitz_zeta(s, x, d)._mpf_ for s in (Fraction(1, 2), mpf("0.5"), 0.5)]
     assert half[0] == half[1] == half[2]
