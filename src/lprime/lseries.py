@@ -63,12 +63,11 @@ def l_value(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
 
 
 def l_deriv(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
-    """L'(s, f) by term-wise differentiation of the Hurwitz decomposition.
+    """L'(s, f) = -sum f(m) log(m) m^(-s) by term-wise differentiation.
 
-    L'(s,f) = -log(q) L(s, f) + q^(-s) sum f(a) zeta'(s, a/q): one
-    ``numkernel.periodic_zeta_ds``.  Each zeta'(s, a/q) keeps its own
-    Euler-Maclaurin head, and the rests of all residues (integral, half
-    and Bernoulli tail terms) are summed together, with one batched tail.
+    One ``numkernel.periodic_zeta_ds``: the derivative of the integer
+    Euler-Maclaurin series of ``l_value``, with a root or power and a log
+    per head term (one log per residue at s = 0) and one batched tail.
     """
     _reject_pole(s)
     return periodic_zeta_ds(s, f.q, f.values, digits)

@@ -41,15 +41,18 @@ The special functions every other module needs live here:
   The route is chosen by the exact value of s: an ``mpf`` or ``float``
   is a dyadic rational, so ``mpf("0.5")``, ``0.5`` and
   ``Fraction(1, 2)`` give the same bits.
-  Its s-derivative (``periodic_zeta_ds``) keeps one head per residue, a
-  power and a log per term (at s = 0 one log of an exact integer
-  product), and sums the rests of all residues together,
+  Its s-derivative L'(s, f) = -sum f(m) log(m) m^(-s)
+  (``periodic_zeta_ds``) is the term-wise derivative of that series, on
+  the same integers with floor(2^P log m) beside each r(m): the head
+  takes a root or power and a log per term (at s = 0 one log per
+  residue, of an exact integer product) and never the sieve, and the
+  rests and the tail take the logs of the m_a,
 * the Hurwitz zeta function zeta(s, x), 0 < x = a/q <= 1, and its
   s-derivative as these series with one residue: zeta(s, a/q) is
-  q^s L(s, f) for f = 1 at a (``hurwitz_zeta``), taken at a few more
-  digits where |zeta| may exceed 1, and zeta'(s, a/q) the one-residue
-  series of ``periodic_zeta_ds`` (``hurwitz_zeta_ds``).  At integer
-  s <= 0, zeta(s, x) is the exact -B_(1-s)(x)/(1-s), rounded once.
+  q^s L(s, f) for f = 1 at a (``hurwitz_zeta``), and zeta'(s, a/q) is
+  q^s (L'(s, f) + log(q) L(s, f)) (``hurwitz_zeta_ds``), each taken at a
+  few more digits where q^s may scale its error.  At integer s <= 0,
+  zeta(s, x) is the exact -B_(1-s)(x)/(1-s), rounded once.
 
 Every series ends in a Bernoulli tail, sum_k c_k w^-(2k-1) at w = m/den,
 an exact rational, and every sum over residues a of such tails, weighted,
@@ -64,12 +67,12 @@ Each working precision has its own mpmath context, ``context(d)``: an
 never changed after that.  All arithmetic runs in the context of the
 requested precision, and every public function returns a plain mpmath
 ``mpf`` converted from it without rounding.  The exceptions are the
-Euler-Maclaurin series at s < 0, which cancels, and ``hurwitz_zeta``:
-they run in the context of a few more digits, and their result is
-rounded once into the context of the request.  mpmath's global precision
-is never read or set, so the result of a call does not depend on the
-caller's ambient precision, and calls at different precisions may run
-concurrently from several threads.
+Euler-Maclaurin series at s < 0, which cancels, ``hurwitz_zeta`` and
+``hurwitz_zeta_ds``: they run in the context of a few more digits, and
+their result is rounded once into the context of the request.  mpmath's
+global precision is never read or set, so the result of a call does not
+depend on the caller's ambient precision, and calls at different
+precisions may run concurrently from several threads.
 
 All functions are pure and their returned values are immutable and safe
 to hand between threads.  Shared state is:
@@ -323,7 +326,8 @@ def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int,
     """sum_a w_a sum_{k>=1} a_k (den/m_a)^(2k-1) over the n residues a, at ``point`` fractional bits.
 
     The m_a are integers, all at least 10 den, and the weights w_a and the
-    ``logs`` l_a = log(m_a/den) are integers at ``point`` fractional bits.
+    ``logs`` l_a >= 0 are integers at ``point`` fractional bits (the
+    derivative of ``periodic_zeta_ds`` passes l_a = log m_a).
     ``table(n)`` gives at least n coefficients at ``point`` fractional
     bits: the c_k, summed as a_k = c_k, or, with ``logs``, the lists (c_k)
     and (d_k), summed as a_k = d_k - c_k l_a.  One call sums the tails of
@@ -357,7 +361,8 @@ def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int,
     keeps the sizes non-increasing, so b_k r^(2(k-j)) <= b_j up to the
     rounding of the sizes, and these floors add less than
     2 n K^2 (1 + lam) 2^-TAIL_GUARD_BITS: below 1/100 unit for
-    n K^2 < 2^34 and lam < 16 (lam = 0 without ``logs``).  So the sum is
+    n K^2 (1 + lam) < 2^40 (lam = 0 without ``logs``), which holds for
+    n K^2 < 2^34 and lam = log m_a < 63, any m_a below 10^27.  So the sum is
     within K + 1 + W/(2(w - 1)) units of the exact series.  With ``logs``
     it is within K + 1 + (1 + lam) W/(2(w - 1)) + (n + e W) S units, where
     S = sum_k |c_k| r^(2k-1) and e is the error of the l_a in units: the
@@ -692,20 +697,28 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
 def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
     """d/ds zeta(s, x) at d digits, finite real s != 1.
 
-    The one-residue series of ``periodic_zeta_ds``: for x = a/q it is
-    sum_a' f(a') zeta'(s, a'/q) with f = 1 at a (``_ds_sum_attempt``), at
-    the shifts N and, for s < 0, the extra digits of ``periodic_zeta``.
-    Its head is a sum of floating-point terms at the working precision,
-    and its tail's bound is absolute, 10**-(d + 10), so it takes no other
-    extra digits.  Over the 324 random (s, x, d) of ``hurwitz_zeta`` the
-    worst error was 7.0e-13 of 10**(-d+5) (s = 1/3, x = 5/7, 120 digits),
-    relative where |zeta'| > 1.
+    For x = a/q in lowest terms, zeta(s, x) = q^s L(s, f) with f = 1 at a,
+    so zeta'(s, x) = q^s (L'(s, f) + log(q) L(s, f)): one
+    ``periodic_zeta_ds`` and one ``periodic_zeta``, taken at d + e digits,
+    and their sum times q^s is rounded once to d.  Both bounds are
+    absolute, about 10**-(d + e + 10), and q^s (1 + log q) scales them:
+    e = ceil(max(s, 0) log10 q) + 2, where the 2 digits cover the factor
+    1 + log q for q < 10^43.
+
+    Over 324 random (s, x, d), x = a/q with q up to 10007, d from 20 to
+    240 and s among the thirteen values listed for ``hurwitz_zeta``, the
+    worst error was 1.4e-15 of 10**(-d+5) (s = 7/2, x = 1829/10007, 120
+    digits), relative where |zeta'| > 1.
     """
     _check_hurwitz_args(s, x, digits)
     s = _exact_real(s)
     a, q = x.numerator, x.denominator
-    return _em_shifts(s, digits, lambda wctx, n_shift, target: _ds_sum_attempt(
-        wctx, s, q, {a: 1}, n_shift, target), f"zeta'(s={s}, x={x})")
+    extra = math.ceil(max(s, 0) * math.log10(q)) + 2
+    wctx = context(digits + extra)
+    value = wctx.make_mpf(periodic_zeta(s, q, {a: 1}, digits + extra)._mpf_)
+    derivative = wctx.make_mpf(periodic_zeta_ds(s, q, {a: 1}, digits + extra)._mpf_)
+    total = wctx.power(q, to_mpf(s, wctx)) * (derivative + wctx.log(q) * value)
+    return plain_mpf(+context(digits).make_mpf(total._mpf_))
 
 
 def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: int) -> mpf:
@@ -761,7 +774,8 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
 
     The r(m) of the residues that share a value of f are summed as one
     integer, the sums take one multiply per distinct value, exactly, and
-    the head is exact past the r(m).
+    the head is exact past the r(m).  ``periodic_zeta_ds`` is the
+    term-wise derivative of this series, on the same integers.
 
     Error.  By the sieve, r(m) carries Omega(m) roots or powers and
     Omega(m) - 1 products (directly, one root or power), each off by less
@@ -794,33 +808,46 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
 
 
 def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits: int) -> mpf:
-    """d/ds L(s, f) at d digits, finite real s != 1, for f of period q as in ``periodic_zeta``.
+    """L'(s, f) = -sum_{m>=1} f(m) log(m) m^(-s) at d digits, finite real s != 1, f as in ``periodic_zeta``.
 
-    L'(s, f) = -log(q) L(s, f) + q^(-s) sum_a f(a) zeta'(s, a/q): one
-    ``periodic_zeta`` and the term-wise derivative of its Euler-Maclaurin
-    series at one shift N for all residues (``_ds_sum_attempt``).  Each
-    residue keeps its own head; the rests of all of them are summed
-    together, with one ``_bernoulli_tails`` for their tails, weighted by
-    f(a) w_a^(-s).  At s = 0, L(0, f) is the exact sum
-    f(a) (1/2 - a/q), rounded once: 0 for an even f.
+    The term-wise derivative of the series of ``periodic_zeta``, on its
+    integer route, also at integer s <= 0: the same shifts N, extra digits
+    at s < 0, P, r(m) = floor(2^P m^(-s)), weights W_a = f(a) r(m_a) and
+    cutoff, and lam(m) = floor(2^P log m) beside them.  With
+    w_a = m_a/q = N + a/q, over one denominator and rounded once:
+
+    * head: -sum f(m) r(m) lam(m) over m <= Nq, summed at 2P bits.  Each
+      term takes a root or power and a log, by the direct route of
+      ``periodic_zeta`` for every f: the sieve is for values only.  At
+      s = 0, r(m) = 2^P, and the head of each residue a is one log of the
+      exact product a (a + q) ... (m_a - q).
+    * rests: -lam_a r(m_a) (w_a/(s - 1) + 1/2) - r(m_a) w_a/(s - 1)^2 per
+      residue, lam_a = lam(m_a).
+    * tail: one ``_bernoulli_tails`` with the weights W_a and the logs
+      lam_a, sum_k (D_k(s) - C_k(s) log m_a) w_a^-(2k-1) per residue; at
+      s = 0, where C_k(0) = 0, the D_k alone.
+
+    No power or log of q and no L(s, f) is taken.
+
+    Error, in units of 2^-P, at s > 0, where r(m) <= 2^P: a term
+    r(m) lam(m) 2^-P is within 1 + log m units, so the head is within
+    sum_a |f(a)| N (1 + log(Nq)), and the rests within
+    sum_a |f(a)| (1 + log m_a)(N + 1)(1 + 1/|s - 1|)^2.  Since
+    2^(P - prec) > 2 Nq bits(Nq), both together are below
+    2^(1 - prec) sum_a |f(a)| (1 + 1/|s - 1|)^2 / q, and the tail adds its
+    stated bound, a few hundred units.  At s = 0 the head is within
+    sum_a |f(a)| units.  At s < 0 the bounds hold relative to
+    sum |f(m)| m^(-s) log m, and the extra digits cover its cancellation
+    against the integral terms, as for the value.
     """
     require_digits(digits)
     _check_s(s)
-    ctx = context(digits)
     support = {a: c for a, c in values.items() if c}
     if not support:
-        return plain_mpf(ctx.mpf(0))
+        return plain_mpf(context(digits).mpf(0))
     s = _exact_real(s)
-    if s:
-        value = periodic_zeta(s, q, support, digits)
-    else:
-        value = _rounded(ctx, sum(c * (q - 2 * a) for a, c in support.items()) / Fraction(2 * q))
-    zeta_ds = _em_shifts(s, digits, lambda wctx, n_shift, target: _ds_sum_attempt(
-        wctx, s, q, support, n_shift, target), f"L'(s={s}) of period {q}")
-    total = ctx.power(q, -to_mpf(s, ctx)) * zeta_ds
-    if value:
-        total -= ctx.log(q) * value
-    return plain_mpf(total)
+    return _em_shifts(s, digits, lambda wctx, n_shift, target: _periodic_attempt(
+        wctx, s, q, support, n_shift, target, True), f"L'(s={s}) of period {q}")
 
 
 def _em_first_shift(digits: int) -> int:
@@ -875,75 +902,31 @@ def _em_shifts(s: Fraction, digits: int, attempt, what: str) -> mpf:
         n_shift = min(2 * n_shift, n_cap)
 
 
-def _ds_sum_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int, target: mpf):
-    """sum_a f(a) zeta'(s, a/q) at fixed shift N for every residue; None if the tail grows.
+def _periodic_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int, target: mpf,
+                      derivative: bool = False):
+    """L(s, f), or with ``derivative`` L'(s, f), at fixed shift N; None if the tail grows.
 
-    ``s`` is exact.  The rests are summed first, so a shift whose tail
-    grows costs no head.  Past the head of N terms, the rest of residue a
-    at w_a = N + a/q = m_a/q is
-    -w_a^(-s) (w_a (log(w_a) (s - 1) + 1)/(s - 1)^2 + log(w_a)/2), the
-    integral and half terms, plus the Bernoulli tail
-    w_a^(-s) sum_k (D_k(s) - C_k(s) log w_a) w_a^-(2k-1), where C_k(0) = 0
-    leaves the D_k alone.  The tails of all residues are one
-    ``_bernoulli_tails`` with the weights f(a) w_a^(-s), which stops
-    before the first term whose size is at most ``target`` sum |f(a)|.
-    s - 1 is taken from the exact s, so an s nearer the pole than the
-    working precision resolves is still evaluated at itself.
-
-    Each residue keeps its own head, -sum_{m} log(m/q) (m/q)^(-s) over
-    m = a, a + q, ..., m_a - q: a power and a log per term, except at
-    s = 0, where it is N log q - log(prod m), one log of an exact integer.
-    Its absolute error is a few ulps of log(prod m), a number of size
-    about N log(N q): about 11 of the 32 guard bits at 240 digits and
-    q = 100, and about 18 at the largest shift, 64 d.
+    The integer route of ``periodic_zeta``, and its term-wise derivative
+    as ``periodic_zeta_ds`` states it: the value's r(m), weights and
+    cutoff, with lam(m) = floor(2^P log m) beside them.
     """
-    point = ctx.prec + TAIL_EXTRA_BITS
-    sm = to_mpf(s, ctx)
-    ms = [n_shift * q + a for a in support]
-    ws = [ctx.mpf(m) / q for m in ms]
-    cms = [to_mpf(c, ctx) for c in support.values()]
-    powers = [ctx.power(w, -sm) for w in ws]
-    weights = [to_fixed((c * p)._mpf_, point) for c, p in zip(cms, powers)]
-    cutoff = to_fixed((ctx.convert(target) * sum(map(abs, cms)))._mpf_, point)
-    lws = [ctx.log(w) for w in ws]
-    if s == 0:
-        tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[1], ms, q, point, cutoff, weights)
-    else:
-        tail = _bernoulli_tails(lambda n: _em_table(point, s, n), ms, q, point, cutoff, weights,
-                                [to_fixed(lw._mpf_, point) for lw in lws])
-    if tail is None:
-        return None
-    s1 = to_mpf(s - 1, ctx)
-    total = ctx.ldexp(tail, -point)
-    for c, w, p, lw in zip(cms, ws, powers, lws):
-        total -= c * p * (w * (lw * s1 + 1) / s1 ** 2 + lw / 2)
-    heads = []
-    for a, m_a in zip(support, ms):
-        terms = range(a, m_a, q)
-        if s == 0:
-            head = n_shift * ctx.log(q) - ctx.log(math.prod(terms))
-        else:
-            head = ctx.mpf(0)
-            for m in terms:
-                base = ctx.mpf(m) / q
-                head += -ctx.log(base) * ctx.power(base, -sm)
-        heads.append(head)
-    return total + ctx.fsum(c * head for c, head in zip(cms, heads))
-
-
-def _periodic_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int, target: mpf):
-    """L(s, f) at fixed shift N, by the integer route of ``periodic_zeta``; None if the tail grows."""
     top = n_shift * q
     u, v = s.numerator, s.denominator
     point = ctx.prec + max(TAIL_EXTRA_BITS, (2 * top * top.bit_length()).bit_length())
-    by_class, roots = _periodic_roots(s, q, support, top, point)
+    by_class, roots = _periodic_roots(s, q, support, top, point, derivative)
     # everything is at P fractional bits, in units of 1/den
     den = math.lcm(*(c.denominator for c in support.values()))
     scaled = [c.numerator * (den // c.denominator) for c in support.values()]
     ms = [top + a for a in support]
     weights = [c * roots[m] for c, m in zip(scaled, ms)]
     cutoff = sum(map(abs, scaled)) * to_fixed(ctx.convert(target)._mpf_, point)
-    tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[0], ms, q, point, cutoff, weights)
+    table = functools.partial(_em_table, point, s)
+    logs = [_fixed_log(m, point) for m in ms] if derivative else None
+    if derivative and s:
+        tail = _bernoulli_tails(table, ms, q, point, cutoff, weights, logs)
+    else:
+        # the C_k, or the D_k alone for the derivative at s = 0, where C_k(0) = 0
+        tail = _bernoulli_tails(lambda n: table(n)[derivative], ms, q, point, cutoff, weights)
     if tail is None:
         return None
     # the classes that share a value of f are summed first, so each value
@@ -954,24 +937,52 @@ def _periodic_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shif
     head = sum(c.numerator * (den // c.denominator) * t for c, t in sums.items())
     half = sum(weights)
     integral = sum(w * m for w, m in zip(weights, ms))
-    # head + tail + half/2 + integral v/(q(u - v)), over one denominator
     q_s1 = q * (u - v)
-    numer = (2 * (head + tail) + half) * q_s1 + 2 * v * integral
-    denom = 2 * q_s1 * den << point
+    if derivative:
+        # the head, and the half and integral terms of the weights
+        # W_a lam_a, are at 2P bits
+        log_half = sum(w * lam for w, lam in zip(weights, logs))
+        log_integral = sum(w * lam * m for w, lam, m in zip(weights, logs, ms))
+        # tail - (head + log_half/2 + log_integral v/(q(u - v))) 2^-P
+        # - integral v^2/(q(u - v)^2), over one denominator
+        numer = (((2 * ((tail << point) - head) - log_half) * q_s1 - 2 * v * log_integral) * (u - v)
+                 - (2 * v * v * integral << point))
+        denom = 2 * q_s1 * (u - v) * den << 2 * point
+    else:
+        # head + tail + half/2 + integral v/(q(u - v)), over one denominator
+        numer = (2 * (head + tail) + half) * q_s1 + 2 * v * integral
+        denom = 2 * q_s1 * den << point
     if denom < 0:
         numer, denom = -numer, -denom
     return ctx.make_mpf(from_rational(numer, denom, ctx.prec, round_nearest))
 
 
-def _periodic_roots(s: Fraction, q: int, support: dict, top: int, point: int) -> tuple:
+def _fixed_log(n: int, point: int) -> int:
+    """floor(2^point log n) for an integer n >= 1, within one unit (and 2^-7 of one).
+
+    n is rounded to wp = point + 8 + bits(bits(n)) bits and its log taken
+    there: |log n| < 2^bits(bits(n)), so the log is within 2^-(point + 7)
+    before its floor.
+    """
+    wp = point + 8 + n.bit_length().bit_length()
+    return to_fixed(mpf_log(from_int(n, wp, round_nearest), wp), point)
+
+
+def _periodic_roots(s: Fraction, q: int, support: dict, top: int, point: int, logs: bool = False) -> tuple:
     """The integers of ``periodic_zeta`` at N = top/q, by one of its two routes.
 
     r(m) = floor(2^point m^(-s)), and the result is (class sums, roots):
     sum r(m) over m <= top in each class m mod q of the support (a = q is
-    the class 0), and {top + a: r(top + a)} for each residue a.
+    the class 0), and {top + a: r(top + a)} for each residue a.  With
+    ``logs`` the class sums are of r(m) lam(m), lam(m) = floor(2^point log m),
+    by the direct route; at s = 0, where r(m) = 2^point, each class takes
+    one log, of the product of its terms.
     """
     u, v = s.numerator, s.denominator
     last = top + q
+    if logs and not u:
+        return ({a % q: _fixed_log(math.prod(range(a, top + 1, q)), point) << point for a in support},
+                dict.fromkeys([top + a for a in support], 1 << point))
     if v * (v * point + abs(u) * last.bit_length()) <= _EXACT_ROOT_BITS:
         scale = 1 << (v * point)
         if u > 0:
@@ -989,12 +1000,14 @@ def _periodic_roots(s: Fraction, q: int, support: dict, top: int, point: int) ->
 
     # the sieve where the primes up to Nq, about Nq / ln(Nq), are fewer
     # than the N |support| terms; at v = 1 a quotient costs less than a product
-    if v > 1 and len(support) * math.log(top) > q:
+    if not logs and v > 1 and len(support) * math.log(top) > q:
         return _sieve_sums(root, q, support, top, point)
     by_class, roots = {}, {}
     for a in support:
         terms = list(map(root, range(a, last + 1, q)))
         roots[top + a] = terms.pop()
+        if logs:
+            terms = [r * _fixed_log(m, point) for r, m in zip(terms, range(a, top + 1, q))]
         by_class[a % q] = sum(terms)
     return by_class, roots
 

@@ -54,7 +54,7 @@ class PeriodicFunction:
         for a, v in self.values.items():
             if isinstance(a, bool) or not isinstance(a, int) or not 1 <= a <= self.q:
                 raise ValidationError(f"residue {a!r} outside 1..{self.q}")
-            frac = v if isinstance(v, Fraction) else Fraction(v)
+            frac = v if isinstance(v, Fraction) else _rational_value(a, v)
             if frac:
                 clean[a] = frac
         object.__setattr__(self, "values", MappingProxyType(dict(sorted(clean.items()))))
@@ -140,6 +140,20 @@ class PeriodicFunction:
     def digest(self) -> str:
         """Stable content hash (canonical JSON, SHA-256, first 16 hex chars)."""
         return hashlib.sha256(self.dumps().encode()).hexdigest()[:16]
+
+
+def _rational_value(a: int, value) -> Fraction:
+    """A value that is not a ``Fraction`` yet, as one.
+
+    A bool, a non-finite float and anything ``Fraction`` cannot read is
+    refused, as a bool residue or period is.
+    """
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"value {value!r} at residue {a} is not a finite rational")
 
 
 def _parse_rational(text: str) -> Fraction:

@@ -82,15 +82,21 @@ def test_l_value_mpmath_oracle(rng):
     # and on a sparse one, whose head takes a root per term instead of the
     # sieve; s as a float and as an mpf, whose dyadic values take powers;
     # the periods 1 and 2; even f on one to three residue pairs of
-    # q = 1000 and 10^5, and a dense f of q = 24 at 240 digits
+    # q = 1000 and 10^5, and a dense f of q = 24 at 240 digits.  L'(s, f)
+    # on a subset: the random, non-unit and sparse f at 50 and 240 digits,
+    # and the f of q = 10^5, against q^(-s) sum f(a) (zeta'(s, a/q) -
+    # log(q) zeta(s, a/q)), relative where |L'| > 1
     non_units = PeriodicFunction(q=12, values={2: 3, 3: Fraction(-1, 2), 5: 1, 6: 2, 8: -1, 12: Fraction(5, 3)})
     sparse = PeriodicFunction(q=97, values={5: 2, 97: Fraction(-1, 3)})
     cases = [(random_even_dirichlet(rng.randint(2, 20), rng), rng.choice([2, 3, Fraction(1, 2)]), 40)
              for _ in range(8)]
+    derivative_cases = []
     for d in (50, 240):
         for s in (Fraction(-15, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(7, 2), Fraction(13, 3)):
             cases += [(random_even_dirichlet(rng.randint(3, 20 if d == 50 else 10), rng), s, d),
                       (non_units, s, d), (sparse, s, d)]
+            if (d, s) in ((50, Fraction(-15, 2)), (50, Fraction(13, 3)), (240, Fraction(7, 2))):
+                derivative_cases += cases[-3:]
     with mp.workprec(prec_bits(60)):
         third = mpf(1) / 3
     for s in (0.3, third):
@@ -100,6 +106,8 @@ def test_l_value_mpmath_oracle(rng):
                   (PeriodicFunction(q=2, values={1: 1, 2: Fraction(-5, 2)}), s, 50)]
     for f in _sparse_even(rng):
         cases += [(f, s, 50) for s in (Fraction(-1, 2), Fraction(1, 3), 2, Fraction(7, 2))]
+        if f.q == 10**5:
+            derivative_cases.append((f, Fraction(1, 3), 50))
     dense = random_even_dirichlet(24, rng, allow_zero=False)
     cases += [(dense, s, 240) for s in (Fraction(-15, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(7, 2))]
     for f, s, d in cases:
@@ -111,6 +119,15 @@ def test_l_value_mpmath_oracle(rng):
                 for a, v in f.values.items()
             )
         assert abs(mine - ref) < tol(d), (f, s, d)
+    for f, s, d in derivative_cases:
+        mine = l_deriv(s, f, d)
+        with mp.workprec(prec_bits(d) + 60):
+            sm, log_q = mpf(s.numerator) / s.denominator, mp.log(f.q)
+            ref = mp.power(f.q, -sm) * mp.fsum(
+                (mpf(v.numerator) / v.denominator) * (mp.zeta(sm, mpf(a) / f.q, 1) - log_q * mp.zeta(sm, mpf(a) / f.q))
+                for a, v in f.values.items()
+            )
+        assert abs(mine - ref) < tol(d) * max(1, abs(ref)), (f, s, d)
 
 
 def _sparse_even(rng):
@@ -407,7 +424,8 @@ def _numeric_results(f):
     ]
     # integer s: the value is a Bernoulli polynomial (k <= 0) or the
     # one-residue L(s, f) with roots v = 1 (k = 2); the derivative takes
-    # one log (k = 0) or a power and a log per term
+    # one log per residue (k = 0) or a root v = 1 and a log per term
+    # (k = -1, 2), beside the value
     for k in (0, -1, 2):
         values += [hurwitz_zeta(k, x, d), hurwitz_zeta_ds(k, x, d)]
     values += [l_value(2, f, d), l_deriv(0, f, d)]

@@ -4,6 +4,7 @@ import concurrent.futures
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from math import ceil, factorial, gcd, isqrt, log10
 
 import mpmath
@@ -26,7 +27,7 @@ from lprime.numkernel import (
     two_sin_pi,
     two_sines,
 )
-from lprime.lseries import l_value
+from lprime.lseries import l_deriv, l_value
 from lprime.periodic import PeriodicFunction
 
 # Oracle-derived 65-digit reference values (parsed at full precision).
@@ -322,38 +323,55 @@ def _em_at_shift(s, x, d, derivative, factor):
 LARGE_INTEGER_S = (30, 60)
 
 
+def _integer_s_roots(s, x, d, derivative, factor):
+    """The v = 1 roots of ``hurwitz_zeta(_ds)`` at integer s with ``factor`` times the first shift N.
+
+    Each Euler-Maclaurin series at s != 0 takes one root per head term and
+    one for its rest, r(Nq + a).  The value at s > 0 runs at
+    d + ceil(s log10 a) digits.  The derivative runs L'(s, f) and L(s, f)
+    at d + ceil(max(s, 0) log10 q) + 2 digits, and L(s, f) is an exact
+    Bernoulli polynomial at s <= 0.
+    """
+    if derivative:
+        series = (s != 0) + (s > 0)
+        digits = d + ceil(max(s, 0) * log10(x.denominator)) + 2
+    else:
+        series = int(s > 0)
+        digits = d + ceil(s * log10(x.numerator))
+    return series * (factor * numkernel._em_first_shift(digits) + 1)
+
+
 @pytest.mark.parametrize("d", (50, 120, 240))
 def test_hurwitz_integer_s_grid_against_mpmath(d, root_calls):
     # the value at s in -3..0 is the exact Bernoulli polynomial and takes
     # no root; at s > 0, 30 and 60 included, it is the one-residue
-    # L(s, f) at d + ceil(s log10 a) digits, whose N head terms and rest
-    # r(Nq + a) are integer roots with v = 1; the derivative at s = -1,
-    # 0, 2 takes the one log at s = 0 and powers elsewhere; the
-    # Euler-Maclaurin cases also at the retry shifts 2N and 4N
+    # L(s, f), whose N head terms and rest r(Nq + a) are integer roots
+    # with v = 1; the derivative at s = -1 and 2 takes such roots for
+    # L'(s, f), and at 2 for L(s, f) too, and at s = 0 none (one log per
+    # residue); the Euler-Maclaurin cases also at the retry shifts 2N and 4N
     cases = ([(s, False) for s in (-3, -2, -1, 0, 2, 3, 5) + LARGE_INTEGER_S]
              + [(s, True) for s in (-1, 0, 2)])
     for x in INTEGER_S_GRID_X:
         for s, derivative in cases:
-            roots = not derivative and s > 0
             root_calls.clear()
             mine = (hurwitz_zeta_ds if derivative else hurwitz_zeta)(s, x, d)
-            assert set(root_calls) == ({1} if roots else set()), (s, x, d, derivative)
+            assert set(root_calls) == ({1} if _integer_s_roots(s, x, d, derivative, 1) else set()), (
+                s, x, d, derivative)
             with mp.workprec(prec_bits(d) + 40):
                 ref = mp.zeta(s, mpf(x.numerator) / x.denominator, int(derivative))
             bound = tol(d) * (max(1, abs(ref)) if s in LARGE_INTEGER_S else 1)
             assert abs(mine - ref) < bound, (s, x, d, derivative)
             if derivative or s > 0:
-                n_first = numkernel._em_first_shift(d + ceil(s * log10(x.numerator)) if roots else d)
                 for factor in (2, 4):
                     root_calls.clear()
                     assert abs(_em_at_shift(s, x, d, derivative, factor) - mine) < bound, (s, x, d, factor)
-                    assert root_calls == ([1] * (factor * n_first + 1) if roots else []), (s, x, d, factor)
+                    assert root_calls == [1] * _integer_s_roots(s, x, d, derivative, factor), (s, x, d, factor)
 
 
 def test_log_head_at_64_times_the_first_shift():
     # the derivative head at s = 0 is one log of prod m at every shift:
-    # here N = 64 * 192 = 12,288 terms at 240 digits, a product of about
-    # 258k bits
+    # here N = 64 * 194 = 12,416 terms at the 242 digits of
+    # hurwitz_zeta_ds, a product of about 233k bits
     x, d = Fraction(1, 97), 240
     with mp.workprec(prec_bits(d) + 40):
         ref = mp.zeta(0, mpf(x.numerator) / x.denominator, 1)
@@ -491,22 +509,36 @@ def test_hurwitz_same_exact_s_same_bits(root_calls):
     assert abs(rounded - exact) < tol(d)
 
 
-def test_l_value_roots_only_at_primes(root_calls):
+def test_l_value_roots_only_at_primes(root_calls, monkeypatch):
     # one head for all of L(s, f): r(m) = floor(2^P m^(-s)) is a root at
     # the primes and a product elsewhere.  The rest of each residue a takes
     # r(Nq + a), so the sieve runs to (N + 1)q.  At s = 1/2 (v = 2, no root
     # recurses) an even Dirichlet-type f that is non-zero on every unit
-    # takes one root per prime p <= (N + 1)q not dividing q, and no other
+    # takes one root per prime p <= (N + 1)q not dividing q, and no other.
+    # L'(s, f) of the same f takes no sieve: one root (and one log) per
+    # head term of each residue, and one for its rest
     q, d, s = 36, 50, Fraction(1, 2)
     f = PeriodicFunction(q=q, values={a: 1 + min(a, q - a) % 3 for a in range(1, q) if gcd(a, q) == 1})
-    top = (numkernel._em_first_shift(d) + 1) * q
+    n_first = numkernel._em_first_shift(d)
+    top = (n_first + 1) * q
     primes = [p for p in range(2, top + 1) if q % p and all(p % k for k in range(2, isqrt(p) + 1))]
+    sieves = []
+    sieve_sums = numkernel._sieve_sums
+    monkeypatch.setattr(numkernel, "_sieve_sums", lambda *args: sieves.append(1) or sieve_sums(*args))
     root_calls.clear()
     mine = l_value(s, f, d)
     assert root_calls == [2] * len(primes)
+    assert sieves == [1]
+    root_calls.clear()
+    mine_ds = l_deriv(s, f, d)
+    assert root_calls == [2] * (len(f.values) * (n_first + 1))
+    assert sieves == [1]
     with mp.workprec(prec_bits(d) + 40):
-        ref = mp.power(q, -0.5) * mp.fsum(v * mp.zeta(0.5, mpf(a) / q) for a, v in f.values.items())
+        terms = [(v, mp.zeta(0.5, mpf(a) / q), mp.zeta(0.5, mpf(a) / q, 1)) for a, v in f.values.items()]
+        ref = mp.power(q, -0.5) * mp.fsum(v * zeta for v, zeta, _ in terms)
+        ref_ds = mp.power(q, -0.5) * mp.fsum(v * (zeta_ds - mp.log(q) * zeta) for v, zeta, zeta_ds in terms)
     assert abs(mine - ref) < tol(d)
+    assert abs(mine_ds - ref_ds) < tol(d)
 
 
 def test_l_value_sparse_f_at_large_period(root_calls):
@@ -665,6 +697,8 @@ def test_bernoulli_tails_batch_against_one_residue_calls(d):
     # each with the exact series, within the bound the docstring states;
     # the value, derivative and Stirling tables, and at s = 30 tables whose
     # coefficients grow far past 2^prec, where the width has to widen.
+    # The derivative at s = 1/3 also with the logs of m near 10^9, lam
+    # about 21, as log m_a is at a large q.
     # A cutoff of 0 sums each series until its size falls below one unit,
     # which the shift N >= 100 lets it reach at s = 30 too
     point = prec_bits(d) + numkernel.TAIL_EXTRA_BITS
@@ -674,12 +708,16 @@ def test_bernoulli_tails_batch_against_one_residue_calls(d):
     weights = [(1 << point) // 1000, -(1 << point) // 7, (5 << point) // 2, -(2 << point), 3 << point]
     with mp.workprec(point + 20):
         logs = [int(mp.floor(mp.log(mpf(m) / q) * 2 ** point)) for m in ms]
+        large_logs = [int(mp.floor(mp.log(10**9 + m) * 2 ** point)) for m in ms]
     stirling = [bernoulli(2 * k) / (2 * k * (2 * k - 1)) for k in range(1, 400)]
     cases = [("Stirling", lambda n: numkernel._stirling_table(point, n), stirling, None)]
     for s in (Fraction(1, 3), Fraction(30)):
         exact = _exact_em_coefficients(s, 400)
+        derivative = partial(numkernel._em_table, point, s)
         cases += [(f"value s={s}", lambda n, s=s: numkernel._em_table(point, s, n)[0], [c for c, _ in exact], None),
-                  (f"derivative s={s}", lambda n, s=s: numkernel._em_table(point, s, n), exact, logs)]
+                  (f"derivative s={s}", derivative, exact, logs)]
+        if s < 1:
+            cases.append((f"derivative s={s}, logs near 10^9", derivative, exact, large_logs))
     for name, table, coefficients, lg in cases:
         batch = numkernel._bernoulli_tails(table, ms, q, point, 0, weights, lg)
         bound, exact, largest = _tail_bound(coefficients, ms, q, weights, lg, point)

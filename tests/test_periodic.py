@@ -320,6 +320,14 @@ def test_bool_period_and_residue_rejected():
         PeriodicFunction(q=5, values={True: 1, 4: 1})
 
 
+def test_bad_values_rejected():
+    # every value Fraction cannot read, or reads as something else (a
+    # bool as 1), is a ValidationError, not the error Fraction raises
+    for v in (float("inf"), float("-inf"), float("nan"), "abc", "1/0", None, 1j, True, False):
+        with pytest.raises(ValidationError):
+            PeriodicFunction(q=5, values={1: v, 4: 1})
+
+
 # ---------------------------------------------------------------------------
 # Value strings: the grammar of Fraction(str), one parse per distinct string
 
