@@ -10,7 +10,8 @@ exceeds 1 (a float at the working precision resolves no more).
 
 The special functions every other module needs live here:
 
-* exact Bernoulli numbers (cached),
+* exact Bernoulli numbers (cached), from the integer tangent-number
+  recurrence of Brent and Harvey, one ``Fraction`` per entry,
 * 2*sin(a*pi/q) for ascending residues a <= q/2 of one q
   (``two_sines``): one integer three-term recurrence
   sin((k+1) pi/q) = 2 cos(pi/q) sin(k pi/q) - sin((k-1) pi/q) in fixed
@@ -36,8 +37,13 @@ The special functions every other module needs live here:
   floor(2^P m_a^(-s)) stands for every power.  A sparse f, and every f
   at v = 1, takes one root per term.  A dense f (|support| ln(Nq) > q,
   as for the Dirichlet-type f of small q) takes its roots at the primes
-  only, by a least-prime-factor sieve over 1..(N+1)q, and one integer
-  product at every other m, since m^(-s) is completely multiplicative.
+  only, by one pass of a least-prime-factor sieve, since m^(-s) is
+  completely multiplicative: r(m) is kept for every m up to (N+1)q/p_0
+  that is prime to the primes of q dividing no residue of the support
+  (p_0 the least other prime), one integer product at each composite,
+  and past that point, where r(m) is read only by its class sum, the
+  r(m/p) of one least prime p and one class are summed before their one
+  product with r(p).
   The route is chosen by the exact value of s: an ``mpf`` or ``float``
   is a dyadic rational, so ``mpf("0.5")``, ``0.5`` and
   ``Fraction(1, 2)`` give the same bits.
@@ -78,7 +84,8 @@ All functions are pure and their returned values are immutable and safe
 to hand between threads.  Shared state is:
 
 * the contexts, at most ``MAX_TABLES`` of them;
-* the exact Bernoulli cache;
+* the exact Bernoulli cache, with the last column of its tangent-number
+  triangle;
 * the series coefficient tables, filled on first use as fixed-point
   integers: the Stirling coefficients B_2k/(2k(2k-1)) per fixed point
   (in bits), and the Euler-Maclaurin coefficients
@@ -86,10 +93,12 @@ to hand between threads.  Shared state is:
   D_k(s) per (fixed point, exact s).  At most ``MAX_TABLES`` tables of
   each kind are kept; the oldest goes first.
 
-The cache and the tables grow under ``_bern_lock``: a fill builds new
-lists and publishes them whole.  Every entry is its exact rational,
-correctly rounded at its key's fixed point, so no entry depends on a
-context or on the order of the fills.
+The cache and the tables grow under ``_bern_lock``, in integers: the
+Bernoulli cache appends each entry whole, and a table fill builds new
+lists and publishes them whole.  A table entry is its exact rational,
+correctly rounded at its key's fixed point by one ``divmod``
+(``_fixed``), so no entry depends on a context or on the order of the
+fills.
 """
 
 from __future__ import annotations
@@ -221,15 +230,25 @@ def log2_const(digits: int) -> mpf:
 # Bernoulli numbers
 
 _bern_lock = threading.Lock()
-_bern_even: list[Fraction] = [Fraction(1)]  # _bern_even[m] == B_{2m}
+_bern_even: list[Fraction] = [Fraction(1), Fraction(1, 6)]  # _bern_even[m] == B_{2m}
+# column j = len(_bern_even) - 1 of the tangent-number triangle of ``bernoulli``
+_tangent_column: list[int] = [1]
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n as an exact fraction, B_1 = -1/2 convention.
 
-    Even-index values come from the binomial recurrence
-    sum_{k=0}^{m} C(m+1, k) B_k = 0 restricted to even k (the odd ones
-    vanish for k >= 3); results are cached, so repeated calls are O(1).
+    Even-index values come from the tangent numbers T_j,
+    tan x = sum_j T_j x^(2j-1)/(2j-1)!, as
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)); the odd ones vanish for
+    n >= 3.  The T_j are the diagonal of an integer triangle (Brent and
+    Harvey, arXiv:1108.0286): A(1, 1) = 1, A(0, j) = 0 and
+    A(k, j) = (j-k) A(k, j-1) + (j-k+2) A(k-1, j) for 1 <= k <= j, with
+    T_j = A(j, j).  Column j takes j products of a small integer and an
+    integer of O(j log j) bits, and only the last column is kept, so the
+    cache grows one column at a time, in integers, under ``_bern_lock``,
+    with one ``Fraction`` per entry: a fill in small steps does the work
+    of one fill at once.  Repeated calls are O(1).
     """
     if not isinstance(n, int) or n < 0:
         raise ValidationError(f"Bernoulli index must be a non-negative integer, got {n!r}")
@@ -242,15 +261,16 @@ def bernoulli(n: int) -> Fraction:
     m = n // 2
     if m >= len(_bern_even):
         with _bern_lock:
-            # re-check under the lock; concurrent fills are idempotent
-            local = list(_bern_even)
-            for j in range(len(local), m + 1):
-                nn = 2 * j
-                acc = Fraction(nn + 1, -2)  # the B_1 term of the recurrence
-                for i in range(j):
-                    acc += math.comb(nn + 1, 2 * i) * local[i]
-                local.append(-acc / (nn + 1))
-            _bern_even[:] = local
+            # re-check under the lock: another thread may have filled it
+            column = _tangent_column
+            for j in range(len(_bern_even), m + 1):
+                # column[k - 1] = A(k, j - 1) becomes A(k, j), ascending k
+                column.append(0)
+                below = 0  # A(k - 1, j)
+                for k in range(1, j + 1):
+                    below = column[k - 1] = (j - k) * column[k - 1] + (j - k + 2) * below
+                four = 1 << 2 * j
+                _bern_even.append(Fraction((-1) ** (j - 1) * 2 * j * below, four * (four - 1)))
     return _bern_even[m]
 
 
@@ -269,8 +289,15 @@ def _publish(tables: dict, key, table) -> None:
 
 
 def _fixed(num: int, den: int, point: int) -> int:
-    """num/den at ``point`` fractional bits, correctly rounded (ties to even)."""
-    return round(Fraction(num << point, den))
+    """num/den at ``point`` fractional bits, den > 0, correctly rounded (ties to even).
+
+    One ``divmod``, 0 <= rem < den, and the remainder against den/2: the
+    value of ``round(Fraction(num << point, den))`` without reducing
+    num and den by their gcd first.
+    """
+    quo, rem = divmod(num << point, den)
+    rem *= 2
+    return quo + (rem > den or rem == den and quo & 1)
 
 
 def _stirling_table(point: int, n: int) -> list[int]:
@@ -396,7 +423,9 @@ def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int,
             b, bits = abs(d) + (abs(c) * lam >> point), max(c.bit_length(), d.bit_length())
         shift = max(bits + TAIL_GUARD_BITS - width, 0)
         width += shift
-        zb = (zb * factor << shift) // divisor0
+        # the widening folded into the factor: one multiply per residue
+        step = factor << shift
+        zb = zb * step // divisor0
         # the size from the top 64 bits of zb: one short multiply
         drop = zb.bit_length() - 64
         size = b * (zb >> drop) >> width - drop if 0 < drop < width else b * zb >> width
@@ -405,11 +434,11 @@ def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int,
         if size > prev or k > MAX_TAIL_TERMS:
             return None
         prev = size
-        zs = [(z * factor << shift) // m for z, m in zip(zs, divisors)]
+        zs = [z * step // m for z, m in zip(zs, divisors)]
         if logs is None:
             total += c * sum(zs) >> width
         else:
-            zls = [(z * factor << shift) // m for z, m in zip(zls, divisors)]
+            zls = [z * step // m for z, m in zip(zls, divisors)]
             total += d * sum(zs) - c * sum(zls) >> width
         factor, divisors, divisor0 = den2, m2s, m0 * m0
 
@@ -761,36 +790,47 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
       floor(2^P / m^u), and that quotient costs less than a product, so
       v = 1 always goes here.
     * by a sieve, where f is dense: m^(-s) is completely multiplicative,
-      so r(m) is taken directly at primes only.  Every other m the sum
-      needs, the support and the cofactors its composites are built from,
-      is r(m) = (r(m/p) r(p)) >> P, with p the least prime factor of m.
-      This takes about Nq / ln(Nq) roots, one per prime, against
-      N |support| directly, and it walks all of 1..(N+1)q, with about ten
-      bytes and a stored cofactor per m.  So it is taken only where
-      |support| ln(Nq) > q, that is where the primes up to Nq are fewer
-      than the terms: for the Dirichlet-type f of small q, where the
-      roots at the primes are shared by many m, and never for a sparse f
-      at large q.
+      so r(m) is taken directly at primes only, and elsewhere from
+      r(m/p) r(p), p the least prime factor of m.  Every m the sum reads,
+      and every factor of one, is prime to the primes of q that divide no
+      residue of the support; with p_0 the least prime not among them
+      (for a Dirichlet-type f the least prime not dividing q), no
+      cofactor m/p and no p exceeds (N+1)q/p_0.  One pass takes and
+      keeps r(m) = (r(m/p) r(p)) >> P for every such m up to there.  Past
+      it r(m) is read only once: in a class sum, where the r(m/p) of one
+      least prime p are summed first and take one product with r(p) and
+      one floor, and in the rest, r(Nq + a).  This takes about
+      Nq / ln(Nq) roots, one per prime, against N |support| directly,
+      and keeps at most (N+1)q/p_0 integers of P bits.  So it is taken
+      only where |support| ln(Nq) > q, that is where the primes up to Nq
+      are fewer than the terms: for the Dirichlet-type f of small q,
+      where the roots at the primes are shared by many m, and never for
+      a sparse f at large q.
 
     The r(m) of the residues that share a value of f are summed as one
     integer, the sums take one multiply per distinct value, exactly, and
     the head is exact past the r(m).  ``periodic_zeta_ds`` is the
     term-wise derivative of this series, on the same integers.
 
-    Error.  By the sieve, r(m) carries Omega(m) roots or powers and
-    Omega(m) - 1 products (directly, one root or power), each off by less
-    than one unit, and at s > 0 no factor exceeds 1, so r(m) is within
-    2 Omega(m) <= 2 bits((N+1)q) units of 2^P m^(-s).  At s < 0 every
-    factor is at least 1, so r(m) is within 2 bits((N+1)q) 2^-P of
-    itself, relative.  With P = prec + bits(2 Nq bits(Nq)), at least
-    prec + ``TAIL_EXTRA_BITS``, the head is within 2^-prec sum_a |f(a)|
-    of its exact value at s > 0, and within 2^-prec relative to
-    sum |f(m)| m^(-s) at s < 0, where the extra digits cover its
-    cancellation against the integral terms.  The rest multiplies each
-    r(m_a) by at most (N+1)/|s - 1| + 1, which adds less than
-    2^(1-prec) sum_a |f(a)| (1 + 1/|s - 1|) at s > 0 (and as much relative
-    to the integral terms at s < 0), and the tail's own bound is a few
-    hundred units of 2^-P.
+    Error, in units u = 2^-P.  By the sieve, r(m) carries Omega(m) roots
+    or powers and Omega(m) - 1 products (directly, one root or power),
+    each off by less than one unit, and at s > 0 no factor exceeds 1, so
+    r(m) is within 2 Omega(m) <= 2 bits((N+1)q) units of 2^P m^(-s); a
+    class sum that floors one product for all the r(m/p) of one p keeps
+    that bound per term.  At s < 0 every factor is at least 1, so r(m) is
+    within 2 bits((N+1)q) u of itself, relative.  At s > 0 the head, N
+    terms per residue, is then within 2 N bits((N+1)q) sum_a |f(a)|
+    units, and the rests, which multiply each r(m_a) by at most
+    (N+1)/|s - 1| + 1, within 2 bits((N+1)q) ((N+1)/|s - 1| + 1)
+    sum_a |f(a)|.  With P = prec + bits(2 Nq bits(Nq)), at least
+    prec + ``TAIL_EXTRA_BITS``, 2^P exceeds 2^prec 2 Nq bits(Nq), so head
+    and rests together are below
+    1.4 * 2^-prec sum_a |f(a)| (1 + 1/|s - 1|) / q, since N >= 10: for one
+    residue about q times below 2^-prec.  At s < 0 the
+    same units hold relative to sum |f(m)| m^(-s) and to the integral
+    terms, where the extra digits cover their cancellation.  The tail adds
+    its stated bound, a few hundred units, and the error of each weight's
+    r(m_a) times the sum of its tail.
     """
     require_digits(digits)
     _check_s(s)
@@ -1013,40 +1053,52 @@ def _periodic_roots(s: Fraction, q: int, support: dict, top: int, point: int, lo
 
 
 def _sieve_sums(root, q: int, support: dict, top: int, point: int) -> tuple:
-    """``_periodic_roots`` by the sieve: r(m) = root(m) at primes and a product elsewhere.
+    """``_periodic_roots`` by the sieve: r(m) = root(m) at primes, from r(m/p) r(p) elsewhere.
 
-    The walk runs over 1..top + q.  Only the classes of the support are
-    complete: r(m) is computed for the support, and for the cofactor m/p
-    and the least prime factor p of every composite m computed; r(1) = 2^point.
+    Every m the sum reads is prime to the primes of q that divide no
+    residue of the support, and so is every factor of such an m; for a
+    Dirichlet-type f these m are the units.  With p_0 the least prime
+    that is not one of those, every composite m <= top + q read has least
+    prime factor p >= p_0, so its cofactor m/p and p are at most
+    (top + q)/p_0: one pass takes and keeps r(m) for every such m up to
+    there, with r(1) = 2^point, and adds it to its class.  Past that
+    point r(m) is read only once: by its class sum for m <= top, so the
+    r(m/p) of one least prime p and one class are summed first and the
+    sum takes one product with r(p), and by the rest for m = top + a.
     """
     last = top + q
-    wanted = bytearray(q)
-    for a in support:
-        wanted[a % q] = 1
-    wanted *= last // q + 1
-    del wanted[last + 1:]
-    wanted[0] = wanted[1] = 0
-    # kept[m]: r(m) is read again, as a factor
-    kept = bytearray(last // 2 + 1)
     lpf = _least_prime_factors(last)
-    # descending, so the factors of m are marked before the walk reaches them
-    for m in itertools.compress(range(last, -1, -1), reversed(wanted)):
-        p = lpf[m]
-        if p:
-            wanted[p] = wanted[m // p] = kept[p] = kept[m // p] = 1
+    # the primes of q that divide no residue of the support, and p_0
+    barred = [p for p in range(2, q + 1) if not (lpf[p] or q % p) and all(a % p for a in support)]
+    p_0 = next(p for p in itertools.count(2) if not lpf[p] and p not in barred)
+    cut = last // p_0
+    # r(m) for the m <= cut prime to the barred primes, 0 elsewhere
+    kept = [0] * (cut + 1)
+    kept[1] = 1 << point
+    wanted = bytearray([1]) * (cut + 1)
+    for p in barred:
+        wanted[::p] = bytes(len(range(0, cut + 1, p)))
+    wanted[0] = wanted[1] = 0
     by_class = [0] * q
-    by_class[1 % q] = 1 << point
-    roots = {}
-    r_kept = [0] * len(kept)
-    for m in itertools.compress(range(last + 1), wanted):
+    by_class[1 % q] = kept[1]
+    for m in itertools.compress(range(cut + 1), wanted):
         p = lpf[m]
-        r = r_kept[m // p] * r_kept[p] >> point if p else root(m)
-        if m < len(kept) and kept[m]:
-            r_kept[m] = r
-        if m > top:
-            roots[m] = r
-        else:
-            by_class[m % q] += r
+        kept[m] = r = kept[m // p] * kept[p] >> point if p else root(m)
+        by_class[m % q] += r
+    roots = {}
+    for a in support:
+        # the m of class a in (cut, top]: cofactor sums per least prime
+        primes, cofactors = 0, {}
+        for m in range(cut + 1 + (a - cut - 1) % q, top + 1, q):
+            p = lpf[m]
+            if p:
+                cofactors[p] = cofactors.get(p, 0) + kept[m // p]
+            else:
+                primes += root(m)
+        by_class[a % q] += primes + sum(t * kept[p] >> point for p, t in cofactors.items())
+        m = top + a
+        p = lpf[m]
+        roots[m] = kept[m // p] * kept[p] >> point if p else root(m)
     return by_class, roots
 
 

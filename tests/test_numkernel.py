@@ -95,6 +95,73 @@ def test_bernoulli_concurrent_fill():
     assert len(set(results)) == 1
 
 
+def test_bernoulli_large_index_against_mpmath():
+    for n in (100, 250, 400, 600):
+        p, q = mpmath.bernfrac(n)
+        assert bernoulli(n) == Fraction(int(p), int(q)), n
+
+
+def _fresh_bernoulli_cache():
+    """Empty the Bernoulli cache back to B_0, B_2 and the first tangent column."""
+    with numkernel._bern_lock:
+        del numkernel._bern_even[2:]
+        numkernel._tangent_column[:] = [1]
+
+
+def test_bernoulli_cache_grown_in_steps_equals_one_fill():
+    # the tangent-number column carries over between fills, so a cache
+    # grown a few entries at a time holds the entries of one fill to B_600
+    try:
+        _fresh_bernoulli_cache()
+        for n in range(2, 601, 14):
+            bernoulli(n)
+        bernoulli(600)
+        stepped = list(numkernel._bern_even)
+        _fresh_bernoulli_cache()
+        bernoulli(600)
+        assert numkernel._bern_even == stepped
+        assert len(stepped) == 301
+    finally:
+        bernoulli(600)
+
+
+def test_bernoulli_threaded_fill_from_empty_cache():
+    # 16 threads grow one shared tangent column from the start, each to
+    # its own indices; a lost or doubled column step would break an entry
+    expected = [bernoulli(n) for n in range(0, 401, 2)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _fresh_bernoulli_cache()
+        with concurrent.futures.ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(lambda i=i: [bernoulli(n) for n in range(2 * i, 401, 34)])
+                       for i in range(16)]
+            for fut in futures:
+                fut.result(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert numkernel._bern_even[:len(expected)] == expected
+    assert [bernoulli(n) for n in range(0, 401, 2)] == expected
+
+
+def test_fixed_rounds_to_nearest_ties_to_even():
+    # _fixed rounds with one divmod; it must equal the Fraction rounding,
+    # ties to even, for negative numerators too
+    rng = random.Random(24)
+    fixed = numkernel._fixed
+    for _ in range(2000):
+        num = rng.randint(-(1 << 3000), 1 << 3000)
+        den = rng.randint(1, 1 << rng.randint(1, 3000))
+        point = rng.randint(0, 900)
+        assert fixed(num, den, point) == round(Fraction(num << point, den)), (num, den, point)
+    for _ in range(2000):
+        # (num << point)/den = (2k + 1)/2 exactly, k odd or even
+        odd, point = 2 * rng.randint(-(1 << 300), 1 << 300) + 1, rng.randint(0, 40)
+        part = rng.randint(1, 1 << 200)
+        num, den = odd * part, part << point + 1
+        assert fixed(num, den, point) == round(Fraction(num << point, den)), (num, den, point)
+
+
 # ---------------------------------------------------------------------------
 # two_sin_pi
 
@@ -539,6 +606,53 @@ def test_l_value_roots_only_at_primes(root_calls, monkeypatch):
         ref_ds = mp.power(q, -0.5) * mp.fsum(v * (zeta_ds - mp.log(q) * zeta) for v, zeta, zeta_ds in terms)
     assert abs(mine - ref) < tol(d)
     assert abs(mine_ds - ref_ds) < tol(d)
+
+
+def _is_prime(n):
+    return n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
+
+
+#: Dense f for the sieve: (q, residues of the support, the primes of q the
+#: support leaves out).  At q = 45 the support holds a = 3, 42, sharing 3
+#: with q, and a = q, so no prime of q is left out; at q = 30 it holds the
+#: units and a = 3, 27, so 2 and 5 are left out and the least prime a
+#: cofactor can have is 3; at q = 105, three primes, it is the units.
+SIEVE_CASES = (
+    (45, [a for a in range(1, 46) if gcd(a, 45) == 1 or a in (3, 42, 45)], ()),
+    (30, [a for a in range(1, 30) if gcd(a, 30) == 1 or a in (3, 27)], (2, 5)),
+    (105, [a for a in range(1, 105) if gcd(a, 105) == 1], (3, 5, 7)),
+)
+
+
+@pytest.mark.parametrize("d", (50, 120))
+@pytest.mark.parametrize("q, residues, barred", SIEVE_CASES, ids=("q45-a=q", "q30-non-units", "q105-units"))
+def test_l_value_sieve_against_mpmath(q, residues, barred, d, monkeypatch):
+    # an even f, dense, so l_value takes the sieve.  Its roots are at
+    # primes only, each once, and only at primes prime to the primes of q
+    # that divide no residue of the support; every prime of a class of the
+    # support up to (N + 1)q takes one.  The value is within the contract
+    values = {a: Fraction(min(a, q - a) % 4 - 2 or 3, 1 + min(a, q - a) % 2) for a in residues}
+    f = PeriodicFunction(q=q, values=values)
+    seen = []
+    sieve_sums = numkernel._sieve_sums
+    monkeypatch.setattr(numkernel, "_sieve_sums",
+                        lambda root, *args: sieve_sums(lambda m: seen.append(m) or root(m), *args))
+    last = (numkernel._em_first_shift(d) + 1) * q
+    classes = {a % q for a in residues}
+    for s in (Fraction(1, 2), Fraction(-3, 2), Fraction(7, 3)):
+        seen.clear()
+        mine = l_value(s, f, d)
+        assert seen, (q, s)
+        assert len(set(seen)) == len(seen) and all(map(_is_prime, seen)), (q, s)
+        assert max(seen) <= last and not any(m % p == 0 for m in seen for p in barred), (q, s)
+        assert {p for p in range(2, last + 1) if p % q in classes and _is_prime(p)} <= set(seen), (q, s)
+        if barred == tuple(p for p in range(2, q + 1) if q % p == 0 and _is_prime(p)):
+            # Dirichlet type: every prime up to (N + 1)q not dividing q, and no other
+            assert sorted(seen) == [p for p in range(2, last + 1) if q % p and _is_prime(p)], (q, s)
+        with mp.workprec(prec_bits(d) + 40):
+            sm = mpf(s.numerator) / s.denominator
+            ref = mp.power(q, -sm) * mp.fsum(v * mp.zeta(sm, mpf(a) / q) for a, v in values.items())
+        assert abs(mine - ref) < tol(d) * max(1, abs(ref)), (q, s, d)
 
 
 def test_l_value_sparse_f_at_large_period(root_calls):
