@@ -1,12 +1,23 @@
 """Evaluation of L(s, f) = sum f(n)/n^s and of L'(0, f).
 
-Three independent routes to the derivative at 0 are kept deliberately
-separate so they can cross-check each other:
+Three routes to the derivative at 0 are kept so they can cross-check
+each other:
 
-* ``l_deriv`` differentiates the Hurwitz-zeta decomposition term-wise,
+* ``l_deriv`` differentiates the Euler-Maclaurin series of ``l_value``
+  term-wise,
 * ``l_deriv0_closed`` uses the closed form through log Gamma values,
 * ``l_deriv0_even`` uses the half-support log-sine sum available for
   even Dirichlet-type functions.
+
+The first two are not independent.  At s = 0 both evaluate one formula,
+sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a) with m_a = q w_a,
+the shift product P_a = a (a + q) ... (m_a - q) and the Bernoulli tail
+T_a, at different shifts: ``l_deriv`` at one N = max(10, ceil(0.8 d)) for
+all residues, w_a = N + a/q, and ``l_deriv0_closed`` at each w_a past
+1.2 d.  They also share ``_bernoulli_tails``, the Bernoulli cache and
+``_fixed_log``.  ``l_deriv0_even`` is the leg that shares none of that
+code.  Both of the first two stay as reference implementations of their
+series.
 
 Sign convention: L'(0, f) = -sum_{a<=q/2, (a,q)=1} f(a) log(2 sin(a pi/q)).
 The shifted variant sum (f(a)-f(1)) log(2 sin(a pi/q)) that circulates in
@@ -25,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .arith import half_units, is_prime_power
-from .errors import PoleError, ValidationError
+from .errors import ValidationError
 from .numkernel import (
     RealLike,
     log_sine_sum,
@@ -37,16 +48,6 @@ from .numkernel import (
     stirling_closed_form,
 )
 from .periodic import PeriodicFunction, half_support, require_even_dirichlet
-
-
-def _reject_pole(s: RealLike) -> None:
-    if not mp.isfinite(s):
-        raise ValidationError(f"s must be finite, got {s}")
-    if s == 1:
-        raise PoleError(
-            "s = 1 is not evaluated: L(s, f) has a pole there unless the mean of f "
-            "vanishes, and the s = 1 theory is out of scope either way"
-        )
 
 
 def l_value(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
@@ -58,7 +59,6 @@ def l_value(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
     ``s`` is taken at its exact value, which picks the head's route, and
     near the pole it keeps s - 1.
     """
-    _reject_pole(s)
     return periodic_zeta(s, f.q, f.values, digits)
 
 
@@ -69,7 +69,6 @@ def l_deriv(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
     Euler-Maclaurin series of ``l_value``, with a root or power and a log
     per head term (one log per residue at s = 0) and one batched tail.
     """
-    _reject_pole(s)
     return periodic_zeta_ds(s, f.q, f.values, digits)
 
 

@@ -68,17 +68,23 @@ k takes one list update of the powers and one coefficient multiply for
 all residues.  A one-residue series (``hurwitz_zeta``, ``hurwitz_zeta_ds``,
 ``log_gamma_frac``) is the call with one residue.
 
-Each working precision has its own mpmath context, ``context(d)``: an
-``MPContext`` at the guarded precision for ``d``, built on first use and
-never changed after that.  All arithmetic runs in the context of the
-requested precision, and every public function returns a plain mpmath
-``mpf`` converted from it without rounding.  The exceptions are the
-Euler-Maclaurin series at s < 0, which cancels, ``hurwitz_zeta`` and
-``hurwitz_zeta_ds``: they run in the context of a few more digits, and
-their result is rounded once into the context of the request.  mpmath's
-global precision is never read or set, so the result of a call does not
-depend on the caller's ambient precision, and calls at different
-precisions may run concurrently from several threads.
+Every integer series has one exit.  The Euler-Maclaurin series of
+``periodic_zeta(_ds)`` and the Stirling series of ``stirling_closed_form``
+work at a plain binary precision and end in one exact quotient of
+integers, (numerator, denominator), which ``_rounded`` rounds once into
+``prec_bits(d)``.  That holds at s < 0 too, where the Euler-Maclaurin
+series cancels and so runs at a few more digits.  The log-sines work at
+``prec_bits(d)`` the same way, and so do the exact Bernoulli values at
+integer s <= 0.  An mpmath context, ``context(d)``, is an ``MPContext`` at
+the guarded precision for ``d``, built on first use and never changed
+after that; one is built only where an mpmath function runs:
+``two_sin_pi``, ``pi_const``, ``log2_const``, ``log_gamma_frac``,
+``hurwitz_zeta`` and ``hurwitz_zeta_ds``.  The last two run at a few
+more digits and round their result once into the context of the request.
+Every public function returns a plain mpmath ``mpf``.  mpmath's global
+precision is never read or set, so the result of a call does not depend
+on the caller's ambient precision, and calls at different precisions may
+run concurrently from several threads.
 
 All functions are pure and their returned values are immutable and safe
 to hand between threads.  Shared state is:
@@ -443,6 +449,15 @@ def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int,
         factor, divisors, divisor0 = den2, m2s, m0 * m0
 
 
+def _tail_cutoff(scaled: list[int], point: int, digits: int) -> int:
+    """Every series' tail ``cutoff``: 10**-(d + EXTRA_DIGITS) sum_a |scaled_a|, at ``point`` bits.
+
+    The scaled_a are the values f(a) times their common denominator, the
+    units the tails are summed in, and d is the requested digits.
+    """
+    return (sum(map(abs, scaled)) << point) // 10 ** (digits + EXTRA_DIGITS)
+
+
 # ---------------------------------------------------------------------------
 # Elementary special values
 
@@ -484,7 +499,7 @@ def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
     2^-prec (1 + 2^(-1 - SINE_GUARD_BITS)) of 2 sin(a pi/q), relative:
     correctly rounded but for near-ties.
     """
-    prec = context(digits).prec
+    prec = prec_bits(digits)
     point, sines = _sine_walk(q, residues, prec)
     return [mp.make_mpf(from_man_exp(s, 1 - point, prec, round_nearest)) for s in sines]
 
@@ -541,8 +556,7 @@ def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
     and of the partial sums: with n <= 500 residues, |c_a| <= 5 and
     q < 10^4, at most 15 of the ``GUARD_BITS``.
     """
-    ctx = context(digits)
-    prec = ctx.prec
+    prec = prec_bits(digits)
     pairs = list(coefficients)
     point, sines = _sine_walk(q, [a for a, _ in pairs], prec)
     # (numerator, denominator) of c -> its walk values; the pair hashes
@@ -597,7 +611,7 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
     if a > q:
         raise ValidationError(f"argument a/q must lie in (0, 1], got {a}/{q}")
     ctx = context(digits)
-    value = _stirling_sum(ctx, q, {a: 1}, digits)
+    value = ctx.convert(_rounded(ctx.prec, *_stirling_sum(ctx.prec, q, {a: 1}, digits)))
     value += to_mpf(Fraction(1, 2) - Fraction(a, q), ctx) * ctx.log(q) + ctx.log(2 * ctx.pi) / 2
     return plain_mpf(value)
 
@@ -620,62 +634,54 @@ def stirling_closed_form(q: int, values: Mapping[int, Fraction], digits: int) ->
     L'(0, f) = sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a):
     per residue one log of m_a and one of P_a, and no log of q or of 2 pi.
     """
-    require_digits(digits)
-    ctx = context(digits)
+    prec = prec_bits(digits)
     support = {a: c for a, c in values.items() if c}
     if not support:
-        return plain_mpf(ctx.mpf(0))
-    return plain_mpf(_stirling_sum(ctx, q, support, digits))
+        return mpf(0)
+    return _rounded(prec, *_stirling_sum(prec, q, support, digits))
 
 
-def _stirling_sum(ctx: MPContext, q: int, support: dict, digits: int):
-    """sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a) of ``stirling_closed_form``, in ``ctx``.
+def _stirling_sum(prec: int, q: int, support: dict, digits: int) -> tuple[int, int]:
+    """sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a) of ``stirling_closed_form``, as (numer, denom).
 
     The logs, at P = prec + ``TAIL_EXTRA_BITS`` fractional bits, and the
     tails, one ``_bernoulli_tails`` with the weights f(a), are integers;
-    their sum with the exact rationals w_a and f(a) is rounded once.  Each
-    log is within one unit of 2^-P and has a coefficient of size at most
-    |f(a)| (w_a - 1/2) or |f(a)|, so the logs add less than
-    sum |f(a)| (1.2 d + 2) units of 2^-P, below 2^-prec sum |f(a)| for
-    d < 50000, and the tails their stated bound, a few hundred units.
+    their sum with the exact rationals w_a and f(a) is the quotient of two
+    integers, for the caller to round once.  Each log is within one unit
+    of 2^-P and has a coefficient of size at most |f(a)| (w_a - 1/2) or
+    |f(a)|, so the logs add less than sum |f(a)| (1.2 d + 2) units of
+    2^-P, below 2^-prec sum |f(a)| for d < 50000, and the tails their
+    stated bound, a few hundred units.
     """
-    point = ctx.prec + TAIL_EXTRA_BITS
-    wp = point + 8
+    point = prec + TAIL_EXTRA_BITS
     threshold = 1.2 * digits
     # everything is at P fractional bits, in units of 1/(2 q den)
     den = math.lcm(*(c.denominator for c in support.values()))
-    ms, weights, numer, linear = [], [], 0, 0
-    for a, c in support.items():
-        scaled = c.numerator * (den // c.denominator)
-        m = a + max(0, math.ceil(threshold - a / q)) * q
-        product = math.prod(range(a, m, q))
-        log_m = to_fixed(mpf_log(from_int(m), wp), point)
-        # |log P_a| < bits(P_a): its integer part takes bits(bits(P_a)) more
-        wp_p = wp + product.bit_length().bit_length()
-        log_p = to_fixed(mpf_log(from_int(product, wp_p, round_nearest), wp_p), point)
-        numer += scaled * ((2 * m - q) * log_m - 2 * q * log_p)
-        linear += scaled * m
-        ms.append(m)
-        weights.append(scaled << point)
-    cutoff = sum(map(abs, weights)) // 10 ** (digits + EXTRA_DIGITS)
-    tail = _bernoulli_tails(functools.partial(_stirling_table, point), ms, q, point, cutoff, weights)
+    scaled = [c.numerator * (den // c.denominator) for c in support.values()]
+    ms = [a + max(0, math.ceil(threshold - a / q)) * q for a in support]
+    numer = sum(c * ((2 * m - q) * _fixed_log(m, point)
+                     - 2 * q * _fixed_log(math.prod(range(a, m, q)), point))
+                for c, a, m in zip(scaled, support, ms))
+    tail = _bernoulli_tails(functools.partial(_stirling_table, point), ms, q, point,
+                            _tail_cutoff(scaled, point, digits), [c << point for c in scaled])
     if tail is None:
         raise ConvergenceError(
             f"Stirling series for log Gamma(a/{q}) diverged before reaching "
             f"10^-{digits + EXTRA_DIGITS}; shift threshold too small"
         )
-    numer += 2 * q * tail - (2 * linear << point)
-    return ctx.make_mpf(from_rational(numer, 2 * q * den << point, ctx.prec, round_nearest))
+    numer += 2 * q * tail - (2 * sum(c * m for c, m in zip(scaled, ms)) << point)
+    return numer, 2 * q * den << point
 
 
 # ---------------------------------------------------------------------------
 # Hurwitz zeta and L(s, f) by Euler-Maclaurin
 
-def _check_s(s: RealLike) -> None:
+def _check_s(s: RealLike, series: str) -> None:
+    """Reject a non-finite s, and s = 1, the pole of the Euler-Maclaurin series of ``series``."""
     if not mp.isfinite(s):
         raise ValidationError(f"s must be finite, got {s}")
     if s == 1:
-        raise PoleError("Hurwitz zeta has a simple pole at s = 1")
+        raise PoleError(f"s = 1 is not evaluated: the Euler-Maclaurin series of {series} has a pole there")
 
 
 def _check_hurwitz_args(s: RealLike, x: Fraction, digits: int) -> None:
@@ -684,7 +690,7 @@ def _check_hurwitz_args(s: RealLike, x: Fraction, digits: int) -> None:
         raise ValidationError(f"x must be a Fraction, got {type(x).__name__}")
     if not 0 < x <= 1:
         raise ValidationError(f"x must lie in (0, 1], got {x}")
-    _check_s(s)
+    _check_s(s, "zeta(s, x)")
 
 
 def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
@@ -715,7 +721,7 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
     _check_hurwitz_args(s, x, digits)
     s = _exact_real(s)
     if s.denominator == 1 and s <= 0:
-        return _rounded(context(digits), _zeta_at_nonpositive(1 - s.numerator, x))
+        return _rounded(prec_bits(digits), *_zeta_at_nonpositive(1 - s.numerator, x).as_integer_ratio())
     a, q = x.numerator, x.denominator
     extra = math.ceil(s * math.log10(a if s > 1 else q)) if s > 0 else 0
     wctx = context(digits + extra)
@@ -765,7 +771,8 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
     residues: N starts at max(10, 0.8 d) and doubles while the tail grows,
     up to 64 d, and at s < 0 the sum runs at the extra digits of
     ``_em_shifts``.  Everything is summed in integers at P fractional
-    bits, and head plus rest are rounded once.
+    bits, and head, rests and tail end in one exact quotient of integers,
+    rounded once into ``prec_bits(d)``, at s < 0 too.
 
     The heads of all residues together are one sum over m <= Nq,
     sum f(m) r(m) with r(m) = floor(2^P m^(-s)), which takes no power of
@@ -832,19 +839,17 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
     its stated bound, a few hundred units, and the error of each weight's
     r(m_a) times the sum of its tail.
     """
+    _check_s(s, "L(s, f)")
     require_digits(digits)
-    _check_s(s)
-    ctx = context(digits)
     support = {a: c for a, c in values.items() if c}
     if not support:
-        return plain_mpf(ctx.mpf(0))
+        return mpf(0)
     s = _exact_real(s)
     if s.denominator == 1 and s <= 0:
         n = 1 - s.numerator
-        return _rounded(ctx, q ** (n - 1) * sum(
-            c * _zeta_at_nonpositive(n, Fraction(a, q)) for a, c in support.items()))
-    return _em_shifts(s, digits, lambda wctx, n_shift, target: _periodic_attempt(
-        wctx, s, q, support, n_shift, target), f"L(s={s}) of period {q}")
+        value = q ** (n - 1) * sum(c * _zeta_at_nonpositive(n, Fraction(a, q)) for a, c in support.items())
+        return _rounded(prec_bits(digits), *value.as_integer_ratio())
+    return _em_shifts(s, q, support, digits, False)
 
 
 def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits: int) -> mpf:
@@ -880,14 +885,12 @@ def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits
     sum |f(m)| m^(-s) log m, and the extra digits cover its cancellation
     against the integral terms, as for the value.
     """
+    _check_s(s, "L(s, f)")
     require_digits(digits)
-    _check_s(s)
     support = {a: c for a, c in values.items() if c}
     if not support:
-        return plain_mpf(context(digits).mpf(0))
-    s = _exact_real(s)
-    return _em_shifts(s, digits, lambda wctx, n_shift, target: _periodic_attempt(
-        wctx, s, q, support, n_shift, target, True), f"L'(s={s}) of period {q}")
+        return mpf(0)
+    return _em_shifts(_exact_real(s), q, support, digits, True)
 
 
 def _em_first_shift(digits: int) -> int:
@@ -911,55 +914,54 @@ def _zeta_at_nonpositive(n: int, x: Fraction) -> Fraction:
     return -sum(math.comb(n, j) * bernoulli(j) * x ** (n - j) for j in range(n + 1)) / n
 
 
-def _rounded(ctx: MPContext, value: Fraction) -> mpf:
-    """An exact rational rounded once into ``ctx``, as a plain mpf."""
-    return plain_mpf(ctx.make_mpf(from_rational(value.numerator, value.denominator, ctx.prec, round_nearest)))
+def _rounded(prec: int, numer: int, denom: int) -> mpf:
+    """The exact rational numer/denom, denom != 0, rounded once to ``prec`` bits, as a plain mpf."""
+    return mp.make_mpf(from_rational(numer, denom, prec, round_nearest))
 
 
-def _em_shifts(s: Fraction, digits: int, attempt, what: str) -> mpf:
-    """The first value ``attempt(ctx, N, target)`` gives over the shifts N, rounded to ``digits``.
+def _em_shifts(s: Fraction, q: int, support: dict, digits: int, derivative: bool) -> mpf:
+    """The first ``_periodic_attempt`` over the shifts N that is not None, rounded once to ``digits``.
 
     N starts at ``_em_first_shift`` and doubles while the attempt returns
-    None, up to 64 d.  ``target`` is 10**-(d + EXTRA_DIGITS), the bound on
-    a tail's last term.
+    None, up to 64 d.
     """
-    ctx = context(digits)
-    target = ctx.mpf(10) ** (-(digits + EXTRA_DIGITS))
     n_shift = _em_first_shift(digits)
     n_cap = 64 * digits
     while True:
         # at s < 0 the head and the integral term, both of size about
         # N^(1-s)/(1-s), cancel down to zeta: work with that many more digits
         extra = math.ceil((1 - s) * math.log10(n_shift + 1)) if s < 0 else 0
-        value = attempt(context(digits + extra), n_shift, target)
-        if value is not None:
-            return plain_mpf(+ctx.make_mpf(value._mpf_))
+        exact = _periodic_attempt(prec_bits(digits + extra), s, q, support, n_shift, digits, derivative)
+        if exact is not None:
+            return _rounded(prec_bits(digits), *exact)
         if n_shift >= n_cap:
+            series = "L'" if derivative else "L"
             raise ConvergenceError(
-                f"Euler-Maclaurin tail for {what} did not fall below "
+                f"Euler-Maclaurin tail for {series}(s={s}) of period {q} did not fall below "
                 f"10^-{digits + EXTRA_DIGITS} with shift up to {n_cap}"
             )
         n_shift = min(2 * n_shift, n_cap)
 
 
-def _periodic_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shift: int, target: mpf,
-                      derivative: bool = False):
-    """L(s, f), or with ``derivative`` L'(s, f), at fixed shift N; None if the tail grows.
+def _periodic_attempt(prec: int, s: Fraction, q: int, support: dict, n_shift: int, digits: int,
+                      derivative: bool = False) -> tuple[int, int] | None:
+    """L(s, f), or with ``derivative`` L'(s, f), at fixed shift N as (numer, denom); None if the tail grows.
 
-    The integer route of ``periodic_zeta``, and its term-wise derivative
-    as ``periodic_zeta_ds`` states it: the value's r(m), weights and
-    cutoff, with lam(m) = floor(2^P log m) beside them.
+    The integer route of ``periodic_zeta`` at working precision ``prec``,
+    and its term-wise derivative as ``periodic_zeta_ds`` states it: the
+    value's r(m), weights and cutoff, with lam(m) = floor(2^P log m)
+    beside them.  The tail's cutoff is taken at the requested ``digits``.
     """
     top = n_shift * q
     u, v = s.numerator, s.denominator
-    point = ctx.prec + max(TAIL_EXTRA_BITS, (2 * top * top.bit_length()).bit_length())
+    point = prec + max(TAIL_EXTRA_BITS, (2 * top * top.bit_length()).bit_length())
     by_class, roots = _periodic_roots(s, q, support, top, point, derivative)
     # everything is at P fractional bits, in units of 1/den
     den = math.lcm(*(c.denominator for c in support.values()))
     scaled = [c.numerator * (den // c.denominator) for c in support.values()]
     ms = [top + a for a in support]
     weights = [c * roots[m] for c, m in zip(scaled, ms)]
-    cutoff = sum(map(abs, scaled)) * to_fixed(ctx.convert(target)._mpf_, point)
+    cutoff = _tail_cutoff(scaled, point, digits)
     table = functools.partial(_em_table, point, s)
     logs = [_fixed_log(m, point) for m in ms] if derivative else None
     if derivative and s:
@@ -992,9 +994,7 @@ def _periodic_attempt(ctx: MPContext, s: Fraction, q: int, support: dict, n_shif
         # head + tail + half/2 + integral v/(q(u - v)), over one denominator
         numer = (2 * (head + tail) + half) * q_s1 + 2 * v * integral
         denom = 2 * q_s1 * den << point
-    if denom < 0:
-        numer, denom = -numer, -denom
-    return ctx.make_mpf(from_rational(numer, denom, ctx.prec, round_nearest))
+    return numer, denom
 
 
 def _fixed_log(n: int, point: int) -> int:

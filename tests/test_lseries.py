@@ -9,6 +9,7 @@ from math import gcd, lcm
 import pytest
 from mpmath import mp, mpf
 
+from lprime import numkernel
 from lprime.errors import PoleError, ValidationError
 from lprime.lseries import (
     family_rank,
@@ -167,6 +168,18 @@ def test_l_value_pole():
         l_value(1, f, 50)
     with pytest.raises(PoleError):
         l_deriv(1, f, 50)
+
+
+def test_integer_series_build_no_context():
+    # the Euler-Maclaurin, Stirling and log-sine routes run in integers at
+    # prec_bits(d) and round once: no mpmath context, also at s < 0
+    numkernel.context.cache_clear()
+    f, d = constant_on_units(5, 1), 43
+    l_value(Fraction(-1, 2), f, d)
+    l_deriv(0, f, d)
+    l_deriv0_closed(f, d)
+    l_deriv0_even(f, d)
+    assert numkernel.context.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from lprime import numkernel
-from lprime.errors import PoleError, ValidationError
+from lprime.cli import run
+from lprime.errors import ConvergenceError, PoleError, ValidationError
 from lprime.numkernel import (
     bernoulli,
     hurwitz_zeta,
@@ -22,8 +23,11 @@ from lprime.numkernel import (
     log2_const,
     log_gamma_frac,
     log_sine_sum,
+    periodic_zeta,
+    periodic_zeta_ds,
     pi_const,
     prec_bits,
+    stirling_closed_form,
     two_sin_pi,
     two_sines,
 )
@@ -482,11 +486,28 @@ def test_hurwitz_retry_doubles_the_shift(monkeypatch):
     monkeypatch.setattr(numkernel, "_em_first_shift", lambda digits: 2)
     d, x = 50, Fraction(1, 97)
     for s in (Fraction(1, 3), Fraction(-1, 2), Fraction(2)):
-        attempt = numkernel._periodic_attempt(numkernel.context(d), s, x.denominator, {x.numerator: 1}, 2,
-                                              mpf(10) ** -(d + 10))
+        attempt = numkernel._periodic_attempt(prec_bits(d), s, x.denominator, {x.numerator: 1}, 2, d)
         assert attempt is None, s
         for derivative in (False, True):
             assert _zeta_error(s, x, d, derivative) < 1, (s, derivative)
+
+
+def test_diverging_tail_raises_convergence_error(monkeypatch, tmp_path, capsys):
+    # a tail that never converges: Euler-Maclaurin doubles its shift up to
+    # 64 d and then raises, Stirling raises at once, and the CLI exits 1
+    monkeypatch.setattr(numkernel, "_bernoulli_tails", lambda *args: None)
+    q, values, d = 5, {1: 1, 4: 1}, 10
+    with pytest.raises(ConvergenceError, match=r"L\(s=1/2\) of period 5"):
+        periodic_zeta(Fraction(1, 2), q, values, d)
+    with pytest.raises(ConvergenceError, match=r"L'\(s=1/2\) of period 5"):
+        periodic_zeta_ds(Fraction(1, 2), q, values, d)
+    with pytest.raises(ConvergenceError, match="Stirling series"):
+        stirling_closed_form(q, values, d)
+    path = tmp_path / "f.json"
+    path.write_text(PeriodicFunction(q=q, values=values).dumps())
+    for s in ("1/2", "0"):
+        assert run(["eval", "--fn", str(path), "--s", s, "--digits", str(d)]) == 1
+        assert "computation failed" in capsys.readouterr().err
 
 
 #: Rational s with the head of integer roots (v = 2, 3, 4), and -5/29,
