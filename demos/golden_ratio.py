@@ -8,8 +8,9 @@ residue pattern).  Then
              = log ( sin 72 / sin 36 )
              = log ( (1 + sqrt 5) / 2 ).
 
-The three evaluation routes (term-wise Hurwitz derivative, log-Gamma
-closed form, half-support log-sine sum) agree to the working precision.
+The three evaluation routes (term-wise derivative of the Euler-Maclaurin
+series, log-Gamma closed form over mpmath's log Gamma, half-support
+log-sine sum) share no lprime code, and agree to the working precision.
 """
 
 from mpmath import mp, nstr

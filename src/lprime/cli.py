@@ -57,10 +57,12 @@ def _resolve_digits(flag_value: int | None) -> int:
 
 def _load_function(path: str) -> PeriodicFunction:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
     return PeriodicFunction.loads(text)
 
 
@@ -87,7 +89,9 @@ def _cmd_eval(args) -> int:
     s = _parse_rational(args.s, "--s")
     d = args.digits
     if s == 0:
-        value = lseries.l_deriv0_closed(f, d)
+        # at s = 0 the derivative series is the log-Gamma closed form,
+        # each log Gamma summed by Stirling's series (Lerch's formula)
+        value = lseries.l_deriv(0, f, d)
         method = "ClosedForm0"
     else:
         value = lseries.l_value(s, f, d)

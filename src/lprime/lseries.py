@@ -1,23 +1,21 @@
 """Evaluation of L(s, f) = sum f(n)/n^s and of L'(0, f).
 
 Three routes to the derivative at 0 are kept so they can cross-check
-each other:
+each other, and they share no code of this package:
 
-* ``l_deriv`` differentiates the Euler-Maclaurin series of ``l_value``
-  term-wise,
-* ``l_deriv0_closed`` uses the closed form through log Gamma values,
+* ``l_deriv`` differentiates the integer Euler-Maclaurin series of
+  ``l_value`` term-wise,
+* ``l_deriv0_closed`` sums the closed form over log Gamma values from
+  mpmath's ``loggamma``,
 * ``l_deriv0_even`` uses the half-support log-sine sum available for
-  even Dirichlet-type functions.
+  even Dirichlet-type functions, by the integer sine recurrence.
 
-The first two are not independent.  At s = 0 both evaluate one formula,
-sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a) with m_a = q w_a,
-the shift product P_a = a (a + q) ... (m_a - q) and the Bernoulli tail
-T_a, at different shifts: ``l_deriv`` at one N = max(10, ceil(0.8 d)) for
-all residues, w_a = N + a/q, and ``l_deriv0_closed`` at each w_a past
-1.2 d.  They also share ``_bernoulli_tails``, the Bernoulli cache and
-``_fixed_log``.  ``l_deriv0_even`` is the leg that shares none of that
-code.  Both of the first two stay as reference implementations of their
-series.
+At s = 0 the series of ``l_deriv`` is itself the log-Gamma closed form:
+with one shift N = max(10, ceil(0.8 d)) for all residues, w_a = N + a/q,
+m_a = q w_a and P_a = a (a + q) ... (m_a - q), it is
+sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a), each log Gamma
+summed by Stirling's series at w_a, T_a its Bernoulli tail (Lerch's
+formula).  So ``lprime eval --s 0`` reads it and reports "ClosedForm0".
 
 Sign convention: L'(0, f) = -sum_{a<=q/2, (a,q)=1} f(a) log(2 sin(a pi/q)).
 The shifted variant sum (f(a)-f(1)) log(2 sin(a pi/q)) that circulates in
@@ -34,7 +32,8 @@ elimination gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from fractions import Fraction
+from math import ceil, gcd, lcm, log, log10
 
 from mpmath import mpf
 
@@ -42,10 +41,13 @@ from .arith import half_units, is_prime_power
 from .errors import ValidationError
 from .numkernel import (
     RealLike,
+    context,
+    log_gamma_frac,
     log_sine_sum,
     periodic_zeta,
     periodic_zeta_ds,
-    stirling_closed_form,
+    plain_mpf,
+    require_digits,
 )
 from .periodic import PeriodicFunction, half_support, require_even_dirichlet
 
@@ -75,16 +77,32 @@ def l_deriv(s: RealLike, f: PeriodicFunction, digits: int) -> mpf:
 def l_deriv0_closed(f: PeriodicFunction, digits: int) -> mpf:
     """L'(0, f) by the log-Gamma closed form, for any periodic f.
 
-    L'(0,f) = -log(q) sum f(a)(1/2 - a/q) + sum f(a) log Gamma(a/q)
-              - (1/2) log(2 pi) sum f(a).
+    L'(0,f) = sum f(a) log Gamma(a/q) - log(q) sum f(a)(1/2 - a/q)
+              - (1/2) log(2 pi) sum f(a),
 
-    One ``numkernel.stirling_closed_form``: Stirling's series for every
-    log Gamma(a/q), shifted past 1.2 d, whose log q and log(2 pi) terms
-    cancel those of the closed form exactly; what is left takes one log of
-    the shifted argument and one of the shift product per residue, and
-    one batched Bernoulli tail for all residues.
+    with each log Gamma(a/q) from ``numkernel.log_gamma_frac`` and the two
+    sums over f exact rationals: one mpmath dot product at d + e digits,
+    rounded to d.
+
+    Error.  Let W = sum |f(a)| and u = 2^-p, p = prec_bits(d + e).  Each
+    log Gamma(a/q) lies in [0, log q] and is within u (1.06 + log q),
+    taking mpmath's ``loggamma`` as within one unit in its last place.
+    Each f(a) and each exact sum is rounded once, log q and log(2 pi) are
+    within u log q and 1.5 u, and |sum f(a)(1/2 - a/q)| <= W/2.  So the
+    dot product is within 4 u W (1 + log q) of L'(0, f) before its one
+    rounding.  e = ceil(b log10 2) digits, b the bits of the integer
+    ceil(W ceil(1 + log q)), make 10^e > W (1 + log q), and so that error
+    at most 4 units of 2^-prec_bits(d), whatever the size of f.
     """
-    return stirling_closed_form(f.q, f.values, digits)
+    require_digits(digits)
+    q, values = f.q, f.values
+    weight = ceil(sum(map(abs, values.values())) * ceil(1 + log(q)))
+    working = digits + ceil(weight.bit_length() * log10(2))
+    ctx = context(working)
+    terms = [(c, log_gamma_frac(a, q, working)) for a, c in values.items()]
+    first = sum(c * (Fraction(1, 2) - Fraction(a, q)) for a, c in values.items())
+    terms += [(-first, ctx.log(q)), (-Fraction(sum(values.values()), 2), ctx.log(2 * ctx.pi))]
+    return plain_mpf(+context(digits).make_mpf(ctx.fdot(terms)._mpf_))
 
 
 def l_deriv0_even(f: PeriodicFunction, digits: int) -> mpf:

@@ -23,10 +23,6 @@ The special functions every other module needs live here:
   coefficient.  Every log-sine of the library comes from this
   recurrence.  ``two_sin_pi`` is mpmath's one-value sin, kept as the
   independent oracle the recurrence is tested against,
-* log Gamma(a/q) by an argument-shifted Stirling series, and L'(0, f)
-  for f of period q by the log-Gamma closed form with that series for
-  every residue (``stirling_closed_form``), whose log q and log(2 pi)
-  terms cancel exactly,
 * L(s, f) = sum f(m) m^(-s) for f of period q (``periodic_zeta``) by
   Euler-Maclaurin summation, valid for finite real s != 1, at one shift
   N for all residues a: the exact Bernoulli polynomials at integer
@@ -52,27 +48,31 @@ The special functions every other module needs live here:
   the same integers with floor(2^P log m) beside each r(m): the head
   takes a root or power and a log per term (at s = 0 one log per
   residue, of an exact integer product) and never the sieve, and the
-  rests and the tail take the logs of the m_a,
+  rests and the tail take the logs of the m_a.  At s = 0 this series is
+  Lerch's log-Gamma closed form for L'(0, f), with every log Gamma summed
+  by Stirling's series at the argument N + a/q,
 * the Hurwitz zeta function zeta(s, x), 0 < x = a/q <= 1, and its
   s-derivative as these series with one residue: zeta(s, a/q) is
   q^s L(s, f) for f = 1 at a (``hurwitz_zeta``), and zeta'(s, a/q) is
   q^s (L'(s, f) + log(q) L(s, f)) (``hurwitz_zeta_ds``), each taken at a
   few more digits where q^s may scale its error.  At integer s <= 0,
-  zeta(s, x) is the exact -B_(1-s)(x)/(1-s), rounded once.
+  zeta(s, x) is the exact -B_(1-s)(x)/(1-s), rounded once,
+* log Gamma(a/q) by mpmath's ``loggamma`` (``log_gamma_frac``), kept,
+  like ``two_sin_pi``, as an independent reference: no series of this
+  module computes log Gamma.
 
 Every series ends in a Bernoulli tail, sum_k c_k w^-(2k-1) at w = m/den,
 an exact rational, and every sum over residues a of such tails, weighted,
 is one ``_bernoulli_tails``: the coefficients, the weights and the
 weighted powers w_a (den/m_a)^(2k-1) are fixed-point integers, and each
 k takes one list update of the powers and one coefficient multiply for
-all residues.  A one-residue series (``hurwitz_zeta``, ``hurwitz_zeta_ds``,
-``log_gamma_frac``) is the call with one residue.
+all residues.  A one-residue series (``hurwitz_zeta``, ``hurwitz_zeta_ds``)
+is the call with one residue.
 
 Every integer series has one exit.  The Euler-Maclaurin series of
-``periodic_zeta(_ds)`` and the Stirling series of ``stirling_closed_form``
-work at a plain binary precision and end in one exact quotient of
-integers, (numerator, denominator), which ``_rounded`` rounds once into
-``prec_bits(d)``.  That holds at s < 0 too, where the Euler-Maclaurin
+``periodic_zeta(_ds)`` works at a plain binary precision and ends in one
+exact quotient of integers, (numerator, denominator), which ``_rounded``
+rounds once into ``prec_bits(d)``.  That holds at s < 0 too, where the
 series cancels and so runs at a few more digits.  The log-sines work at
 ``prec_bits(d)`` the same way, and so do the exact Bernoulli values at
 integer s <= 0.  An mpmath context, ``context(d)``, is an ``MPContext`` at
@@ -92,12 +92,10 @@ to hand between threads.  Shared state is:
 * the contexts, at most ``MAX_TABLES`` of them;
 * the exact Bernoulli cache, with the last column of its tangent-number
   triangle;
-* the series coefficient tables, filled on first use as fixed-point
-  integers: the Stirling coefficients B_2k/(2k(2k-1)) per fixed point
-  (in bits), and the Euler-Maclaurin coefficients
-  C_k(s) = B_2k/(2k)! * s(s+1)...(s+2k-2) with their s-derivatives
-  D_k(s) per (fixed point, exact s).  At most ``MAX_TABLES`` tables of
-  each kind are kept; the oldest goes first.
+* the Euler-Maclaurin coefficient tables, filled on first use as
+  fixed-point integers: C_k(s) = B_2k/(2k)! * s(s+1)...(s+2k-2) and its
+  s-derivative D_k(s), per (fixed point in bits, exact s).  At most
+  ``MAX_TABLES`` tables are kept; the oldest goes first.
 
 The cache and the tables grow under ``_bern_lock``, in integers: the
 Bernoulli cache appends each entry whole, and a table fill builds new
@@ -150,7 +148,7 @@ GUARD_BITS = 32
 #: far below the 10**(-d+5) contract.
 EXTRA_DIGITS = 10
 
-#: Most contexts, and coefficient tables of each kind, kept at once; the
+#: Most contexts, and Euler-Maclaurin coefficient tables, kept at once; the
 #: oldest is dropped beyond this.  A table at 240 digits holds about 110
 #: entries.
 MAX_TABLES = 64
@@ -283,15 +281,7 @@ def bernoulli(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Series coefficient tables and the Bernoulli tail
 
-_stirling_tables: dict[int, list[int]] = {}
 _em_tables: dict[tuple[int, Fraction], tuple[list[int], list[int], int, int]] = {}
-
-
-def _publish(tables: dict, key, table) -> None:
-    """Store a grown table whole (caller holds ``_bern_lock``)."""
-    if key not in tables and len(tables) >= MAX_TABLES:
-        del tables[next(iter(tables))]
-    tables[key] = table
 
 
 def _fixed(num: int, den: int, point: int) -> int:
@@ -304,22 +294,6 @@ def _fixed(num: int, den: int, point: int) -> int:
     quo, rem = divmod(num << point, den)
     rem *= 2
     return quo + (rem > den or rem == den and quo & 1)
-
-
-def _stirling_table(point: int, n: int) -> list[int]:
-    """B_2k / (2k(2k-1)) for k = 1..n (at least), at ``point`` fractional bits."""
-    table = _stirling_tables.get(point)
-    if table is not None and len(table) >= n:
-        return table
-    size = n + TABLE_CHUNK
-    bernoulli(2 * size)  # fill the exact cache before taking its lock
-    with _bern_lock:
-        table = list(_stirling_tables.get(point, ()))
-        for k in range(len(table) + 1, size + 1):
-            b = _bern_even[k]
-            table.append(_fixed(b.numerator, b.denominator * (2 * k) * (2 * k - 1), point))
-        _publish(_stirling_tables, point, table)
-    return table
 
 
 def _em_table(point: int, s: Fraction, n: int) -> tuple[list[int], list[int]]:
@@ -350,7 +324,10 @@ def _em_table(point: int, s: Fraction, n: int) -> tuple[list[int], list[int]]:
             ds.append(_fixed(b.numerator * q, scale, point))
             f1, f2 = u + (2 * k - 1) * v, u + 2 * k * v
             p, q = p * f1 * f2, q * f1 * f2 + p * (f1 + f2)
-        _publish(_em_tables, key, (cs, ds, p, q))
+        # publish the grown table whole; past MAX_TABLES the oldest goes
+        if key not in _em_tables and len(_em_tables) >= MAX_TABLES:
+            del _em_tables[next(iter(_em_tables))]
+        _em_tables[key] = (cs, ds, p, q)
     return cs, ds
 
 
@@ -361,10 +338,11 @@ def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int,
     The m_a are integers, all at least 10 den, and the weights w_a and the
     ``logs`` l_a >= 0 are integers at ``point`` fractional bits (the
     derivative of ``periodic_zeta_ds`` passes l_a = log m_a).
-    ``table(n)`` gives at least n coefficients at ``point`` fractional
-    bits: the c_k, summed as a_k = c_k, or, with ``logs``, the lists (c_k)
-    and (d_k), summed as a_k = d_k - c_k l_a.  One call sums the tails of
-    every residue, and a one-residue tail is the call with n = 1.
+    ``table(n)`` gives at least n coefficients of one ``_em_table`` at
+    ``point`` fractional bits: one column c_k, C_k(s) or D_k(0), summed as
+    a_k = c_k, or, with ``logs``, both columns (c_k) = (C_k(s)) and
+    (d_k) = (D_k(s)), summed as a_k = d_k - c_k l_a.  One call sums the
+    tails of every residue, and a one-residue tail is the call with n = 1.
 
     Per k, one list update z_a <- floor(z_a den^2/m_a^2) carries
     w_a (den/m_a)^(2k-1) at ``width`` fractional bits, and the term is one
@@ -597,10 +575,14 @@ def _walk_product(factors: list[int], point: int) -> tuple:
 
 
 def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
-    """log Gamma(a/q) at d digits by the shifted Stirling series.
+    """log Gamma(a/q) at d digits, 0 < a/q <= 1, by mpmath's ``loggamma``.
 
-    The one-residue ``stirling_closed_form``: log Gamma(a/q) is its sum for
-    f = 1 at a, plus (1/2 - a/q) log q + (1/2) log(2 pi).
+    No series of this module computes log Gamma, so this is an independent
+    reference for them: zeta'(0, a/q) = log Gamma(a/q) - (1/2) log(2 pi)
+    (Lerch) checks ``hurwitz_zeta_ds``, and ``lseries.l_deriv0_closed``
+    sums these values into the closed form of L'(0, f).  The argument a/q
+    is rounded once into ``context(d)``; since |x psi(x)| < 1.06 on (0, 1],
+    that moves the value by less than 1.06 units of 2^-prec.
     """
     if not _is_int(a) or not _is_int(q):
         raise ValidationError(f"log Gamma(a/q) needs integers a and q, got a={a!r}, q={q!r}")
@@ -611,66 +593,7 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
     if a > q:
         raise ValidationError(f"argument a/q must lie in (0, 1], got {a}/{q}")
     ctx = context(digits)
-    value = ctx.convert(_rounded(ctx.prec, *_stirling_sum(ctx.prec, q, {a: 1}, digits)))
-    value += to_mpf(Fraction(1, 2) - Fraction(a, q), ctx) * ctx.log(q) + ctx.log(2 * ctx.pi) / 2
-    return plain_mpf(value)
-
-
-def stirling_closed_form(q: int, values: Mapping[int, Fraction], digits: int) -> mpf:
-    """L'(0, f) at d digits by the log-Gamma closed form and Stirling's series, f of period q.
-
-    f(m) = values[a] for m = a mod q, as for ``periodic_zeta``, and 0 off
-    the residues listed.  The closed form is
-    L'(0, f) = sum f(a) log Gamma(a/q) - log q sum f(a) (1/2 - a/q)
-               - (1/2) log(2 pi) sum f(a).
-    Each x = a/q is shifted by an integer j_a until w_a = x + j_a exceeds
-    1.2 d, where the asymptotic series truncates below the error target
-    before its divergent turn, and the shift is undone by the exact
-    integer product P_a = a (a + q) ... (m_a - q), m_a = q w_a:
-    log Gamma(a/q) = (w_a - 1/2) log(m_a/q) - w_a + (1/2) log(2 pi)
-    + T_a - log(P_a / q^j_a), with the Bernoulli tail
-    T_a = sum_k B_2k/(2k(2k-1)) w_a^-(2k-1).  The log q and log(2 pi)
-    terms of these cancel those of the closed form exactly, which leaves
-    L'(0, f) = sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a):
-    per residue one log of m_a and one of P_a, and no log of q or of 2 pi.
-    """
-    prec = prec_bits(digits)
-    support = {a: c for a, c in values.items() if c}
-    if not support:
-        return mpf(0)
-    return _rounded(prec, *_stirling_sum(prec, q, support, digits))
-
-
-def _stirling_sum(prec: int, q: int, support: dict, digits: int) -> tuple[int, int]:
-    """sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a) of ``stirling_closed_form``, as (numer, denom).
-
-    The logs, at P = prec + ``TAIL_EXTRA_BITS`` fractional bits, and the
-    tails, one ``_bernoulli_tails`` with the weights f(a), are integers;
-    their sum with the exact rationals w_a and f(a) is the quotient of two
-    integers, for the caller to round once.  Each log is within one unit
-    of 2^-P and has a coefficient of size at most |f(a)| (w_a - 1/2) or
-    |f(a)|, so the logs add less than sum |f(a)| (1.2 d + 2) units of
-    2^-P, below 2^-prec sum |f(a)| for d < 50000, and the tails their
-    stated bound, a few hundred units.
-    """
-    point = prec + TAIL_EXTRA_BITS
-    threshold = 1.2 * digits
-    # everything is at P fractional bits, in units of 1/(2 q den)
-    den = math.lcm(*(c.denominator for c in support.values()))
-    scaled = [c.numerator * (den // c.denominator) for c in support.values()]
-    ms = [a + max(0, math.ceil(threshold - a / q)) * q for a in support]
-    numer = sum(c * ((2 * m - q) * _fixed_log(m, point)
-                     - 2 * q * _fixed_log(math.prod(range(a, m, q)), point))
-                for c, a, m in zip(scaled, support, ms))
-    tail = _bernoulli_tails(functools.partial(_stirling_table, point), ms, q, point,
-                            _tail_cutoff(scaled, point, digits), [c << point for c in scaled])
-    if tail is None:
-        raise ConvergenceError(
-            f"Stirling series for log Gamma(a/{q}) diverged before reaching "
-            f"10^-{digits + EXTRA_DIGITS}; shift threshold too small"
-        )
-    numer += 2 * q * tail - (2 * sum(c * m for c, m in zip(scaled, ms)) << point)
-    return numer, 2 * q * den << point
+    return plain_mpf(ctx.loggamma(ctx.mpf(a) / q))
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +793,8 @@ def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits
       residue, lam_a = lam(m_a).
     * tail: one ``_bernoulli_tails`` with the weights W_a and the logs
       lam_a, sum_k (D_k(s) - C_k(s) log m_a) w_a^-(2k-1) per residue; at
-      s = 0, where C_k(0) = 0, the D_k alone.
+      s = 0, where C_k(0) = 0, the D_k(0) = B_2k/(2k(2k-1)) alone: the
+      Stirling series of log Gamma(w_a).
 
     No power or log of q and no L(s, f) is taken.
 

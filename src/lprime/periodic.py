@@ -13,11 +13,11 @@ Each is computed at most once per function, on first use (attributes
 The JSON form is ``{"q": <int>, "values": {"<residue>": "<num>/<den>"}}``
 with the denominator omitted when it is 1.  Serialization is canonical
 (residues ascending), so parse -> serialize round-trips byte-exactly.
-Parsing rejects a bool ``q``, a repeated key and a residue key that is
-not ``str(a)`` ("04", "+4", "4_0"), so no residue is named twice.  A value
-string is read with the grammar of ``Fraction(str)``; each distinct string
-of one file is parsed once, and its residues share the resulting
-``Fraction``.
+Parsing rejects a bool ``q``, a repeated key, a residue key that is not
+``str(a)`` ("04", "+4", "4_0"), so no residue is named twice, and JSON
+nested past the parser's recursion limit.  A value string is read with
+the grammar of ``Fraction(str)``; each distinct string of one file is
+parsed once, and its residues share the resulting ``Fraction``.
 """
 
 from __future__ import annotations
@@ -135,6 +135,8 @@ class PeriodicFunction:
             data = json.loads(text, object_pairs_hook=_dict_without_repeats)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ValidationError("invalid JSON: nested too deeply") from None
         return cls.from_json_dict(data)
 
     def digest(self) -> str:

@@ -78,6 +78,29 @@ def test_eval_malformed_json(capsys, tmp_path):
     assert run(["eval", "--fn", str(bad), "--s", "0"]) == 2
 
 
+def _function_file_exit(tmp_path, command, content: bytes) -> int:
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    if command == "eval":
+        return run(["eval", "--fn", str(path), "--s", "0"])
+    return run(["rank", "--fns", str(path)])
+
+
+@pytest.mark.parametrize("command", ["eval", "rank"])
+def test_non_utf8_function_file_exit(capsys, tmp_path, command):
+    assert _function_file_exit(tmp_path, command, b'\xff\xfe{"q": 5}') == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "rank"])
+def test_deeply_nested_json_exit(capsys, tmp_path, command):
+    # nesting past the parser's recursion limit is rejected input
+    depth = 100_000
+    for content in (b"[" * depth + b"]" * depth, b'{"q": ' * depth + b"5" + b"}" * depth):
+        assert _function_file_exit(tmp_path, command, content) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_unknown_subcommand(capsys):
     assert run(["frobnicate"]) == 2
 

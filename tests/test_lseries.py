@@ -171,15 +171,51 @@ def test_l_value_pole():
 
 
 def test_integer_series_build_no_context():
-    # the Euler-Maclaurin, Stirling and log-sine routes run in integers at
+    # the Euler-Maclaurin and log-sine routes run in integers at
     # prec_bits(d) and round once: no mpmath context, also at s < 0
     numkernel.context.cache_clear()
     f, d = constant_on_units(5, 1), 43
     l_value(Fraction(-1, 2), f, d)
     l_deriv(0, f, d)
-    l_deriv0_closed(f, d)
     l_deriv0_even(f, d)
     assert numkernel.context.cache_info().currsize == 0
+
+
+class SeriesCalled(Exception):
+    pass
+
+
+def test_reference_routes_share_no_integer_series(monkeypatch):
+    # the closed form and log Gamma run none of the Euler-Maclaurin code:
+    # with its tail, tables, integer log and Bernoulli numbers broken they
+    # still agree with mpmath, and the series route of l_deriv fails
+    def broken(*args):
+        raise SeriesCalled
+
+    for name in ("_bernoulli_tails", "_em_table", "_fixed_log", "bernoulli"):
+        monkeypatch.setattr(numkernel, name, broken)
+    # odd, even, not Dirichlet type, and the periods 1 and 2
+    functions = [
+        PeriodicFunction(q=7, values={1: 1, 2: 3, 5: -3, 6: -1}),
+        PeriodicFunction(q=5, values={1: 1, 2: -1, 3: -1, 4: 1}),
+        PeriodicFunction(q=12, values={2: Fraction(1, 3), 6: -2, 7: 1, 12: 5}),
+        PeriodicFunction(q=1, values={1: 2}),
+        PeriodicFunction(q=2, values={1: 1, 2: Fraction(-1, 2)}),
+    ]
+    for d in (20, 120):
+        for f in functions:
+            q = f.q
+            with mp.workprec(prec_bits(d) + 40):
+                ref = (mp.fsum(c * mp.loggamma(mpf(a) / q) for a, c in f.values.items())
+                       - mp.log(q) * sum(c * (Fraction(1, 2) - Fraction(a, q)) for a, c in f.values.items())
+                       - mp.log(2 * mp.pi) / 2 * sum(f.values.values()))
+            assert abs(l_deriv0_closed(f, d) - ref) < tol(d), (q, d)
+            for a in f.values:
+                with mp.workprec(prec_bits(d) + 40):
+                    ref = mp.loggamma(mpf(a) / q)
+                assert abs(log_gamma_frac(a, q, d) - ref) < tol(d), (a, q, d)
+        with pytest.raises(SeriesCalled):
+            l_deriv(0, functions[1], d)
 
 
 # ---------------------------------------------------------------------------

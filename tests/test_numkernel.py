@@ -27,7 +27,6 @@ from lprime.numkernel import (
     periodic_zeta_ds,
     pi_const,
     prec_bits,
-    stirling_closed_form,
     two_sin_pi,
     two_sines,
 )
@@ -53,7 +52,6 @@ def tol(d, slack=5):
 def empty_tables():
     """Start from empty coefficient tables, whatever ran before."""
     with numkernel._bern_lock:
-        numkernel._stirling_tables.clear()
         numkernel._em_tables.clear()
     yield
 
@@ -302,7 +300,7 @@ def test_log_gamma_against_mpmath_oracle(rng):
 
 
 def test_log_gamma_high_precision_long_shift(rng):
-    # shifts of about 144, 288 and 360 terms, undone by one log of their product
+    # 120 to 300 digits, a/q near 0 and at 1, where log Gamma is largest or 0
     cases = [(q, q) for q in (1, 7, 100)] + [(1, 100), (99, 100), (1, 97)]
     for d in (120, 240, 300):
         for a, q in cases + [(rng.randint(1, q), q) for q in rng.sample(range(2, 101), 3)]:
@@ -494,15 +492,13 @@ def test_hurwitz_retry_doubles_the_shift(monkeypatch):
 
 def test_diverging_tail_raises_convergence_error(monkeypatch, tmp_path, capsys):
     # a tail that never converges: Euler-Maclaurin doubles its shift up to
-    # 64 d and then raises, Stirling raises at once, and the CLI exits 1
+    # 64 d and then raises, and the CLI exits 1, also at s = 0
     monkeypatch.setattr(numkernel, "_bernoulli_tails", lambda *args: None)
     q, values, d = 5, {1: 1, 4: 1}, 10
     with pytest.raises(ConvergenceError, match=r"L\(s=1/2\) of period 5"):
         periodic_zeta(Fraction(1, 2), q, values, d)
     with pytest.raises(ConvergenceError, match=r"L'\(s=1/2\) of period 5"):
         periodic_zeta_ds(Fraction(1, 2), q, values, d)
-    with pytest.raises(ConvergenceError, match="Stirling series"):
-        stirling_closed_form(q, values, d)
     path = tmp_path / "f.json"
     path.write_text(PeriodicFunction(q=q, values=values).dumps())
     for s in ("1/2", "0"):
@@ -830,7 +826,8 @@ def _tail_bound(coefficients, ms, den, weights, logs, point):
 def test_bernoulli_tails_batch_against_one_residue_calls(d):
     # one call over n residues agrees with its n one-residue calls, and
     # each with the exact series, within the bound the docstring states;
-    # the value, derivative and Stirling tables, and at s = 30 tables whose
+    # the value and derivative tables, the s = 0 derivative column
+    # B_2k/(2k(2k-1)) of Stirling's series, and at s = 30 tables whose
     # coefficients grow far past 2^prec, where the width has to widen.
     # The derivative at s = 1/3 also with the logs of m near 10^9, lam
     # about 21, as log m_a is at a large q.
@@ -845,7 +842,7 @@ def test_bernoulli_tails_batch_against_one_residue_calls(d):
         logs = [int(mp.floor(mp.log(mpf(m) / q) * 2 ** point)) for m in ms]
         large_logs = [int(mp.floor(mp.log(10**9 + m) * 2 ** point)) for m in ms]
     stirling = [bernoulli(2 * k) / (2 * k * (2 * k - 1)) for k in range(1, 400)]
-    cases = [("Stirling", lambda n: numkernel._stirling_table(point, n), stirling, None)]
+    cases = [("derivative s=0", lambda n: numkernel._em_table(point, Fraction(0), n)[1], stirling, None)]
     for s in (Fraction(1, 3), Fraction(30)):
         exact = _exact_em_coefficients(s, 400)
         derivative = partial(numkernel._em_table, point, s)
@@ -871,7 +868,7 @@ def test_bernoulli_tails_batch_against_one_residue_calls(d):
 
 
 def _table_snapshot():
-    return (dict(numkernel._stirling_tables), dict(numkernel._em_tables))
+    return dict(numkernel._em_tables)
 
 
 def test_threaded_table_fill_matches_single_threaded(empty_tables):
@@ -883,7 +880,6 @@ def test_threaded_table_fill_matches_single_threaded(empty_tables):
         order = sizes[i % len(sizes):] + sizes[:i % len(sizes)]
         for n in order:
             for point in points[i % 2:] + points[:i % 2]:
-                numkernel._stirling_table(point, n)
                 numkernel._em_table(point, s, n)
 
     switch = sys.getswitchinterval()
@@ -899,18 +895,14 @@ def test_threaded_table_fill_matches_single_threaded(empty_tables):
     threaded = _table_snapshot()
 
     with numkernel._bern_lock:
-        numkernel._stirling_tables.clear()
         numkernel._em_tables.clear()
     for point in points:
-        numkernel._stirling_table(point, max(sizes))
         numkernel._em_table(point, s, max(sizes))
     single = _table_snapshot()
-    assert sorted(threaded[0]) == sorted(single[0]) == sorted(points)
-    assert sorted(threaded[1]) == sorted(single[1]) == [(p, s) for p in sorted(points)]
+    assert sorted(threaded) == sorted(single) == [(p, s) for p in sorted(points)]
     # a table holds "at least n" entries, so the interleaving decides where
     # the threaded fill stopped; over the common length the entries agree
-    pairs = [(threaded[0][p], single[0][p]) for p in points]
-    pairs += [(threaded[1][key][i], single[1][key][i]) for key in threaded[1] for i in (0, 1)]
+    pairs = [(threaded[key][i], single[key][i]) for key in threaded for i in (0, 1)]
     for entries, reference in pairs:
         assert len(entries) >= max(sizes)
         n = min(len(entries), len(reference))
@@ -921,13 +913,15 @@ def test_table_entries_rounded_at_their_precision(empty_tables):
     # every entry is its exact rational at the table's fixed point,
     # correctly rounded, ties to even
     point = prec_bits(50)
+    stirling = numkernel._em_table(point, Fraction(0), 30)[1]
+    for k in range(1, 31):
+        # D_k(0) = B_2k/(2k)! (2k - 2)!, the coefficient of Stirling's series
+        assert stirling[k - 1] == round(bernoulli(2 * k) / (2 * k * (2 * k - 1)) * 2 ** point)
     for s in (Fraction(3, 4), Fraction(-7, 3)):
-        stirling = numkernel._stirling_table(point, 30)
         em_c, em_d = numkernel._em_table(point, s, 30)
         rising, d_rising = s, Fraction(1)
         for k in range(1, 31):
             b = bernoulli(2 * k)
-            assert stirling[k - 1] == round(b / (2 * k * (2 * k - 1)) * 2 ** point)
             coeff = b / factorial(2 * k)
             assert em_c[k - 1] == round(coeff * rising * 2 ** point), (s, k)
             assert em_d[k - 1] == round(coeff * d_rising * 2 ** point), (s, k)
