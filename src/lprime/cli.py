@@ -36,11 +36,17 @@ from . import classify as classify_mod
 from . import lseries, relations
 from .errors import ComputationError, ValidationError
 from .numkernel import MIN_DIGITS
-from .periodic import PeriodicFunction
+from .periodic import PeriodicFunction, parse_rational
 
 DEFAULT_DIGITS = 50
 DEFAULT_MAX_COEFF = 100
 DIGITS_ENV_VAR = "LPRIME_DIGITS"
+#: Largest precision a numeric subcommand takes.
+MAX_DIGITS = 2000
+#: Largest q each subcommand takes, from ``--q`` or a function file.  The
+#: exact layers and the sine walk cost O(q); the Euler-Maclaurin series of
+#: ``eval`` costs O(|support|), so it takes a one-residue f at a large q.
+MAX_Q = {"eval": 10**9, "classify": 10**6, "rank": 10**6, "identity": 10**5, "relations": 10**5, "witness": 10**5}
 
 
 def _resolve_digits(flag_value: int | None) -> int:
@@ -55,7 +61,7 @@ def _resolve_digits(flag_value: int | None) -> int:
     return DEFAULT_DIGITS
 
 
-def _load_function(path: str) -> PeriodicFunction:
+def _load_function(path: str, command: str) -> PeriodicFunction:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -63,14 +69,21 @@ def _load_function(path: str) -> PeriodicFunction:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    return PeriodicFunction.loads(text)
+    f = PeriodicFunction.loads(text)
+    _require_q(f.q, command)
+    return f
+
+
+def _require_q(q: int, command: str) -> None:
+    if q > MAX_Q[command]:
+        raise ValidationError(f"{command} takes q <= {MAX_Q[command]}, got {q}")
 
 
 def _parse_rational(text: str, flag: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{flag} expects a rational like 3 or -2/7, got {text!r}") from None
+        return parse_rational(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{flag} expects a rational like 3 or -2/7: {exc}") from None
 
 
 def _emit(report: dict, output: str, text_lines: list[str]) -> None:
@@ -85,7 +98,7 @@ def _emit(report: dict, output: str, text_lines: list[str]) -> None:
 # Subcommand handlers
 
 def _cmd_eval(args) -> int:
-    f = _load_function(args.fn)
+    f = _load_function(args.fn, "eval")
     s = _parse_rational(args.s, "--s")
     d = args.digits
     if s == 0:
@@ -163,7 +176,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    fns = [_load_function(p) for p in args.fns]
+    fns = [_load_function(p, "rank") for p in args.fns]
     result = lseries.family_rank(fns)
     report = result.to_json_dict()
     lines = [f"rank {result.rank} of {len(fns)} function(s); "
@@ -257,8 +270,9 @@ def run(argv: list[str]) -> int:
     try:
         if "digits" in args:
             args.digits = _resolve_digits(args.digits)
-            if args.digits < MIN_DIGITS:
-                raise ValidationError(f"--digits must be >= {MIN_DIGITS}, got {args.digits}")
+            if not MIN_DIGITS <= args.digits <= MAX_DIGITS:
+                raise ValidationError(f"--digits must be within {MIN_DIGITS}..{MAX_DIGITS}, got {args.digits}")
+        _require_q(getattr(args, "q", 0), args.command)
         if getattr(args, "max_coeff", 1) < 1:
             raise ValidationError(f"--max-coeff must be >= 1, got {args.max_coeff}")
         return _HANDLERS[args.command](args)

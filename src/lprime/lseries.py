@@ -6,7 +6,7 @@ each other, and they share no code of this package:
 * ``l_deriv`` differentiates the integer Euler-Maclaurin series of
   ``l_value`` term-wise,
 * ``l_deriv0_closed`` sums the closed form over log Gamma values from
-  mpmath's ``loggamma``,
+  mpmath's ``mpf_loggamma``,
 * ``l_deriv0_even`` uses the half-support log-sine sum available for
   even Dirichlet-type functions, by the integer sine recurrence.
 
@@ -35,18 +35,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm, log, log10
 
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_int, from_rational, mpf_log, mpf_mul, mpf_pi, mpf_shift, mpf_sum, round_nearest
 
 from .arith import half_units, is_prime_power
 from .errors import ValidationError
 from .numkernel import (
     RealLike,
-    context,
     log_gamma_frac,
     log_sine_sum,
     periodic_zeta,
     periodic_zeta_ds,
-    plain_mpf,
+    prec_bits,
     require_digits,
 )
 from .periodic import PeriodicFunction, half_support, require_even_dirichlet
@@ -81,8 +81,9 @@ def l_deriv0_closed(f: PeriodicFunction, digits: int) -> mpf:
               - (1/2) log(2 pi) sum f(a),
 
     with each log Gamma(a/q) from ``numkernel.log_gamma_frac`` and the two
-    sums over f exact rationals: one mpmath dot product at d + e digits,
-    rounded to d.
+    sums over f exact rationals, each rounded to d + e digits: their exact
+    products with the logs are summed by mpmath's ``mpf_sum`` and rounded
+    once to d.
 
     Error.  Let W = sum |f(a)| and u = 2^-p, p = prec_bits(d + e).  Each
     log Gamma(a/q) lies in [0, log q] and is within u (1.06 + log q),
@@ -98,11 +99,13 @@ def l_deriv0_closed(f: PeriodicFunction, digits: int) -> mpf:
     q, values = f.q, f.values
     weight = ceil(sum(map(abs, values.values())) * ceil(1 + log(q)))
     working = digits + ceil(weight.bit_length() * log10(2))
-    ctx = context(working)
-    terms = [(c, log_gamma_frac(a, q, working)) for a, c in values.items()]
+    wp = prec_bits(working)
     first = sum(c * (Fraction(1, 2) - Fraction(a, q)) for a, c in values.items())
-    terms += [(-first, ctx.log(q)), (-Fraction(sum(values.values()), 2), ctx.log(2 * ctx.pi))]
-    return plain_mpf(+context(digits).make_mpf(ctx.fdot(terms)._mpf_))
+    log_2pi = mpf_log(mpf_shift(mpf_pi(wp, round_nearest), 1), wp, round_nearest)
+    terms = [(c, log_gamma_frac(a, q, working)._mpf_) for a, c in values.items()]
+    terms += [(-first, mpf_log(from_int(q), wp, round_nearest)), (-Fraction(sum(values.values()), 2), log_2pi)]
+    products = [mpf_mul(from_rational(c.numerator, c.denominator, wp, round_nearest), x) for c, x in terms]
+    return mp.make_mpf(mpf_sum(products, prec_bits(digits), round_nearest))
 
 
 def l_deriv0_even(f: PeriodicFunction, digits: int) -> mpf:

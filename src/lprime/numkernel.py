@@ -20,9 +20,9 @@ The special functions every other module needs live here:
   2^-prec (1 + 2^-25) relative; and sums of their logs
   (``log_sine_sum``), one log per denominator of the coefficients, of
   the quotient of the powers of the products of the sines that share a
-  coefficient.  Every log-sine of the library comes from this
-  recurrence.  ``two_sin_pi`` is mpmath's one-value sin, kept as the
-  independent oracle the recurrence is tested against,
+  coefficient.  Every log-sine of the library comes from
+  ``log_sine_sum``.  ``two_sin_pi`` is mpmath's one-value sin, kept as
+  the independent oracle the recurrence is tested against,
 * L(s, f) = sum f(m) m^(-s) for f of period q (``periodic_zeta``) by
   Euler-Maclaurin summation, valid for finite real s != 1, at one shift
   N for all residues a: the exact Bernoulli polynomials at integer
@@ -57,39 +57,42 @@ The special functions every other module needs live here:
   q^s (L'(s, f) + log(q) L(s, f)) (``hurwitz_zeta_ds``), each taken at a
   few more digits where q^s may scale its error.  At integer s <= 0,
   zeta(s, x) is the exact -B_(1-s)(x)/(1-s), rounded once,
-* log Gamma(a/q) by mpmath's ``loggamma`` (``log_gamma_frac``), kept,
+* log Gamma(a/q) by mpmath's ``mpf_loggamma`` (``log_gamma_frac``), kept,
   like ``two_sin_pi``, as an independent reference: no series of this
   module computes log Gamma.
 
 Every series ends in a Bernoulli tail, sum_k c_k w^-(2k-1) at w = m/den,
 an exact rational, and every sum over residues a of such tails, weighted,
-is one ``_bernoulli_tails``: the coefficients, the weights and the
-weighted powers w_a (den/m_a)^(2k-1) are fixed-point integers, and each
-k takes one list update of the powers and one coefficient multiply for
-all residues.  A one-residue series (``hurwitz_zeta``, ``hurwitz_zeta_ds``)
-is the call with one residue.
+is one ``_bernoulli_tails`` of one coefficient column: the coefficients,
+the weights and the weighted powers w_a (den/m_a)^(2k-1) are fixed-point
+integers, and each k takes one list update of the powers and one
+coefficient multiply for all residues.  The tail of L'(s, f) is two such
+calls.  A one-residue series (``hurwitz_zeta``, ``hurwitz_zeta_ds``) is
+the call with one residue.
 
-Every integer series has one exit.  The Euler-Maclaurin series of
-``periodic_zeta(_ds)`` works at a plain binary precision and ends in one
-exact quotient of integers, (numerator, denominator), which ``_rounded``
-rounds once into ``prec_bits(d)``.  That holds at s < 0 too, where the
-series cancels and so runs at a few more digits.  The log-sines work at
-``prec_bits(d)`` the same way, and so do the exact Bernoulli values at
-integer s <= 0.  An mpmath context, ``context(d)``, is an ``MPContext`` at
-the guarded precision for ``d``, built on first use and never changed
-after that; one is built only where an mpmath function runs:
-``two_sin_pi``, ``pi_const``, ``log2_const``, ``log_gamma_frac``,
-``hurwitz_zeta`` and ``hurwitz_zeta_ds``.  The last two run at a few
-more digits and round their result once into the context of the request.
-Every public function returns a plain mpmath ``mpf``.  mpmath's global
-precision is never read or set, so the result of a call does not depend
-on the caller's ambient precision, and calls at different precisions may
-run concurrently from several threads.
+There is one precision mechanism.  Every route computes at
+``prec_bits(d)``, or at ``prec_bits(d + e)`` where its error bound needs
+e more digits, with mpmath's ``libmp`` and ``round_nearest``, and rounds
+its result once into ``prec_bits(d)``.  The Euler-Maclaurin series of
+``periodic_zeta(_ds)`` ends in one exact quotient of integers,
+(numerator, denominator), which ``_rounded`` rounds once; the log-sines
+and the exact Bernoulli values at integer s <= 0 end the same way.  The
+references ``two_sin_pi``, ``log_gamma_frac``, ``pi_const`` and
+``log2_const`` are mpmath's own ``mpf_sin_pi``, ``mpf_loggamma``,
+``mpf_pi`` and ``mpf_ln2`` at ``prec_bits(d)``, and ``hurwitz_zeta(_ds)``
+take q^s and log q by ``mpf_pow`` and ``mpf_log`` at their working
+precision.  A route whose error bound grows with the size of f (the
+Euler-Maclaurin series and ``log_sine_sum``) works at the
+``_working_digits`` d + e of that bound, and e = 0 for every f whose bound
+lies below 10^13 units.  No route builds an mpmath context.  Every public
+function returns a plain mpmath ``mpf``.  mpmath's global precision is
+never read or set, so the result of a call does not depend on the
+caller's ambient precision, and calls at different precisions may run
+concurrently from several threads.
 
 All functions are pure and their returned values are immutable and safe
 to hand between threads.  Shared state is:
 
-* the contexts, at most ``MAX_TABLES`` of them;
 * the exact Bernoulli cache, with the last column of its tangent-number
   triangle;
 * the Euler-Maclaurin coefficient tables, filled on first use as
@@ -101,13 +104,12 @@ The cache and the tables grow under ``_bern_lock``, in integers: the
 Bernoulli cache appends each entry whole, and a table fill builds new
 lists and publishes them whole.  A table entry is its exact rational,
 correctly rounded at its key's fixed point by one ``divmod``
-(``_fixed``), so no entry depends on a context or on the order of the
+(``_fixed``), so no entry depends on a precision or on the order of the
 fills.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import threading
@@ -116,7 +118,6 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from mpmath import mp, mpf
-from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     from_int,
     from_man_exp,
@@ -126,11 +127,16 @@ from mpmath.libmp import (
     mpf_add,
     mpf_cos_sin,
     mpf_div,
+    mpf_ln2,
     mpf_log,
+    mpf_loggamma,
     mpf_mul,
     mpf_pi,
+    mpf_pos,
     mpf_pow,
     mpf_pow_int,
+    mpf_shift,
+    mpf_sin_pi,
     round_floor,
     round_nearest,
     to_fixed,
@@ -148,9 +154,8 @@ GUARD_BITS = 32
 #: far below the 10**(-d+5) contract.
 EXTRA_DIGITS = 10
 
-#: Most contexts, and Euler-Maclaurin coefficient tables, kept at once; the
-#: oldest is dropped beyond this.  A table at 240 digits holds about 110
-#: entries.
+#: Most Euler-Maclaurin coefficient tables kept at once; the oldest is
+#: dropped beyond this.  A table at 240 digits holds about 110 entries.
 MAX_TABLES = 64
 #: Entries a coefficient table grows by past the index asked for, so a
 #: first evaluation fills its table in a few steps rather than one per term.
@@ -196,38 +201,14 @@ def _is_int(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool)
 
 
-@functools.lru_cache(maxsize=MAX_TABLES)
-def context(digits: int) -> MPContext:
-    """The mpmath context at the guarded precision for ``digits``.
-
-    Built on first use and never changed after that, so it can be shared
-    between threads.
-    """
-    ctx = MPContext()
-    ctx.prec = prec_bits(digits)
-    return ctx
-
-
-def to_mpf(value: RealLike, ctx: MPContext):
-    """Convert into ``ctx`` at its precision (Fractions divide once)."""
-    if isinstance(value, Fraction):
-        return ctx.mpf(value.numerator) / value.denominator
-    return ctx.mpf(value)
-
-
-def plain_mpf(value) -> mpf:
-    """A context value as a plain mpmath ``mpf``, bit for bit."""
-    return mp.make_mpf(value._mpf_)
-
-
 def pi_const(digits: int) -> mpf:
     """pi at d digits."""
-    return plain_mpf(+context(digits).pi)
+    return mp.make_mpf(mpf_pi(prec_bits(digits), round_nearest))
 
 
 def log2_const(digits: int) -> mpf:
     """log 2 at d digits."""
-    return plain_mpf(+context(digits).ln2)
+    return mp.make_mpf(mpf_ln2(prec_bits(digits), round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -331,109 +312,72 @@ def _em_table(point: int, s: Fraction, n: int) -> tuple[list[int], list[int]]:
     return cs, ds
 
 
-def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int,
-                     weights: list[int], logs: list[int] | None = None):
-    """sum_a w_a sum_{k>=1} a_k (den/m_a)^(2k-1) over the n residues a, at ``point`` fractional bits.
+def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int, weights: list[int]):
+    """sum_a w_a sum_{k>=1} c_k (den/m_a)^(2k-1) over the n residues a, at ``point`` fractional bits.
 
-    The m_a are integers, all at least 10 den, and the weights w_a and the
-    ``logs`` l_a >= 0 are integers at ``point`` fractional bits (the
-    derivative of ``periodic_zeta_ds`` passes l_a = log m_a).
-    ``table(n)`` gives at least n coefficients of one ``_em_table`` at
-    ``point`` fractional bits: one column c_k, C_k(s) or D_k(0), summed as
-    a_k = c_k, or, with ``logs``, both columns (c_k) = (C_k(s)) and
-    (d_k) = (D_k(s)), summed as a_k = d_k - c_k l_a.  One call sums the
-    tails of every residue, and a one-residue tail is the call with n = 1.
+    The m_a are integers, all at least 10 den, and the weights w_a are
+    integers at ``point`` fractional bits.  ``table(n)`` gives at least n
+    coefficients c_k of one column of an ``_em_table`` at ``point``
+    fractional bits, C_k(s) or D_k(s).  One call sums the tails of every
+    residue, and a one-residue tail is the call with n = 1.
 
     Per k, one list update z_a <- floor(z_a den^2/m_a^2) carries
     w_a (den/m_a)^(2k-1) at ``width`` fractional bits, and the term is one
-    coefficient multiply, floor(c_k sum_a z_a 2^-width).  With ``logs`` a
-    second list carries the weights floor(w_a l_a) the same way, and the
-    term is floor((d_k sum_a z_a - c_k sum_a z'_a) 2^-width).  The width
-    starts at ``point`` or at the first coefficient's width plus
+    coefficient multiply, floor(c_k sum_a z_a 2^-width).  The width starts
+    at ``point`` or at the first coefficient's width plus
     ``TAIL_GUARD_BITS``, whichever is larger, and widens with the
     coefficients: it is never below the largest coefficient's width plus
     ``TAIL_GUARD_BITS``.
 
-    The size of term k is b_k W r^(2k-1), with W = sum |w_a|, r = den/m_0
-    for the least m_0 of the m_a, and b_k = |c_k|, or |d_k| + |c_k| lam
-    with lam the largest l_a.  It bounds the term of every residue, since
-    den/m_a <= r and |a_k| <= b_k, and it is taken from the top 64 bits of
+    The size of term k is |c_k| W r^(2k-1), with W = sum |w_a| and
+    r = den/m_0 for the least m_0 of the m_a.  It bounds the term of every
+    residue, since den/m_a <= r, and it is taken from the top 64 bits of
     W r^(2k-1), carried like the z_a.  The sum stops before the first term
-    whose size is at most ``cutoff`` units of 2^-point, so zero weights
-    stop it at once.  It is None if a size exceeds the one before, or past
-    ``MAX_TAIL_TERMS`` terms.
+    whose size is at most ``cutoff`` units of 2^-point, so zero weights or
+    a zero coefficient stop it at once.  It is None if a size exceeds the
+    one before, or past ``MAX_TAIL_TERMS`` terms.
 
     Error bound, in units of 2^-point, over the K terms summed, with the
     coefficients and weights as reals.  Each term adds one floor.  The
-    rounded coefficients add at most (1 + lam) W/(2(w - 1)), w = m_0/den,
-    since sum_k (den/m_a)^(2k-1) < 1/(w - 1).  The floor that made z_a (or
-    z'_a) at step j is below 2^-width(j) <= 2^-TAIL_GUARD_BITS (1 + lam)/b_j,
-    and reaches term k multiplied by at most b_k r^(2(k-j)).  The rule
-    keeps the sizes non-increasing, so b_k r^(2(k-j)) <= b_j up to the
-    rounding of the sizes, and these floors add less than
-    2 n K^2 (1 + lam) 2^-TAIL_GUARD_BITS: below 1/100 unit for
-    n K^2 (1 + lam) < 2^40 (lam = 0 without ``logs``), which holds for
-    n K^2 < 2^34 and lam = log m_a < 63, any m_a below 10^27.  So the sum is
-    within K + 1 + W/(2(w - 1)) units of the exact series.  With ``logs``
-    it is within K + 1 + (1 + lam) W/(2(w - 1)) + (n + e W) S units, where
-    S = sum_k |c_k| r^(2k-1) and e is the error of the l_a in units: the
-    first floor of each z'_a, and the l_a themselves, reach the sum times
-    the c_k.
+    rounded coefficients add at most W/(2(w - 1)), w = m_0/den, since
+    sum_k (den/m_a)^(2k-1) < 1/(w - 1).  The floor that made z_a at step j
+    is below 2^-width(j) <= 2^-TAIL_GUARD_BITS / |c_j|, and reaches term k
+    multiplied by at most |c_k| r^(2(k-j)).  The rule keeps the sizes
+    non-increasing, so |c_k| r^(2(k-j)) <= |c_j| up to the rounding of the
+    sizes, and these floors add less than 2 n K^2 2^-TAIL_GUARD_BITS:
+    below 1/100 unit for n K^2 < 2^40.  So the sum is within
+    K + 1 + W/(2(w - 1)) units of the exact series.
     """
     den2 = den * den
     m2s = [m * m for m in ms]
     m0 = min(ms)
-    lam = 0 if logs is None else max(logs)
-    # z_a, z'_a and the size bound zb are floor(x 2^width): x starts at the
+    # z_a and the size bound zb are floor(x 2^width): x starts at the
     # weight and takes the factor den/m at the first step, den^2/m^2 after
     zs, factor, divisors = weights, den, ms
-    zls = None if logs is None else [w * l >> point for w, l in zip(weights, logs)]
     zb, divisor0, width = sum(map(abs, weights)), m0, point
     total, prev = 0, math.inf
-    cs = ds = ()
-    k = 0
+    cs, k = (), 0
     while True:
         k += 1
         if k > len(cs):
-            if logs is None:
-                cs = table(k)
-            else:
-                cs, ds = table(k)
+            cs = table(k)
         c = cs[k - 1]
-        if logs is None:
-            b, bits = abs(c), c.bit_length()
-        else:
-            d = ds[k - 1]
-            b, bits = abs(d) + (abs(c) * lam >> point), max(c.bit_length(), d.bit_length())
-        shift = max(bits + TAIL_GUARD_BITS - width, 0)
+        shift = max(c.bit_length() + TAIL_GUARD_BITS - width, 0)
         width += shift
         # the widening folded into the factor: one multiply per residue
         step = factor << shift
         zb = zb * step // divisor0
         # the size from the top 64 bits of zb: one short multiply
         drop = zb.bit_length() - 64
-        size = b * (zb >> drop) >> width - drop if 0 < drop < width else b * zb >> width
+        size = abs(c) * (zb >> drop) >> width - drop if 0 < drop < width else abs(c) * zb >> width
         if size <= cutoff:
             return total
         if size > prev or k > MAX_TAIL_TERMS:
             return None
         prev = size
         zs = [z * step // m for z, m in zip(zs, divisors)]
-        if logs is None:
-            total += c * sum(zs) >> width
-        else:
-            zls = [z * step // m for z, m in zip(zls, divisors)]
-            total += d * sum(zs) - c * sum(zls) >> width
+        total += c * sum(zs) >> width
         factor, divisors, divisor0 = den2, m2s, m0 * m0
-
-
-def _tail_cutoff(scaled: list[int], point: int, digits: int) -> int:
-    """Every series' tail ``cutoff``: 10**-(d + EXTRA_DIGITS) sum_a |scaled_a|, at ``point`` bits.
-
-    The scaled_a are the values f(a) times their common denominator, the
-    units the tails are summed in, and d is the requested digits.
-    """
-    return (sum(map(abs, scaled)) << point) // 10 ** (digits + EXTRA_DIGITS)
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +386,16 @@ def _tail_cutoff(scaled: list[int], point: int, digits: int) -> int:
 def two_sin_pi(a: int, q: int, digits: int) -> mpf:
     """2*sin(a*pi/q) at d digits; requires 0 < a < q, so strictly positive.
 
-    One value by mpmath's own ``sin``.  No library route calls it: the
-    log-sines come from ``two_sines``, and this is the independent oracle
-    that kernel is tested against.
+    One value by mpmath's own ``mpf_sin_pi`` of a/q, rounded once.  No
+    library route calls it: the log-sines come from ``two_sines``, and
+    this is the independent oracle that kernel is tested against.
     """
     if q < 2:
         raise ValidationError(f"denominator q must be >= 2, got {q}")
     if not 0 < a < q:
         raise ValidationError(f"argument a must satisfy 0 < a < q, got a={a}, q={q}")
-    ctx = context(digits)
-    return plain_mpf(2 * ctx.sin(ctx.pi * a / q))
+    prec = prec_bits(digits)
+    return mp.make_mpf(mpf_shift(mpf_sin_pi(from_rational(a, q, prec, round_nearest), prec, round_nearest), 1))
 
 
 def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
@@ -484,8 +428,7 @@ def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
 
 def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
     """(P, [S_a]): the recurrence of ``two_sines``, 2 S_a / 2^P ~ 2 sin(a pi/q), unrounded."""
-    if not _is_int(q) or q < 2:
-        raise ValidationError(f"denominator q must be an integer >= 2, got {q!r}")
+    _require_modulus(q)
     point = prec + 2 * q.bit_length() + SINE_GUARD_BITS
     wp = point + 8
     cos, sin = mpf_cos_sin(mpf_div(mpf_pi(wp), from_int(q), wp, round_nearest), wp, round_nearest)
@@ -504,6 +447,11 @@ def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
             k += 1
         sines.append(big_s)
     return point, sines
+
+
+def _require_modulus(q: int) -> None:
+    if not _is_int(q) or q < 2:
+        raise ValidationError(f"denominator q must be an integer >= 2, got {q!r}")
 
 
 def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
@@ -531,29 +479,36 @@ def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
     With |log P_c| <= n_c log q, the sum is within
     2^-prec sum_c |c| n_c (log q + 2^(-SINE_GUARD_BITS)) plus 2^(1 - prec)
     per log of the exact one, plus the roundings of the divisions by den
-    and of the partial sums: with n <= 500 residues, |c_a| <= 5 and
-    q < 10^4, at most 15 of the ``GUARD_BITS``.
+    and of the partial sums: at most sum |c_a| bits(q) + 3 units of
+    2^-prec per distinct c, or bits(q) sum_c (floor(|num| n_c / den) + 3).
+    So the sum runs at the ``_working_digits`` d + e of that bound, and is
+    rounded once to d; e = 0 while the bound is below 10^13, as for every
+    |c_a| <= 5 and q < 10^9.
     """
-    prec = prec_bits(digits)
+    _require_modulus(q)
     pairs = list(coefficients)
-    point, sines = _sine_walk(q, [a for a, _ in pairs], prec)
-    # (numerator, denominator) of c -> its walk values; the pair hashes
-    # faster than a Fraction
+    # (numerator, denominator) of c -> the indices of its residues; the
+    # pair hashes faster than a Fraction
     groups: dict[tuple[int, int], list[int]] = {}
-    for (_, c), man in zip(pairs, sines):
+    for i, (_, c) in enumerate(pairs):
         if c:
-            groups.setdefault((c.numerator, c.denominator), []).append(man)
+            groups.setdefault((c.numerator, c.denominator), []).append(i)
+    # the bound above, one term per value c: |c| n_c (log q + 2^-SINE_GUARD_BITS),
+    # plus 3 units for its log, is below (floor(|num| n_c / den) + 3) bits(q)
+    bound = q.bit_length() * sum(abs(num) * len(at) // den + 3 for (num, den), at in groups.items())
+    prec = prec_bits(_working_digits(digits, bound))
+    point, sines = _sine_walk(q, [a for a, _ in pairs], prec)
     # denominator -> [numerator, denominator] of its quotient, at P bits
     quotients: dict[int, list[tuple]] = {}
-    for (num, den), factors in groups.items():
-        power = mpf_pow_int(_walk_product(factors, point), abs(num), point)
+    for (num, den), at in groups.items():
+        power = mpf_pow_int(_walk_product([sines[i] for i in at], point), abs(num), point, round_nearest)
         quotient = quotients.setdefault(den, [fone, fone])
-        quotient[num < 0] = mpf_mul(quotient[num < 0], power, point)
+        quotient[num < 0] = mpf_mul(quotient[num < 0], power, point, round_nearest)
     total = fzero
     for den, (top, bottom) in quotients.items():
         log = mpf_log(mpf_div(top, bottom, prec, round_nearest), prec, round_nearest)
         total = mpf_add(total, mpf_div(log, from_int(den), prec, round_nearest), prec, round_nearest)
-    return mp.make_mpf(total)
+    return mp.make_mpf(mpf_pos(total, prec_bits(digits), round_nearest))
 
 
 def _walk_product(factors: list[int], point: int) -> tuple:
@@ -581,7 +536,7 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
     reference for them: zeta'(0, a/q) = log Gamma(a/q) - (1/2) log(2 pi)
     (Lerch) checks ``hurwitz_zeta_ds``, and ``lseries.l_deriv0_closed``
     sums these values into the closed form of L'(0, f).  The argument a/q
-    is rounded once into ``context(d)``; since |x psi(x)| < 1.06 on (0, 1],
+    is rounded once to ``prec_bits(d)``; since |x psi(x)| < 1.06 on (0, 1],
     that moves the value by less than 1.06 units of 2^-prec.
     """
     if not _is_int(a) or not _is_int(q):
@@ -592,8 +547,8 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
         raise ValidationError(f"numerator a must be positive, got {a}")
     if a > q:
         raise ValidationError(f"argument a/q must lie in (0, 1], got {a}/{q}")
-    ctx = context(digits)
-    return plain_mpf(ctx.loggamma(ctx.mpf(a) / q))
+    prec = prec_bits(digits)
+    return mp.make_mpf(mpf_loggamma(from_rational(a, q, prec, round_nearest), prec, round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +580,9 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
     lowest terms, zeta(s, x) = q^s L(s, f) with f = 1 at a and 0 elsewhere.
 
     The bound of L(s, f) is absolute, 10**-(d + 10), and zeta's must be
-    relative where |zeta| > 1, so L(s, f) is taken at d + e digits and
-    q^s L(s, f) is rounded once to d:
+    relative where |zeta| > 1, so L(s, f) is taken at d + e digits, q^s by
+    mpmath's ``mpf_pow`` at the same precision, and their product is
+    rounded once to d:
 
     * e = ceil(s log10 a) for s > 1, where L(s, f) >= a^(-s), so the
       bound is relative, and zeta >= x^(-s);
@@ -647,9 +603,10 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
         return _rounded(prec_bits(digits), *_zeta_at_nonpositive(1 - s.numerator, x).as_integer_ratio())
     a, q = x.numerator, x.denominator
     extra = math.ceil(s * math.log10(a if s > 1 else q)) if s > 0 else 0
-    wctx = context(digits + extra)
-    value = wctx.make_mpf(periodic_zeta(s, q, {a: 1}, digits + extra)._mpf_)
-    return plain_mpf(+context(digits).make_mpf((wctx.power(q, to_mpf(s, wctx)) * value)._mpf_))
+    wp = prec_bits(digits + extra)
+    value = periodic_zeta(s, q, {a: 1}, digits + extra)._mpf_
+    q_s = mpf_pow(from_int(q), from_rational(s.numerator, s.denominator, wp, round_nearest), wp, round_nearest)
+    return mp.make_mpf(mpf_mul(q_s, value, prec_bits(digits), round_nearest))
 
 
 def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
@@ -657,8 +614,9 @@ def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
 
     For x = a/q in lowest terms, zeta(s, x) = q^s L(s, f) with f = 1 at a,
     so zeta'(s, x) = q^s (L'(s, f) + log(q) L(s, f)): one
-    ``periodic_zeta_ds`` and one ``periodic_zeta``, taken at d + e digits,
-    and their sum times q^s is rounded once to d.  Both bounds are
+    ``periodic_zeta_ds`` and one ``periodic_zeta``, taken at d + e digits
+    with log q and q^s by mpmath's ``mpf_log`` and ``mpf_pow``, and their
+    sum times q^s is rounded once to d.  Both bounds are
     absolute, about 10**-(d + e + 10), and q^s (1 + log q) scales them:
     e = ceil(max(s, 0) log10 q) + 2, where the 2 digits cover the factor
     1 + log q for q < 10^43.
@@ -672,11 +630,13 @@ def hurwitz_zeta_ds(s: RealLike, x: Fraction, digits: int) -> mpf:
     s = _exact_real(s)
     a, q = x.numerator, x.denominator
     extra = math.ceil(max(s, 0) * math.log10(q)) + 2
-    wctx = context(digits + extra)
-    value = wctx.make_mpf(periodic_zeta(s, q, {a: 1}, digits + extra)._mpf_)
-    derivative = wctx.make_mpf(periodic_zeta_ds(s, q, {a: 1}, digits + extra)._mpf_)
-    total = wctx.power(q, to_mpf(s, wctx)) * (derivative + wctx.log(q) * value)
-    return plain_mpf(+context(digits).make_mpf(total._mpf_))
+    wp = prec_bits(digits + extra)
+    value = periodic_zeta(s, q, {a: 1}, digits + extra)._mpf_
+    derivative = periodic_zeta_ds(s, q, {a: 1}, digits + extra)._mpf_
+    log_q = mpf_log(from_int(q), wp, round_nearest)
+    total = mpf_add(derivative, mpf_mul(log_q, value, wp, round_nearest), wp, round_nearest)
+    q_s = mpf_pow(from_int(q), from_rational(s.numerator, s.denominator, wp, round_nearest), wp, round_nearest)
+    return mp.make_mpf(mpf_mul(q_s, total, prec_bits(digits), round_nearest))
 
 
 def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: int) -> mpf:
@@ -692,10 +652,11 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
     q^k sum_a f(a) zeta(-k, a/q), by the Bernoulli polynomials, rounded
     once.  Every other s takes Euler-Maclaurin with one shift N for all
     residues: N starts at max(10, 0.8 d) and doubles while the tail grows,
-    up to 64 d, and at s < 0 the sum runs at the extra digits of
-    ``_em_shifts``.  Everything is summed in integers at P fractional
-    bits, and head, rests and tail end in one exact quotient of integers,
-    rounded once into ``prec_bits(d)``, at s < 0 too.
+    up to 64 d, and the sum runs at the extra digits of ``_em_shifts``:
+    those of a large sum |f(a)|, and at s < 0 those of the cancellation.
+    Everything is summed in integers at P fractional bits, and head, rests
+    and tail end in one exact quotient of integers, rounded once into
+    ``prec_bits(d)``, at s < 0 too.
 
     The heads of all residues together are one sum over m <= Nq,
     sum f(m) r(m) with r(m) = floor(2^P m^(-s)), which takes no power of
@@ -706,7 +667,7 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
     rationals, and the tails of all residues are one ``_bernoulli_tails``
     with the weights f(a) r(m_a), from the coefficient tables C_k(s).
     The tail stops before the first term whose size is at most
-    10**-(d + 10) sum |f(a)|.
+    10**-(d + e + 10) sum |f(a)|, d + e the digits of ``_em_shifts``.
 
     For s = u/v in lowest terms, r(m) taken directly is the integer v-th
     root of floor(2^(vP) / m^u) (of m^|u| 2^(vP) for u < 0); where that
@@ -791,9 +752,11 @@ def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits
       exact product a (a + q) ... (m_a - q).
     * rests: -lam_a r(m_a) (w_a/(s - 1) + 1/2) - r(m_a) w_a/(s - 1)^2 per
       residue, lam_a = lam(m_a).
-    * tail: one ``_bernoulli_tails`` with the weights W_a and the logs
-      lam_a, sum_k (D_k(s) - C_k(s) log m_a) w_a^-(2k-1) per residue; at
-      s = 0, where C_k(0) = 0, the D_k(0) = B_2k/(2k(2k-1)) alone: the
+    * tail: sum_k (D_k(s) - C_k(s) log m_a) w_a^-(2k-1) per residue, as
+      two ``_bernoulli_tails``, each stopping at its own cutoff: the D_k
+      with the weights W_a, minus the C_k with the weights
+      floor(W_a lam_a 2^-P).  At s = 0, where C_k(0) = 0, the second stops
+      at its first term, and the D_k(0) = B_2k/(2k(2k-1)) are the
       Stirling series of log Gamma(w_a).
 
     No power or log of q and no L(s, f) is taken.
@@ -803,8 +766,10 @@ def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits
     sum_a |f(a)| N (1 + log(Nq)), and the rests within
     sum_a |f(a)| (1 + log m_a)(N + 1)(1 + 1/|s - 1|)^2.  Since
     2^(P - prec) > 2 Nq bits(Nq), both together are below
-    2^(1 - prec) sum_a |f(a)| (1 + 1/|s - 1|)^2 / q, and the tail adds its
-    stated bound, a few hundred units.  At s = 0 the head is within
+    2^(1 - prec) sum_a |f(a)| (1 + 1/|s - 1|)^2 / q.  Each tail adds its
+    stated bound, a few hundred units, and the floors of the second
+    tail's weights n sum_k |C_k(s)| r^(2k-1) more for n residues.  At
+    s = 0 the head is within
     sum_a |f(a)| units.  At s < 0 the bounds hold relative to
     sum |f(m)| m^(-s) log m, and the extra digits cover its cancellation
     against the integral terms, as for the value.
@@ -846,25 +811,45 @@ def _rounded(prec: int, numer: int, denom: int) -> mpf:
 def _em_shifts(s: Fraction, q: int, support: dict, digits: int, derivative: bool) -> mpf:
     """The first ``_periodic_attempt`` over the shifts N that is not None, rounded once to ``digits``.
 
-    N starts at ``_em_first_shift`` and doubles while the attempt returns
-    None, up to 64 d.
+    The attempts run at the ``_working_digits`` d + e of the bound that
+    ``periodic_zeta`` and ``periodic_zeta_ds`` state, taken as
+    2 W (1 + 1/|s - 1|)^k units of 2^-prec, W = sum |f(a)|, with k = 1 for
+    the value and k = 2 for the derivative.  N starts at
+    ``_em_first_shift`` of d + e and doubles while the attempt returns
+    None, up to 64 (d + e).
     """
-    n_shift = _em_first_shift(digits)
-    n_cap = 64 * digits
+    # W <= sum (|num_a| // den_a + 1), taken in integers: a sum of Fractions
+    # costs about 4 us an entry, a share a short series would notice
+    weight = sum(abs(c.numerator) // c.denominator + 1 for c in support.values())
+    work = _working_digits(digits, 2 * weight * (1 + 1 / abs(s - 1)) ** (1 + derivative))
+    n_shift = _em_first_shift(work)
+    n_cap = 64 * work
     while True:
         # at s < 0 the head and the integral term, both of size about
         # N^(1-s)/(1-s), cancel down to zeta: work with that many more digits
         extra = math.ceil((1 - s) * math.log10(n_shift + 1)) if s < 0 else 0
-        exact = _periodic_attempt(prec_bits(digits + extra), s, q, support, n_shift, digits, derivative)
+        exact = _periodic_attempt(prec_bits(work + extra), s, q, support, n_shift, work, derivative)
         if exact is not None:
             return _rounded(prec_bits(digits), *exact)
         if n_shift >= n_cap:
             series = "L'" if derivative else "L"
             raise ConvergenceError(
                 f"Euler-Maclaurin tail for {series}(s={s}) of period {q} did not fall below "
-                f"10^-{digits + EXTRA_DIGITS} with shift up to {n_cap}"
+                f"10^-{work + EXTRA_DIGITS} with shift up to {n_cap}"
             )
         n_shift = min(2 * n_shift, n_cap)
+
+
+def _working_digits(digits: int, bound) -> int:
+    """d + e digits for a route within ``bound`` units of 2^-prec_bits(d + e).
+
+    e >= 0 is the fewest digits with 10^(e + 13) > bound, so the route is
+    within 10^(-d + 13) 2^-GUARD_BITS < 10^(-d + 3.4), inside the
+    10^(-d+5) contract; e is 0 for every bound below 10^13.  ``digits`` is
+    checked first.
+    """
+    require_digits(digits)
+    return digits + max(0, math.ceil(math.ceil(bound).bit_length() * math.log10(2)) - 13)
 
 
 def _periodic_attempt(prec: int, s: Fraction, q: int, support: dict, n_shift: int, digits: int,
@@ -874,7 +859,8 @@ def _periodic_attempt(prec: int, s: Fraction, q: int, support: dict, n_shift: in
     The integer route of ``periodic_zeta`` at working precision ``prec``,
     and its term-wise derivative as ``periodic_zeta_ds`` states it: the
     value's r(m), weights and cutoff, with lam(m) = floor(2^P log m)
-    beside them.  The tail's cutoff is taken at the requested ``digits``.
+    beside them.  The tails' cutoff is taken at ``digits``, the d + e of
+    ``_em_shifts``, without the extra digits of the cancellation at s < 0.
     """
     top = n_shift * q
     u, v = s.numerator, s.denominator
@@ -885,14 +871,16 @@ def _periodic_attempt(prec: int, s: Fraction, q: int, support: dict, n_shift: in
     scaled = [c.numerator * (den // c.denominator) for c in support.values()]
     ms = [top + a for a in support]
     weights = [c * roots[m] for c, m in zip(scaled, ms)]
-    cutoff = _tail_cutoff(scaled, point, digits)
-    table = functools.partial(_em_table, point, s)
-    logs = [_fixed_log(m, point) for m in ms] if derivative else None
-    if derivative and s:
-        tail = _bernoulli_tails(table, ms, q, point, cutoff, weights, logs)
-    else:
-        # the C_k, or the D_k alone for the derivative at s = 0, where C_k(0) = 0
-        tail = _bernoulli_tails(lambda n: table(n)[derivative], ms, q, point, cutoff, weights)
+    # every tail stops below 10**-(d + EXTRA_DIGITS) sum |f(a)|, in units of 1/den
+    cutoff = (sum(map(abs, scaled)) << point) // 10 ** (digits + EXTRA_DIGITS)
+    tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[derivative], ms, q, point, cutoff, weights)
+    if derivative and tail is not None:
+        # the D_k tail minus the C_k tail of the weights W_a lam_a, which
+        # stops at its first term at s = 0, where C_k(0) = 0
+        logs = [_fixed_log(m, point) for m in ms]
+        log_tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[0], ms, q, point, cutoff,
+                                    [w * lam >> point for w, lam in zip(weights, logs)])
+        tail = None if log_tail is None else tail - log_tail
     if tail is None:
         return None
     # the classes that share a value of f are summed first, so each value
@@ -929,7 +917,7 @@ def _fixed_log(n: int, point: int) -> int:
     before its floor.
     """
     wp = point + 8 + n.bit_length().bit_length()
-    return to_fixed(mpf_log(from_int(n, wp, round_nearest), wp), point)
+    return to_fixed(mpf_log(from_int(n, wp, round_nearest), wp, round_nearest), point)
 
 
 def _periodic_roots(s: Fraction, q: int, support: dict, top: int, point: int, logs: bool = False) -> tuple:

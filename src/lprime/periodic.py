@@ -16,8 +16,10 @@ with the denominator omitted when it is 1.  Serialization is canonical
 Parsing rejects a bool ``q``, a repeated key, a residue key that is not
 ``str(a)`` ("04", "+4", "4_0"), so no residue is named twice, and JSON
 nested past the parser's recursion limit.  A value string is read with
-the grammar of ``Fraction(str)``; each distinct string of one file is
-parsed once, and its residues share the resulting ``Fraction``.
+the grammar of ``Fraction(str)``, within ``MAX_VALUE_DIGITS`` digits and
+a decimal exponent of at most that magnitude; each distinct string of
+one file is parsed once, and its residues share the resulting
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ RationalLike = Fraction | int
 _ZERO = Fraction(0)
 #: Value strings that two ``int`` calls read exactly as ``Fraction(str)`` does.
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+#: Most digits a rational string may hold, and the largest magnitude of its
+#: decimal exponent: ``Fraction("1e999999999")`` would expand 10^999999999.
+MAX_VALUE_DIGITS = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
 @dataclass(frozen=True)
@@ -123,9 +129,9 @@ class PeriodicFunction:
             frac = seen.get(val)
             if frac is None:
                 try:
-                    frac = seen[val] = _parse_rational(val)
-                except (ValueError, ZeroDivisionError):
-                    raise ValidationError(f"malformed rational {val!r} at residue {key!r}") from None
+                    frac = seen[val] = parse_rational(val)
+                except ValidationError as exc:
+                    raise ValidationError(f"{exc} at residue {key!r}") from None
             values[a] = frac
         return cls(q=data["q"], values=values)
 
@@ -158,12 +164,23 @@ def _rational_value(a: int, value) -> Fraction:
     raise ValidationError(f"value {value!r} at residue {a} is not a finite rational")
 
 
-def _parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, with the plain ``n`` and ``n/d`` spellings read by ``int``."""
-    if not _PLAIN_RATIONAL.fullmatch(text):
-        return Fraction(text)
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, with the plain ``n`` and ``n/d`` spellings read by ``int``.
+
+    A string of more than ``MAX_VALUE_DIGITS`` digits, or with a decimal
+    exponent of more than that in magnitude, raises ``ValidationError``
+    before it is read, and so does a malformed one.
+    """
+    exponent = _EXPONENT.search(text)
+    if sum(map(str.isdecimal, text)) > MAX_VALUE_DIGITS or exponent and abs(int(exponent[1])) > MAX_VALUE_DIGITS:
+        raise ValidationError(f"rational {text[:40]!r} has over {MAX_VALUE_DIGITS} digits or an exponent beyond it")
+    try:
+        if not _PLAIN_RATIONAL.fullmatch(text):
+            return Fraction(text)
+        num, _, den = text.partition("/")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"malformed rational {text!r}") from None
 
 
 def _dict_without_repeats(pairs: list[tuple[str, object]]) -> dict:

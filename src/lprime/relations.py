@@ -28,7 +28,10 @@ returned relation carries a two-precision numerical certificate.
 only its modulus and extension.  ``log_sine_basis`` has no library
 caller: it is the numeric basis of the cross-check, and
 ``pslq_relation`` the blind search the tests and demos cross-check
-these answers with.
+these answers with.  Every value of this module, basis entries and
+residuals alike, is a ``log_sine_sum`` plus mpmath's ``mpf_ln2`` and
+``mpf_pi`` at ``prec_bits(d)``, rounded once; only ``pslq_relation``
+builds an mpmath context, for mpmath's ``pslq``.
 
 Note on non-uniqueness: for composite q the relation space can have
 rank greater than one (the coset relations of every prime dividing q),
@@ -44,7 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mpf, nstr
+from mpmath import mp, mpf, nstr
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_int, mpf_abs, mpf_add, mpf_ln2, mpf_mul, round_nearest, to_rational
 
 from .arith import (
     Character,
@@ -58,15 +63,7 @@ from .arith import (
 )
 from .errors import HalfSumMismatchError, NotAdmissibleError, PrecisionError, ValidationError
 from .lseries import l_deriv0_even
-from .numkernel import (
-    context,
-    log2_const,
-    log_sine_sum,
-    pi_const,
-    plain_mpf,
-    require_digits,
-    two_sines,
-)
+from .numkernel import log2_const, log_sine_sum, pi_const, prec_bits, require_digits
 from .periodic import PeriodicFunction, from_character
 
 
@@ -150,16 +147,16 @@ def _basis_residues(q: int) -> tuple[list[int], list[int]]:
 def log_sine_basis(q: int, digits: int, extended: bool = False) -> LogSineBasis:
     """Basis entries (a, log(2 sin(a pi/q))) for coprime a <= q/2.
 
-    The sines come from one ``two_sines`` call, and each entry takes one
-    log.  Residues with 6a = q or 4a = q are excluded (rational powers of
-    2; in lowest terms this only fires for q = 6 and q = 4).  When
-    ``extended`` is set, pi and log 2 are appended.  No library route
-    builds one: it is the numeric basis of the PSLQ cross-check, while the
-    finder evaluates its candidate with ``log_sine_sum``.
+    Each entry is one ``log_sine_sum`` with the one coefficient 1, so
+    every log-sine of the library comes from that one evaluator.
+    Residues with 6a = q or 4a = q are excluded (rational powers of 2; in
+    lowest terms this only fires for q = 6 and q = 4).  When ``extended``
+    is set, pi and log 2 are appended.  No library route builds one: it is
+    the numeric basis of the PSLQ cross-check, while the finder evaluates
+    its candidate with ``log_sine_sum``.
     """
     residues, excluded = _basis_residues(q)
-    ctx = context(digits)
-    entries = [(a, plain_mpf(ctx.log(v))) for a, v in zip(residues, two_sines(q, residues, digits))]
+    entries = [(a, log_sine_sum(q, [(a, 1)], digits)) for a in residues]
     ext = None
     if extended:
         ext = [("pi", pi_const(digits)), ("log2", log2_const(digits))]
@@ -193,10 +190,13 @@ def pslq_relation(values: list[mpf], max_coeff: int, digits: int) -> list[int] |
     fixed inputs; callers wanting a certificate must re-verify the
     combination at higher precision themselves.  ``find_integer_relation``
     never calls it: this blind search is the independent cross-check of
-    the relations it takes from theory.
+    the relations it takes from theory.  mpmath's ``pslq`` runs in an
+    mpmath context, so each call builds its own at ``prec_bits(d)``: the
+    one context of the library.
     """
     _require_detectable(len(values), max_coeff, digits)
-    ctx = context(digits)
+    ctx = MPContext()
+    ctx.prec = prec_bits(digits)
     candidate = ctx.pslq(
         values,
         tol=ctx.mpf(10) ** (-(digits - 10)),
@@ -244,9 +244,9 @@ def find_relation_for_modulus(
     candidate's residual is one ``log_sine_sum`` of its log-sine
     coefficients plus its log 2 term, computed afresh at ``digits`` and
     at 2*digits; it is kept only if the one at 2*digits stays below
-    10**(-2*digits+10).  ``digits`` and ``max_coeff`` are checked as a
-    search over the basis would need them.  Deterministic for fixed
-    inputs.
+    10**(-2*digits+10), compared exactly.  ``digits`` and ``max_coeff``
+    are checked as a search over the basis would need them.
+    Deterministic for fixed inputs.
     """
     residues, _ = _basis_residues(q)
     _require_detectable(len(residues) + 2 * extended, max_coeff, digits)
@@ -259,7 +259,7 @@ def find_relation_for_modulus(
     if not coeffs:
         return None
     residual_2d = _relation_residual(q, coeffs, log2_c, 2 * digits)
-    if not residual_2d < context(2 * digits).mpf(10) ** (-(2 * digits) + 10):
+    if not Fraction(*to_rational(residual_2d._mpf_)) < Fraction(1, 10 ** (2 * digits - 10)):
         return None
     return Relation(
         q=q,
@@ -274,9 +274,13 @@ def find_relation_for_modulus(
 
 
 def _relation_residual(q: int, coeffs: dict[int, int], log2_c: int, digits: int) -> mpf:
-    """|sum c_a log(2 sin(a pi/q)) + c_2 log 2| at d digits, the sines computed afresh."""
-    ctx = context(digits)
-    return plain_mpf(abs(ctx.convert(log_sine_sum(q, coeffs.items(), digits)) + log2_c * ctx.ln2))
+    """|sum c_a log(2 sin(a pi/q)) + c_2 log 2| at d digits, the sines computed afresh.
+
+    The log 2 term and the sum are rounded to ``prec_bits(d)`` once each.
+    """
+    prec = prec_bits(digits)
+    log2_term = mpf_mul(from_int(log2_c), mpf_ln2(prec, round_nearest), prec, round_nearest)
+    return mp.make_mpf(mpf_abs(mpf_add(log_sine_sum(q, coeffs.items(), digits)._mpf_, log2_term, prec, round_nearest)))
 
 
 def find_integer_relation(
@@ -358,5 +362,5 @@ def build_witness(q: int, c: Fraction | int, digits: int) -> WitnessResult:
             "the witness construction does not apply"
         )
     f = from_character(chi, Fraction(c))
-    residual = plain_mpf(abs(context(digits).convert(l_deriv0_even(f, digits))))
+    residual = mp.make_mpf(mpf_abs(l_deriv0_even(f, digits)._mpf_))
     return WitnessResult(q=q, p1=p1, p2=p2, chi=chi, f=f, residual=residual, digits=digits)

@@ -1,6 +1,11 @@
 """CLI behaviour: subcommands, exit codes, JSON report stability."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -250,3 +255,49 @@ def test_exact_subcommands_take_no_precision(capsys, tmp_path, monkeypatch):
     assert reports() == expected
     assert run(["classify", "--q", "5", "--digits", "50"]) == 2
     assert run(["rank", "--fns", str(path), "--digits", "50"]) == 2
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["eval", "--fn", "{huge}", "--s", "0"], "over 1000 digits or an exponent beyond it"),
+    (["identity", "--q", "7", "--digits", "99999999999"], "within 10..2000"),
+    (["classify", "--q", "999999000001"], "q <= 1000000"),
+], ids=["eval-value-exponent", "identity-digits", "classify-q"])
+def test_unbounded_input_exits_2_at_once(tmp_path, capsys, argv, bound):
+    # without their bounds the first two ran for minutes (10^999999999
+    # expanded, a sine walk at 10^11 digits) and the third exited 1 with
+    # a MemoryError; each now exits 2 before any work, naming its bound
+    path = tmp_path / "huge.json"
+    path.write_text('{"q": 5, "values": {"1": "1e999999999", "4": "1e999999999"}}')
+    argv = [arg.format(huge=path) for arg in argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "lprime.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == 2, result.stderr
+    assert bound in result.stderr and "Traceback" not in result.stderr, result.stderr
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert bound in capsys.readouterr().err
+
+
+def test_bounds_admit_large_inputs(tmp_path, capsys):
+    # the bounds lie far above the inputs the library is run on: 600
+    # digits, a one-residue f at q = 10^7, and values of 10^400
+    sparse = tmp_path / "sparse.json"
+    sparse.write_text(PeriodicFunction(q=10**7, values={1: 1}).dumps())
+    large = tmp_path / "large.json"
+    large.write_text(json.dumps({"q": 12, "values": {str(a): "1e400" for a in (1, 5, 7, 11)}}))
+    digits = tmp_path / "digits.json"
+    digits.write_text(json.dumps({"q": 12, "values": {str(a): "1" + "0" * 400 for a in (1, 5, 7, 11)}}))
+    for argv in (["eval", "--fn", str(sparse), "--s", "2", "--digits", "20"],
+                 ["eval", "--fn", str(large), "--s", "0", "--digits", "20"],
+                 ["eval", "--fn", str(digits), "--s", "0", "--digits", "20"],
+                 ["identity", "--q", "7", "--digits", "600"]):
+        code, out = run_json(capsys, argv)
+        assert code == 0, argv
+    with mp.workdps(620):
+        assert abs(mpf(json.loads(out)["log_sum"]) - mp.log(7)) < mpf(10) ** -590

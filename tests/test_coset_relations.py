@@ -4,7 +4,9 @@ Every check compares lprime against the benchmark's oracle
 (``perfbench/oracle.py``, which never imports lprime): relation ranks
 counted from characters through subgroup indices, and log-sine values
 from mpmath built-ins.  Blind PSLQ, which no library route calls, is the
-independent cross-check on plain and extended bases.
+independent cross-check on plain and extended bases.  Each coset relation
+is also certified exactly, by a test-local cyclotomic oracle that imports
+nothing from lprime either.
 """
 
 import pytest
@@ -56,6 +58,69 @@ def test_coset_relations_vanish_at_240_digits(q):
         for support in coset_relations(q):
             residual = abs(mp.fsum(values[a] for a in support))
             assert residual < mpf(10) ** -230, (q, support, residual)
+
+
+def _mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def _cyclotomic(q):
+    """Phi_q = prod_{d | q} (x^d - 1)^mu(q/d), ascending integer coefficients."""
+    poly = [1]
+    divisors = [d for d in range(1, q + 1) if q % d == 0]
+    for d in divisors:  # the factors with exponent +1
+        if _mobius(q // d) == 1:
+            shifted = [0] * d + poly
+            poly = [a - b for a, b in zip(shifted, poly + [0] * d)]
+    for d in divisors:  # then the exact divisions, poly = (x^d - 1) quotient
+        if _mobius(q // d) == -1:
+            quotient = [0] * (len(poly) - d)
+            for i in range(len(quotient)):
+                quotient[i] = (quotient[i - d] if i >= d else 0) - poly[i]
+            poly = quotient
+    return poly
+
+
+def _product_is_one(q, phi, residues):
+    """Whether prod_b (1 - x^b) over ``residues`` is 1 modulo Phi_q, over the integers.
+
+    The product is taken modulo x^q - 1, which Phi_q divides, and the
+    remainder of it minus 1 by the monic Phi_q is checked to be 0.
+    """
+    rest = [1] + [0] * (q - 1)
+    for b in residues:
+        rest = [a - c for a, c in zip(rest, rest[-b:] + rest[:-b])]
+    rest[0] -= 1
+    n = len(phi) - 1
+    for i in range(q - 1, n - 1, -1):
+        c = rest[i]
+        if c:
+            rest[i - n:i + 1] = [a - c * b for a, b in zip(rest[i - n:i + 1], phi)]
+    return not any(rest)
+
+
+def test_coset_relations_are_cyclotomic_units_equal_to_one():
+    # the product of 1 - zeta_q^b over S and q - S is prod_S |1 - zeta_q^b|^2,
+    # so a relation sum_S log(2 sin(b pi/q)) = 0 holds exactly when that
+    # product is 1 in Z[zeta_q]
+    wrong = []
+    for q in range(3, 300):
+        phi = _cyclotomic(q)
+        wrong += [(q, s) for s in coset_relations(q)
+                  if not _product_is_one(q, phi, [*s, *(q - b for b in s)])]
+    assert wrong == []
+    # negative control: a relation with a = 1 added fails the check
+    for q in (55, 155):
+        support = next(s for s in coset_relations(q) if 1 not in s) + (1,)
+        assert not _product_is_one(q, _cyclotomic(q), [*support, *(q - b for b in support)]), q
 
 
 @pytest.mark.parametrize("q", [55, 105])

@@ -8,8 +8,10 @@ from math import gcd, lcm
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.ctx_mp import MPContext
 
 from lprime import numkernel
+from lprime.classify import vanishing_verdict
 from lprime.errors import PoleError, ValidationError
 from lprime.lseries import (
     family_rank,
@@ -32,6 +34,7 @@ from lprime.numkernel import (
 from lprime.periodic import PeriodicFunction, constant_on_units
 from lprime.relations import (
     build_witness,
+    find_integer_relation,
     find_relation_for_modulus,
     log_sine_basis,
     pslq_relation,
@@ -170,15 +173,16 @@ def test_l_value_pole():
         l_deriv(1, f, 50)
 
 
-def test_integer_series_build_no_context():
-    # the Euler-Maclaurin and log-sine routes run in integers at
-    # prec_bits(d) and round once: no mpmath context, also at s < 0
-    numkernel.context.cache_clear()
-    f, d = constant_on_units(5, 1), 43
-    l_value(Fraction(-1, 2), f, d)
-    l_deriv(0, f, d)
-    l_deriv0_even(f, d)
-    assert numkernel.context.cache_info().currsize == 0
+@pytest.mark.parametrize("k", (20, 400))
+def test_large_values_keep_the_contract(k):
+    # f = 10^k on the units of q = 12 has L'(0, f) = 0 exactly, since
+    # 2 sin(pi/12) 2 sin(5 pi/12) = 1.  The error bounds of both series
+    # routes scale with sum |f(a)|, so they work at that many more digits
+    # and stay within 10^(-d+5) of 0
+    f, d = constant_on_units(12, 10**k), 20
+    assert abs(l_deriv(0, f, d)) < mpf(10) ** -15
+    assert abs(l_deriv0_even(f, d)) < mpf(10) ** -15
+    assert abs(l_deriv0_closed(f, d)) < mpf(10) ** -15
 
 
 class SeriesCalled(Exception):
@@ -456,13 +460,13 @@ def test_concurrent_precisions_match_single_threaded(golden_f5):
     assert not differ, f"{len(differ)} of {len(jobs)} threaded results differ: jobs {differ}"
 
 
-def _numeric_results(f):
-    """Every public numeric result at 30 digits, as raw mantissa/exponent tuples.
+def _route_results(f, d):
+    """Every public numeric result at d digits but ``pslq_relation``'s, as raw mantissa/exponent tuples.
 
-    ``vanishing_verdict`` is left out: its Unknown residual is still
+    The Unknown residual of ``vanishing_verdict`` is left out: it is still
     |L'(0, f)| rounded at the caller's precision (ROADMAP open item 2).
     """
-    d, s, x = 30, Fraction(1, 3), Fraction(2, 7)
+    s, x = Fraction(1, 3), Fraction(2, 7)
     values = [
         two_sin_pi(2, 7, d), *two_sines(15, [1, 2, 4, 7], d),
         log_sine_sum(15, [(1, 3), (2, Fraction(-1, 2)), (7, 3)], d),
@@ -484,9 +488,17 @@ def _numeric_results(f):
     values += log_sine_basis(15, d, extended=True).all_values()
     rel = find_relation_for_modulus(21, 10, d)
     values += [rel.residual_at_d, rel.residual_at_2d]
-    vector = pslq_relation(log_sine_basis(21, d).all_values(), 10, d)
+    extended = find_integer_relation(log_sine_basis(8, d, extended=True), 10, d)
+    values += [extended.residual_at_d, extended.residual_at_2d]
     assert all(type(v) is mpf for v in values)
-    return [v._mpf_ for v in values], rel.coefficients, vector
+    kinds = [vanishing_verdict(q, constant_on_units(q, 1), d).kind for q in (9, 15, 105)]
+    return [v._mpf_ for v in values], rel.coefficients, extended.log2_coefficient, kinds
+
+
+def _numeric_results(f):
+    """``_route_results`` at 30 digits, and a PSLQ vector."""
+    d = 30
+    return _route_results(f, d), pslq_relation(log_sine_basis(21, d).all_values(), 10, d)
 
 
 def test_results_independent_of_ambient_precision(golden_f5):
@@ -497,3 +509,24 @@ def test_results_independent_of_ambient_precision(golden_f5):
     with mp.workprec(1029):
         high = _numeric_results(golden_f5)
     assert low == high
+
+
+def test_no_library_route_builds_an_mpmath_context(monkeypatch, golden_f5):
+    # every route computes at prec_bits(d) with mpmath's libmp and rounds
+    # once: with MPContext unable to be built, each public numeric route
+    # returns the same bits at 20 and 60 digits under a 53-bit and a
+    # 1000-bit caller.  pslq_relation, which builds its own context for
+    # mpmath's pslq, is left out, and so is the Unknown residual of
+    # vanishing_verdict, whose abs is taken at the caller's precision
+    def no_context(*args, **kwargs):
+        raise AssertionError("a library route built an mpmath context")
+
+    monkeypatch.setattr(MPContext, "__init__", no_context)
+    for d in (20, 60):
+        with mp.workprec(53):
+            low = _route_results(golden_f5, d)
+        with mp.workprec(1000):
+            high = _route_results(golden_f5, d)
+        assert low == high, d
+    with pytest.raises(AssertionError, match="built an mpmath context"):
+        pslq_relation(log_sine_basis(21, 20).all_values(), 10, 20)

@@ -4,7 +4,6 @@ import concurrent.futures
 import random
 import sys
 from fractions import Fraction
-from functools import partial
 from math import ceil, factorial, gcd, isqrt, log10
 
 import mpmath
@@ -788,7 +787,7 @@ def _exact_em_coefficients(s, n):
     return out
 
 
-def _tail_bound(coefficients, ms, den, weights, logs, point):
+def _tail_bound(coefficients, ms, den, weights, point):
     """The bound ``_bernoulli_tails`` states, in units of 2^-point, and the exact series.
 
     The series runs with the exact coefficients until its size, which the
@@ -798,27 +797,20 @@ def _tail_bound(coefficients, ms, den, weights, logs, point):
     """
     r = Fraction(den, min(ms))
     total_w = Fraction(sum(map(abs, weights)), 1 << point)
-    lam = Fraction(max(logs), 1 << point) if logs else 0
-    exact, k_units, s_sum, k = Fraction(0), None, Fraction(0), 0
-    for k, coeff in enumerate(coefficients, 1):
-        c, d = coeff if logs else (coeff, coeff)
-        b = abs(d) + abs(c) * lam if logs else abs(c)
-        size = b * total_w * r ** (2 * k - 1) * (1 << point)
+    exact, k_units, k = Fraction(0), None, 0
+    for k, c in enumerate(coefficients, 1):
+        size = abs(c) * total_w * r ** (2 * k - 1) * (1 << point)
         if size < 1 and k_units is None:
             k_units = k
         if size < Fraction(1, 1 << 40):
             break
-        s_sum += abs(c) * r ** (2 * k - 1)
-        for m, w, l in zip(ms, weights, logs or [0] * len(ms)):
-            a = d - c * Fraction(l, 1 << point) if logs else c
-            exact += a * w * Fraction(den, m) ** (2 * k - 1)
+        for m, w in zip(ms, weights):
+            exact += c * w * Fraction(den, m) ** (2 * k - 1)
     else:
         raise AssertionError("too few coefficients for the exact series")
-    big_k, n, w_min = k_units + 2, len(ms), Fraction(min(ms), den)
-    bound = big_k + 1 + (1 + lam) * total_w / (2 * (w_min - 1))
-    if logs:
-        bound += n * s_sum
-    largest = max(max(map(abs, coeff)) if logs else abs(coeff) for coeff in coefficients[:big_k])
+    big_k, w_min = k_units + 2, Fraction(min(ms), den)
+    bound = big_k + 1 + total_w / (2 * (w_min - 1))
+    largest = max(map(abs, coefficients[:big_k]))
     return bound, exact, largest
 
 
@@ -826,11 +818,13 @@ def _tail_bound(coefficients, ms, den, weights, logs, point):
 def test_bernoulli_tails_batch_against_one_residue_calls(d):
     # one call over n residues agrees with its n one-residue calls, and
     # each with the exact series, within the bound the docstring states;
-    # the value and derivative tables, the s = 0 derivative column
-    # B_2k/(2k(2k-1)) of Stirling's series, and at s = 30 tables whose
+    # the value and derivative columns, the s = 0 derivative column
+    # B_2k/(2k(2k-1)) of Stirling's series, and at s = 30 columns whose
     # coefficients grow far past 2^prec, where the width has to widen.
-    # The derivative at s = 1/3 also with the logs of m near 10^9, lam
-    # about 21, as log m_a is at a large q.
+    # The derivative's tail is two one-column calls: the D_k with the
+    # weights W_a, and the C_k with the weights floor(W_a lam_a), lam_a
+    # the logs of the m_a, at s = 1/3 also with the logs of m near 10^9,
+    # lam about 21, as log m_a is at a large q.
     # A cutoff of 0 sums each series until its size falls below one unit,
     # which the shift N >= 100 lets it reach at s = 30 too
     point = prec_bits(d) + numkernel.TAIL_EXTRA_BITS
@@ -842,23 +836,27 @@ def test_bernoulli_tails_batch_against_one_residue_calls(d):
         logs = [int(mp.floor(mp.log(mpf(m) / q) * 2 ** point)) for m in ms]
         large_logs = [int(mp.floor(mp.log(10**9 + m) * 2 ** point)) for m in ms]
     stirling = [bernoulli(2 * k) / (2 * k * (2 * k - 1)) for k in range(1, 400)]
-    cases = [("derivative s=0", lambda n: numkernel._em_table(point, Fraction(0), n)[1], stirling, None)]
+    cases = [("derivative s=0", Fraction(0), 1, stirling, weights)]
     for s in (Fraction(1, 3), Fraction(30)):
         exact = _exact_em_coefficients(s, 400)
-        derivative = partial(numkernel._em_table, point, s)
-        cases += [(f"value s={s}", lambda n, s=s: numkernel._em_table(point, s, n)[0], [c for c, _ in exact], None),
-                  (f"derivative s={s}", derivative, exact, logs)]
+        values, derivatives = [c for c, _ in exact], [d_k for _, d_k in exact]
+        cases += [(f"value s={s}", s, 0, values, weights),
+                  (f"derivative s={s}", s, 1, derivatives, weights),
+                  (f"derivative s={s}, log weights", s, 0, values,
+                   [w * lam >> point for w, lam in zip(weights, logs)])]
         if s < 1:
-            cases.append((f"derivative s={s}, logs near 10^9", derivative, exact, large_logs))
-    for name, table, coefficients, lg in cases:
-        batch = numkernel._bernoulli_tails(table, ms, q, point, 0, weights, lg)
-        bound, exact, largest = _tail_bound(coefficients, ms, q, weights, lg, point)
+            cases.append((f"derivative s={s}, log weights near 10^9", s, 0, values,
+                          [w * lam >> point for w, lam in zip(weights, large_logs)]))
+    for name, s, column, coefficients, ws in cases:
+        def table(n, s=s, column=column):
+            return numkernel._em_table(point, s, n)[column]
+        batch = numkernel._bernoulli_tails(table, ms, q, point, 0, ws)
+        bound, exact, largest = _tail_bound(coefficients, ms, q, ws, point)
         assert abs(batch - exact) <= bound, (name, float(abs(batch - exact)), float(bound))
         singles, single_bounds = 0, 0
-        for i, (m, w) in enumerate(zip(ms, weights)):
-            one = [lg[i]] if lg else None
-            single = numkernel._bernoulli_tails(table, [m], q, point, 0, [w], one)
-            single_bound, single_exact, _ = _tail_bound(coefficients, [m], q, [w], one, point)
+        for m, w in zip(ms, ws):
+            single = numkernel._bernoulli_tails(table, [m], q, point, 0, [w])
+            single_bound, single_exact, _ = _tail_bound(coefficients, [m], q, [w], point)
             assert abs(single - single_exact) <= single_bound, (name, m)
             singles += single
             single_bounds += single_bound

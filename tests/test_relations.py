@@ -318,8 +318,7 @@ def test_finder_builds_no_numeric_basis(monkeypatch):
         raise AssertionError("the finder builds no numeric basis")
 
     monkeypatch.setattr(rel_mod, "log_sine_basis", no_basis)
-    assert {"lprime", "lprime.numkernel", "lprime.relations"} <= _patch_bindings(
-        monkeypatch, numkernel.two_sines, no_basis)
+    assert {"lprime", "lprime.numkernel"} <= _patch_bindings(monkeypatch, numkernel.two_sines, no_basis)
     d = 30
     for q in range(3, 131):
         residues = [a for a in oracle.half_support(q) if 6 * a != q and 4 * a != q]
