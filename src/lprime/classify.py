@@ -36,6 +36,14 @@ hold at every modulus they file.  The ladder also misses Uncovered
 q = 140, 460, 940 and 980, which have at most one relation.
 ``tests/test_classify.py`` pins these moduli.
 
+At q = 2 p^n the failing condition is named: there is at most one
+relation exactly when 2 and -1 generate (Z/p^n)^*, that is when 2 is a
+primitive root mod p^n, or a semi-primitive one with p = 3 (mod 4).
+That is the sub-case test of shapes I and II, which the TwoPNPower
+branch does not check; the 69 moduli above are exactly those that fail
+it.  At q = 34, 2 has order 8 mod 17 and -1 = 2^4, so <2, -1> has
+index 2.
+
 ``vanishing_verdict`` says what is provable about L'(0, f) for an even
 Dirichlet-type f of period q, by the number of coset relations: none
 (the prime powers), zero iff f = 0; one, zero iff f is constant on the
@@ -102,17 +110,35 @@ def _check(trace: list[tuple[str, bool]], description: str, outcome: bool) -> bo
     return outcome
 
 
+def _primitive(g: int, m: int) -> bool:
+    return root_type(g, m) is RootType.PRIMITIVE
+
+
+def _semi_primitive(g: int, m: int) -> bool:
+    return root_type(g, m) is RootType.SEMI_PRIMITIVE
+
+
+_ONE_OF_EACH = ((RootType.PRIMITIVE, RootType.SEMI_PRIMITIVE), (RootType.SEMI_PRIMITIVE, RootType.PRIMITIVE))
+
+
+def _mixed_roots(a: int, ma: int, b: int, mb: int) -> bool:
+    """One of a mod ma and b mod mb is a primitive root, the other a semi-primitive one."""
+    return (root_type(a, ma), root_type(b, mb)) in _ONE_OF_EACH
+
+
+def _cross_primitive(trace: list[tuple[str, bool]], p1: int, m1: int, p2: int, m2: int) -> bool:
+    """Check and record that p1 is a primitive root mod m2 and p2 one mod m1."""
+    both = _primitive(p1, m2) and _primitive(p2, m1)
+    return _check(trace, f"{p1} primitive root mod {m2} and {p2} primitive root mod {m1}", both)
+
+
 def _pei_feng_sub_2(trace: list[tuple[str, bool]], p1: int, a1: int, case: str) -> str | None:
     """Shared sub-cases (X,1)/(X,2) of cases I and II: the role of 2 mod p1^a1."""
     m1 = p1 ** a1
-    rt = root_type(2, m1)
-    if _check(trace, f"2 is a primitive root mod {m1}", rt is RootType.PRIMITIVE):
+    if _check(trace, f"2 is a primitive root mod {m1}", _primitive(2, m1)):
         return f"{case},1"
-    semi = rt is RootType.SEMI_PRIMITIVE
-    _check(trace, f"2 is a semi-primitive root mod {m1}", semi)
-    if semi and _check(trace, f"{p1} = 3 (mod 4)", p1 % 4 == 3):
-        return f"{case},2"
-    return None
+    semi = _check(trace, f"2 is a semi-primitive root mod {m1}", _semi_primitive(2, m1))
+    return f"{case},2" if semi and _check(trace, f"{p1} = 3 (mod 4)", p1 % 4 == 3) else None
 
 
 def _pei_feng(m: int, trace: list[tuple[str, bool]]) -> str | None:
@@ -128,124 +154,64 @@ def _pei_feng(m: int, trace: list[tuple[str, bool]]) -> str | None:
     if e0 == 2 and len(odd) == 1:
         (p1, a1), = odd
         _check(trace, f"shape I: {m} = 4 * {p1}^{a1}", True)
-        sub = _pei_feng_sub_2(trace, p1, a1, "I")
-        if sub:
-            return sub
-    elif e0 >= 3 and len(odd) == 1:
+        return _pei_feng_sub_2(trace, p1, a1, "I")
+    if e0 >= 3 and len(odd) == 1:
         (p1, a1), = odd
         m0 = 2 ** e0
         _check(trace, f"shape II: {m} = 2^{e0} * {p1}^{a1}", True)
-        ord_ok = mult_order(p1, m0) == 2 ** (e0 - 2)
-        _check(trace, f"order of {p1} mod {m0} is 2^{e0 - 2}", ord_ok)
-        anti_ok = (2 ** (e0 - 3) * p1) % m0 != m0 - 1
-        _check(trace, f"2^{e0 - 3} * {p1} is not -1 mod {m0}", anti_ok)
-        if ord_ok and anti_ok:
-            sub = _pei_feng_sub_2(trace, p1, a1, "II")
-            if sub:
-                return sub
-    elif e0 == 0 and len(odd) == 2:
+        ord_ok = _check(trace, f"order of {p1} mod {m0} is 2^{e0 - 2}", mult_order(p1, m0) == 2 ** (e0 - 2))
+        anti_ok = _check(trace, f"2^{e0 - 3} * {p1} is not -1 mod {m0}", (2 ** (e0 - 3) * p1) % m0 != m0 - 1)
+        return _pei_feng_sub_2(trace, p1, a1, "II") if ord_ok and anti_ok else None
+    if e0 == 0 and len(odd) == 2:
         (p1, a1), (p2, a2) = odd
         m1, m2 = p1 ** a1, p2 ** a2
         _check(trace, f"shape III: {m} = {p1}^{a1} * {p2}^{a2}", True)
-        if _check(trace, f"{p1} = {p2} = 3 (mod 4)", p1 % 4 == 3 and p2 % 4 == 3):
-            # one prime primitive mod the other's power, the other
-            # semi-primitive back (both-semi-primitive is impossible:
-            # order phi/2 forces a quadratic residue, and reciprocity
-            # for a 3-mod-4 pair never yields two residues)
-            mixed = (
-                root_type(p1, m2) is RootType.PRIMITIVE
-                and root_type(p2, m1) is RootType.SEMI_PRIMITIVE
-            ) or (
-                root_type(p2, m1) is RootType.PRIMITIVE
-                and root_type(p1, m2) is RootType.SEMI_PRIMITIVE
-            )
-            if _check(
-                trace,
-                f"one of {p1},{p2} primitive mod the other's power, "
-                "the other semi-primitive back",
-                mixed,
-            ):
-                return "III,1"
-        else:
-            both_prim = (
-                root_type(p1, m2) is RootType.PRIMITIVE
-                and root_type(p2, m1) is RootType.PRIMITIVE
-            )
-            if _check(
-                trace, f"{p1} primitive root mod {m2} and {p2} primitive root mod {m1}", both_prim
-            ):
-                return "III,2"
-    elif e0 == 2 and len(odd) == 2:
+        if not _check(trace, f"{p1} = {p2} = 3 (mod 4)", p1 % 4 == 3 and p2 % 4 == 3):
+            return "III,2" if _cross_primitive(trace, p1, m1, p2, m2) else None
+        # both-semi-primitive is impossible: order phi/2 forces a quadratic
+        # residue, and reciprocity for a 3-mod-4 pair never yields two residues
+        mixed = _mixed_roots(p1, m2, p2, m1)
+        what = f"one of {p1},{p2} primitive mod the other's power, the other semi-primitive back"
+        return "III,1" if _check(trace, what, mixed) else None
+    if e0 == 2 and len(odd) == 2:
         (p1, a1), (p2, a2) = odd
         m1, m2 = p1 ** a1, p2 ** a2
         _check(trace, f"shape IV: {m} = 4 * {p1}^{a1} * {p2}^{a2}", True)
         if not _check(trace, f"gcd({p1}-1, {p2}-1) = 2", gcd(p1 - 1, p2 - 1) == 2):
             return None
-        if _check(trace, f"{p1} = {p2} = 3 (mod 4)", p1 % 4 == 3 and p2 % 4 == 3):
-            two_split = {root_type(2, m1), root_type(2, m2)} == {
-                RootType.PRIMITIVE,
-                RootType.SEMI_PRIMITIVE,
-            }
-            _check(trace, f"2 primitive mod one of {m1},{m2} and semi-primitive mod the other", two_split)
-            cross = (
-                root_type(p1, 2 * m2) is RootType.PRIMITIVE
-                and root_type(p2, 2 * m1) is RootType.SEMI_PRIMITIVE
-            ) or (
-                root_type(p2, 2 * m1) is RootType.PRIMITIVE
-                and root_type(p1, 2 * m2) is RootType.SEMI_PRIMITIVE
-            )
-            _check(
-                trace,
-                f"one of {p1},{p2} primitive mod twice the other's power, "
-                "the other semi-primitive mod twice the first's power",
-                cross,
-            )
-            if two_split and cross:
-                return "IV,1"
-        else:
+        if not _check(trace, f"{p1} = {p2} = 3 (mod 4)", p1 % 4 == 3 and p2 % 4 == 3):
             # exactly one of the primes is 1 mod 4 (both 1 mod 4 fails the gcd test)
-            pb, mb = (p1, m1) if p1 % 4 == 3 else (p2, m2)
-            two_ok = root_type(2, mb) is RootType.PRIMITIVE
-            _check(trace, f"2 is a primitive root mod {mb}", two_ok)
-            both_prim = (
-                root_type(p1, m2) is RootType.PRIMITIVE
-                and root_type(p2, m1) is RootType.PRIMITIVE
-            )
-            _check(
-                trace, f"{p1} primitive root mod {m2} and {p2} primitive root mod {m1}", both_prim
-            )
-            if two_ok and both_prim:
-                return "IV,2"
-    elif e0 == 0 and len(odd) == 3:
+            mb = m1 if p1 % 4 == 3 else m2
+            two_ok = _check(trace, f"2 is a primitive root mod {mb}", _primitive(2, mb))
+            return "IV,2" if _cross_primitive(trace, p1, m1, p2, m2) and two_ok else None
+        what = f"2 primitive mod one of {m1},{m2} and semi-primitive mod the other"
+        two_split = _check(trace, what, _mixed_roots(2, m1, 2, m2))
+        what = (f"one of {p1},{p2} primitive mod twice the other's power, "
+                "the other semi-primitive mod twice the first's power")
+        cross = _check(trace, what, _mixed_roots(p1, 2 * m2, p2, 2 * m1))
+        return "IV,1" if two_split and cross else None
+    if e0 == 0 and len(odd) == 3:
         primes = [p for p, _ in odd]
         powers = [p ** e for p, e in odd]
         _check(trace, f"shape V: {m} = {powers[0]} * {powers[1]} * {powers[2]}", True)
-        all3 = all(p % 4 == 3 for p in primes)
-        if not _check(trace, "all three primes are 3 (mod 4)", all3):
+        if not _check(trace, "all three primes are 3 (mod 4)", all(p % 4 == 3 for p in primes)):
             return None
         halves = [(p - 1) // 2 for p in primes]
-        coprime = all(
-            gcd(halves[i], halves[j]) == 1 for i in range(3) for j in range(i + 1, 3)
-        )
+        coprime = all(gcd(halves[i], halves[j]) == 1 for i, j in ((0, 1), (0, 2), (1, 2)))
         if not _check(trace, "(p-1)/2 pairwise coprime across the three primes", coprime):
             return None
-        # cyclic pattern: each prime primitive mod the next power and
-        # semi-primitive mod the one after; both orientations allowed
-        # since the labelling of the primes is arbitrary
-        for orient, (i, j, k) in (("forward", (0, 1, 2)), ("reverse", (0, 2, 1))):
-            ok = (
-                root_type(primes[i], powers[j]) is RootType.PRIMITIVE
-                and root_type(primes[j], powers[k]) is RootType.PRIMITIVE
-                and root_type(primes[k], powers[i]) is RootType.PRIMITIVE
-                and root_type(primes[i], powers[k]) is RootType.SEMI_PRIMITIVE
-                and root_type(primes[j], powers[i]) is RootType.SEMI_PRIMITIVE
-                and root_type(primes[k], powers[j]) is RootType.SEMI_PRIMITIVE
+        # cyclic pattern: each prime primitive mod the next one's power,
+        # which is semi-primitive back; both orientations allowed since
+        # the labelling of the primes is arbitrary
+        for orient, cycle in (("forward", (0, 1, 2, 0)), ("reverse", (0, 2, 1, 0))):
+            ok = all(
+                _primitive(primes[i], powers[j]) and _semi_primitive(primes[j], powers[i])
+                for i, j in zip(cycle, cycle[1:])
             )
-            _check(trace, f"cyclic primitive/semi-primitive pattern ({orient})", ok)
-            if ok:
+            if _check(trace, f"cyclic primitive/semi-primitive pattern ({orient})", ok):
                 return "V,1"
-    else:
-        _check(trace, f"{m} matches one of the five composite shapes", False)
+        return None
+    _check(trace, f"{m} matches one of the five composite shapes", False)
     return None
 
 

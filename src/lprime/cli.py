@@ -65,10 +65,10 @@ def _load_function(path: str, command: str) -> PeriodicFunction:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
+        raise ValidationError(f"cannot read {path!r}: {exc}") from None
     f = PeriodicFunction.loads(text)
     _require_q(f.q, command)
     return f

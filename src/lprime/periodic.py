@@ -153,9 +153,12 @@ class PeriodicFunction:
 def _rational_value(a: int, value) -> Fraction:
     """A value that is not a ``Fraction`` yet, as one.
 
-    A bool, a non-finite float and anything ``Fraction`` cannot read is
-    refused, as a bool residue or period is.
+    A string is read by ``parse_rational``, within its digit and exponent
+    bound.  A bool, a non-finite float and anything ``Fraction`` cannot
+    read is refused, as a bool residue or period is.
     """
+    if isinstance(value, str):
+        return parse_rational(value)
     if not isinstance(value, bool):
         try:
             return Fraction(value)

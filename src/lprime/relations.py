@@ -81,17 +81,6 @@ class LogSineBasis:
             vals += [v for _, v in self.extended]
         return vals
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "digits": self.digits,
-            "entries": [{"a": a, "value": nstr(v, self.digits)} for a, v in self.entries],
-            "excluded": self.excluded,
-            "extended": None
-            if self.extended is None
-            else [{"name": n, "value": nstr(v, self.digits)} for n, v in self.extended],
-        }
-
 
 @dataclass(frozen=True)
 class Relation:

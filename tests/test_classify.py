@@ -1,12 +1,13 @@
 """Classifier ladder and vanishing-verdict tests."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 from mpmath import mpf
 
-from lprime.arith import RootType, mult_order, root_type
+from lprime.arith import RootType, factorize, mult_order, root_type
 from lprime.classify import (
     Case,
     ONE_RELATION_CRITERION,
@@ -133,6 +134,22 @@ def test_ladder_failures_below_2000_against_exact_rank():
         "PeiFeng(IV,2)": 20, "TwoTimesPeiFeng(V)": 3, "PeiFeng(V,1)": 6}
 
 
+def test_two_pn_power_fails_exactly_where_two_fails_the_sub_case_test():
+    # at q = 2 p^n the exact criterion asks that 2 and -1 generate
+    # (Z/p^n)^*: 2 primitive, or semi-primitive with -1 outside <2>, which
+    # is p = 3 (mod 4).  That is the I/II sub-case test, which the
+    # TwoPNPower branch never checks.  At q = 34, <2, -1> = <2> has index 2.
+    assert mult_order(2, 17) == 8 and pow(2, 4, 17) == 16
+    def two_and_minus_one_generate(q):
+        rt, p = root_type(2, q // 2), factorize(q // 2)[0][0]
+        return rt is RootType.PRIMITIVE or rt is RootType.SEMI_PRIMITIVE and p % 4 == 3
+
+    labelled = [q for q in range(3, 2000) if classify_modulus(q).case is Case.TWO_PN_POWER]
+    assert len(labelled) == 183
+    failing = tuple(q for q in labelled if not two_and_minus_one_generate(q))
+    assert failing == LADDER_FAILURES_BELOW_2000["TwoPNPower"]
+
+
 @pytest.mark.parametrize("q", [8, 16, 32, 64])
 def test_independence_25_refuted_at_powers_of_two(q):
     # the half-support log-sines at q = 2^n, n >= 3, sum to (1/2) log 2
@@ -156,6 +173,17 @@ def test_classify_rejects_small():
         classify_modulus(1)
     with pytest.raises(ValidationError):
         classify_modulus(0)
+
+
+#: SHA-256 of the JSON list of every classification for q in 2..1999:
+#: every label, flag and trace byte of the ladder, fixed before it was
+#: rebuilt from shared predicates.
+CLASSIFICATIONS_BELOW_2000_SHA256 = "e2da298da8f64ee396b2520297eb04660ee8a44efba8cd3c8122acf2753fc0d1"
+
+
+def test_classifications_below_2000_digest():
+    blob = json.dumps([classify_modulus(q).to_json_dict() for q in range(2, 2000)])
+    assert hashlib.sha256(blob.encode()).hexdigest() == CLASSIFICATIONS_BELOW_2000_SHA256
 
 
 def test_classification_json_stable():

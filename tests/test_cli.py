@@ -1,5 +1,7 @@
 """CLI behaviour: subcommands, exit codes, JSON report stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from lprime.cli import run
@@ -75,6 +79,13 @@ def test_eval_pole_exit_code(capsys, golden5):
 
 def test_eval_missing_file(capsys):
     assert run(["eval", "--fn", "/nonexistent.json", "--s", "0"]) == 2
+
+
+def test_path_with_nul_byte_exits_2(capsys):
+    # open() raises ValueError, not OSError, for such a path
+    assert run(["eval", "--fn", "f\x00.json", "--s", "0"]) == 2
+    assert run(["rank", "--fns", "f\x00.json"]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_eval_malformed_json(capsys, tmp_path):
@@ -301,3 +312,69 @@ def test_bounds_admit_large_inputs(tmp_path, capsys):
         assert code == 0, argv
     with mp.workdps(620):
         assert abs(mpf(json.loads(out)["log_sum"]) - mp.log(7)) < mpf(10) ** -590
+
+
+# ---------------------------------------------------------------------------
+# Every argv ends in an exit code
+
+@pytest.fixture(scope="module")
+def function_files(tmp_path_factory):
+    """Paths that ``--fn`` and ``--fns`` may name: valid, odd, malformed, not UTF-8, missing."""
+    root = tmp_path_factory.mktemp("argv")
+    contents = {
+        "golden5.json": PeriodicFunction(q=5, values={1: 1, 2: -1, 3: -1, 4: 1}).dumps(),
+        "units12.json": PeriodicFunction(q=12, values={a: 1 for a in (1, 5, 7, 11)}).dumps(),
+        "odd5.json": PeriodicFunction(q=5, values={1: 1}).dumps(),
+        "malformed.json": '{"q": 5, "values": {"1": "x"}}',
+    }
+    for name, text in contents.items():
+        (root / name).write_text(text)
+    (root / "latin1.json").write_bytes(b'{"q": 5, "values": {"1": "\xe9"}}')
+    return [str(root / name) for name in (*contents, "latin1.json", "missing.json")]
+
+
+def _rational_text(num: int, den: int) -> str:
+    return f"{num}/{den}" if den > 1 else str(num)
+
+
+_text = st.text(max_size=12)
+_small_rational = st.builds(_rational_text, st.integers(-20, 20), st.integers(1, 6))
+# flag values: arbitrary text, or small in-range values that run quickly
+_VALUES = {
+    "--q": st.integers(-3, 199).map(str) | _text,
+    "--digits": st.integers(0, 60).map(str) | _text,
+    "--output": st.sampled_from(["text", "json"]) | _text,
+    "--s": _small_rational | _text,
+    "--c": _small_rational | _text,
+    "--max-coeff": st.integers(-2, 1000).map(str) | _text,
+}
+_FLAGS = {
+    "eval": ["--fn", "--s", "--digits", "--output"],
+    "classify": ["--q", "--output"],
+    "identity": ["--q", "--digits", "--output"],
+    "relations": ["--q", "--max-coeff", "--extended", "--digits", "--output"],
+    "witness": ["--q", "--c", "--digits", "--output"],
+    "rank": ["--fns", "--output"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_argv_ends_in_an_exit_code(function_files, command, data):
+    # each flag appears, is left out or is repeated; a value is a file,
+    # arbitrary text, or a small in-range value; a stray token may follow
+    paths = st.sampled_from(function_files) | _text
+    argv = [command]
+    for flag in data.draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=6), label="flags"):
+        argv.append(flag)
+        if flag == "--fns":
+            argv += data.draw(st.lists(paths, min_size=1, max_size=3))
+        elif flag == "--fn":
+            argv.append(data.draw(paths))
+        elif flag != "--extended":
+            argv.append(data.draw(_VALUES[flag]))
+    argv += data.draw(st.lists(_text, max_size=1), label="stray")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2), argv

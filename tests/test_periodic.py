@@ -23,6 +23,7 @@ from lprime.periodic import (
     constant_on_units,
     from_character,
     half_support,
+    parse_rational,
     validate,
 )
 from tests.conftest import random_even_dirichlet
@@ -326,6 +327,17 @@ def test_bad_values_rejected():
     for v in (float("inf"), float("-inf"), float("nan"), "abc", "1/0", None, 1j, True, False):
         with pytest.raises(ValidationError):
             PeriodicFunction(q=5, values={1: v, 4: 1})
+
+
+def test_constructor_value_strings_keep_the_parse_bound():
+    # a string value is read as parse_rational reads it in a function file:
+    # 1e2000 would otherwise be accepted as a 6,644-bit numerator
+    for text in ("1e2000", "1" * 1001):
+        with pytest.raises(ValidationError):
+            parse_rational(text)
+        with pytest.raises(ValidationError):
+            PeriodicFunction(q=5, values={1: text, 4: text})
+    assert PeriodicFunction(q=5, values={1: "1e3", 4: "2/4"}).values == {1: 1000, 4: Fraction(1, 2)}
 
 
 # ---------------------------------------------------------------------------

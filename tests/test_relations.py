@@ -79,18 +79,11 @@ def test_basis_values_match_two_sin_pi():
 
 def test_basis_extended_and_errors():
     basis = log_sine_basis(9, 50, extended=True)
+    assert (basis.q, basis.digits) == (9, 50)
+    assert [a for a, _ in basis.entries] == [1, 2, 4]
     assert [n for n, _ in basis.extended] == ["pi", "log2"]
     with pytest.raises(ValidationError):
         log_sine_basis(2, 50)
-
-
-def test_basis_json_dict():
-    basis = log_sine_basis(9, 30, extended=True)
-    data = basis.to_json_dict()
-    assert data["q"] == 9 and data["digits"] == 30
-    assert [e["a"] for e in data["entries"]] == [1, 2, 4]
-    assert all(isinstance(e["value"], str) for e in data["entries"])
-    assert [e["name"] for e in data["extended"]] == ["pi", "log2"]
 
 
 def test_relation_json_dict():
