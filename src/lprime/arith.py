@@ -11,7 +11,6 @@ test is involved.  That is ample for desk-scale moduli (q well below
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -209,18 +208,12 @@ def coset_relations(q: int) -> list[tuple[int, ...]]:
     span the whole rational relation space.  A prime power has none.
 
     Order: fewest residues first, then supports without a = 1, then the
-    sorted residue tuples.  Each support appears once.  The supports of
-    the last few q are kept, so the classifier and the vanishing verdict
-    of one q build them once; each call returns a new list.
+    sorted residue tuples.  Each support appears once.  Building them costs
+    O(q); the classifier and the vanishing verdict need only their count,
+    which ``relation_count`` reads from the generators.
     """
     if q < 2:
         raise ValidationError(f"relations need q >= 2, got {q}")
-    return list(_coset_supports(q))
-
-
-@functools.lru_cache(maxsize=16)
-def _coset_supports(q: int) -> tuple[tuple[int, ...], ...]:
-    """The supports of ``coset_relations(q)``, in its order, as a tuple."""
     half = half_units(q)
     supports = set()
     for p, e in factorize(q):
@@ -239,7 +232,37 @@ def _coset_supports(q: int) -> tuple[tuple[int, ...], ...]:
         for a in half:
             blocks.setdefault(coset[a % m], []).append(a)
         supports.update(tuple(b) for b in blocks.values())
-    return tuple(sorted(supports, key=lambda s: (len(s), 1 in s, s)))
+    return sorted(supports, key=lambda s: (len(s), 1 in s, s))
+
+
+def relation_count(q: int) -> int:
+    """How many coset relations q has: 0, 1, or 2 for two or more.
+
+    Equal to ``min(len(coset_relations(q)), 2)``, without building the
+    supports.  For each p^e exactly dividing q with m = q/p^e > 1, the
+    cosets of <p, -1> in (Z/m)^* split the half support into blocks, none
+    of them empty: every unit mod m lifts to a unit of q, and -1 folds a
+    onto q - a.  So q has none exactly when it is a prime power, and at
+    most one, the all-ones relation, exactly when every such <p, -1> is
+    all of (Z/m)^*.  The subgroup <p> has mult_order(p, m) elements and
+    holds -1 exactly when p^(order/2) = -1 (mod m); <p, -1> is twice as
+    large when it does not.  At q = 2 p^n this is the statement that 2
+    and -1 generate (Z/p^n)^*.
+    """
+    if q < 2:
+        raise ValidationError(f"relations need q >= 2, got {q}")
+    fact = factorize(q)
+    if len(fact) == 1:
+        return 0
+    for p, e in fact:
+        m = q // p ** e
+        if m == 2:
+            continue  # (Z/2)^* is trivial, and -1 = 1 there
+        order = mult_order(p, m)
+        minus_one_in = order % 2 == 0 and pow(p, order // 2, m) == m - 1
+        if (order if minus_one_in else 2 * order) != euler_phi(m):
+            return 2
+    return 1
 
 
 def has_log2_relation(q: int) -> bool:

@@ -12,10 +12,14 @@ case list is a plain disjunction with no precedence):
 4. the Pei-Feng ladder I..V on q itself    -> PeiFeng(case, subcase)
 5. nothing matched                         -> Uncovered
 
-Neither the flags nor the vanishing verdict read the ladder; both come
-from ``arith.coset_relations(q)``, whose 0/1 vectors span the relations
-among the half-support log-sines.  Two distinct ones are independent,
-so their count tells rank 0, rank 1 and rank at least 2 apart.
+Neither the flags nor the vanishing verdict read the ladder; both read
+the number of coset relations of q (``arith.coset_relations``), whose
+0/1 vectors span the relations among the half-support log-sines.  Two
+distinct ones are independent, so their count tells rank 0, rank 1 and
+rank at least 2 apart.  ``arith.relation_count`` reads that count from a
+per-prime criterion, without building the relations: q has none exactly
+when it is a prime power, and at most one exactly when, for every p^e
+exactly dividing q with m = q/p^e > 1, p and -1 generate (Z/m)^*.
 ``independence_24`` (the family with a = 1 excluded is linearly
 independent over the algebraic numbers) holds when there is at most one
 relation, the all-ones one.  ``independence_25`` (the full family plus
@@ -36,9 +40,9 @@ hold at every modulus they file.  The ladder also misses Uncovered
 q = 140, 460, 940 and 980, which have at most one relation.
 ``tests/test_classify.py`` pins these moduli.
 
-At q = 2 p^n the failing condition is named: there is at most one
-relation exactly when 2 and -1 generate (Z/p^n)^*, that is when 2 is a
-primitive root mod p^n, or a semi-primitive one with p = 3 (mod 4).
+At q = 2 p^n the criterion names the failing condition: there is at
+most one relation exactly when 2 and -1 generate (Z/p^n)^*, that is when
+2 is a primitive root mod p^n, or a semi-primitive one with p = 3 (mod 4).
 That is the sub-case test of shapes I and II, which the TwoPNPower
 branch does not check; the 69 moduli above are exactly those that fail
 it.  At q = 34, 2 has order 8 mod 17 and -1 = 2^4, so <2, -1> has
@@ -61,7 +65,7 @@ from math import gcd
 
 from mpmath import mpf, nstr
 
-from .arith import RootType, coset_relations, factorize, has_log2_relation, mult_order, root_type
+from .arith import RootType, factorize, has_log2_relation, mult_order, relation_count, root_type
 from .errors import ValidationError
 from .lseries import l_deriv0_even
 from .numkernel import require_digits
@@ -244,12 +248,12 @@ def classify_modulus(q: int) -> Classification:
 
 
 def _finish(q: int, case: Case, subcase: str | None, trace: list[tuple[str, bool]]) -> Classification:
-    relations = coset_relations(q)
+    relations = relation_count(q)
     return Classification(
         q=q,
         case=case,
         subcase=subcase,
-        independence_24=len(relations) <= 1,
+        independence_24=relations <= 1,
         independence_25=q == 6 or not (relations or has_log2_relation(q)),
         trace=trace,
     )
@@ -290,8 +294,9 @@ class VanishingVerdict:
 def vanishing_verdict(q: int, f: PeriodicFunction, digits: int) -> VanishingVerdict:
     """What is provable about L'(0, f) for this period.
 
-    Decided by the coset relations of q.  None (the prime powers): zero
-    iff f is the zero function.  q = 6: always zero.  Exactly one, the
+    Decided by the number of coset relations of q
+    (``arith.relation_count``).  None (the prime powers): zero iff f is
+    the zero function.  q = 6: always zero.  Exactly one, the
     all-ones relation: zero iff f is constant on the units.  More than
     one: Unknown, with |L'(0, f)| attached for relation hunting.
     """
@@ -299,12 +304,12 @@ def vanishing_verdict(q: int, f: PeriodicFunction, digits: int) -> VanishingVerd
     if f.q != q:
         raise ValidationError(f"function has period {f.q}, expected {q}")
     require_even_dirichlet(f)
-    relations = coset_relations(q)
+    relations = relation_count(q)
     if not relations:
         return VanishingVerdict(VerdictKind.ZERO_IFF_ZERO_FUNCTION, PRIME_POWER_CRITERION)
     if q == 6:
         return VanishingVerdict(VerdictKind.ALWAYS_ZERO, Q6_DEGENERACY)
-    if len(relations) == 1:
+    if relations == 1:
         return VanishingVerdict(VerdictKind.ZERO_IFF_CONSTANT_ON_UNITS, ONE_RELATION_CRITERION)
     # the one abs at the caller's precision, not at prec_bits(d):
     # perfbench/workloads.py's _verdict_check takes its own abs at 53 bits

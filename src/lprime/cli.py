@@ -47,6 +47,9 @@ MAX_DIGITS = 2000
 #: exact layers and the sine walk cost O(q); the Euler-Maclaurin series of
 #: ``eval`` costs O(|support|), so it takes a one-residue f at a large q.
 MAX_Q = {"eval": 10**9, "classify": 10**6, "rank": 10**6, "identity": 10**5, "relations": 10**5, "witness": 10**5}
+#: Largest |s| that ``eval`` takes.  The series' cost grows with |s|: at
+#: s = -10^6 and at s = 10^999 it ran for more than 10 s.
+MAX_S = 1000
 
 
 def _resolve_digits(flag_value: int | None) -> int:
@@ -100,6 +103,8 @@ def _emit(report: dict, output: str, text_lines: list[str]) -> None:
 def _cmd_eval(args) -> int:
     f = _load_function(args.fn, "eval")
     s = _parse_rational(args.s, "--s")
+    if abs(s) > MAX_S:
+        raise ValidationError(f"--s must lie within -{MAX_S}..{MAX_S}, got {args.s[:40]!r}")
     d = args.digits
     if s == 0:
         # at s = 0 the derivative series is the log-Gamma closed form,
@@ -189,7 +194,8 @@ def _cmd_rank(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="lprime",
         description="Special values of derivatives of L-functions of periodic functions.",
@@ -232,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--fns", nargs="+", required=True,
                         help="periodic-function JSON files")
     add_common(p_rank, numeric=False)
-    return parser
+    return parser, sub.choices
 
 
 _HANDLERS = {
@@ -246,9 +252,23 @@ _HANDLERS = {
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """Built on the first ``run``; ``run`` reads ``LPRIME_DIGITS`` on every numeric call."""
     return build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv once: an argv that opens with a subcommand goes to that subcommand's parser.
+
+    The full parser would hand everything after the name to the same
+    parser; only the usage line of an unrecognised argument differs.
+    Anything else (no subcommand, an unknown one, a top-level ``-h``)
+    goes through the full parser.
+    """
+    parser, subparsers = _parsers()
+    if argv and argv[0] in subparsers:
+        return subparsers[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def _join_rational_values(argv: list[str]) -> list[str]:
@@ -264,7 +284,7 @@ def _join_rational_values(argv: list[str]) -> list[str]:
 
 def run(argv: list[str]) -> int:
     try:
-        args = _parser().parse_args(_join_rational_values(argv))
+        args = _parse(_join_rational_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

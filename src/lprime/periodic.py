@@ -56,14 +56,23 @@ class PeriodicFunction:
     def __post_init__(self):
         if isinstance(self.q, bool) or not isinstance(self.q, int) or self.q < 1:
             raise ValidationError(f"period must be a positive integer, got {self.q!r}")
+        # exact int residues and Fraction values, as canonical files give
+        # them, take the first test of each check; last < a also notes
+        # whether the residues arrive ascending
+        q = self.q
         clean: dict[int, Fraction] = {}
+        ascending, last = True, 0
         for a, v in self.values.items():
-            if isinstance(a, bool) or not isinstance(a, int) or not 1 <= a <= self.q:
-                raise ValidationError(f"residue {a!r} outside 1..{self.q}")
-            frac = v if isinstance(v, Fraction) else _rational_value(a, v)
-            if frac:
-                clean[a] = frac
-        object.__setattr__(self, "values", MappingProxyType(dict(sorted(clean.items()))))
+            if type(a) is not int or not last < a <= q:
+                if isinstance(a, bool) or not isinstance(a, int) or not 1 <= a <= q:
+                    raise ValidationError(f"residue {a!r} outside 1..{q}")
+                ascending = False
+            last = a
+            if type(v) is not Fraction:
+                v = v if isinstance(v, Fraction) else _rational_value(a, v)
+            if v._numerator:  # what Fraction.__bool__ reads, without its Python-level call
+                clean[a] = v
+        object.__setattr__(self, "values", MappingProxyType(clean if ascending else dict(sorted(clean.items()))))
 
     def __reduce__(self):
         # the values mapping is a read-only proxy, which pickle cannot copy
@@ -188,11 +197,13 @@ def parse_rational(text: str) -> Fraction:
 
 def _dict_without_repeats(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object as a dict; a repeated key would silently drop a value."""
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise ValidationError(f"key {key!r} occurs twice in a JSON object")
-        data[key] = value
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"key {key!r} occurs twice in a JSON object")
+            seen.add(key)
     return data
 
 

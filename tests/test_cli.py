@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from lprime.cli import run
+from lprime.cli import _parse, build_parser, run
 from lprime.periodic import PeriodicFunction
 
 
@@ -123,6 +123,39 @@ def test_unknown_subcommand(capsys):
 
 def test_unknown_flag(capsys):
     assert run(["classify", "--q", "9", "--frob"]) == 2
+    # a subcommand's argv is parsed by its own parser, whose usage line is printed
+    assert "lprime classify: error: unrecognized arguments: --frob" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["frobnicate"], 2), (["--help"], 0), (["classify", "-h"], 0)])
+def test_full_parser_exit_codes(capsys, argv, code):
+    # no subcommand, an unknown one and a top-level -h go through the full parser
+    assert run(argv) == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "f.json", "--s=-1/2", "--digits", "30", "--output", "json"],
+    ["eval", "--s", "2", "--fn", "a.json", "--fn", "b.json", "--dig", "12"],
+    ["classify", "--q", "155"],
+    ["classify", "--q=7", "--output=json", "--q", "9"],
+    ["identity", "--q", "45", "--digits", "20"],
+    ["relations", "--q", "55", "--max", "4", "--extended"],
+    ["witness", "--q", "155", "--c=-3/2"],
+    ["rank", "--fns", "a.json", "b.json", "--output", "text"],
+    ["rank", "--output", "json", "--fns", "a.json", "--", "b.json"],
+    ["classify", "--", "--q", "5"],
+    ["classify", "--q", "x"],
+    ["identity", "--q", "5", "--"],
+])
+def test_one_parse_reads_what_the_full_parser_reads(capsys, argv):
+    # the same namespace, or the same exit code
+    def outcome(parse):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+    assert outcome(_parse) == outcome(build_parser()[0].parse_args)
 
 
 def test_bad_digits(capsys, zero9):
@@ -275,14 +308,20 @@ ROOT = Path(__file__).resolve().parent.parent
     (["eval", "--fn", "{huge}", "--s", "0"], "over 1000 digits or an exponent beyond it"),
     (["identity", "--q", "7", "--digits", "99999999999"], "within 10..2000"),
     (["classify", "--q", "999999000001"], "q <= 1000000"),
-], ids=["eval-value-exponent", "identity-digits", "classify-q"])
+    (["eval", "--fn", "{golden}", "--s", "1e999", "--digits", "30"], "within -1000..1000"),
+    (["eval", "--fn", "{golden}", "--s", "-1e999", "--digits", "30"], "within -1000..1000"),
+    (["eval", "--fn", "{golden}", "--s", "-1e6", "--digits", "30"], "within -1000..1000"),
+], ids=["eval-value-exponent", "identity-digits", "classify-q", "eval-s-1e999", "eval-s--1e999", "eval-s--1e6"])
 def test_unbounded_input_exits_2_at_once(tmp_path, capsys, argv, bound):
     # without their bounds the first two ran for minutes (10^999999999
-    # expanded, a sine walk at 10^11 digits) and the third exited 1 with
-    # a MemoryError; each now exits 2 before any work, naming its bound
+    # expanded, a sine walk at 10^11 digits), the third exited 1 with a
+    # MemoryError, and each --s ran past 10 s; each now exits 2 before any
+    # work, naming its bound
     path = tmp_path / "huge.json"
     path.write_text('{"q": 5, "values": {"1": "1e999999999", "4": "1e999999999"}}')
-    argv = [arg.format(huge=path) for arg in argv]
+    golden = tmp_path / "golden.json"
+    golden.write_text(PeriodicFunction(q=5, values={1: 1, 2: -1, 3: -1, 4: 1}).dumps())
+    argv = [arg.format(huge=path, golden=golden) for arg in argv]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "lprime.cli", *argv], env=env,

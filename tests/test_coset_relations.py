@@ -12,7 +12,7 @@ nothing from lprime either.
 import pytest
 from mpmath import mp, mpf
 
-from lprime.arith import coset_relations, factorize
+from lprime.arith import coset_relations, factorize, relation_count
 from lprime.classify import classify_modulus
 from lprime.errors import PrecisionError, ValidationError
 from lprime.relations import (
@@ -158,6 +158,17 @@ def test_prime_powers_return_none():
         if len(factorize(q)) == 1:
             assert coset_relations(q) == [], q
             assert find_relation_for_modulus(q, 10**6, 30) is None, q
+
+
+def test_relation_count_is_the_capped_number_of_coset_relations():
+    # the per-prime generator criterion against the supports it replaces
+    for q in range(2, 3001):
+        assert relation_count(q) == min(len(coset_relations(q)), 2), q
+
+
+def test_at_most_one_relation_exactly_where_the_rank_is_at_most_one():
+    for q in MODULI:
+        assert (relation_count(q) <= 1) == (oracle.relation_rank(q) <= 1), q
 
 
 def test_coset_relations_returns_a_fresh_list():
