@@ -46,7 +46,14 @@ most one relation exactly when 2 and -1 generate (Z/p^n)^*, that is when
 That is the sub-case test of shapes I and II, which the TwoPNPower
 branch does not check; the 69 moduli above are exactly those that fail
 it.  At q = 34, 2 has order 8 mod 17 and -1 = 2^4, so <2, -1> has
-index 2.
+index 2.  The same condition at the prime 2 names three more labels: at
+q = 2m or 4m with m odd, the criterion asks that 2 and -1 generate
+(Z/m)^*, which the TwoTimesPeiFeng branch (the ladder on m alone) and
+the IV,2 sub-case (2 mod one prime power of m) do not check.  The
+failures of TwoTimesPeiFeng(III), TwoTimesPeiFeng(V) and PeiFeng(IV,2)
+are exactly their moduli that fail it; at q = 66, -1 = 2^5 mod 33 and
+<2, -1> has index 2.  PeiFeng(IV,1) and PeiFeng(V,1) fail at different
+primes from one modulus to the next.
 
 ``vanishing_verdict`` says what is provable about L'(0, f) for an even
 Dirichlet-type f of period q, by the number of coset relations: none

@@ -89,18 +89,10 @@ def _parse_rational(text: str, flag: str) -> Fraction:
         raise ValidationError(f"{flag} expects a rational like 3 or -2/7: {exc}") from None
 
 
-def _emit(report: dict, output: str, text_lines: list[str]) -> None:
-    if output == "json":
-        print(json.dumps(report))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns its JSON report and its text lines
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[dict, list[str]]:
     f = _load_function(args.fn, "eval")
     s = _parse_rational(args.s, "--s")
     if abs(s) > MAX_S:
@@ -123,38 +115,34 @@ def _cmd_eval(args) -> int:
         "value": value_str,
     }
     label = "L'(0, f)" if s == 0 else f"L({s}, f)"
-    _emit(report, args.output, [f"{label} = {value_str}  [{method}, {d} digits]"])
-    return 0
+    return report, [f"{label} = {value_str}  [{method}, {d} digits]"]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, list[str]]:
     cls = classify_mod.classify_modulus(args.q)
     report = cls.to_json_dict()
     lines = [f"q = {cls.q}: {cls.label()}",
              f"independence_24 = {cls.independence_24}, independence_25 = {cls.independence_25}"]
     lines += [f"  [{'x' if r else ' '}] {c}" for c, r in cls.trace]
-    _emit(report, args.output, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_identity(args) -> int:
+def _cmd_identity(args) -> tuple[dict, list[str]]:
     d = args.digits
     residual = relations.sine_identity_residual(args.q, d)
     residual_str = nstr(residual, d)
     report = {"q": args.q, "digits": d, "log_sum": residual_str}
-    _emit(report, args.output, [f"sum of log(2 sin(k pi/{args.q})) over coprime k = {residual_str}"])
-    return 0
+    return report, [f"sum of log(2 sin(k pi/{args.q})) over coprime k = {residual_str}"]
 
 
-def _cmd_relations(args) -> int:
+def _cmd_relations(args) -> tuple[dict, list[str]]:
     d = args.digits
     rel = relations.find_relation_for_modulus(
         args.q, args.max_coeff, d, extended=args.extended
     )
     if rel is None:
-        _emit({"q": args.q, "digits": d, "relation": None}, args.output,
-              [f"no verified relation for q = {args.q} with |coeff| <= {args.max_coeff}"])
-        return 0
+        return ({"q": args.q, "digits": d, "relation": None},
+                [f"no verified relation for q = {args.q} with |coeff| <= {args.max_coeff}"])
     report = {"q": args.q, "digits": d, "relation": rel.to_json_dict()}
     lines = [f"verified relation for q = {args.q}:"]
     lines += [f"  a={a}: {c}" for a, c in sorted(rel.coefficients.items())]
@@ -162,11 +150,10 @@ def _cmd_relations(args) -> int:
         lines.append(f"  pi: {rel.pi_coefficient}, log2: {rel.log2_coefficient}")
     lines.append(f"  residual {nstr(rel.residual_at_d, 8)} at {d} digits, "
                  f"{nstr(rel.residual_at_2d, 8)} at {2 * d} digits")
-    _emit(report, args.output, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[dict, list[str]]:
     d = args.digits
     c = _parse_rational(args.c, "--c")
     wit = relations.build_witness(args.q, c, d)
@@ -176,11 +163,10 @@ def _cmd_witness(args) -> int:
         f"|L'(0, f)| = {nstr(wit.residual, 8)} at {d} digits",
         f"f = {wit.f.dumps()}",
     ]
-    _emit(report, args.output, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> tuple[dict, list[str]]:
     fns = [_load_function(p, "rank") for p in args.fns]
     result = lseries.family_rank(fns)
     report = result.to_json_dict()
@@ -188,8 +174,7 @@ def _cmd_rank(args) -> int:
              f"{'independent' if result.independent else 'dependent'}"]
     if result.certificate is not None:
         lines.append(f"certificate: {result.certificate}")
-    _emit(report, args.output, lines)
-    return 0
+    return report, lines
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +280,15 @@ def run(argv: list[str]) -> int:
         _require_q(getattr(args, "q", 0), args.command)
         if getattr(args, "max_coeff", 1) < 1:
             raise ValidationError(f"--max-coeff must be >= 1, got {args.max_coeff}")
-        return _HANDLERS[args.command](args)
+        report, lines = _HANDLERS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(report) if args.output == "json" else "\n".join(lines))
+    return 0
 
 
 def main() -> None:

@@ -20,7 +20,8 @@ The special functions every other module needs live here:
   2^-prec (1 + 2^-25) relative; and sums of their logs
   (``log_sine_sum``), one log per denominator of the coefficients, of
   the quotient of the powers of the products of the sines that share a
-  coefficient.  Every log-sine of the library comes from
+  coefficient, each product floored to the walk's fixed point after
+  every multiply.  Every log-sine of the library comes from
   ``log_sine_sum``.  ``two_sin_pi`` is mpmath's one-value sin, kept as
   the independent oracle the recurrence is tested against,
 * L(s, f) = sum f(m) m^(-s) for f of period q (``periodic_zeta``) by
@@ -39,7 +40,8 @@ The special functions every other module needs live here:
   (p_0 the least other prime), one integer product at each composite,
   and past that point, where r(m) is read only by its class sum, the
   r(m/p) of one least prime p and one class are summed before their one
-  product with r(p).
+  product with r(p).  Each class sum then takes one exact multiply by
+  its value of f.
   The route is chosen by the exact value of s: an ``mpf`` or ``float``
   is a dyadic rational, so ``mpf("0.5")``, ``0.5`` and
   ``Fraction(1, 2)`` give the same bits.
@@ -178,9 +180,6 @@ MAX_TAIL_TERMS = 10_000
 #: Fractional bits the sine recurrence of ``two_sines`` carries beyond the
 #: working precision and 2 bits(q); its docstring states what they absorb.
 SINE_GUARD_BITS = 24
-#: Walk values ``log_sine_sum`` multiplies exactly before it floors their
-#: product back to the walk's fixed point.
-_PRODUCT_CHUNK = 4
 
 
 def prec_bits(digits: int) -> int:
@@ -331,8 +330,9 @@ def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int, we
 
     The size of term k is |c_k| W r^(2k-1), with W = sum |w_a| and
     r = den/m_0 for the least m_0 of the m_a.  It bounds the term of every
-    residue, since den/m_a <= r, and it is taken from the top 64 bits of
-    W r^(2k-1), carried like the z_a.  The sum stops before the first term
+    residue, since den/m_a <= r, and it is taken exactly, as
+    floor(|c_k| zb 2^-width) for zb = floor(W r^(2k-1) 2^width), carried
+    like the z_a.  The sum stops before the first term
     whose size is at most ``cutoff`` units of 2^-point, so zero weights or
     a zero coefficient stop it at once.  It is None if a size exceeds the
     one before, or past ``MAX_TAIL_TERMS`` terms.
@@ -367,9 +367,7 @@ def _bernoulli_tails(table, ms: list[int], den: int, point: int, cutoff: int, we
         # the widening folded into the factor: one multiply per residue
         step = factor << shift
         zb = zb * step // divisor0
-        # the size from the top 64 bits of zb: one short multiply
-        drop = zb.bit_length() - 64
-        size = abs(c) * (zb >> drop) >> width - drop if 0 < drop < width else abs(c) * zb >> width
+        size = abs(c) * zb >> width
         if size <= cutoff:
             return total
         if size > prev or k > MAX_TAIL_TERMS:
@@ -463,9 +461,9 @@ def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
     2 sin(a pi/q) whose coefficient is c = num/den, it is
     sum_den (1/den) log(prod_(num > 0) P_c^num / prod_(num < 0) P_c^|num|).
     The factors are the fixed-point values of the ``two_sines`` recurrence,
-    before it rounds them.  Each P_c multiplies ``_PRODUCT_CHUNK`` of them
-    exactly before it floors the product back to P bits, and the powers,
-    the products of powers and the quotient are taken at P bits.  The
+    before it rounds them.  Each P_c floors its product back to P bits
+    after every multiply, and the powers, the products of powers and the
+    quotient are taken at P bits.  The
     quotient is rounded to the working precision before its log: mpmath's
     ``mpf_log`` misreads an x within 2^-(prec + 20) above 1/4 that carries
     more bits than its precision as lying near 1.
@@ -514,14 +512,11 @@ def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
 def _walk_product(factors: list[int], point: int) -> tuple:
     """prod 2 S / 2^P over the walk values S, a raw mpf of at most P bits.
 
-    ``_PRODUCT_CHUNK`` factors are multiplied exactly, and the product is
-    floored to P bits after each chunk.
+    The product is floored to P bits after every multiply.
     """
-    man, exp = 1, 0
-    for i in range(0, len(factors), _PRODUCT_CHUNK):
-        chunk = factors[i:i + _PRODUCT_CHUNK]
-        man *= math.prod(chunk)
-        exp += (1 - point) * len(chunk)
+    man, exp = 1, (1 - point) * len(factors)
+    for factor in factors:
+        man *= factor
         extra = man.bit_length() - point
         if extra > 0:
             man >>= extra
@@ -698,9 +693,8 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
       where the roots at the primes are shared by many m, and never for
       a sparse f at large q.
 
-    The r(m) of the residues that share a value of f are summed as one
-    integer, the sums take one multiply per distinct value, exactly, and
-    the head is exact past the r(m).  ``periodic_zeta_ds`` is the
+    The class sum of each residue takes one exact multiply by its value,
+    and the head is exact past the r(m).  ``periodic_zeta_ds`` is the
     term-wise derivative of this series, on the same integers.
 
     Error, in units u = 2^-P.  By the sieve, r(m) carries Omega(m) roots
@@ -883,12 +877,7 @@ def _periodic_attempt(prec: int, s: Fraction, q: int, support: dict, n_shift: in
         tail = None if log_tail is None else tail - log_tail
     if tail is None:
         return None
-    # the classes that share a value of f are summed first, so each value
-    # takes one multiply
-    sums = dict.fromkeys(support.values(), 0)
-    for a, c in support.items():
-        sums[c] += by_class[a % q]
-    head = sum(c.numerator * (den // c.denominator) * t for c, t in sums.items())
+    head = sum(n * by_class[a % q] for n, a in zip(scaled, support))
     half = sum(weights)
     integral = sum(w * m for w, m in zip(weights, ms))
     q_s1 = q * (u - v)

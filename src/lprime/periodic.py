@@ -14,8 +14,9 @@ The JSON form is ``{"q": <int>, "values": {"<residue>": "<num>/<den>"}}``
 with the denominator omitted when it is 1.  Serialization is canonical
 (residues ascending), so parse -> serialize round-trips byte-exactly.
 Parsing rejects a bool ``q``, a repeated key, a residue key that is not
-``str(a)`` ("04", "+4", "4_0"), so no residue is named twice, and JSON
-nested past the parser's recursion limit.  A value string is read with
+``str(a)`` ("04", "+4", "4_0"), so no residue is named twice, JSON
+nested past the parser's recursion limit, and a JSON integer past
+Python's int-string digit limit.  A value string is read with
 the grammar of ``Fraction(str)``, within ``MAX_VALUE_DIGITS`` digits and
 a decimal exponent of at most that magnitude; each distinct string of
 one file is parsed once, and its residues share the resulting
@@ -27,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -152,6 +154,11 @@ class PeriodicFunction:
             raise ValidationError(f"invalid JSON: {exc}") from None
         except RecursionError:
             raise ValidationError("invalid JSON: nested too deeply") from None
+        except ValidationError:
+            raise
+        except ValueError:  # what ``int`` raises past its digit limit
+            raise ValidationError(
+                f"invalid JSON: an integer of over {sys.get_int_max_str_digits()} digits") from None
         return cls.from_json_dict(data)
 
     def digest(self) -> str:

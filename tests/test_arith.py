@@ -10,6 +10,7 @@ from lprime.arith import (
     Character,
     RootType,
     character_half_sum,
+    coset_relations,
     euler_phi,
     factorize,
     half_units,
@@ -18,6 +19,7 @@ from lprime.arith import (
     lift_character,
     mult_order,
     quadratic_character,
+    relation_count,
     root_type,
 )
 from lprime.errors import ValidationError
@@ -223,3 +225,26 @@ def test_half_units_sieve_matches_gcd_definition():
     for q in range(2, 3001):
         assert half_units(q) == [a for a in range(1, q // 2 + 1) if gcd(a, q) == 1], q
     assert half_units(1) == half_units(0) == half_units(-7) == []
+
+
+#: The Legendre symbol mod 7, an odd character.
+_ODD_7 = (0, 1, 1, -1, 1, -1, -1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: factorize(0), "can only factor positive integers"),
+    (lambda: euler_phi(0), "totient undefined"),
+    (lambda: mult_order(1, 1), "modulus must be >= 2"),
+    (lambda: root_type(1, 2), "needs modulus >= 3"),
+    (lambda: Character(conductor=9, modulus=9, values=(0,) + (1,) * 8), "conductor must be an odd prime"),
+    (lambda: Character(conductor=5, modulus=5, values=(0, 1, -1)), "one entry per residue"),
+    (lambda: Character(conductor=3, modulus=3, values=(0, 1, 2)), "values must be in"),
+    (lambda: character_half_sum(Character(conductor=3, modulus=3, values=(0, 1, -1))), "needs modulus >= 5"),
+    (lambda: character_half_sum(Character(conductor=7, modulus=7, values=_ODD_7)), "even characters"),
+    (lambda: coset_relations(1), "relations need q >= 2"),
+    (lambda: relation_count(1), "relations need q >= 2"),
+], ids=["factorize", "euler_phi", "mult_order", "root_type", "conductor", "table-length",
+        "table-values", "half-sum-modulus", "half-sum-odd", "coset_relations", "relation_count"])
+def test_rejected_arguments(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

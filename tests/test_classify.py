@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from mpmath import mpf
@@ -148,6 +149,28 @@ def test_two_pn_power_fails_exactly_where_two_fails_the_sub_case_test():
     assert len(labelled) == 183
     failing = tuple(q for q in labelled if not two_and_minus_one_generate(q))
     assert failing == LADDER_FAILURES_BELOW_2000["TwoPNPower"]
+
+
+@pytest.mark.parametrize("label, count", [
+    ("TwoTimesPeiFeng(III)", 141), ("TwoTimesPeiFeng(V)", 3), ("PeiFeng(IV,2)", 20)])
+def test_labels_fail_exactly_where_two_and_minus_one_miss_the_odd_units(label, count):
+    # at q = 2m or 4m, m odd, the exact criterion at the prime 2 asks that
+    # 2 and -1 generate (Z/m)^*.  The TwoTimesPeiFeng branch runs the
+    # ladder on m alone and the IV,2 sub-case checks 2 mod one prime power
+    # of m, so neither checks it.  At q = 66, -1 = 2^5 mod 33.
+    assert mult_order(2, 33) == 10 and pow(2, 5, 33) == 32
+    def two_and_minus_one_generate(q):
+        m = q // (q & -q)
+        generated, x = set(), 1
+        while x not in generated:
+            generated |= {x, m - x}
+            x = 2 * x % m
+        return len(generated) == sum(gcd(a, m) == 1 for a in range(1, m))
+
+    labelled = [q for q in range(3, 2000) if classify_modulus(q).label() == label]
+    assert len(labelled) == count
+    failing = tuple(q for q in labelled if not two_and_minus_one_generate(q))
+    assert failing == LADDER_FAILURES_BELOW_2000[label]
 
 
 @pytest.mark.parametrize("q", [8, 16, 32, 64])

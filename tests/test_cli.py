@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,16 @@ def test_deeply_nested_json_exit(capsys, tmp_path, command):
         assert "nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "rank"])
+def test_oversized_json_integer_exit(capsys, tmp_path, command):
+    # an integer past Python's int-string digit limit, as the period or
+    # under an unknown key, is rejected input, not a traceback
+    huge = "9" * (sys.get_int_max_str_digits() + 700)
+    for text in ('{"q": %s, "values": {}}' % huge, '{"q": 5, "values": {}, "other": %s}' % huge):
+        assert _function_file_exit(tmp_path, command, text.encode()) == 2
+        assert f"over {sys.get_int_max_str_digits()} digits" in capsys.readouterr().err
+
+
 def test_unknown_subcommand(capsys):
     assert run(["frobnicate"]) == 2
 
@@ -225,6 +236,17 @@ def test_relations_extended_composite(capsys):
     assert (rel["pi"], rel["log2"]) == (0, 0)
     assert set(rel["coefficients"].values()) == {1}
     assert json.dumps(data) == out.strip()
+
+
+def test_relations_extended_text(capsys):
+    # at q = 8 the half-support log-sines sum to (1/2) log 2
+    assert run(["relations", "--q", "8", "--extended"]) == 0
+    assert capsys.readouterr().out == (
+        "verified relation for q = 8:\n"
+        "  a=1: 2\n"
+        "  a=3: 2\n"
+        "  pi: 0, log2: -1\n"
+        "  residual 0.0 at 50 digits, 0.0 at 100 digits\n")
 
 
 def test_witness_command(capsys):
@@ -417,3 +439,46 @@ def test_every_argv_ends_in_an_exit_code(function_files, command, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     assert code in (0, 1, 2), argv
+
+
+# ---------------------------------------------------------------------------
+# Every function file ends in an exit code
+
+#: Canonical files that the mutations start from.
+_CANONICAL = [PeriodicFunction(q=5, values={1: 1, 2: -1, 3: -1, 4: 1}).dumps(),
+              PeriodicFunction(q=12, values={1: "3/2", 5: -2, 7: -2, 11: "3/2"}).dumps()]
+#: Bytes a mutation inserts: JSON syntax, digits, signs, exponents, and any byte.
+_INSERTED = st.binary(min_size=1, max_size=4) | st.sampled_from(
+    [b"{", b"}", b"[", b"]", b'"', b":", b",", b"-", b"/", b"0", b"9", b"e9", b"1e", b".5", b" ",
+     b"null", b"true", b"NaN", b"Infinity", b"\\", b"\\u0000", b"\xff"])
+
+
+@st.composite
+def _mutated_canonical(draw):
+    """A canonical file with up to three byte spans deleted, replaced or inserted."""
+    content = bytearray(draw(st.sampled_from(_CANONICAL)).encode())
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(content)))
+        end = draw(st.integers(start, min(len(content), start + 4)))
+        content[start:end] = draw(st.just(b"") | _INSERTED)
+    return bytes(content)
+
+
+@pytest.fixture(scope="module")
+def bytes_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bytes")
+
+
+@pytest.mark.parametrize("command", ["eval", "rank"])
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(content=st.binary(max_size=64) | _mutated_canonical())
+def test_every_function_file_ends_in_an_exit_code(bytes_dir, command, content):
+    # a --fn or --fns file of arbitrary bytes, or a canonical file with a
+    # few bytes changed, is read to an exit code, never to an exception
+    path = bytes_dir / f"{command}.json"
+    path.write_bytes(content)
+    argv = (["eval", "--fn", str(path), "--s", "0", "--digits", "20"] if command == "eval"
+            else ["rank", "--fns", str(path), str(path)])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2), content

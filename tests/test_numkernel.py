@@ -969,3 +969,14 @@ def test_digit_floor_enforced():
         two_sin_pi(1, 4, 9)
     with pytest.raises(ValidationError):
         pi_const(0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: two_sin_pi(1, 1, 20), "q must be >= 2"),
+    (lambda: log_gamma_frac(1, 0, 20), "q must be >= 1"),
+    (lambda: hurwitz_zeta(2, 0.5, 20), "x must be a Fraction"),
+    (lambda: hurwitz_zeta_ds(2, 1, 20), "x must be a Fraction"),
+], ids=["two_sin_pi-q", "log_gamma_frac-q", "hurwitz_zeta-x", "hurwitz_zeta_ds-x"])
+def test_rejected_arguments(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lprime.arith import euler_phi, lift_character, quadratic_character
+from lprime.arith import Character, euler_phi, lift_character, quadratic_character
 from lprime.cli import run
 from lprime.errors import ValidationError
 from lprime.periodic import (
@@ -388,3 +388,16 @@ def test_plain_value_strings_parse_as_fraction_str(q, pool, data):
     residues = data.draw(st.lists(st.integers(1, q), min_size=1, max_size=12, unique=True))
     strings = {a: data.draw(st.sampled_from(pool)) for a in residues}  # repeats share a string
     _assert_parses_as_fraction_str(q, strings)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PeriodicFunction.from_json_dict([5]), "must be an object"),
+    (lambda: PeriodicFunction.loads('{"q": 5, "values": ["1"]}'), '"values" must be an object'),
+    # the Legendre symbol mod 7 is odd
+    (lambda: from_character(Character(conductor=7, modulus=7, values=(0, 1, 1, -1, 1, -1, -1)), 0),
+     "character is odd"),
+    (lambda: constant_on_units(1, 1), "period must be >= 2"),
+], ids=["not-an-object", "values-not-an-object", "odd-character", "constant-period"])
+def test_rejected_arguments(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

@@ -335,3 +335,10 @@ def test_finder_builds_no_numeric_basis(monkeypatch):
             assert rel.residual_at_d < mpf(10) ** (-d + 10), q
             assert rel.residual_at_2d < mpf(10) ** (-2 * d + 10), q
     assert find_relation_for_modulus(8, 1, d, extended=True) is None
+
+
+def test_relation_vector_on_an_extended_basis():
+    # the pi and log 2 coefficients follow the residues
+    rel = find_relation_for_modulus(8, 10, 60, extended=True)
+    assert rel.vector(log_sine_basis(8, 60, extended=True)) == [2, 2, 0, -1]
+    assert rel.vector(log_sine_basis(8, 60)) == [2, 2]
