@@ -99,9 +99,9 @@ def _cmd_eval(args) -> tuple[dict, list[str]]:
         raise ValidationError(f"--s must lie within -{MAX_S}..{MAX_S}, got {args.s[:40]!r}")
     d = args.digits
     if s == 0:
-        # at s = 0 the derivative series is the log-Gamma closed form,
-        # each log Gamma summed by Stirling's series (Lerch's formula)
-        value = lseries.l_deriv(0, f, d)
+        # at s = 0 the half-support log-sine sum or the derivative series,
+        # whichever walks fewer terms; both are closed forms of L'(0, f)
+        value = lseries.l_deriv0(f, d)
         method = "ClosedForm0"
     else:
         value = lseries.l_value(s, f, d)

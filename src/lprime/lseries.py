@@ -15,7 +15,10 @@ with one shift N = max(10, ceil(0.8 d)) for all residues, w_a = N + a/q,
 m_a = q w_a and P_a = a (a + q) ... (m_a - q), it is
 sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a), each log Gamma
 summed by Stirling's series at w_a, T_a its Bernoulli tail (Lerch's
-formula).  So ``lprime eval --s 0`` reads it and reports "ClosedForm0".
+formula).  ``l_deriv0`` picks, for ``lprime eval --s 0``, the log-sine sum
+of ``l_deriv0_even`` where it applies and its walk is no longer per
+residue than that series' head, and the series otherwise; both are
+closed forms at s = 0, and the report says "ClosedForm0" either way.
 
 Sign convention: L'(0, f) = -sum_{a<=q/2, (a,q)=1} f(a) log(2 sin(a pi/q)).
 The shifted variant sum (f(a)-f(1)) log(2 sin(a pi/q)) that circulates in
@@ -42,6 +45,7 @@ from .arith import half_units, is_prime_power
 from .errors import ValidationError
 from .numkernel import (
     RealLike,
+    _em_first_shift,
     log_gamma_frac,
     log_sine_sum,
     periodic_zeta,
@@ -124,6 +128,21 @@ def l_deriv0_even(f: PeriodicFunction, digits: int) -> mpf:
             "use the closed form for tiny periods"
         )
     return log_sine_sum(f.q, [(a, -v) for a, v in half_support(f)], digits)
+
+
+def l_deriv0(f: PeriodicFunction, digits: int) -> mpf:
+    """L'(0, f) by the shorter of two routes: ``l_deriv0_even`` or ``l_deriv(0, f)``.
+
+    Each route is weighed by its loop length per residue it serves.  The
+    log-sine sum walks the sine recurrence q // 2 steps for the
+    |support| / 2 residues of the half support; the series' head runs N
+    terms, N = ``_em_first_shift(d)``, for each residue of the support.
+    The sum is taken where f is even and of Dirichlet type, q >= 3 and
+    q // 2 <= (|support| / 2) N, and the series everywhere else.
+    """
+    if f.q >= 3 and f.q // 2 <= len(f.values) // 2 * _em_first_shift(digits) and f.even and f.dirichlet:
+        return l_deriv0_even(f, digits)
+    return l_deriv(0, f, digits)
 
 
 # ---------------------------------------------------------------------------

@@ -236,12 +236,11 @@ def from_character(chi: Character, c: RationalLike) -> PeriodicFunction:
     """
     if not chi.is_even:
         raise ValidationError("character is odd; only even characters give even functions")
-    q = chi.modulus
+    q, p = chi.modulus, chi.conductor
     c = Fraction(c)
-    values = {}
-    for s in range(1, q + 1):
-        if gcd(s, q) == 1:
-            values[s] = chi(s) - 1 + c
+    # chi is +1 or -1 on every unit, so f takes c or c - 2 there
+    on_units = {1: c, -1: c - 2}
+    values = {s: on_units[chi.values[s % p]] for s in range(1, q + 1) if gcd(s, q) == 1}
     return PeriodicFunction(q=q, values=values)
 
 

@@ -74,6 +74,41 @@ def test_eval_l_value(capsys, one1):
         assert abs(mpf(data["value"]) - mp.pi**2 / 6) < mpf(10) ** -45
 
 
+def test_eval_text_labels(capsys, golden5):
+    # the text report names the derivative at s = 0 and the value elsewhere
+    assert run(["eval", "--fn", golden5, "--s", "0", "--digits", "10"]) == 0
+    assert capsys.readouterr().out == "L'(0, f) = 0.4812118251  [ClosedForm0, 10 digits]\n"
+    assert run(["eval", "--fn", golden5, "--s", "2", "--digits", "10"]) == 0
+    assert capsys.readouterr().out.startswith("L(2, f) = ")
+
+
+def test_bounds_are_inclusive(capsys, golden5):
+    # each bound takes its own value and refuses the next: |s| = MAX_S,
+    # --digits MAX_DIGITS and q = MAX_Q
+    for s in ("1000", "-1000"):
+        assert run(["eval", "--fn", golden5, f"--s={s}", "--digits", "10"]) == 0, s
+    assert run(["identity", "--q", "3", "--digits", "2000"]) == 0
+    assert run(["classify", "--q", "1000000"]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--fn", golden5, "--s=1001", "--digits", "10"]) == 2
+    assert run(["identity", "--q", "3", "--digits", "2001"]) == 2
+    assert run(["classify", "--q", "1000001"]) == 2
+    err = capsys.readouterr().err
+    assert "within -1000..1000" in err and "within 10..2000" in err and "q <= 1000000" in err
+
+
+def test_rank_text_names_the_certificate(capsys, tmp_path):
+    golden = PeriodicFunction(q=5, values={1: 1, 2: -1, 3: -1, 4: 1})
+    paths = []
+    for i, f in enumerate((golden, PeriodicFunction(q=5, values={a: 2 * v for a, v in golden.values.items()}))):
+        paths.append(tmp_path / f"f{i}.json")
+        paths[-1].write_text(f.dumps())
+    assert run(["rank", "--fns", str(paths[0])]) == 0
+    assert capsys.readouterr().out == "rank 1 of 1 function(s); independent\n"
+    assert run(["rank", "--fns", *map(str, paths)]) == 0
+    assert capsys.readouterr().out == "rank 1 of 2 function(s); dependent\ncertificate: [2, -1]\n"
+
+
 def test_eval_pole_exit_code(capsys, golden5):
     assert run(["eval", "--fn", golden5, "--s", "1"]) == 1
 

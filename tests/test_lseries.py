@@ -2,20 +2,24 @@
 and the precision contract under threads and ambient precisions."""
 
 import concurrent.futures
+import json
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from time import perf_counter
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, nstr
 from mpmath.ctx_mp import MPContext
 
-from lprime import numkernel
+from lprime import lseries, numkernel
+from lprime.cli import run
 from lprime.classify import vanishing_verdict
 from lprime.errors import PoleError, ValidationError
 from lprime.lseries import (
     family_rank,
     l_deriv,
+    l_deriv0,
     l_deriv0_closed,
     l_deriv0_even,
     l_value,
@@ -298,6 +302,67 @@ def test_tiny_period_closed_form_still_works():
         expected = -mp.ln2 / 2
     assert abs(l_deriv0_closed(f, 50) - expected) < tol(50)
     assert abs(l_deriv(0, f, 50) - expected) < tol(50)
+
+
+@pytest.fixture
+def routes_taken(monkeypatch):
+    """The names of the routes that ``l_deriv0`` calls, in order."""
+    taken = []
+    for name in ("l_deriv0_even", "l_deriv"):
+        route = getattr(lseries, name)
+        monkeypatch.setattr(lseries, name, lambda *args, name=name, route=route: taken.append(name) or route(*args))
+    return taken
+
+
+def test_eval_s0_reads_the_log_sine_sum_for_a_dense_even_f(rng, tmp_path, capsys, routes_taken):
+    # the seed-1 shape of the benchmark: a dense even f at q = 41, 240 digits
+    f, d = random_even_dirichlet(41, rng, allow_zero=False), 240
+    path = tmp_path / "f.json"
+    path.write_text(f.dumps())
+    assert run(["eval", "--fn", str(path), "--s", "0", "--digits", str(d), "--output", "json"]) == 0
+    assert routes_taken == ["l_deriv0_even"]
+    report = json.loads(capsys.readouterr().out)
+    assert report["method"] == "ClosedForm0"
+    assert report["value"] == nstr(l_deriv0_even(f, d), d)
+
+
+def test_l_deriv0_takes_the_series_for_a_sparse_f_at_a_large_period(routes_taken):
+    # the walk would take q // 2 = 500001 steps for one residue, the
+    # series' head N for each of two
+    q, d = 10**6 + 3, 50
+    f = PeriodicFunction(q=q, values={1: 1, q - 1: 1})
+    start = perf_counter()
+    value = l_deriv0(f, d)
+    assert perf_counter() - start < 1
+    assert routes_taken == ["l_deriv"]
+    with mp.workprec(prec_bits(d) + 40):
+        ref = -mp.log(2 * mp.sin(mp.pi / q))
+    assert abs(value - ref) < tol(d)
+
+
+@pytest.mark.parametrize("f", [
+    PeriodicFunction(q=7, values={1: 1, 2: 3, 5: -3, 6: -1}),
+    PeriodicFunction(q=12, values={2: 1, 10: 1, 5: 3, 7: 3}),
+    PeriodicFunction(q=2, values={1: 1}),
+], ids=("odd", "not-dirichlet", "q2"))
+def test_l_deriv0_takes_the_series_off_the_half_support(f, routes_taken):
+    value = l_deriv0(f, 50)
+    assert routes_taken == ["l_deriv"]
+    assert value == l_deriv(0, f, 50)
+
+
+@pytest.mark.parametrize("q, route", [(3, "l_deriv0_even"), (21, "l_deriv0_even"), (23, "l_deriv")])
+def test_l_deriv0_walk_against_head(q, route, routes_taken):
+    # at 10 digits N = 10, so f on 1 and q - 1 has a head of 10 terms per
+    # residue and one residue in its half support: q = 21 walks 10 steps
+    # and q = 23 would walk 11
+    d = 10
+    assert numkernel._em_first_shift(d) == 10
+    value = l_deriv0(PeriodicFunction(q=q, values={1: 1, q - 1: 1}), d)
+    assert routes_taken == [route]
+    with mp.workprec(prec_bits(d) + 40):
+        ref = -mp.log(2 * mp.sin(mp.pi / q))
+    assert abs(value - ref) < tol(d)
 
 
 # ---------------------------------------------------------------------------

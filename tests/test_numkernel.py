@@ -499,8 +499,10 @@ def test_diverging_tail_raises_convergence_error(monkeypatch, tmp_path, capsys):
     with pytest.raises(ConvergenceError, match=r"L'\(s=1/2\) of period 5"):
         periodic_zeta_ds(Fraction(1, 2), q, values, d)
     path = tmp_path / "f.json"
-    path.write_text(PeriodicFunction(q=q, values=values).dumps())
-    for s in ("1/2", "0"):
+    # eval --s 0 takes the log-sine sum for the even f: {1: 1} is not
+    # even, so it takes the series there
+    for s, fn in (("1/2", values), ("0", {1: 1})):
+        path.write_text(PeriodicFunction(q=q, values=fn).dumps())
         assert run(["eval", "--fn", str(path), "--s", s, "--digits", str(d)]) == 1
         assert "computation failed" in capsys.readouterr().err
 
@@ -669,6 +671,32 @@ def test_l_value_sieve_against_mpmath(q, residues, barred, d, monkeypatch):
             sm = mpf(s.numerator) / s.denominator
             ref = mp.power(q, -sm) * mp.fsum(v * mp.zeta(sm, mpf(a) / q) for a, v in values.items())
         assert abs(mine - ref) < tol(d) * max(1, abs(ref)), (q, s, d)
+
+
+def _floor_power(m: int, s: Fraction, point: int) -> int:
+    """floor(2^point m^(-s)) exactly: the greatest r with r^v m^u <= 2^(v point), s = u/v."""
+    u, v = s.numerator, s.denominator
+    with mp.workprec(2 * point + 64):
+        r = int(mp.floor(mp.ldexp(mp.power(m, -mpf(u) / v), point)))
+    num, den = (1 << v * point, m ** u) if u > 0 else (m ** -u << v * point, 1)
+    while r ** v * den > num:
+        r -= 1
+    while (r + 1) ** v * den <= num:
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("s", (Fraction(1, 3), Fraction(3, 4), Fraction(-1, 2), Fraction(7, 2)))
+def test_sieve_class_sums_are_exact_floors(s):
+    # q = 30, top = 30: every unit up to top is 1 or a prime, so the sieve
+    # takes each class sum from one root and no product, and each must be
+    # the sum of the exact floors floor(2^P m^(-s)) over m <= top in its
+    # class (the rests at top + a, composites, are products of floors)
+    q, top, point = 30, 30, 120
+    support = dict.fromkeys([a for a in range(1, q) if gcd(a, q) == 1], Fraction(1))
+    by_class, _ = numkernel._sieve_sums(lambda m: _floor_power(m, s, point), q, support, top, point)
+    for a in support:
+        assert by_class[a] == sum(_floor_power(m, s, point) for m in range(a, top + 1, q)), (s, a)
 
 
 def test_l_value_sparse_f_at_large_period(root_calls):

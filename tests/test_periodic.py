@@ -44,6 +44,21 @@ def test_construction_rejects_bad_residues():
         PeriodicFunction(q=0, values={})
 
 
+def test_construction_takes_the_end_residues_out_of_order():
+    # residues that do not arrive as ascending ints take the full check,
+    # which admits 1 and q and sorts them
+    class Residue(int):
+        pass
+
+    f = PeriodicFunction(q=5, values={Residue(5): 2, 4: 1, 1: 3})
+    assert list(f.values.items()) == [(1, 3), (4, 1), (5, 2)]
+
+
+def test_repeated_key_is_named():
+    with pytest.raises(ValidationError, match="key '2' occurs twice"):
+        PeriodicFunction.loads('{"q": 5, "values": {"1": "1", "2": "1", "2": "3"}}')
+
+
 def test_periodicity_of_call():
     f = PeriodicFunction(q=5, values={2: Fraction(1, 3)})
     assert f(2) == f(7) == f(5002) == Fraction(1, 3)
@@ -99,6 +114,23 @@ def test_constant_on_units_examples():
     g = constant_on_units(9, Fraction(2, 3))
     assert len(g.values) == 6 and g(4) == Fraction(2, 3)
     assert validate(f) == (True, True) and validate(g) == (True, True)
+
+
+def test_from_character_is_its_definition():
+    # f(s) = chi(s) - 1 + c on the units and 0 elsewhere; at c = 2 the
+    # value c - 2 is 0, so the non-residues drop out of the support
+    for p, q in ((5, 5), (5, 60), (13, 52)):
+        chi = lift_character(quadratic_character(p), q)
+        for c in (0, 2, Fraction(-3, 2)):
+            f = from_character(chi, c)
+            assert [f(s) for s in range(1, q + 1)] == [
+                chi(s) - 1 + c if gcd(s, q) == 1 else 0 for s in range(1, q + 1)], (q, c)
+
+
+def test_constant_on_units_least_period():
+    assert constant_on_units(2, 3).values == {1: 3}
+    with pytest.raises(ValidationError):
+        constant_on_units(1, 3)
 
 
 def test_half_support_examples():
@@ -338,6 +370,16 @@ def test_constructor_value_strings_keep_the_parse_bound():
         with pytest.raises(ValidationError):
             PeriodicFunction(q=5, values={1: text, 4: text})
     assert PeriodicFunction(q=5, values={1: "1e3", 4: "2/4"}).values == {1: 1000, 4: Fraction(1, 2)}
+
+
+def test_value_bounds_are_inclusive():
+    # MAX_VALUE_DIGITS digits, and an exponent of that magnitude, are read
+    assert parse_rational("1" * 1000) == int("1" * 1000)
+    assert parse_rational("1e1000") == 10 ** 1000
+    assert parse_rational("1e-1000") == Fraction(1, 10 ** 1000)
+    for text in ("1" * 1001, "1e1001", "1e-1001"):
+        with pytest.raises(ValidationError):
+            parse_rational(text)
 
 
 # ---------------------------------------------------------------------------

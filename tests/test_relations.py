@@ -153,6 +153,15 @@ def test_sine_identity_is_found_for_composite():
     assert rel.residual_at_2d < mpf(10) ** -190
 
 
+def test_finder_at_its_least_precision():
+    # 15 digits is the least the detection scale 10^-(d - 10) takes
+    rel = find_relation_for_modulus(15, 4, 15)
+    assert rel is not None and rel.verified_at_2d
+    assert rel.coefficients == {1: 1, 2: 1, 4: 1, 7: 1}
+    with pytest.raises(PrecisionError):
+        find_relation_for_modulus(15, 4, 14)
+
+
 def test_finder_rejects_low_basis_precision():
     basis = log_sine_basis(9, 50)
     with pytest.raises(PrecisionError):
@@ -216,6 +225,13 @@ def test_ramachandra_admissible():
     assert ramachandra_admissible(105) is None
     assert ramachandra_admissible(9) is None
     assert ramachandra_admissible(5 * 11 * 31) == (5, 11)
+
+
+def test_ramachandra_admissible_least_q():
+    # the least q it takes, and the first it refuses
+    assert ramachandra_admissible(3) is None
+    with pytest.raises(ValidationError):
+        ramachandra_admissible(2)
 
 
 def test_build_witness_55():
