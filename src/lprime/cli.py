@@ -104,7 +104,9 @@ def _cmd_eval(args) -> tuple[dict, list[str]]:
         value = lseries.l_deriv0(f, d)
         method = "ClosedForm0"
     else:
-        value = lseries.l_value(s, f, d)
+        # q^(-s) sum f(a) zeta(s, a/q), at s = 2 by the csc^2 sum where
+        # the sine walk is the shorter, and by the series otherwise
+        value = lseries.l_value2(f, d) if s == 2 else lseries.l_value(s, f, d)
         method = "HurwitzSum"
     value_str = nstr(value, d)
     report = {

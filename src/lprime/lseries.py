@@ -15,10 +15,21 @@ with one shift N = max(10, ceil(0.8 d)) for all residues, w_a = N + a/q,
 m_a = q w_a and P_a = a (a + q) ... (m_a - q), it is
 sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a), each log Gamma
 summed by Stirling's series at w_a, T_a its Bernoulli tail (Lerch's
-formula).  ``l_deriv0`` picks, for ``lprime eval --s 0``, the log-sine sum
-of ``l_deriv0_even`` where it applies and its walk is no longer per
-residue than that series' head, and the series otherwise; both are
-closed forms at s = 0, and the report says "ClosedForm0" either way.
+formula), and the log P_a of the residues that share a value of f taken
+as one log of their product.  ``l_deriv0`` picks, for
+``lprime eval --s 0``, the log-sine sum of ``l_deriv0_even`` where it
+applies and its walk is no longer per residue than that series' head
+(``_walk_is_shorter``), and the series otherwise; both are closed forms
+at s = 0, and the report says "ClosedForm0" either way.
+
+L(2, f) of an even f has a closed form from the same sines:
+``l_value2_even`` takes (pi/q)^2 times sum_(a<q/2) f(a) csc^2(a pi/q)
++ f(q/2)/2 + f(q)/6, by Euler's zeta(2, x) + zeta(2, 1 - x) =
+pi^2 csc^2(pi x), for units and non-units alike.  ``l_value2`` picks it
+for ``lprime eval --s 2`` by the same rule, and ``l_value``, the series,
+otherwise; ``l_value`` stays the series everywhere, the independent
+check of the csc^2 sum.  At integer s <= 0, ``l_value`` is exact: the
+Bernoulli polynomials summed as integer power sums of f.
 
 Sign convention: L'(0, f) = -sum_{a<=q/2, (a,q)=1} f(a) log(2 sin(a pi/q)).
 The shifted variant sum (f(a)-f(1)) log(2 sin(a pi/q)) that circulates in
@@ -46,6 +57,7 @@ from .errors import ValidationError
 from .numkernel import (
     RealLike,
     _em_first_shift,
+    csc2_sum,
     log_gamma_frac,
     log_sine_sum,
     periodic_zeta,
@@ -130,19 +142,51 @@ def l_deriv0_even(f: PeriodicFunction, digits: int) -> mpf:
     return log_sine_sum(f.q, [(a, -v) for a, v in half_support(f)], digits)
 
 
+def l_value2_even(f: PeriodicFunction, digits: int) -> mpf:
+    """L(2, f) = (pi/q)^2 (sum_(a<q/2) f(a) csc^2(a pi/q) + f(q/2)/2 + f(q)/6) for even f.
+
+    One ``csc2_sum`` over the residues a <= q/2 and a = q where f is not
+    0, units or not.  Requires f even, since the pairing of a with q - a
+    turns their two Hurwitz values into one csc^2, and a period >= 3, as
+    ``l_deriv0_even`` does.
+    """
+    if f.q < 3 or not f.even:
+        raise ValidationError(f"the csc^2 sum needs an even f of period >= 3, got period {f.q}")
+    return csc2_sum(f.q, [(a, c) for a, c in f.values.items() if 2 * a <= f.q or a == f.q], digits)
+
+
+def _walk_is_shorter(f: PeriodicFunction, digits: int) -> bool:
+    """Whether f is even, q >= 3 and the sine walk is no longer than the series' head.
+
+    Each route is weighed by its loop length per residue it serves.  The
+    sine walk of ``log_sine_sum`` and ``csc2_sum`` runs q // 2 steps for
+    the |support| / 2 residues of the half support; the Euler-Maclaurin
+    head runs N terms, N = ``_em_first_shift(d)``, for each residue of
+    the support.  So the walk is taken where q // 2 <= (|support| / 2) N.
+    """
+    return f.q >= 3 and f.q // 2 <= len(f.values) // 2 * _em_first_shift(digits) and f.even
+
+
 def l_deriv0(f: PeriodicFunction, digits: int) -> mpf:
     """L'(0, f) by the shorter of two routes: ``l_deriv0_even`` or ``l_deriv(0, f)``.
 
-    Each route is weighed by its loop length per residue it serves.  The
-    log-sine sum walks the sine recurrence q // 2 steps for the
-    |support| / 2 residues of the half support; the series' head runs N
-    terms, N = ``_em_first_shift(d)``, for each residue of the support.
-    The sum is taken where f is even and of Dirichlet type, q >= 3 and
-    q // 2 <= (|support| / 2) N, and the series everywhere else.
+    The log-sine sum is taken where ``_walk_is_shorter`` and f is of
+    Dirichlet type, and the series everywhere else.
     """
-    if f.q >= 3 and f.q // 2 <= len(f.values) // 2 * _em_first_shift(digits) and f.even and f.dirichlet:
+    if _walk_is_shorter(f, digits) and f.dirichlet:
         return l_deriv0_even(f, digits)
     return l_deriv(0, f, digits)
+
+
+def l_value2(f: PeriodicFunction, digits: int) -> mpf:
+    """L(2, f) by the shorter of two routes: ``l_value2_even`` or ``l_value(2, f)``.
+
+    The csc^2 sum is taken where ``_walk_is_shorter``, for any even f, and
+    the series everywhere else.
+    """
+    if _walk_is_shorter(f, digits):
+        return l_value2_even(f, digits)
+    return l_value(2, f, digits)
 
 
 # ---------------------------------------------------------------------------

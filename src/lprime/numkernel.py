@@ -22,12 +22,15 @@ The special functions every other module needs live here:
   the quotient of the powers of the products of the sines that share a
   coefficient, each product floored to the walk's fixed point after
   every multiply.  Every log-sine of the library comes from
-  ``log_sine_sum``.  ``two_sin_pi`` is mpmath's one-value sin, kept as
-  the independent oracle the recurrence is tested against,
+  ``log_sine_sum``.  The same raw walk values give L(2, f) of an even f
+  (``csc2_sum``): by Euler's zeta(2, x) + zeta(2, 1 - x) = pi^2 csc^2(pi x),
+  one fixed-point sum of n_a floor(2^(3P)/S_a^2), one exact product with
+  pi^2.  ``two_sin_pi`` is mpmath's one-value sin, kept as the
+  independent oracle the recurrence is tested against,
 * L(s, f) = sum f(m) m^(-s) for f of period q (``periodic_zeta``) by
   Euler-Maclaurin summation, valid for finite real s != 1, at one shift
-  N for all residues a: the exact Bernoulli polynomials at integer
-  s <= 0, and otherwise one head for all residues,
+  N for all residues a: the exact value from integer power sums
+  sum_a f(a) a^i at integer s <= 0, and otherwise one head for all residues,
   sum f(m) floor(2^P m^(-s)) over m <= Nq in integers, with a fixed-point
   v-th root at s = u/v (one power past the root cost bound), and the
   rests of all residues at m_a = Nq + a in the same integers, where
@@ -49,8 +52,8 @@ The special functions every other module needs live here:
   (``periodic_zeta_ds``) is the term-wise derivative of that series, on
   the same integers with floor(2^P log m) beside each r(m): the head
   takes a root or power and a log per term (at s = 0 one log per
-  residue, of an exact integer product) and never the sieve, and the
-  rests and the tail take the logs of the m_a.  At s = 0 this series is
+  distinct value of f, of an exact integer product) and never the
+  sieve, and the rests and the tail take the logs of the m_a.  At s = 0 this series is
   Lerch's log-Gamma closed form for L'(0, f), with every log Gamma summed
   by Stirling's series at the argument N + a/q,
 * the Hurwitz zeta function zeta(s, x), 0 < x = a/q <= 1, and its
@@ -58,7 +61,8 @@ The special functions every other module needs live here:
   q^s L(s, f) for f = 1 at a (``hurwitz_zeta``), and zeta'(s, a/q) is
   q^s (L'(s, f) + log(q) L(s, f)) (``hurwitz_zeta_ds``), each taken at a
   few more digits where q^s may scale its error.  At integer s <= 0,
-  zeta(s, x) is the exact -B_(1-s)(x)/(1-s), rounded once,
+  zeta(s, x) is the exact -B_(1-s)(x)/(1-s), from the power sums of one
+  residue, rounded once,
 * log Gamma(a/q) by mpmath's ``mpf_loggamma`` (``log_gamma_frac``), kept,
   like ``two_sin_pi``, as an independent reference: no series of this
   module computes log Gamma.
@@ -77,14 +81,14 @@ There is one precision mechanism.  Every route computes at
 e more digits, with mpmath's ``libmp`` and ``round_nearest``, and rounds
 its result once into ``prec_bits(d)``.  The Euler-Maclaurin series of
 ``periodic_zeta(_ds)`` ends in one exact quotient of integers,
-(numerator, denominator), which ``_rounded`` rounds once; the log-sines
-and the exact Bernoulli values at integer s <= 0 end the same way.  The
+(numerator, denominator), which ``_rounded`` rounds once; the log-sines,
+the csc^2 sum and the exact values at integer s <= 0 end the same way.  The
 references ``two_sin_pi``, ``log_gamma_frac``, ``pi_const`` and
 ``log2_const`` are mpmath's own ``mpf_sin_pi``, ``mpf_loggamma``,
 ``mpf_pi`` and ``mpf_ln2`` at ``prec_bits(d)``, and ``hurwitz_zeta(_ds)``
 take q^s and log q by ``mpf_pow`` and ``mpf_log`` at their working
 precision.  A route whose error bound grows with the size of f (the
-Euler-Maclaurin series and ``log_sine_sum``) works at the
+Euler-Maclaurin series, ``log_sine_sum`` and ``csc2_sum``) works at the
 ``_working_digits`` d + e of that bound, and e = 0 for every f whose bound
 lies below 10^13 units.  No route builds an mpmath context.  Every public
 function returns a plain mpmath ``mpf``.  mpmath's global precision is
@@ -509,6 +513,55 @@ def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
     return mp.make_mpf(mpf_pos(total, prec_bits(digits), round_nearest))
 
 
+def csc2_sum(q: int, coefficients, digits: int) -> mpf:
+    """(pi/q)^2 sum c_a k_a at d digits over pairs (a, c_a), ascending a <= q/2, then maybe a = q.
+
+    k_a = csc^2(a pi/q) for a < q/2, k_(q/2) = 1/2 and k_q = 1/6.  For an
+    even f with f(a) = c_a, this is L(2, f) = q^-2 sum_(a=1..q) f(a) zeta(2, a/q):
+    by Euler's zeta(2, x) + zeta(2, 1 - x) = pi^2 csc^2(pi x), the
+    residues a and q - a of a pair share pi^2 csc^2(a pi/q), a = q/2 is
+    its own partner, and zeta(2, 1) = pi^2/6.  The coefficients are ints
+    or Fractions, each over their common denominator den an integer n_a;
+    every residue below q/2 must be one that ``two_sines`` takes, whatever
+    its coefficient.  With the raw walk values S_a of ``two_sines`` at P
+    fractional bits, the sum is, in sixths of 2^-P,
+    6 sum_(a<q/2) n_a floor(2^(3P)/S_a^2) + 3 n_(q/2) 2^P + n_q 2^P,
+    exactly; the walk runs up to the last residue at or below q/2.
+    It takes one exact product with the square of pi at W = prec + 8 bits,
+    prec = prec_bits(d + e) for the e below, and is rounded once to d.
+
+    Error.  S_a is within eps = 2^(-2 - prec - SINE_GUARD_BITS) of
+    2^P sin(a pi/q), relative, so a term is within 3 eps of
+    2^P csc^2(a pi/q), relative, and one unit for its floor.  Since
+    sin x >= 2x/pi on [0, pi/2], (pi/q)^2 csc^2(a pi/q) <= pi^2/(4 a^2),
+    so the share of term a in the value is within
+    |c_a| (7.5 eps + 2^-P pi^2/q^2) < |c_a| 2^-(prec + 22), and the terms
+    of q/2 and q are exact.  pi at W bits is within 2^-W of itself,
+    relative, so its square within pi^2 2^(1 - W); the sum before that
+    product is at most sum |c_a|/4, so it adds less than
+    sum |c_a| 2^-(prec + 5).  So the value is within
+    sum |c_a| 2^-(prec + 4) of the exact one before its one rounding; it
+    runs at the ``_working_digits`` of sum |c_a|, and e = 0 while that is
+    below 10^13.
+    """
+    _require_modulus(q)
+    pairs = list(coefficients)
+    den = math.lcm(*(c.denominator for _, c in pairs))
+    scaled = [(a, c.numerator * (den // c.denominator)) for a, c in pairs]
+    # k_q = 1/6 is exact and its residue, last, takes no walk
+    sixths = scaled.pop()[1] if scaled and _is_int(scaled[-1][0]) and scaled[-1][0] == q else 0
+    bound = sum(abs(c.numerator) // c.denominator + 1 for _, c in pairs)
+    prec = prec_bits(_working_digits(digits, bound))
+    point, sines = _sine_walk(q, [a for a, _ in scaled], prec)
+    cube = 1 << 3 * point
+    total = sixths << point
+    for (a, n), s in zip(scaled, sines):
+        # k_(q/2) = 1/2 is exact too
+        total += 3 * n << point if 2 * a == q else 6 * n * (cube // (s * s))
+    _, pi_man, pi_exp, _ = mpf_pi(prec + 8, round_nearest)
+    return _rounded(prec_bits(digits), pi_man * pi_man * total, 6 * q * q * den << point - 2 * pi_exp)
+
+
 def _walk_product(factors: list[int], point: int) -> tuple:
     """prod 2 S / 2^P over the walk values S, a raw mpf of at most P bits.
 
@@ -570,7 +623,8 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
     """zeta(s, x) = sum_{n>=0} (n+x)^(-s) at d digits, finite real s != 1.
 
     At integer s = -k <= 0 the value is the exact rational
-    -B_(k+1)(x)/(k+1), from the cached Bernoulli numbers, rounded once.
+    -B_(k+1)(x)/(k+1), from the integer power sums of ``_power_sums``
+    with one residue, rounded once.
     Every other s takes the one-residue ``periodic_zeta``: for x = a/q in
     lowest terms, zeta(s, x) = q^s L(s, f) with f = 1 at a and 0 elsewhere.
 
@@ -595,7 +649,10 @@ def hurwitz_zeta(s: RealLike, x: Fraction, digits: int) -> mpf:
     _check_hurwitz_args(s, x, digits)
     s = _exact_real(s)
     if s.denominator == 1 and s <= 0:
-        return _rounded(prec_bits(digits), *_zeta_at_nonpositive(1 - s.numerator, x).as_integer_ratio())
+        # zeta(1 - n, a/q) = q^(1 - n) L(1 - n, f) for f = 1 at a
+        n = 1 - s.numerator
+        numer, denom = _power_sums(n, x.denominator, {x.numerator: 1})
+        return _rounded(prec_bits(digits), numer, denom * x.denominator ** (n - 1))
     a, q = x.numerator, x.denominator
     extra = math.ceil(s * math.log10(a if s > 1 else q)) if s > 0 else 0
     wp = prec_bits(digits + extra)
@@ -644,8 +701,9 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
     q^(-s) sum_a f(a) zeta(s, a/q), and exactly 0 when every value is 0.
 
     At integer s = -k <= 0 the value is the exact rational
-    q^k sum_a f(a) zeta(-k, a/q), by the Bernoulli polynomials, rounded
-    once.  Every other s takes Euler-Maclaurin with one shift N for all
+    q^k sum_a f(a) zeta(-k, a/q), by the Bernoulli polynomials taken as
+    integer power sums of f (``_power_sums``), rounded once.  Every other
+    s takes Euler-Maclaurin with one shift N for all
     residues: N starts at max(10, 0.8 d) and doubles while the tail grows,
     up to 64 d, and the sum runs at the extra digits of ``_em_shifts``:
     those of a large sum |f(a)|, and at s < 0 those of the cancellation.
@@ -724,9 +782,7 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
         return mpf(0)
     s = _exact_real(s)
     if s.denominator == 1 and s <= 0:
-        n = 1 - s.numerator
-        value = q ** (n - 1) * sum(c * _zeta_at_nonpositive(n, Fraction(a, q)) for a, c in support.items())
-        return _rounded(prec_bits(digits), *value.as_integer_ratio())
+        return _rounded(prec_bits(digits), *_power_sums(1 - s.numerator, q, support))
     return _em_shifts(s, q, support, digits, False)
 
 
@@ -742,8 +798,9 @@ def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits
     * head: -sum f(m) r(m) lam(m) over m <= Nq, summed at 2P bits.  Each
       term takes a root or power and a log, by the direct route of
       ``periodic_zeta`` for every f: the sieve is for values only.  At
-      s = 0, r(m) = 2^P, and the head of each residue a is one log of the
-      exact product a (a + q) ... (m_a - q).
+      s = 0, r(m) = 2^P, and the heads of the residues a that share a
+      value of f are one log of the exact product of their
+      a (a + q) ... (m_a - q): one log per distinct value.
     * rests: -lam_a r(m_a) (w_a/(s - 1) + 1/2) - r(m_a) w_a/(s - 1)^2 per
       residue, lam_a = lam(m_a).
     * tail: sum_k (D_k(s) - C_k(s) log m_a) w_a^-(2k-1) per residue, as
@@ -763,8 +820,8 @@ def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits
     2^(1 - prec) sum_a |f(a)| (1 + 1/|s - 1|)^2 / q.  Each tail adds its
     stated bound, a few hundred units, and the floors of the second
     tail's weights n sum_k |C_k(s)| r^(2k-1) more for n residues.  At
-    s = 0 the head is within
-    sum_a |f(a)| units.  At s < 0 the bounds hold relative to
+    s = 0 the head is within sum_c |c| units over the distinct values c
+    of f, one floor of one log each.  At s < 0 the bounds hold relative to
     sum |f(m)| m^(-s) log m, and the extra digits cover its cancellation
     against the integral terms, as for the value.
     """
@@ -792,9 +849,28 @@ def _exact_real(value: RealLike) -> Fraction:
     return Fraction(*to_rational(value._mpf_))
 
 
-def _zeta_at_nonpositive(n: int, x: Fraction) -> Fraction:
-    """zeta(1 - n, x) = -B_n(x)/n exactly, n >= 1, B_n(x) = sum_j C(n, j) B_j x^(n-j)."""
-    return -sum(math.comb(n, j) * bernoulli(j) * x ** (n - j) for j in range(n + 1)) / n
+def _power_sums(n: int, q: int, support: dict) -> tuple[int, int]:
+    """L(1 - n, f) for n >= 1 as an exact quotient of integers (numer, denom), denom > 0.
+
+    From zeta(1 - n, x) = -B_n(x)/n and B_n(x) = sum_j C(n, j) B_j x^(n-j),
+    L(1 - n, f) = q^(n-1) sum_a f(a) zeta(1 - n, a/q) is
+    -(1/(n q den)) sum_j C(n, j) B_j q^j T_(n-j), with the integer power
+    sums T_i = sum_a (f(a) den) a^i, den the lcm of the denominators of
+    the values, and the B_j over the lcm of their denominators: the same
+    rational as the Bernoulli polynomials summed residue by residue.
+    """
+    den = math.lcm(*(c.denominator for c in support.values()))
+    sums = [0] * (n + 1)
+    for a, c in support.items():
+        term = c.numerator * (den // c.denominator)
+        for i in range(n + 1):
+            sums[i] += term
+            term *= a
+    bernoullis = [bernoulli(j) for j in range(n + 1)]
+    lcd = math.lcm(*(b.denominator for b in bernoullis))
+    numer = sum(math.comb(n, j) * b.numerator * (lcd // b.denominator) * q ** j * sums[n - j]
+                for j, b in enumerate(bernoullis) if b)
+    return -numer, n * q * den * lcd
 
 
 def _rounded(prec: int, numer: int, denom: int) -> mpf:
@@ -859,14 +935,14 @@ def _periodic_attempt(prec: int, s: Fraction, q: int, support: dict, n_shift: in
     top = n_shift * q
     u, v = s.numerator, s.denominator
     point = prec + max(TAIL_EXTRA_BITS, (2 * top * top.bit_length()).bit_length())
-    by_class, roots = _periodic_roots(s, q, support, top, point, derivative)
     # everything is at P fractional bits, in units of 1/den
     den = math.lcm(*(c.denominator for c in support.values()))
-    scaled = [c.numerator * (den // c.denominator) for c in support.values()]
-    ms = [top + a for a in support]
-    weights = [c * roots[m] for c, m in zip(scaled, ms)]
+    scaled = {a: c.numerator * (den // c.denominator) for a, c in support.items()}
+    head, roots = _periodic_roots(s, q, scaled, top, point, derivative)
+    ms = [top + a for a in scaled]
+    weights = [n * roots[m] for n, m in zip(scaled.values(), ms)]
     # every tail stops below 10**-(d + EXTRA_DIGITS) sum |f(a)|, in units of 1/den
-    cutoff = (sum(map(abs, scaled)) << point) // 10 ** (digits + EXTRA_DIGITS)
+    cutoff = (sum(map(abs, scaled.values())) << point) // 10 ** (digits + EXTRA_DIGITS)
     tail = _bernoulli_tails(lambda n: _em_table(point, s, n)[derivative], ms, q, point, cutoff, weights)
     if derivative and tail is not None:
         # the D_k tail minus the C_k tail of the weights W_a lam_a, which
@@ -877,7 +953,6 @@ def _periodic_attempt(prec: int, s: Fraction, q: int, support: dict, n_shift: in
         tail = None if log_tail is None else tail - log_tail
     if tail is None:
         return None
-    head = sum(n * by_class[a % q] for n, a in zip(scaled, support))
     half = sum(weights)
     integral = sum(w * m for w, m in zip(weights, ms))
     q_s1 = q * (u - v)
@@ -909,21 +984,26 @@ def _fixed_log(n: int, point: int) -> int:
     return to_fixed(mpf_log(from_int(n, wp, round_nearest), wp, round_nearest), point)
 
 
-def _periodic_roots(s: Fraction, q: int, support: dict, top: int, point: int, logs: bool = False) -> tuple:
+def _periodic_roots(s: Fraction, q: int, scaled: dict, top: int, point: int, logs: bool = False) -> tuple:
     """The integers of ``periodic_zeta`` at N = top/q, by one of its two routes.
 
-    r(m) = floor(2^point m^(-s)), and the result is (class sums, roots):
-    sum r(m) over m <= top in each class m mod q of the support (a = q is
-    the class 0), and {top + a: r(top + a)} for each residue a.  With
-    ``logs`` the class sums are of r(m) lam(m), lam(m) = floor(2^point log m),
-    by the direct route; at s = 0, where r(m) = 2^point, each class takes
-    one log, of the product of its terms.
+    ``scaled`` maps each residue a of the support to its integer weight
+    n_a, and r(m) = floor(2^point m^(-s)).  The result is (head, roots):
+    the head sum_a n_a sum r(m) over m <= top in the class m mod q of a
+    (a = q is the class 0), and {top + a: r(top + a)} for each residue a.
+    With ``logs`` the class sums are of r(m) lam(m),
+    lam(m) = floor(2^point log m), by the direct route; at s = 0, where
+    r(m) = 2^point, the residues of one weight take one log, of the
+    product of all their terms.
     """
     u, v = s.numerator, s.denominator
     last = top + q
     if logs and not u:
-        return ({a % q: _fixed_log(math.prod(range(a, top + 1, q)), point) << point for a in support},
-                dict.fromkeys([top + a for a in support], 1 << point))
+        products: dict[int, int] = {}
+        for a, n in scaled.items():
+            products[n] = products.get(n, 1) * math.prod(range(a, top + 1, q))
+        return (sum(n * _fixed_log(product, point) for n, product in products.items()) << point,
+                dict.fromkeys([top + a for a in scaled], 1 << point))
     if v * (v * point + abs(u) * last.bit_length()) <= _EXACT_ROOT_BITS:
         scale = 1 << (v * point)
         if u > 0:
@@ -941,20 +1021,21 @@ def _periodic_roots(s: Fraction, q: int, support: dict, top: int, point: int, lo
 
     # the sieve where the primes up to Nq, about Nq / ln(Nq), are fewer
     # than the N |support| terms; at v = 1 a quotient costs less than a product
-    if not logs and v > 1 and len(support) * math.log(top) > q:
-        return _sieve_sums(root, q, support, top, point)
-    by_class, roots = {}, {}
-    for a in support:
+    if not logs and v > 1 and len(scaled) * math.log(top) > q:
+        by_class, roots = _sieve_sums(root, q, scaled, top, point)
+        return sum(n * by_class[a % q] for a, n in scaled.items()), roots
+    head, roots = 0, {}
+    for a, n in scaled.items():
         terms = list(map(root, range(a, last + 1, q)))
         roots[top + a] = terms.pop()
         if logs:
             terms = [r * _fixed_log(m, point) for r, m in zip(terms, range(a, top + 1, q))]
-        by_class[a % q] = sum(terms)
-    return by_class, roots
+        head += n * sum(terms)
+    return head, roots
 
 
 def _sieve_sums(root, q: int, support: dict, top: int, point: int) -> tuple:
-    """``_periodic_roots`` by the sieve: r(m) = root(m) at primes, from r(m/p) r(p) elsewhere.
+    """``_periodic_roots``' class sums and roots by the sieve: r(m) = root(m) at primes, else r(m/p) r(p).
 
     Every m the sum reads is prime to the primes of q that divide no
     residue of the support, and so is every factor of such an m; for a

@@ -153,6 +153,18 @@ def test_quadratic_character_mod13_brute_force():
     assert chi(2) == -1
 
 
+def test_mult_order_at_the_least_modulus():
+    # m = 2 is the least modulus taken, and every unit has order 1 there
+    assert mult_order(1, 2) == mult_order(3, 2) == mult_order(-1, 2) == 1
+
+
+@pytest.mark.parametrize("p", [2, 15, 27])
+def test_quadratic_character_names_a_conductor_that_is_no_odd_prime(p):
+    # 2 and the composites are refused as conductors before p mod 4 is read
+    with pytest.raises(ValidationError, match=f"conductor must be an odd prime, got {p}$"):
+        quadratic_character(p)
+
+
 def test_quadratic_character_rejections():
     with pytest.raises(ValidationError):
         quadratic_character(7)  # odd character, p = 3 mod 4
@@ -225,6 +237,13 @@ def test_half_units_sieve_matches_gcd_definition():
     for q in range(2, 3001):
         assert half_units(q) == [a for a in range(1, q // 2 + 1) if gcd(a, q) == 1], q
     assert half_units(1) == half_units(0) == half_units(-7) == []
+
+
+def test_character_table_negative_at_one_is_not_multiplicative():
+    # chi(1) = -1 breaks chi(1 * 1) = chi(1)^2; the table takes -1, so it
+    # is not called principal
+    with pytest.raises(ValidationError, match="not completely multiplicative"):
+        Character(conductor=5, modulus=5, values=(0, -1, 1, 1, 1))
 
 
 #: The Legendre symbol mod 7, an odd character.

@@ -198,6 +198,26 @@ def test_classify_rejects_small():
         classify_modulus(0)
 
 
+@pytest.mark.parametrize("q", [7.0, "7", Fraction(7), 1, 0])
+def test_classify_names_a_modulus_that_is_no_integer_from_2(q):
+    # a value equal to an admissible integer is refused all the same
+    with pytest.raises(ValidationError, match=r"modulus must be an integer >= 2, got "):
+        classify_modulus(q)
+
+
+def test_shape_v_reads_all_three_pairs_and_both_orientations():
+    # past the digest's 2000: at 3059 = 7 * 19 * 23 only (7-1)/2 and
+    # (19-1)/2 share a factor, and 2607 = 3 * 11 * 79 is V,1 by the
+    # reverse orientation of the cyclic pattern alone
+    c = classify_modulus(3059)
+    assert c.label() == "Uncovered"
+    assert c.trace[-1] == ("(p-1)/2 pairwise coprime across the three primes", False)
+    c = classify_modulus(2607)
+    assert c.label() == "PeiFeng(V,1)"
+    assert c.trace[-2:] == [("cyclic primitive/semi-primitive pattern (forward)", False),
+                            ("cyclic primitive/semi-primitive pattern (reverse)", True)]
+
+
 #: SHA-256 of the JSON list of every classification for q in 2..1999:
 #: every label, flag and trace byte of the ladder, fixed before it was
 #: rebuilt from shared predicates.

@@ -23,6 +23,8 @@ from lprime.lseries import (
     l_deriv0_closed,
     l_deriv0_even,
     l_value,
+    l_value2,
+    l_value2_even,
 )
 from lprime.numkernel import (
     hurwitz_zeta,
@@ -362,6 +364,72 @@ def test_l_deriv0_walk_against_head(q, route, routes_taken):
     assert routes_taken == [route]
     with mp.workprec(prec_bits(d) + 40):
         ref = -mp.log(2 * mp.sin(mp.pi / q))
+    assert abs(value - ref) < tol(d)
+
+
+@pytest.fixture
+def value_routes_taken(monkeypatch):
+    """The names of the routes that ``l_value2`` calls, in order."""
+    taken = []
+    for name in ("l_value2_even", "l_value"):
+        route = getattr(lseries, name)
+        monkeypatch.setattr(lseries, name, lambda *args, name=name, route=route: taken.append(name) or route(*args))
+    return taken
+
+
+def test_eval_s2_reads_the_csc2_sum_for_a_dense_even_f(rng, tmp_path, capsys, value_routes_taken):
+    # a dense even f at q = 41, 240 digits, and a dense even f of no
+    # Dirichlet type with f(q/2) and f(q) not 0: the report keeps its label
+    for f, d in [(random_even_dirichlet(41, rng, allow_zero=False), 240),
+                 (PeriodicFunction(q=12, values={1: 2, 2: -1, 3: 5, 4: 1, 6: Fraction(7, 3), 8: 1, 9: 5,
+                                                 10: -1, 11: 2, 12: -4}), 50)]:
+        value_routes_taken.clear()
+        path = tmp_path / "f.json"
+        path.write_text(f.dumps())
+        assert run(["eval", "--fn", str(path), "--s", "2", "--digits", str(d), "--output", "json"]) == 0
+        assert value_routes_taken == ["l_value2_even"]
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == "HurwitzSum"
+        assert report["value"] == nstr(l_value2_even(f, d), d)
+        assert abs(l_value2_even(f, d) - l_value(2, f, d)) < tol(d)
+
+
+def test_l_value2_takes_the_series_for_a_sparse_f_at_a_large_period(value_routes_taken):
+    q, d = 10**6 + 3, 50
+    f = PeriodicFunction(q=q, values={1: 1, q - 1: 1})
+    start = perf_counter()
+    value = l_value2(f, d)
+    assert perf_counter() - start < 1
+    assert value_routes_taken == ["l_value"]
+    with mp.workprec(prec_bits(d) + 40):
+        ref = (mp.zeta(2, mpf(1) / q) + mp.zeta(2, mpf(q - 1) / q)) / q**2
+    assert abs(value - ref) < tol(d)
+
+
+@pytest.mark.parametrize("f", [
+    PeriodicFunction(q=7, values={1: 1, 2: 3, 5: -3, 6: -1}),
+    PeriodicFunction(q=2, values={1: 1, 2: 3}),
+    PeriodicFunction(q=1, values={1: 1}),
+], ids=("odd", "q2", "q1"))
+def test_l_value2_takes_the_series_for_odd_f_and_periods_below_3(f, value_routes_taken):
+    value = l_value2(f, 50)
+    assert value_routes_taken == ["l_value"]
+    assert value == l_value(2, f, 50)
+    with pytest.raises(ValidationError):
+        l_value2_even(f, 50)
+
+
+@pytest.mark.parametrize("q, route", [(3, "l_value2_even"), (21, "l_value2_even"), (23, "l_value"),
+                                      (20, "l_value2_even")])
+def test_l_value2_walk_against_head(q, route, value_routes_taken):
+    # the rule of l_deriv0 without its Dirichlet condition: at 10 digits
+    # N = 10, and f on 1 and q - 1 (and q for q = 20) walks q // 2 steps
+    d = 10
+    values = {1: 1, q - 1: 1, **({q: 5} if q == 20 else {})}
+    value = l_value2(PeriodicFunction(q=q, values=values), d)
+    assert value_routes_taken == [route]
+    with mp.workprec(prec_bits(d) + 40):
+        ref = sum(c * mp.zeta(2, mpf(a) / q) for a, c in values.items()) / q**2
     assert abs(value - ref) < tol(d)
 
 

@@ -4,19 +4,21 @@ import concurrent.futures
 import random
 import sys
 from fractions import Fraction
-from math import ceil, factorial, gcd, isqrt, log10
+from math import ceil, comb, factorial, gcd, isqrt, log10
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from lprime import numkernel
 from lprime.cli import run
 from lprime.errors import ConvergenceError, PoleError, ValidationError
 from lprime.numkernel import (
     bernoulli,
+    csc2_sum,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     log2_const,
@@ -271,6 +273,61 @@ def test_log_sine_sum_against_per_residue_logs(d):
     assert log_sine_sum(7, [(1, 0), (2, 0), (3, 0)], d) == 0
 
 
+def _even_values(q, rng, big=False):
+    """An even f mod q on units and non-units, with f(q/2) and f(q) not 0."""
+    values = {}
+    for a in range(1, q // 2 + 1):
+        if rng.random() < 0.6:
+            values[a] = values[q - a] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    values[q] = Fraction(rng.choice((-5, -1, 2, 7)), rng.randint(1, 3))
+    if q % 2 == 0:
+        values[q // 2] = Fraction(rng.choice((-3, 1, 4)), rng.randint(1, 2))
+    if big:
+        # one pair (or the residue q) of size 10^400, and a large numerator
+        # over a large denominator
+        a = rng.choice([a for a in values if 2 * a < q] or [q])
+        values[a] = values[q - a if a < q else q] = Fraction(10**400 + rng.randint(1, 99), 7)
+        values[q] = Fraction(10**30 + 1, 10**29 + 3)
+    return {a: c for a, c in sorted(values.items()) if c}
+
+
+@pytest.mark.parametrize("q, d", [(3, 15), (4, 600), (6, 50), (10, 240), (12, 15), (30, 120),
+                                  (64, 50), (97, 240), (210, 30), (331, 15)])
+def test_csc2_sum_is_l_of_2_for_even_f(q, d):
+    # (pi/q)^2 (sum_(a<q/2) f(a) csc^2(a pi/q) + f(q/2)/2 + f(q)/6) against
+    # the series L(2, f) and mpmath's Hurwitz zeta, for even f that are not
+    # of Dirichlet type, with f(q/2) and f(q) not 0, and at values to 10^400
+    rng = random.Random(q * 1000 + d)
+    for big in (False, True) if q <= 64 else (False,):
+        values = _even_values(q, rng, big)
+        got = csc2_sum(q, [(a, c) for a, c in values.items() if 2 * a <= q or a == q], d)
+        with mp.workdps(d + 20 + 400 * big):
+            exact = mp.fsum(c.numerator * mp.zeta(2, mpf(a) / q) / c.denominator
+                            for a, c in values.items()) / q**2
+        bound = tol(d) * max(1, abs(exact))
+        assert abs(got - exact) < bound, (q, d, big)
+        assert abs(periodic_zeta(2, q, values, d) - exact) < bound, (q, d, big)
+
+
+def test_csc2_sum_exact_terms():
+    # k_(q/2) = 1/2 and k_q = 1/6, at the scale of the walk's terms:
+    # (pi/4)^2 / 2, (pi/q)^2 / 6 and (pi/4)^2 (2 csc^2(pi/4) + 1/2) = 9 pi^2/32
+    d = 60
+    pi2 = pi_const(d + 10) ** 2
+    for q, pairs, exact in [(4, [(2, 1)], pi2 / 32), (7, [(7, 1)], pi2 / 294), (4, [(1, 2), (2, 1)], 9 * pi2 / 32),
+                            (6, [(3, Fraction(-2, 3)), (6, Fraction(1, 5))], pi2 * (Fraction(-1, 3) + Fraction(1, 30)) / 36)]:
+        assert abs(csc2_sum(q, pairs, d) - exact) < tol(d), (q, pairs)
+    assert csc2_sum(5, [], d) == 0
+    assert csc2_sum(5, [(1, 0), (2, 0), (5, 0)], d) == 0
+
+
+def test_csc2_sum_domain():
+    for q, pairs in [(7, [(2, 1), (1, 1)]), (7, [(4, 1)]), (7, [(7, 1), (1, 1)]), (8, [(4, 1), (4, 1)]),
+                     (7, [(1.5, 1)]), (1, [(1, 1)]), (7.0, [(1, 1)])]:
+        with pytest.raises(ValidationError):
+            csc2_sum(q, pairs, 50)
+
+
 # ---------------------------------------------------------------------------
 # log_gamma_frac
 
@@ -436,6 +493,38 @@ def test_hurwitz_integer_s_grid_against_mpmath(d, root_calls):
                     assert root_calls == [1] * _integer_s_roots(s, x, d, derivative, factor), (s, x, d, factor)
 
 
+def _bernoulli_polynomial_value(n, q, support):
+    """L(1 - n, f) = q^(n-1) sum_a f(a) (-B_n(a/q)/n), residue by residue in Fractions."""
+    def zeta(x):
+        return -sum(comb(n, j) * bernoulli(j) * x ** (n - j) for j in range(n + 1)) / n
+    return q ** (n - 1) * sum(c * zeta(Fraction(a, q)) for a, c in support.items())
+
+
+def test_power_sums_are_the_bernoulli_polynomials_bit_for_bit():
+    # L(1 - n, f) from integer power sums is the same rational as the
+    # per-residue Bernoulli polynomials, so the rounded values share every
+    # bit; zeta(1 - n, a/q) is the one-residue case over q^(n-1)
+    rng = random.Random(32)
+    for q in (1, 2, 3, 12, 30, 97, 210, 512, 1000):
+        for n in (1, 2, 3, 7, 16, 30):
+            units = [a for a in range(1, q + 1) if gcd(a, q) == 1]
+            supports = [{a: 1} for a in rng.sample(range(1, q + 1), min(q, 2))]
+            supports.append({a: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+                             for a in rng.sample(range(1, q + 1), min(q, 5))})
+            supports.append({a: Fraction(rng.randint(-3, 3) or 2, 1 + a % 4) for a in units[:40]})
+            for support in supports:
+                exact = _bernoulli_polynomial_value(n, q, support)
+                numer, denom = numkernel._power_sums(n, q, support)
+                assert denom > 0 and Fraction(numer, denom) == exact, (q, n, support)
+                for d in (10, 60):
+                    want = from_rational(exact.numerator, exact.denominator, prec_bits(d), round_nearest)
+                    assert periodic_zeta(1 - n, q, support, d)._mpf_ == want, (q, n, d)
+            a = rng.randint(1, q)
+            exact = _bernoulli_polynomial_value(n, q, {a: 1}) / q ** (n - 1)
+            want = from_rational(exact.numerator, exact.denominator, prec_bits(40), round_nearest)
+            assert hurwitz_zeta(1 - n, Fraction(a, q), 40)._mpf_ == want, (q, n, a)
+
+
 def test_log_head_at_64_times_the_first_shift():
     # the derivative head at s = 0 is one log of prod m at every shift:
     # here N = 64 * 194 = 12,416 terms at the 242 digits of
@@ -444,6 +533,27 @@ def test_log_head_at_64_times_the_first_shift():
     with mp.workprec(prec_bits(d) + 40):
         ref = mp.zeta(0, mpf(x.numerator) / x.denominator, 1)
     assert abs(_em_at_shift(0, x, d, True, 64) - ref) < tol(d)
+
+
+def test_s0_head_takes_one_log_per_value(monkeypatch):
+    # L'(0, f) at q = 41: one head log per distinct value of f, of the
+    # product of the terms of all its residues, and one log per residue
+    # for the rests, 9 + 40 logs where one per residue took 80; the value
+    # agrees with mpmath's log Gamma closed form
+    q, d = 41, 240
+    values = {a: Fraction(a * a % 9 - 4, 1 + a * a % 2) for a in range(1, 41)}
+    distinct = set(values.values()) - {0}
+    support = {a: c for a, c in values.items() if c}
+    logs = []
+    fixed_log = numkernel._fixed_log
+    monkeypatch.setattr(numkernel, "_fixed_log", lambda n, point: logs.append(n) or fixed_log(n, point))
+    mine = periodic_zeta_ds(0, q, values, d)
+    assert len(logs) == len(distinct) + len(support)
+    with mp.workprec(prec_bits(d) + 40):
+        ref = mp.fsum(c.numerator * (mp.loggamma(mpf(a) / q) - mp.log(2 * mp.pi) / 2
+                                     - (mpf(1) / 2 - mpf(a) / q) * mp.log(q)) / c.denominator
+                      for a, c in support.items())
+    assert abs(mine - ref) < tol(d)
 
 
 def _zeta_error(s, x, d, derivative):

@@ -1,0 +1,199 @@
+"""Interleaved A/B timing of two revisions of lprime in one process.
+
+    python3 tools/ab.py --parent REV [--change REV] [--workload evaluate] \
+        [--seed 1] [--rounds 4] [--json out.json]
+
+Run from the root of a git checkout.  ``git archive`` writes each
+revision's ``src/lprime`` into a package of its own name: ``lp_parent``,
+``lp_aa`` (a second copy of the parent, the A/A control) and
+``lp_change``.  ``--change`` defaults to the working tree's
+``src/lprime``.  lprime imports itself only relatively, so the three load
+side by side.  Each side builds the operations of one workload of
+``perfbench/workloads.py`` (read from this checkout) against its own
+package, from the same seed.
+
+One untimed round warms every side; then each timed round runs every
+operation on all three sides back to back, the side that goes first
+rotating per operation and round, so that none finds mpmath's caches warm
+more often than another.  Every output is compared with the parent's: a
+CLI report byte for byte, a library value by its raw ``_mpf_``, and a
+library object field by field (``comparable``).
+
+Printed, and written with ``--json``, over the timed rounds (median,
+quartiles and range of the per-round ratios): the ratio of the median
+operation latency, change over parent and A/A over parent, the same for
+the round total, and the round-total ratios per operation kind.  The exit status is 1 when an output differs,
+0 otherwise.  Standard library only; not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import enum
+import importlib
+import importlib.util
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from collections.abc import Mapping
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("lp_parent", "lp_aa", "lp_change")
+
+
+def write_package(rev: str | None, name: str, into: Path) -> None:
+    """``src/lprime`` of ``rev`` (the working tree for None) as the package ``into/name``."""
+    target = into / name
+    if rev is None:
+        shutil.copytree(ROOT / "src" / "lprime", target, ignore=shutil.ignore_patterns("__pycache__"))
+        return
+    archive = subprocess.run(["git", "archive", rev, "src/lprime"], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        for member in tar.getmembers():
+            if member.isfile():
+                path = target / Path(member.name).relative_to("src/lprime")
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(tar.extractfile(member).read())
+
+
+def load_workloads(name: str):
+    """perfbench/workloads.py as a module of its own whose ``lprime`` is the package ``name``."""
+    package = importlib.import_module(name)
+    modules = {f"lprime.{path.stem}": importlib.import_module(f"{name}.{path.stem}")
+               for path in Path(package.__file__).parent.glob("*.py") if path.stem != "__init__"}
+    modules["lprime"] = package
+    saved = {key: sys.modules.pop(key) for key in list(sys.modules) if key.split(".")[0] == "lprime"}
+    sys.modules.update(modules)
+    try:
+        spec = importlib.util.spec_from_file_location(f"workloads_{name}", ROOT / "perfbench" / "workloads.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        for key in modules:
+            del sys.modules[key]
+        sys.modules.update(saved)
+    return module
+
+
+def comparable(out):
+    """An output as a value to compare across sides, whichever package built it.
+
+    An mpf becomes its raw tuple, an enum member its class name and value,
+    and a dataclass its class name and fields, as do the items of a
+    mapping, list or tuple; anything else stands for itself.
+    """
+    if hasattr(out, "_mpf_"):
+        return out._mpf_
+    if isinstance(out, enum.Enum):
+        return type(out).__name__, out.value
+    if dataclasses.is_dataclass(out):
+        return (type(out).__name__, *(comparable(getattr(out, f.name)) for f in dataclasses.fields(out)))
+    if isinstance(out, Mapping):
+        return {key: comparable(value) for key, value in out.items()}
+    if isinstance(out, (list, tuple)):
+        return tuple(map(comparable, out))
+    return out
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "quartiles": [round(q1, 4), round(q3, 4)],
+            "range": [round(min(values), 4), round(max(values), 4)]}
+
+
+def run(ops: dict[str, list], rounds: int) -> tuple[list[dict[str, list[float]]], list[str]]:
+    """Per timed round, each side's latencies in seconds by operation; and the differing outputs."""
+    count = len(ops[SIDES[0]])
+    timings, differ = [], []
+    for r in range(rounds + 1):
+        latencies = {side: [0.0] * count for side in SIDES}
+        for i in range(count):
+            shift = (i + r) % len(SIDES)
+            outputs = {}
+            for side in SIDES[shift:] + SIDES[:shift]:
+                op = ops[side][i]
+                start = perf_counter()
+                out = op.call()
+                latencies[side][i] = perf_counter() - start
+                outputs[side] = comparable(out)
+            if r == 0:
+                differ += [f"{ops[side][i].kind} {ops[side][i].label} ({side})"
+                           for side in SIDES[1:] if outputs[side] != outputs[SIDES[0]]]
+        if r:
+            timings.append(latencies)
+    return timings, differ
+
+
+def summarise(timings: list[dict[str, list[float]]], kinds: list[str]) -> dict:
+    def ratios(measure, side, pick=None):
+        out = []
+        for latencies in timings:
+            chosen = {s: [t for t, k in zip(latencies[s], kinds) if pick in (None, k)] for s in SIDES}
+            out.append(measure(chosen[side]) / measure(chosen["lp_parent"]))
+        return out
+
+    summary = {}
+    for metric, measure in (("median_op_latency", statistics.median), ("round_total", sum)):
+        summary[metric] = {
+            "parent_ms_median": round(1000 * statistics.median(measure(t["lp_parent"]) for t in timings), 4),
+            "change_ms_median": round(1000 * statistics.median(measure(t["lp_change"]) for t in timings), 4),
+            "change_over_parent": quartiles(ratios(measure, "lp_change")),
+            "aa_control": quartiles(ratios(measure, "lp_aa")),
+        }
+    summary["round_total_by_kind"] = {
+        kind: {"ops_per_round": kinds.count(kind),
+               "change_over_parent": quartiles(ratios(sum, "lp_change", kind)),
+               "aa_control": quartiles(ratios(sum, "lp_aa", kind))}
+        for kind in dict.fromkeys(kinds)}
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--change", help="git revision of the change side (default: the working tree)")
+    parser.add_argument("--workload", default="evaluate", choices=("evaluate", "relations", "census"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=4, help="timed rounds, at least 2")
+    parser.add_argument("--json", type=Path, help="write the summary to this file")
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
+
+    with tempfile.TemporaryDirectory(prefix="lprime-ab-") as tmp:
+        tmp = Path(tmp)
+        for name, rev in zip(SIDES, (args.parent, args.parent, args.change)):
+            write_package(rev, name, tmp)
+        sys.path[:0] = [str(tmp), str(ROOT / "perfbench")]
+        ops = {name: load_workloads(name).build(args.workload, args.seed, tmp / f"work_{name}") for name in SIDES}
+        timings, differ = run(ops, args.rounds)
+    kinds = [op.kind for op in ops["lp_parent"]]
+    summary = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
+               "parent": args.parent, "change": args.change or "working tree",
+               "ops_per_round": len(kinds), "outputs_differ": differ, **summarise(timings, kinds)}
+    if args.json:
+        args.json.write_text(json.dumps(summary, indent=1) + "\n")
+    for metric in ("median_op_latency", "round_total"):
+        m = summary[metric]
+        print(f"{metric}: parent {m['parent_ms_median']} ms, change {m['change_ms_median']} ms; "
+              f"change/parent {m['change_over_parent']['median']} {m['change_over_parent']['quartiles']}, "
+              f"A/A {m['aa_control']['median']} {m['aa_control']['quartiles']}")
+    for kind, m in summary["round_total_by_kind"].items():
+        print(f"  {kind} x{m['ops_per_round']}: round total change/parent {m['change_over_parent']['median']}, "
+              f"A/A {m['aa_control']['median']}")
+    for line in differ:
+        print(f"output differs: {line}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
