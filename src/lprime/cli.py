@@ -19,6 +19,12 @@ the default is 50 digits, the ``LPRIME_DIGITS`` environment variable
 overrides the default, and an explicit ``--digits`` flag wins over both.
 ``classify`` and ``rank`` are exact, take no ``--digits`` and never read
 ``LPRIME_DIGITS``.
+
+An argv that opens with a subcommand is read against that subcommand's
+own arguments: a plain one (exact ``--flag value`` or ``--flag=value``
+tokens, each flag once, see ``_scan``) without argparse, and any other
+by the subcommand's argparse parser, so help text, error messages and
+exit codes stay argparse's.
 """
 
 from __future__ import annotations
@@ -181,51 +187,61 @@ def _cmd_rank(args) -> tuple[dict, list[str]]:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and each subcommand's own parser by name."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
+                            dict[str, dict[str, argparse.Action]]]:
+    """The full parser, each subcommand's own parser by name, and each
+    subcommand's actions by option string (``_scan`` reads them)."""
     parser = argparse.ArgumentParser(
         prog="lprime",
         description="Special values of derivatives of L-functions of periodic functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags: dict[str, dict[str, argparse.Action]] = {}
 
-    def add_common(p, numeric=True):
+    def add(command, *names, **kwargs):
+        # what _scan can read as argparse does: a store or store_true, and
+        # no string default that argparse would pass through the type
+        assert kwargs.get("action", "store") in ("store", "store_true"), names
+        assert not (isinstance(kwargs.get("default"), str) and "type" in kwargs), names
+        action = sub.choices[command].add_argument(*names, **kwargs)
+        flags.setdefault(command, {}).update(dict.fromkeys(action.option_strings, action))
+
+    def add_common(command, numeric=True):
         if numeric:
-            p.add_argument("--digits", type=int, default=None,
-                           help=f"decimal working precision (default {DEFAULT_DIGITS}, "
-                                f"or ${DIGITS_ENV_VAR})")
-        p.add_argument("--output", choices=("text", "json"), default="text")
+            add(command, "--digits", type=int, default=None,
+                help=f"decimal working precision (default {DEFAULT_DIGITS}, "
+                     f"or ${DIGITS_ENV_VAR})")
+        add(command, "--output", choices=("text", "json"), default="text")
 
-    p_eval = sub.add_parser("eval", help="L(s, f), or L'(0, f) when s = 0")
-    p_eval.add_argument("--fn", required=True, help="path to a periodic-function JSON file")
-    p_eval.add_argument("--s", required=True, help="rational evaluation point (s != 1)")
-    add_common(p_eval)
+    sub.add_parser("eval", help="L(s, f), or L'(0, f) when s = 0")
+    add("eval", "--fn", required=True, help="path to a periodic-function JSON file")
+    add("eval", "--s", required=True, help="rational evaluation point (s != 1)")
+    add_common("eval")
 
-    p_classify = sub.add_parser("classify", help="classify a modulus")
-    p_classify.add_argument("--q", type=int, required=True)
-    add_common(p_classify, numeric=False)
+    sub.add_parser("classify", help="classify a modulus")
+    add("classify", "--q", type=int, required=True)
+    add_common("classify", numeric=False)
 
-    p_ident = sub.add_parser("identity", help="coprime sine-product identity residual")
-    p_ident.add_argument("--q", type=int, required=True)
-    add_common(p_ident)
+    sub.add_parser("identity", help="coprime sine-product identity residual")
+    add("identity", "--q", type=int, required=True)
+    add_common("identity")
 
-    p_rel = sub.add_parser("relations", help="certified integer relation over the log-sine basis")
-    p_rel.add_argument("--q", type=int, required=True)
-    p_rel.add_argument("--max-coeff", type=int, default=DEFAULT_MAX_COEFF)
-    p_rel.add_argument("--extended", action="store_true",
-                       help="append pi and log 2 (no relation has pi; log 2 only at q = 2^n, n >= 3)")
-    add_common(p_rel)
+    sub.add_parser("relations", help="certified integer relation over the log-sine basis")
+    add("relations", "--q", type=int, required=True)
+    add("relations", "--max-coeff", type=int, default=DEFAULT_MAX_COEFF)
+    add("relations", "--extended", action="store_true",
+        help="append pi and log 2 (no relation has pi; log 2 only at q = 2^n, n >= 3)")
+    add_common("relations")
 
-    p_wit = sub.add_parser("witness", help="construct a vanishing witness for q")
-    p_wit.add_argument("--q", type=int, required=True)
-    p_wit.add_argument("--c", default="0", help="rational value of f(1) (default 0)")
-    add_common(p_wit)
+    sub.add_parser("witness", help="construct a vanishing witness for q")
+    add("witness", "--q", type=int, required=True)
+    add("witness", "--c", default="0", help="rational value of f(1) (default 0)")
+    add_common("witness")
 
-    p_rank = sub.add_parser("rank", help="exact rank of a family of functions")
-    p_rank.add_argument("--fns", nargs="+", required=True,
-                        help="periodic-function JSON files")
-    add_common(p_rank, numeric=False)
-    return parser, sub.choices
+    sub.add_parser("rank", help="exact rank of a family of functions")
+    add("rank", "--fns", nargs="+", required=True, help="periodic-function JSON files")
+    add_common("rank", numeric=False)
+    return parser, sub.choices, flags
 
 
 _HANDLERS = {
@@ -239,22 +255,76 @@ _HANDLERS = {
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
+                        dict[str, dict[str, argparse.Action]]]:
     """Built on the first ``run``; ``run`` reads ``LPRIME_DIGITS`` on every numeric call."""
     return build_parser()
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv once: an argv that opens with a subcommand goes to that subcommand's parser.
+def _scan(argv: list[str], flags: dict[str, argparse.Action], command: str) -> argparse.Namespace | None:
+    """A subcommand's argv read as its parser reads it, or None when argv is not plain.
 
-    The full parser would hand everything after the name to the same
-    parser; only the usage line of an unrecognised argument differs.
-    Anything else (no subcommand, an unknown one, a top-level ``-h``)
-    goes through the full parser.
+    Plain argv holds only ``--flag value`` and ``--flag=value`` tokens
+    (``--flag`` alone for a store_true), each flag an exact option string
+    of ``flags`` and given once, a separate value not starting with "-",
+    and every value converted by its action's type and among its choices;
+    every required flag is given, and the others take their defaults as
+    they stand (argparse would pass a string default through the type;
+    ``build_parser`` asserts that no flag has both, and that each is a
+    store or a store_true).
+    Anything else (an abbreviation, a repeat, ``--``, ``-h``, rank's
+    ``--fns``, a value that does not convert) is argparse's to read, with
+    its own messages and exit codes.
     """
-    parser, subparsers = _parsers()
+    values = {}
+    i = 0
+    while i < len(argv):
+        flag, joined, value = argv[i].partition("=")
+        action = flags.get(flag)
+        # store (nargs None) and store_true (nargs 0); not rank's --fns (nargs "+")
+        if action is None or action.nargs not in (None, 0) or action.dest in values:
+            return None
+        i += 1
+        if action.nargs == 0:
+            if joined:
+                return None
+            value = action.const
+        else:
+            if not joined:
+                if i == len(argv) or argv[i].startswith("-"):
+                    return None
+                value = argv[i]
+                i += 1
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+    for action in flags.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(command=command, **values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv once: an argv that opens with a subcommand goes to that subcommand.
+
+    Plain argv (``_scan``) is read without argparse; any other goes to
+    the subcommand's own parser.  The full parser would hand everything
+    after the name to the same parser; only the usage line of an
+    unrecognised argument differs.  Anything else (no subcommand, an
+    unknown one, a top-level ``-h``) goes through the full parser.
+    """
+    parser, subparsers, flags = _parsers()
     if argv and argv[0] in subparsers:
-        return subparsers[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        command = argv[0]
+        args = _scan(argv[1:], flags[command], command)
+        return args or subparsers[command].parse_args(argv[1:], argparse.Namespace(command=command))
     return parser.parse_args(argv)
 
 

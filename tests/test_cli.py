@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from lprime.cli import _parse, build_parser, run
+from lprime.cli import _parse, _scan, build_parser, run
 from lprime.periodic import PeriodicFunction
 
 
@@ -192,16 +192,34 @@ def test_full_parser_exit_codes(capsys, argv, code):
     ["classify", "--", "--q", "5"],
     ["classify", "--q", "x"],
     ["identity", "--q", "5", "--"],
+    ["classify", "--q="],
+    ["relations", "--q", "15", "--extended=1"],
+    ["identity", "--q", "-5"],
+    ["classify", "--q", "9", "--output", "xml"],
+    ["identity", "--q", "5", "--q", "7"],
 ])
 def test_one_parse_reads_what_the_full_parser_reads(capsys, argv):
-    # the same namespace, or the same exit code
-    def outcome(parse):
-        try:
-            return vars(parse(argv))
-        except SystemExit as exc:
-            return exc.code
+    assert _parse_outcome(_parse, argv) == _parse_outcome(build_parser()[0].parse_args, argv)
 
-    assert outcome(_parse) == outcome(build_parser()[0].parse_args)
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--q", "155"],
+    ["identity", "--output=json", "--q", "45", "--digits", "20"],
+    ["relations", "--q=55", "--extended", "--max-coeff", "4", "--output", "text"],
+    ["witness", "--c=-3/2", "--q", "155"],
+    ["eval", "--fn", "f.json", "--s=-1/2", "--digits", "30"],
+])
+def test_plain_argv_is_read_without_argparse(argv):
+    parser, _, flags = build_parser()
+    assert _scan(argv[1:], flags[argv[0]], argv[0]) == parser.parse_args(argv)
+
+
+def _parse_outcome(parse, argv):
+    """The namespace, or the exit code."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_bad_digits(capsys, zero9):
@@ -435,15 +453,17 @@ def _rational_text(num: int, den: int) -> str:
 
 _text = st.text(max_size=12)
 _small_rational = st.builds(_rational_text, st.integers(-20, 20), st.integers(1, 6))
-# flag values: arbitrary text, or small in-range values that run quickly
-_VALUES = {
-    "--q": st.integers(-3, 199).map(str) | _text,
-    "--digits": st.integers(0, 60).map(str) | _text,
-    "--output": st.sampled_from(["text", "json"]) | _text,
-    "--s": _small_rational | _text,
-    "--c": _small_rational | _text,
-    "--max-coeff": st.integers(-2, 1000).map(str) | _text,
+#: Small in-range flag values that run quickly.
+_IN_RANGE = {
+    "--q": st.integers(-3, 199).map(str),
+    "--digits": st.integers(0, 60).map(str),
+    "--output": st.sampled_from(["text", "json"]),
+    "--s": _small_rational,
+    "--c": _small_rational,
+    "--max-coeff": st.integers(-2, 1000).map(str),
 }
+# flag values: arbitrary text, or small in-range values
+_VALUES = {flag: values | _text for flag, values in _IN_RANGE.items()}
 _FLAGS = {
     "eval": ["--fn", "--s", "--digits", "--output"],
     "classify": ["--q", "--output"],
@@ -452,6 +472,13 @@ _FLAGS = {
     "witness": ["--q", "--c", "--digits", "--output"],
     "rank": ["--fns", "--output"],
 }
+
+
+def test_drawn_argv_covers_every_flag():
+    # a flag added to a subcommand is drawn by the argv tests below
+    flags = build_parser()[2]
+    assert {command: sorted(names) for command, names in flags.items()} == \
+        {command: sorted(names) for command, names in _FLAGS.items()}
 
 
 @pytest.mark.parametrize("command", sorted(_FLAGS))
@@ -474,6 +501,44 @@ def test_every_argv_ends_in_an_exit_code(function_files, command, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     assert code in (0, 1, 2), argv
+
+
+#: Tokens that are no flag of any subcommand, or that argparse reads itself.
+_STRAY = ["--", "-h", "--help", "--frob", "-q", "stray"]
+#: Values that argparse must read or reject: empty, leading "-", not an integer, no choice.
+_ODD_VALUES = st.sampled_from(["", "-", "-5", "-1/2", "--q", "x", "1.5", " 7", "xml", "a=b"])
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_parse_reads_what_the_full_parser_reads_on_drawn_argv(command, data):
+    # a plain argv (each flag exact and once, the required ones always,
+    # with an in-range value, separate or "="-joined), or one whose flags
+    # may be left out, abbreviated or repeated, with odd values and strays
+    plain = data.draw(st.booleans(), label="plain")
+    if plain:
+        flags = [flag for flag in data.draw(st.permutations(_FLAGS[command]), label="flags")
+                 if flag in ("--fn", "--s", "--q", "--fns") or data.draw(st.booleans())]
+    else:
+        flags = data.draw(st.lists(st.sampled_from(_FLAGS[command] + _STRAY), max_size=6), label="flags")
+    argv = [command]
+    for flag in flags:
+        if flag in _STRAY:
+            argv.append(flag)
+            continue
+        name = flag if plain else data.draw(st.just(flag) | st.integers(3, len(flag)).map(lambda k: flag[:k]))
+        values = _IN_RANGE.get(flag, st.just("a.json")) if plain else _VALUES.get(flag, _text) | _ODD_VALUES
+        if flag == "--fns":
+            argv += [name, *data.draw(st.lists(values, min_size=int(plain), max_size=3), label="files")]
+        elif flag == "--extended":
+            argv.append(name if plain else data.draw(st.sampled_from([name, f"{name}=1"])))
+        elif data.draw(st.booleans(), label="joined"):
+            argv.append(f"{name}={data.draw(values)}")
+        else:
+            argv += [name, data.draw(values)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert _parse_outcome(_parse, argv) == _parse_outcome(build_parser()[0].parse_args, argv), argv
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,23 @@ def test_two_precision_gate_rejects_a_wrong_candidate(monkeypatch, extended):
     assert find_relation_for_modulus(21, 10, 40, extended=extended) is None
 
 
+@pytest.mark.parametrize("scale, found", [("0.5", True), ("1.5", False)])
+def test_two_precision_gate_reads_the_residual_at_2d(monkeypatch, scale, found):
+    # the gate takes the residual at 2d digits, and accepts it only below
+    # 10^-(2d - 10): here the residual is scale * 10^-(digits - 10)
+    import lprime.relations as rel_mod
+
+    monkeypatch.setattr(rel_mod, "_relation_residual",
+                        lambda q, coeffs, log2_c, digits: mpf(scale) * mpf(10) ** (10 - digits))
+    assert (find_relation_for_modulus(21, 10, 40) is not None) is found
+
+
+def test_log2_relation_at_the_least_coefficient_bound():
+    # the relation at q = 2^n needs |c| = 2, so a bound of exactly 2 admits it
+    rel = find_relation_for_modulus(16, 2, 40, extended=True)
+    assert rel is not None and set(rel.coefficients.values()) == {2} and rel.log2_coefficient == -1
+
+
 def test_extended_relations_come_from_theory(monkeypatch):
     # no PSLQ on any basis: the extended relation space is the coset
     # relations with c_pi = c_2 = 0, or (2, ..., 2, 0, -1) at q = 2^n, n >= 3

@@ -21,9 +21,12 @@ library object field by field (``comparable``).
 
 Printed, and written with ``--json``, over the timed rounds (median,
 quartiles and range of the per-round ratios): the ratio of the median
-operation latency, change over parent and A/A over parent, the same for
-the round total, and the round-total ratios per operation kind.  The exit status is 1 when an output differs,
-0 otherwise.  Standard library only; not part of the test suite.
+operation latency, change over parent and A/A over parent, and the same
+for the round total; both ratios again per operation kind; and, on the
+parent and the change, the kind of the operation at each round's median
+latency (the lower median for an even count).  The exit status is 1 when
+an output differs, 0 otherwise.  Standard library only; not part of the
+test suite.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from collections.abc import Mapping
 from pathlib import Path
 from time import perf_counter
@@ -141,18 +145,26 @@ def summarise(timings: list[dict[str, list[float]]], kinds: list[str]) -> dict:
             out.append(measure(chosen[side]) / measure(chosen["lp_parent"]))
         return out
 
+    def median_kind(latencies):
+        return kinds[sorted(range(len(kinds)), key=latencies.__getitem__)[(len(kinds) - 1) // 2]]
+
+    measures = (("median_op_latency", statistics.median), ("round_total", sum))
     summary = {}
-    for metric, measure in (("median_op_latency", statistics.median), ("round_total", sum)):
+    for metric, measure in measures:
         summary[metric] = {
             "parent_ms_median": round(1000 * statistics.median(measure(t["lp_parent"]) for t in timings), 4),
             "change_ms_median": round(1000 * statistics.median(measure(t["lp_change"]) for t in timings), 4),
             "change_over_parent": quartiles(ratios(measure, "lp_change")),
             "aa_control": quartiles(ratios(measure, "lp_aa")),
         }
-    summary["round_total_by_kind"] = {
+    # the kind of the operation at each round's (lower) median, counted over the rounds
+    summary["median_op_kind"] = {side: dict(Counter(median_kind(t[side]) for t in timings).most_common())
+                                 for side in ("lp_parent", "lp_change")}
+    summary["by_kind"] = {
         kind: {"ops_per_round": kinds.count(kind),
-               "change_over_parent": quartiles(ratios(sum, "lp_change", kind)),
-               "aa_control": quartiles(ratios(sum, "lp_aa", kind))}
+               **{metric: {"change_over_parent": quartiles(ratios(measure, "lp_change", kind)),
+                           "aa_control": quartiles(ratios(measure, "lp_aa", kind))}
+                  for metric, measure in measures}}
         for kind in dict.fromkeys(kinds)}
     return summary
 
@@ -187,9 +199,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{metric}: parent {m['parent_ms_median']} ms, change {m['change_ms_median']} ms; "
               f"change/parent {m['change_over_parent']['median']} {m['change_over_parent']['quartiles']}, "
               f"A/A {m['aa_control']['median']} {m['aa_control']['quartiles']}")
-    for kind, m in summary["round_total_by_kind"].items():
-        print(f"  {kind} x{m['ops_per_round']}: round total change/parent {m['change_over_parent']['median']}, "
-              f"A/A {m['aa_control']['median']}")
+    for side, counts in summary["median_op_kind"].items():
+        print(f"  median operation of the {side[3:]}: " + ", ".join(f"{k} in {n} round(s)" for k, n in counts.items()))
+    for kind, m in summary["by_kind"].items():
+        median, total = m["median_op_latency"], m["round_total"]
+        print(f"  {kind} x{m['ops_per_round']}: change/parent median op {median['change_over_parent']['median']} "
+              f"(A/A {median['aa_control']['median']}), round total {total['change_over_parent']['median']} "
+              f"(A/A {total['aa_control']['median']})")
     for line in differ:
         print(f"output differs: {line}")
     return 1 if differ else 0
