@@ -176,21 +176,29 @@ def character_half_sum(chi: Character) -> int:
 # ---------------------------------------------------------------------------
 # Multiplicative relations among the cyclotomic units 2 sin(a pi/q)
 
+def unit_mask(q: int, top: int) -> bytearray:
+    """Byte a is 1 when gcd(a, q) = 1 and 0 otherwise, for 0 <= a <= top; q >= 1.
+
+    A sieve: the multiples of each prime factor of q are cleared, so no
+    gcd is taken.  Byte 0 is 0, as gcd(0, q) = q, except at q = 1.
+    """
+    coprime = bytearray([1]) * (top + 1)
+    coprime[0] = q == 1
+    for p, _ in factorize(q):
+        coprime[p::p] = bytes(len(range(p, top + 1, p)))
+    return coprime
+
+
 def half_units(q: int) -> list[int]:
     """The half support: residues 1 <= a <= q/2 coprime to q, ascending.
 
     The fixed column order of the log-sine formulas, the relations and
-    the rank criterion.  A sieve: the multiples of each prime factor of q
-    are cleared, so no gcd is taken.
+    the rank criterion, read from ``unit_mask``.
     """
     half = q // 2
     if half < 1:
         return []
-    coprime = bytearray([1]) * (half + 1)
-    coprime[0] = 0
-    for p, _ in factorize(q):
-        coprime[p::p] = bytes(len(range(p, half + 1, p)))
-    return list(itertools.compress(range(half + 1), coprime))
+    return list(itertools.compress(range(half + 1), unit_mask(q, half)))
 
 
 def coset_relations(q: int) -> list[tuple[int, ...]]:

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm, log, log10
+from operator import neg
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_int, from_rational, mpf_log, mpf_mul, mpf_pi, mpf_shift, mpf_sum, round_nearest
@@ -139,7 +140,12 @@ def l_deriv0_even(f: PeriodicFunction, digits: int) -> mpf:
             f"half-support reduction needs period >= 3, got {f.q}; "
             "use the closed form for tiny periods"
         )
-    return log_sine_sum(f.q, [(a, -v) for a, v in half_support(f)], digits)
+    pairs = half_support(f)
+    # one negation per distinct value object, not per residue: the residues
+    # share the value objects of f, and log_sine_sum groups by (num, den)
+    distinct = {id(v): v for _, v in pairs}
+    negated = dict(zip(distinct, map(neg, distinct.values())))
+    return log_sine_sum(f.q, [(a, negated[id(v)]) for a, v in pairs], digits)
 
 
 def l_value2_even(f: PeriodicFunction, digits: int) -> mpf:

@@ -22,8 +22,10 @@ The special functions every other module needs live here:
   the quotient of the powers of the products of the sines that share a
   coefficient, each product floored to the walk's fixed point after
   every multiply.  Every log-sine of the library comes from
-  ``log_sine_sum``.  The same raw walk values give L(2, f) of an even f
-  (``csc2_sum``): by Euler's zeta(2, x) + zeta(2, 1 - x) = pi^2 csc^2(pi x),
+  ``log_sine_sum``, or, one per residue from one walk, from ``log_sines``,
+  whose logs the same code takes.  The same raw walk values give L(2, f)
+  of an even f (``csc2_sum``): by Euler's
+  zeta(2, x) + zeta(2, 1 - x) = pi^2 csc^2(pi x),
   one fixed-point sum of n_a floor(2^(3P)/S_a^2), one exact product with
   pi^2.  ``two_sin_pi`` is mpmath's one-value sin, kept as the
   independent oracle the recurrence is tested against,
@@ -495,11 +497,41 @@ def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
     for i, (_, c) in enumerate(pairs):
         if c:
             groups.setdefault((c.numerator, c.denominator), []).append(i)
-    # the bound above, one term per value c: |c| n_c (log q + 2^-SINE_GUARD_BITS),
+    prec = _log_sine_prec(q, groups, digits)
+    point, sines = _sine_walk(q, [a for a, _ in pairs], prec)
+    return _log_of_walk(groups, sines, point, prec, digits)
+
+
+def log_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
+    """log(2 sin(a pi/q)) at d digits for each of the ascending integer ``residues``, 0 < a <= q/2.
+
+    Entry a is ``log_sine_sum(q, [(a, 1)], digits)`` bit for bit.  Every
+    one-term sum with coefficient 1 runs at the same working precision,
+    and a walk value does not depend on how far the walk goes, so one
+    walk up to the last residue serves every entry, and each takes its
+    log from that walk as ``log_sine_sum`` does.
+    """
+    _require_modulus(q)
+    prec = _log_sine_prec(q, {(1, 1): [0]}, digits)
+    point, sines = _sine_walk(q, residues, prec)
+    return [_log_of_walk({(1, 1): [i]}, sines, point, prec, digits) for i in range(len(sines))]
+
+
+def _log_sine_prec(q: int, groups: dict[tuple[int, int], list[int]], digits: int) -> int:
+    """The working precision of ``log_sine_sum`` with the residue indices ``groups`` of each (num, den)."""
+    # the bound of log_sine_sum, one term per value c: |c| n_c (log q + 2^-SINE_GUARD_BITS),
     # plus 3 units for its log, is below (floor(|num| n_c / den) + 3) bits(q)
     bound = q.bit_length() * sum(abs(num) * len(at) // den + 3 for (num, den), at in groups.items())
-    prec = prec_bits(_working_digits(digits, bound))
-    point, sines = _sine_walk(q, [a for a, _ in pairs], prec)
+    return prec_bits(_working_digits(digits, bound))
+
+
+def _log_of_walk(groups: dict[tuple[int, int], list[int]], sines: list[int], point: int, prec: int,
+                 digits: int) -> mpf:
+    """sum_(num, den) (num/den) log prod 2 S_i / 2^P over the walk values S_i of each group, at d digits.
+
+    The one place where walk values become log-sines, for ``log_sine_sum``
+    and ``log_sines``.
+    """
     # denominator -> [numerator, denominator] of its quotient, at P bits
     quotients: dict[int, list[tuple]] = {}
     for (num, den), at in groups.items():

@@ -28,9 +28,10 @@ returned relation carries a two-precision numerical certificate.
 only its modulus and extension.  ``log_sine_basis`` has no library
 caller: it is the numeric basis of the cross-check, and
 ``pslq_relation`` the blind search the tests and demos cross-check
-these answers with.  Every value of this module, basis entries and
-residuals alike, is a ``log_sine_sum`` plus mpmath's ``mpf_ln2`` and
-``mpf_pi`` at ``prec_bits(d)``, rounded once; only ``pslq_relation``
+these answers with.  Every value of this module is a ``log_sine_sum``
+plus mpmath's ``mpf_ln2`` and ``mpf_pi`` at ``prec_bits(d)``, rounded
+once: a residual is one, and the basis entries are the one-term sums of
+``log_sines``, from one sine walk for all of them; only ``pslq_relation``
 builds an mpmath context, for mpmath's ``pslq``.
 
 Note on non-uniqueness: for composite q the relation space can have
@@ -63,7 +64,7 @@ from .arith import (
 )
 from .errors import HalfSumMismatchError, NotAdmissibleError, PrecisionError, ValidationError
 from .lseries import l_deriv0_even
-from .numkernel import log2_const, log_sine_sum, pi_const, prec_bits, require_digits
+from .numkernel import log2_const, log_sine_sum, log_sines, pi_const, prec_bits, require_digits
 from .periodic import PeriodicFunction, from_character
 
 
@@ -136,8 +137,9 @@ def _basis_residues(q: int) -> tuple[list[int], list[int]]:
 def log_sine_basis(q: int, digits: int, extended: bool = False) -> LogSineBasis:
     """Basis entries (a, log(2 sin(a pi/q))) for coprime a <= q/2.
 
-    Each entry is one ``log_sine_sum`` with the one coefficient 1, so
-    every log-sine of the library comes from that one evaluator.
+    The entries are one ``log_sines`` call: one sine walk for all of
+    them, each entry bit for bit the ``log_sine_sum`` with the one
+    coefficient 1.
     Residues with 6a = q or 4a = q are excluded (rational powers of 2; in
     lowest terms this only fires for q = 6 and q = 4).  When ``extended``
     is set, pi and log 2 are appended.  No library route builds one: it is
@@ -145,7 +147,7 @@ def log_sine_basis(q: int, digits: int, extended: bool = False) -> LogSineBasis:
     its candidate with ``log_sine_sum``.
     """
     residues, excluded = _basis_residues(q)
-    entries = [(a, log_sine_sum(q, [(a, 1)], digits)) for a in residues]
+    entries = list(zip(residues, log_sines(q, residues, digits)))
     ext = None
     if extended:
         ext = [("pi", pi_const(digits)), ("log2", log2_const(digits))]
@@ -189,7 +191,8 @@ def pslq_relation(values: list[mpf], max_coeff: int, digits: int) -> list[int] |
     candidate = ctx.pslq(
         values,
         tol=ctx.mpf(10) ** (-(digits - 10)),
-        maxcoeff=max_coeff,
+        # mpmath's pslq keeps a vector only when max|c| < maxcoeff
+        maxcoeff=max_coeff + 1,
         maxsteps=500_000,
     )
     if candidate is None or max(abs(c) for c in candidate) > max_coeff:

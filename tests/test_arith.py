@@ -14,6 +14,7 @@ from lprime.arith import (
     euler_phi,
     factorize,
     half_units,
+    unit_mask,
     is_prime,
     is_prime_power,
     lift_character,
@@ -231,6 +232,12 @@ def test_character_half_sum_zero_including_one():
         full = sum(chi(b) for b in range(1, q // 2 + 1))
         assert full == 0
         assert character_half_sum(chi) == -1
+
+
+def test_unit_mask_matches_gcd_definition():
+    for q in range(1, 200):
+        for top in (0, q // 2, q, 2 * q + 1):
+            assert list(unit_mask(q, top)) == [int(gcd(a, q) == 1) for a in range(top + 1)], (q, top)
 
 
 def test_half_units_sieve_matches_gcd_definition():

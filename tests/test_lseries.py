@@ -37,7 +37,7 @@ from lprime.numkernel import (
     two_sin_pi,
     two_sines,
 )
-from lprime.periodic import PeriodicFunction, constant_on_units
+from lprime.periodic import PeriodicFunction, constant_on_units, half_support
 from lprime.relations import (
     build_witness,
     find_integer_relation,
@@ -284,6 +284,19 @@ def test_first_term_cancellation_exact(rng):
         f = random_even_dirichlet(q, rng)
         total = sum(v * (Fraction(1, 2) - Fraction(a, q)) for a, v in f.values.items())
         assert total == 0
+
+
+def test_l_deriv0_even_is_the_negated_half_support_sum(rng):
+    # one negation per distinct value leaves every bit of the log-sine sum
+    for q in (3, 12, 45, 105, 256, 697):
+        for d in (20, 60):
+            f = random_even_dirichlet(q, rng)
+            parsed = PeriodicFunction.loads(f.dumps())  # residues share one object per value string
+            distinct = PeriodicFunction(q=q, values={a: Fraction(v.numerator, v.denominator)
+                                                     for a, v in f.values.items()})
+            expected = log_sine_sum(q, [(a, -v) for a, v in half_support(f)], d)._mpf_
+            for g in (f, parsed, distinct):
+                assert l_deriv0_even(g, d)._mpf_ == expected, (q, d)
 
 
 def test_l_deriv0_even_requires_even_dirichlet():

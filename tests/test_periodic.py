@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lprime.arith import Character, euler_phi, lift_character, quadratic_character
+from lprime.arith import Character, euler_phi, lift_character, quadratic_character, unit_mask
 from lprime.cli import run
 from lprime.errors import ValidationError
 from lprime.periodic import (
@@ -259,6 +259,84 @@ def test_validate_edge_residues(q, values):
 def test_evenness_of_distinct_strings_for_one_value():
     g = PeriodicFunction.loads('{"q": 9, "values": {"2": "1/3", "7": "2/6"}}')
     assert g.values[2] is not g.values[7] and validate(g) == (True, True)
+
+
+def _definitions(q, values):
+    """Both definitions, read where f(a) or f(q - a) is non-zero: O(|support|) at any q."""
+    f = {a: v for a, v in values.items() if v}
+    even = all(f.get(q - a, 0) == v for a, v in f.items() if a < q)
+    return even, all(gcd(a, q) == 1 for a in f)
+
+
+class _Residue(int):
+    """A residue of an int subclass, as a caller may pass one."""
+
+
+@st.composite
+def _drawn_function(draw):
+    """(q, values as given): dense or sparse, at small q or near 10^9, with
+    a = q and a = q/2 drawn in, mirrored or not, the mirror's values equal
+    but distinct objects, residues shuffled or of an int subclass."""
+    q = draw(st.one_of(st.integers(1, 80), st.integers(10**9 - 50, 10**9 + 50)))
+    residues = draw(st.lists(st.integers(1, q), max_size=48))
+    if draw(st.booleans()):
+        residues.append(q)
+    if q % 2 == 0 and draw(st.booleans()):
+        residues.append(q // 2)
+    values = {a: draw(_small_fractions) for a in residues}
+    if draw(st.booleans()):
+        values.update({q - a: Fraction(v.numerator, v.denominator) for a, v in list(values.items()) if a < q})
+    if draw(st.booleans()):
+        values = {a: v for a, v in values.items() if gcd(a, q) == 1}
+    if values and draw(st.booleans()):
+        a = draw(st.sampled_from(sorted(values)))
+        values[a] += 1
+    items = list(values.items())
+    if draw(st.booleans()):
+        items = draw(st.permutations(items))
+    if draw(st.booleans()):
+        items = [(_Residue(a), v) for a, v in items]
+    return q, dict(items)
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=_drawn_function())
+def test_checks_match_definitions_at_any_q(drawn):
+    q, values = drawn
+    f = PeriodicFunction(q=q, values=values)
+    assert (f.even, f.dirichlet) == _definitions(q, values)
+    if q <= 80:
+        assert validate(f) == _validate_reference(f)
+
+
+def test_dirichlet_reads_a_unit_mask_only_against_a_dense_support(monkeypatch):
+    import lprime.periodic as periodic_mod
+
+    masks = []
+
+    def counted(q, top):
+        masks.append((q, top))
+        return unit_mask(q, top)
+
+    monkeypatch.setattr(periodic_mod, "unit_mask", counted)
+    dense = constant_on_units(697, 1)  # 640 values
+    assert dense.dirichlet
+    assert not PeriodicFunction(q=697, values={**dense.values, 697: 1}).dirichlet
+    assert not PeriodicFunction(q=697, values={**dense.values, 41: 1}).dirichlet
+    assert masks == [(697, 697)] * 3
+    # a sparse f at q near 10^9 takes one gcd per residue
+    assert PeriodicFunction(q=10**9 + 7, values={1: 1, 10**9 + 6: 1}).dirichlet
+    assert not PeriodicFunction(q=10**9, values={2: 1, 10**9 - 2: 1}).dirichlet
+    assert not PeriodicFunction(q=10**9, values={10**9: 1}).dirichlet
+    assert PeriodicFunction(q=1, values={1: 1}).dirichlet
+    assert len(masks) == 3
+
+
+def test_construction_computes_neither_check():
+    for f in (constant_on_units(697, 1), PeriodicFunction.loads(constant_on_units(12, 2).dumps())):
+        assert "even" not in f.__dict__ and "dirichlet" not in f.__dict__
+        assert validate(f) == (True, True)
+        assert f.__dict__["even"] is True and f.__dict__["dirichlet"] is True
 
 
 @settings(max_examples=100, deadline=None)

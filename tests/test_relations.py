@@ -77,6 +77,30 @@ def test_basis_values_match_two_sin_pi():
             assert abs(v - mp.log(two_sin_pi(a, 15, 40))) < tol(40)
 
 
+@pytest.mark.parametrize("q", [3, 4, 6, 8, 12, 55, 105, 997])
+@pytest.mark.parametrize("extended", [False, True])
+def test_basis_entries_are_one_term_log_sine_sums(q, extended):
+    # one walk serves every entry, and each is bit for bit the one-term sum
+    for d in (20, 120):
+        basis = log_sine_basis(q, d, extended)
+        assert [v._mpf_ for _, v in basis.entries] == [
+            numkernel.log_sine_sum(q, [(a, 1)], d)._mpf_ for a, _ in basis.entries]
+        assert basis.excluded == [a for a in oracle.half_support(q) if 6 * a == q or 4 * a == q]
+
+
+def test_basis_takes_one_walk(monkeypatch):
+    walks = []
+    walk = numkernel._sine_walk
+
+    def counted(q, residues, prec):
+        walks.append(list(residues))
+        return walk(q, residues, prec)
+
+    monkeypatch.setattr(numkernel, "_sine_walk", counted)
+    basis = log_sine_basis(105, 30, extended=True)
+    assert walks == [[a for a, _ in basis.entries]]
+
+
 def test_basis_extended_and_errors():
     basis = log_sine_basis(9, 50, extended=True)
     assert (basis.q, basis.digits) == (9, 50)
@@ -126,6 +150,17 @@ def test_pslq_sanity_log2_log3_none():
     with mp.workprec(prec_bits(50)):
         values = [mp.log(2), mp.log(3)]
     assert pslq_relation(values, 10**6, 50) is None
+
+
+def test_pslq_relation_reaches_its_coefficient_bound():
+    # a relation whose largest |c_i| equals max_coeff is returned, and one
+    # past it is not
+    with mp.workprec(prec_bits(50)):
+        log2, log3, log8, log12 = mp.log(2), mp.log(3), mp.log(8), mp.log(12)
+    assert pslq_relation([log2, log8], 3, 50) == [3, -1]
+    assert pslq_relation([log2, log8], 2, 50) is None
+    assert pslq_relation([log2, log3, log12], 2, 50) == [2, 1, -1]
+    assert pslq_relation([log2, log3, log12], 1, 50) is None
 
 
 def test_pslq_rejections():

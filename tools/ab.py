@@ -1,7 +1,7 @@
 """Interleaved A/B timing of two revisions of lprime in one process.
 
     python3 tools/ab.py --parent REV [--change REV] [--workload evaluate] \
-        [--seed 1] [--rounds 4] [--json out.json]
+        [--seed 1] [--rounds 4] [--cold] [--json out.json]
 
 Run from the root of a git checkout.  ``git archive`` writes each
 revision's ``src/lprime`` into a package of its own name: ``lp_parent``,
@@ -15,9 +15,14 @@ package, from the same seed.
 One untimed round warms every side; then each timed round runs every
 operation on all three sides back to back, the side that goes first
 rotating per operation and round, so that none finds mpmath's caches warm
-more often than another.  Every output is compared with the parent's: a
-CLI report byte for byte, a library value by its raw ``_mpf_``, and a
-library object field by field (``comparable``).
+more often than another.  With ``--cold`` there is no warm-up: each round
+builds every side's operations afresh (new functions, new input files)
+and times their one call, so first-call costs such as a function's lazy
+checks are in every round; the module-level caches of lprime and mpmath
+stay warm from the rounds before.  Every output of the first round is
+compared with the parent's: a CLI report byte for byte, a library value
+by its raw ``_mpf_``, and a library object field by field
+(``comparable``).
 
 Printed, and written with ``--json``, over the timed rounds (median,
 quartiles and range of the per-round ratios): the ratio of the median
@@ -114,11 +119,19 @@ def quartiles(values: list[float]) -> dict:
             "range": [round(min(values), 4), round(max(values), 4)]}
 
 
-def run(ops: dict[str, list], rounds: int) -> tuple[list[dict[str, list[float]]], list[str]]:
-    """Per timed round, each side's latencies in seconds by operation; and the differing outputs."""
-    count = len(ops[SIDES[0]])
+def run(build, rounds: int, cold: bool) -> tuple[list[dict[str, list[float]]], list[str], list[str]]:
+    """Per timed round, each side's latencies in seconds by operation; the differing outputs; the operation kinds.
+
+    ``build(r)`` gives each side's operations for round r: once, before an
+    untimed warm-up round, or, when ``cold``, afresh for every round, each
+    of them timed.
+    """
     timings, differ = [], []
-    for r in range(rounds + 1):
+    ops = build(0)
+    count = len(ops[SIDES[0]])
+    for r in range(rounds + (not cold)):
+        if cold and r:
+            ops = build(r)
         latencies = {side: [0.0] * count for side in SIDES}
         for i in range(count):
             shift = (i + r) % len(SIDES)
@@ -132,9 +145,9 @@ def run(ops: dict[str, list], rounds: int) -> tuple[list[dict[str, list[float]]]
             if r == 0:
                 differ += [f"{ops[side][i].kind} {ops[side][i].label} ({side})"
                            for side in SIDES[1:] if outputs[side] != outputs[SIDES[0]]]
-        if r:
+        if cold or r:
             timings.append(latencies)
-    return timings, differ
+    return timings, differ, [op.kind for op in ops[SIDES[0]]]
 
 
 def summarise(timings: list[dict[str, list[float]]], kinds: list[str]) -> dict:
@@ -176,6 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", default="evaluate", choices=("evaluate", "relations", "census"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=4, help="timed rounds, at least 2")
+    parser.add_argument("--cold", action="store_true",
+                        help="build fresh operations for every round and time their first call, with no warm-up")
     parser.add_argument("--json", type=Path, help="write the summary to this file")
     args = parser.parse_args(argv)
     if args.rounds < 2:
@@ -186,10 +201,14 @@ def main(argv: list[str] | None = None) -> int:
         for name, rev in zip(SIDES, (args.parent, args.parent, args.change)):
             write_package(rev, name, tmp)
         sys.path[:0] = [str(tmp), str(ROOT / "perfbench")]
-        ops = {name: load_workloads(name).build(args.workload, args.seed, tmp / f"work_{name}") for name in SIDES}
-        timings, differ = run(ops, args.rounds)
-    kinds = [op.kind for op in ops["lp_parent"]]
-    summary = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
+        modules = {name: load_workloads(name) for name in SIDES}
+
+        def build(r: int) -> dict[str, list]:
+            return {name: module.build(args.workload, args.seed, tmp / f"work_{name}_{r}")
+                    for name, module in modules.items()}
+
+        timings, differ, kinds = run(build, args.rounds, args.cold)
+    summary = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds, "cold": args.cold,
                "parent": args.parent, "change": args.change or "working tree",
                "ops_per_round": len(kinds), "outputs_differ": differ, **summarise(timings, kinds)}
     if args.json:
