@@ -60,7 +60,10 @@ Dirichlet-type f of period q, by the number of coset relations: none
 (the prime powers), zero iff f = 0; one, zero iff f is constant on the
 units; q = 6, always zero.  With two or more, vanishing depends on f
 beyond that, and the verdict is Unknown with the numeric residual
-|L'(0, f)| attached so callers can hunt for relations.
+|L'(0, f)| attached so callers can hunt for relations.  The residual is
+``lseries.l_deriv0``, the route rule ``lprime eval --s 0`` takes too: the
+log-sine sum for a dense f, and the series for a sparse f at a large q,
+whose cost follows the support instead of a walk of q/2 sines.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from mpmath import mpf, nstr
 
 from .arith import RootType, factorize, has_log2_relation, mult_order, relation_count, root_type
 from .errors import ValidationError
-from .lseries import l_deriv0_even
+from .lseries import l_deriv0
 from .numkernel import require_digits
 from .periodic import PeriodicFunction, require_even_dirichlet
 
@@ -305,7 +308,8 @@ def vanishing_verdict(q: int, f: PeriodicFunction, digits: int) -> VanishingVerd
     (``arith.relation_count``).  None (the prime powers): zero iff f is
     the zero function.  q = 6: always zero.  Exactly one, the
     all-ones relation: zero iff f is constant on the units.  More than
-    one: Unknown, with |L'(0, f)| attached for relation hunting.
+    one: Unknown, with |L'(0, f)| attached for relation hunting, from
+    ``lseries.l_deriv0`` and so by the shorter of its two routes.
     """
     require_digits(digits)
     if f.q != q:
@@ -322,5 +326,5 @@ def vanishing_verdict(q: int, f: PeriodicFunction, digits: int) -> VanishingVerd
     # perfbench/workloads.py's _verdict_check takes its own abs at 53 bits
     # and compares the two, so this moves only with that check (ROADMAP
     # items 1-2)
-    residual = abs(l_deriv0_even(f, digits))
+    residual = abs(l_deriv0(f, digits))
     return VanishingVerdict(VerdictKind.UNKNOWN, None, numeric_residual=residual)

@@ -17,10 +17,13 @@ sum_a f(a) ((w_a - 1/2) log m_a - w_a - log P_a + T_a), each log Gamma
 summed by Stirling's series at w_a, T_a its Bernoulli tail (Lerch's
 formula), and the log P_a of the residues that share a value of f taken
 as one log of their product.  ``l_deriv0`` picks, for
-``lprime eval --s 0``, the log-sine sum of ``l_deriv0_even`` where it
-applies and its walk is no longer per residue than that series' head
-(``_walk_is_shorter``), and the series otherwise; both are closed forms
-at s = 0, and the report says "ClosedForm0" either way.
+``lprime eval --s 0`` and for the Unknown residual of
+``classify.vanishing_verdict``, the log-sine sum of ``l_deriv0_even``
+where it applies and its walk is no longer per residue than that series'
+head (``_walk_is_shorter``), and the series otherwise; both are closed
+forms at s = 0, and the report says "ClosedForm0" either way.
+``relations.build_witness`` takes ``l_deriv0_even`` itself: its witness
+is the paper's log-sine construction.
 
 L(2, f) of an even f has a closed form from the same sines:
 ``l_value2_even`` takes (pi/q)^2 times sum_(a<q/2) f(a) csc^2(a pi/q)
@@ -177,7 +180,10 @@ def l_deriv0(f: PeriodicFunction, digits: int) -> mpf:
     """L'(0, f) by the shorter of two routes: ``l_deriv0_even`` or ``l_deriv(0, f)``.
 
     The log-sine sum is taken where ``_walk_is_shorter`` and f is of
-    Dirichlet type, and the series everywhere else.
+    Dirichlet type, and the series everywhere else.  The one route rule
+    for L'(0, f): ``lprime eval --s 0`` and the Unknown residual of
+    ``classify.vanishing_verdict`` both take it, so a sparse f at a large
+    q walks no q/2 sines in either.
     """
     if _walk_is_shorter(f, digits) and f.dirichlet:
         return l_deriv0_even(f, digits)

@@ -132,11 +132,8 @@ class PeriodicFunction:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        vals = {}
-        for a in sorted(self.values):
-            v = self.values[a]
-            vals[str(a)] = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return {"q": self.q, "values": vals}
+        # the residues ascend, and str of a Fraction is its canonical n or n/d
+        return {"q": self.q, "values": {str(a): str(v) for a, v in self.values.items()}}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())

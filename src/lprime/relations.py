@@ -87,20 +87,22 @@ class LogSineBasis:
 class Relation:
     """Integer relation among basis values, certified at two precisions.
 
-    ``pi_coefficient`` is always 0, since no relation involves pi, and
-    ``verified_at_2d`` is always true, since only a candidate that passes
-    the 2d gate is returned; the report keeps both so that its schema
-    stays fixed.
+    ``pi_coefficient`` and ``verified_at_2d`` are class constants, not
+    fields: the pi coefficient is always 0, since no relation involves
+    pi, and every relation is verified at 2d, since only a candidate that
+    passes the 2d gate is returned.  The report keeps both so that its
+    schema stays fixed.
     """
+
+    pi_coefficient = 0
+    verified_at_2d = True
 
     q: int
     digits: int
     coefficients: dict[int, int]
-    pi_coefficient: int
     log2_coefficient: int
     residual_at_d: mpf
     residual_at_2d: mpf
-    verified_at_2d: bool
 
     def vector(self, basis: LogSineBasis) -> list[int]:
         out = [self.coefficients.get(a, 0) for a, _ in basis.entries]
@@ -257,11 +259,9 @@ def find_relation_for_modulus(
         q=q,
         digits=digits,
         coefficients=coeffs,
-        pi_coefficient=0,
         log2_coefficient=log2_c,
         residual_at_d=_relation_residual(q, coeffs, log2_c, digits),
         residual_at_2d=residual_2d,
-        verified_at_2d=True,
     )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from lprime.arith import RootType, factorize, mult_order, root_type
 from lprime.classify import (
@@ -22,7 +22,8 @@ from lprime.errors import ValidationError
 from lprime.lseries import l_deriv0_even
 from lprime.periodic import PeriodicFunction, constant_on_units, from_character
 from lprime.arith import coset_relations, lift_character, quadratic_character
-from lprime.numkernel import log2_const
+from lprime import numkernel
+from lprime.numkernel import log2_const, prec_bits
 from lprime.relations import find_relation_for_modulus, log_sine_basis
 from tests.conftest import oracle, random_even_dirichlet
 
@@ -327,6 +328,38 @@ def test_nonconstant_vanishing_at_ladder_modulus():
     v = vanishing_verdict(84, PeriodicFunction(q=84, values=values), 50)
     assert v.kind is VerdictKind.UNKNOWN
     assert v.numeric_residual < mpf(10) ** -45
+
+
+@pytest.mark.parametrize("q", [39, 84, 105, 660])
+@pytest.mark.parametrize("ambient_bits", [53, prec_bits(300)])
+def test_verdict_residual_of_a_dense_f_is_the_log_sine_sum(q, ambient_bits, rng):
+    # a dense f takes the log-sine route, so the residual keeps its bits:
+    # the abs of l_deriv0_even at the caller's precision
+    f = random_even_dirichlet(q, rng, allow_zero=False)
+    with mp.workprec(ambient_bits):
+        v = vanishing_verdict(q, f, 50)
+        expected = abs(l_deriv0_even(f, 50))
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.numeric_residual._mpf_ == expected._mpf_
+
+
+def _no_sine_walk(*args):
+    raise AssertionError("the verdict walked the sines")
+
+
+@pytest.mark.parametrize("q", [100005, 1000005])
+def test_verdict_residual_of_a_sparse_f_walks_no_sines(q, monkeypatch):
+    # an even f on 4 residues takes the series, whose cost follows the
+    # support; the oracle takes mpmath's sin and log, with no lprime code
+    values = {1: Fraction(1), 2: Fraction(-3, 2), q - 2: Fraction(-3, 2), q - 1: Fraction(1)}
+    monkeypatch.setattr(numkernel, "_sine_walk", _no_sine_walk)
+    for d in (20, 50):
+        with mp.workprec(prec_bits(d)):
+            v = vanishing_verdict(q, PeriodicFunction(q=q, values=values), d)
+            assert v.kind is VerdictKind.UNKNOWN
+            assert abs(v.numeric_residual - abs(oracle.l_deriv0(q, values, d))) < mpf(10) ** (-d + 5)
+    zero = vanishing_verdict(q, PeriodicFunction(q=q, values={}), 50)
+    assert zero.kind is VerdictKind.UNKNOWN and zero.numeric_residual == 0
 
 
 def test_verdict_soundness_against_numerics(rng):

@@ -7,6 +7,7 @@ and q = 55.
 """
 
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from lprime.lseries import l_deriv0_even
 from lprime.numkernel import prec_bits, two_sin_pi
 from lprime.periodic import PeriodicFunction, half_support
 from lprime.relations import (
+    Relation,
     build_witness,
     find_integer_relation,
     find_relation_for_modulus,
@@ -116,6 +118,17 @@ def test_relation_json_dict():
     assert data["coefficients"] == {str(a): 1 for a in (1, 2, 4, 5, 8, 10)}
     assert data["verified_at_2d"] is True
     assert isinstance(data["residual_at_2d"], str)
+
+
+def test_relation_constants_are_not_fields():
+    # no relation involves pi, and only a 2d-verified candidate is returned
+    assert {f.name for f in fields(Relation)} == {
+        "q", "digits", "coefficients", "log2_coefficient", "residual_at_d", "residual_at_2d"}
+    rel = find_relation_for_modulus(8, 10, 30, extended=True)
+    assert (rel.pi_coefficient, rel.verified_at_2d) == (0, True)
+    assert rel.vector(log_sine_basis(8, 30, extended=True)) == [2, 2, 0, -1]
+    data = rel.to_json_dict()
+    assert (data["pi"], data["log2"], data["verified_at_2d"]) == (0, -1, True)
 
 
 # ---------------------------------------------------------------------------
