@@ -391,8 +391,9 @@ def two_sin_pi(a: int, q: int, digits: int) -> mpf:
     """2*sin(a*pi/q) at d digits; requires 0 < a < q, so strictly positive.
 
     One value by mpmath's own ``mpf_sin_pi`` of a/q, rounded once.  No
-    library route calls it: the log-sines come from ``two_sines``, and
-    this is the independent oracle that kernel is tested against.
+    library route calls it: the log-sines come from ``_sine_walk``,
+    through ``log_sine_sum`` and ``log_sines``, and this is the
+    independent oracle that kernel is tested against.
     """
     if q < 2:
         raise ValidationError(f"denominator q must be >= 2, got {q}")
@@ -807,15 +808,7 @@ def periodic_zeta(s: RealLike, q: int, values: Mapping[int, Fraction], digits: i
     its stated bound, a few hundred units, and the error of each weight's
     r(m_a) times the sum of its tail.
     """
-    _check_s(s, "L(s, f)")
-    require_digits(digits)
-    support = {a: c for a, c in values.items() if c}
-    if not support:
-        return mpf(0)
-    s = _exact_real(s)
-    if s.denominator == 1 and s <= 0:
-        return _rounded(prec_bits(digits), *_power_sums(1 - s.numerator, q, support))
-    return _em_shifts(s, q, support, digits, False)
+    return _em_shifts(s, q, values, digits, False)
 
 
 def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits: int) -> mpf:
@@ -857,12 +850,7 @@ def periodic_zeta_ds(s: RealLike, q: int, values: Mapping[int, Fraction], digits
     sum |f(m)| m^(-s) log m, and the extra digits cover its cancellation
     against the integral terms, as for the value.
     """
-    _check_s(s, "L(s, f)")
-    require_digits(digits)
-    support = {a: c for a, c in values.items() if c}
-    if not support:
-        return mpf(0)
-    return _em_shifts(_exact_real(s), q, support, digits, True)
+    return _em_shifts(s, q, values, digits, True)
 
 
 def _em_first_shift(digits: int) -> int:
@@ -910,8 +898,14 @@ def _rounded(prec: int, numer: int, denom: int) -> mpf:
     return mp.make_mpf(from_rational(numer, denom, prec, round_nearest))
 
 
-def _em_shifts(s: Fraction, q: int, support: dict, digits: int, derivative: bool) -> mpf:
-    """The first ``_periodic_attempt`` over the shifts N that is not None, rounded once to ``digits``.
+def _em_shifts(s: RealLike, q: int, values: Mapping[int, Fraction], digits: int, derivative: bool) -> mpf:
+    """L(s, f), or with ``derivative`` L'(s, f), as ``periodic_zeta`` and ``periodic_zeta_ds`` state them.
+
+    s and ``digits`` are checked, f is its non-zero ``values`` (0 when
+    there are none), and s becomes the exact Fraction it denotes.  The
+    value at integer s <= 0 is the rational of ``_power_sums``; otherwise
+    this is the first ``_periodic_attempt`` over the shifts N that is not
+    None.  Either is rounded once to ``digits``.
 
     The attempts run at the ``_working_digits`` d + e of the bound that
     ``periodic_zeta`` and ``periodic_zeta_ds`` state, taken as
@@ -920,6 +914,14 @@ def _em_shifts(s: Fraction, q: int, support: dict, digits: int, derivative: bool
     ``_em_first_shift`` of d + e and doubles while the attempt returns
     None, up to 64 (d + e).
     """
+    _check_s(s, "L(s, f)")
+    require_digits(digits)
+    support = {a: c for a, c in values.items() if c}
+    if not support:
+        return mpf(0)
+    s = _exact_real(s)
+    if not derivative and s.denominator == 1 and s <= 0:
+        return _rounded(prec_bits(digits), *_power_sums(1 - s.numerator, q, support))
     # W <= sum (|num_a| // den_a + 1), taken in integers: a sum of Fractions
     # costs about 4 us an entry, a share a short series would notice
     weight = sum(abs(c.numerator) // c.denominator + 1 for c in support.values())

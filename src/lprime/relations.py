@@ -104,12 +104,6 @@ class Relation:
     residual_at_d: mpf
     residual_at_2d: mpf
 
-    def vector(self, basis: LogSineBasis) -> list[int]:
-        out = [self.coefficients.get(a, 0) for a, _ in basis.entries]
-        if basis.extended:
-            out += [self.pi_coefficient, self.log2_coefficient]
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "q": self.q,

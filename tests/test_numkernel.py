@@ -900,6 +900,49 @@ def test_hurwitz_pole_and_domain():
         hurwitz_zeta(0, Fraction(1, 2), 5)
 
 
+# The raw bits of L(s, f) and L'(s, f) at 50 digits, frozen from the
+# series as it stood when they were taken: a change to the entry steps, the
+# working digits or the rounding that moves any bit fails here, where the
+# digest tests see only printed digits.
+PINNED_F = {
+    "dense": (12, {1: 3, 5: Fraction(-1, 2), 7: Fraction(-1, 2), 11: 3}),
+    "sparse": (100003, {7: 2, 100003: Fraction(-1, 3)}),
+}
+PINNED_BITS = {
+    ("dense", "value", "-1/2"): (1, 628511630328615723343373381630073865407396191826553496863439, -198, 199),
+    ("dense", "value", "1/3"): (0, 451073393595109540371545196622047680347492545805662147481973, -199, 199),
+    ("dense", "value", "3/4"): (0, 129824430824394320427121644541148252036696338132779037750465, -199, 197),
+    ("dense", "value", "7/2"): (0, 301179814640236893925651914598160290927840205693665075714081, -196, 198),
+    ("dense", "value", "-1"): (1, 744882739265886117308513678220643081377479512743065428863659, -197, 199),
+    ("dense", "deriv", "0"): (0, 462934007212205783060224927640774544143703198192603027575299, -197, 199),
+    ("dense", "deriv", "1/3"): (0, 795299462663861419601151240093122893181534989765231041125407, -199, 199),
+    ("sparse", "value", "-1/2"): (1, 327376367377489606185980903463490842777392745429314223220099, -191, 198),
+    ("sparse", "value", "1/3"): (0, 202988807795766550862490555619848097354778548674129799949147, -197, 198),
+    ("sparse", "value", "3/4"): (0, 372581617002454676908645610192329824007974251373883998430565, -199, 198),
+    ("sparse", "value", "7/2"): (0, 453310687202764615952153494585319067294574913114052530356133, -207, 199),
+    ("sparse", "value", "-1"): (1, 340393153787630925370206733375119377113514107693213330226875, -184, 198),
+    ("sparse", "deriv", "0"): (0, 419036814656622377888384233978649398177816937159166989602219, -196, 199),
+    ("sparse", "deriv", "1/3"): (1, 343487677872521534595222286878840621884193057854270424914215, -197, 198),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_BITS), ids=lambda k: f"{k[0]}-{k[1]}-s={k[2]}")
+def test_periodic_series_keep_their_bits(key):
+    name, series, s = key
+    q, values = PINNED_F[name]
+    fn = periodic_zeta if series == "value" else periodic_zeta_ds
+    assert fn(Fraction(s), q, values, 50)._mpf_ == PINNED_BITS[key]
+
+
+@pytest.mark.parametrize("fn", [periodic_zeta, periodic_zeta_ds])
+def test_periodic_series_entry(fn):
+    # no non-zero value gives exactly 0 at any s but the pole, which both reject
+    assert fn(Fraction(1, 3), 12, {1: 0, 5: Fraction(0)}, 50) == 0
+    assert fn(Fraction(1, 3), 12, {}, 50) == 0
+    with pytest.raises(PoleError):
+        fn(1, 12, {1: 1}, 50)
+
+
 def test_derivative_finite_difference_consistency():
     # (zeta(h, x) - zeta(-h, x)) / 2h vs zeta'(0, x), h = 1e-10 at d = 60
     h = Fraction(1, 10**10)

@@ -126,7 +126,7 @@ def test_relation_constants_are_not_fields():
         "q", "digits", "coefficients", "log2_coefficient", "residual_at_d", "residual_at_2d"}
     rel = find_relation_for_modulus(8, 10, 30, extended=True)
     assert (rel.pi_coefficient, rel.verified_at_2d) == (0, True)
-    assert rel.vector(log_sine_basis(8, 30, extended=True)) == [2, 2, 0, -1]
+    assert (rel.coefficients, rel.log2_coefficient) == ({1: 2, 3: 2}, -1)
     data = rel.to_json_dict()
     assert (data["pi"], data["log2"], data["verified_at_2d"]) == (0, -1, True)
 
@@ -339,7 +339,7 @@ def test_finder_rediscovers_witness_mod_55():
     rel = find_relation_for_modulus(55, 4, 120)
     assert rel is not None and rel.verified_at_2d
     witness_vec = [int(v) for _, v in half_support(wit.f)]
-    found_vec = rel.vector(log_sine_basis(55, 15))
+    found_vec = [rel.coefficients.get(a, 0) for a in oracle.half_support(55)]
     assert oracle.exact_rank([found_vec, witness_vec]) == 1
 
 
@@ -369,9 +369,9 @@ def _patch_bindings(monkeypatch, original, replacement) -> set[str]:
 
 
 def test_log_sines_come_from_one_kernel(monkeypatch):
-    # the library takes every log-sine from numkernel.two_sines: with
-    # two_sin_pi, the oracle, raising wherever lprime binds it, every route
-    # still returns the same bits
+    # the library takes every log-sine from numkernel._sine_walk, through
+    # log_sine_sum and log_sines: with two_sin_pi, the oracle, raising
+    # wherever lprime binds it, every route still returns the same bits
     expected = _log_sine_results()
 
     def oracle_only(*args):
@@ -416,10 +416,3 @@ def test_finder_builds_no_numeric_basis(monkeypatch):
             assert rel.residual_at_d < mpf(10) ** (-d + 10), q
             assert rel.residual_at_2d < mpf(10) ** (-2 * d + 10), q
     assert find_relation_for_modulus(8, 1, d, extended=True) is None
-
-
-def test_relation_vector_on_an_extended_basis():
-    # the pi and log 2 coefficients follow the residues
-    rel = find_relation_for_modulus(8, 10, 60, extended=True)
-    assert rel.vector(log_sine_basis(8, 60, extended=True)) == [2, 2, 0, -1]
-    assert rel.vector(log_sine_basis(8, 60)) == [2, 2]
