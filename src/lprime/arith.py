@@ -15,13 +15,12 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization as (prime, exponent) pairs, primes increasing."""
-    if n < 1:
-        raise ValidationError(f"can only factor positive integers, got {n}")
+    require_int(n, 1, "can only factor positive integers n")
     factors: list[tuple[int, int]] = []
     rest = n
     p = 2
@@ -48,8 +47,7 @@ def is_prime_power(n: int) -> bool:
 
 def euler_phi(n: int) -> int:
     """Euler totient from the factorization."""
-    if n < 1:
-        raise ValidationError(f"totient undefined for {n}")
+    require_int(n, 1, "totient undefined unless n")
     phi = 1
     for p, e in factorize(n):
         phi *= (p - 1) * p ** (e - 1)
@@ -61,8 +59,7 @@ def mult_order(a: int, m: int) -> int:
 
     Starts from phi(m) and strips prime factors while the power stays 1.
     """
-    if m < 2:
-        raise ValidationError(f"modulus must be >= 2, got {m}")
+    require_int(m, 2, "modulus must be")
     if gcd(a, m) != 1:
         raise ValidationError(f"{a} is not a unit mod {m}")
     order = euler_phi(m)
@@ -80,8 +77,7 @@ class RootType(enum.Enum):
 
 def root_type(g: int, m: int) -> RootType:
     """Classify g mod m: order phi(m) -> primitive, phi(m)/2 -> semi-primitive."""
-    if m < 3:
-        raise ValidationError(f"root classification needs modulus >= 3, got {m}")
+    require_int(m, 3, "root classification needs modulus")
     order = mult_order(g, m)
     phi = euler_phi(m)
     if order == phi:
@@ -166,8 +162,7 @@ def lift_character(chi: Character, q: int) -> Character:
 def character_half_sum(chi: Character) -> int:
     """Exact sum of chi(b) over 2 <= b <= q/2 with gcd(b, q) = 1."""
     q = chi.modulus
-    if q < 5:
-        raise ValidationError(f"half sum needs modulus >= 5, got {q}")
+    require_int(q, 5, "half sum needs modulus")
     if not chi.is_even:
         raise ValidationError("half sum is only meaningful for even characters")
     return sum(chi(b) for b in range(2, q // 2 + 1))
@@ -220,8 +215,7 @@ def coset_relations(q: int) -> list[tuple[int, ...]]:
     O(q); the classifier and the vanishing verdict need only their count,
     which ``relation_count`` reads from the generators.
     """
-    if q < 2:
-        raise ValidationError(f"relations need q >= 2, got {q}")
+    require_int(q, 2, "relations need q")
     half = half_units(q)
     supports = set()
     for p, e in factorize(q):
@@ -257,8 +251,7 @@ def relation_count(q: int) -> int:
     large when it does not.  At q = 2 p^n this is the statement that 2
     and -1 generate (Z/p^n)^*.
     """
-    if q < 2:
-        raise ValidationError(f"relations need q >= 2, got {q}")
+    require_int(q, 2, "relations need q")
     fact = factorize(q)
     if len(fact) == 1:
         return 0

@@ -76,7 +76,7 @@ from math import gcd
 from mpmath import mpf, nstr
 
 from .arith import RootType, factorize, has_log2_relation, mult_order, relation_count, root_type
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .lseries import l_deriv0
 from .numkernel import require_digits
 from .periodic import PeriodicFunction, require_even_dirichlet
@@ -230,8 +230,7 @@ def _pei_feng(m: int, trace: list[tuple[str, bool]]) -> str | None:
 
 
 def classify_modulus(q: int) -> Classification:
-    if not isinstance(q, int) or q < 2:
-        raise ValidationError(f"modulus must be an integer >= 2, got {q!r}")
+    require_int(q, 2, "modulus must be an integer")
     trace: list[tuple[str, bool]] = []
 
     fact = factorize(q)

@@ -40,7 +40,7 @@ from mpmath import nstr
 
 from . import classify as classify_mod
 from . import lseries, relations
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, require_int
 from .numkernel import MIN_DIGITS
 from .periodic import PeriodicFunction, parse_rational
 
@@ -350,8 +350,8 @@ def run(argv: list[str]) -> int:
             if not MIN_DIGITS <= args.digits <= MAX_DIGITS:
                 raise ValidationError(f"--digits must be within {MIN_DIGITS}..{MAX_DIGITS}, got {args.digits}")
         _require_q(getattr(args, "q", 0), args.command)
-        if getattr(args, "max_coeff", 1) < 1:
-            raise ValidationError(f"--max-coeff must be >= 1, got {args.max_coeff}")
+        if "max_coeff" in args:
+            require_int(args.max_coeff, 1, "--max-coeff must be")
         report, lines = _HANDLERS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,15 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the one integer check.
 
 Two families matter to callers (and to the CLI exit-code mapping):
 ``ValidationError`` for rejected inputs, ``ComputationError`` for
 evaluations that start but cannot finish (pole, lost convergence,
 insufficient precision).
+
+Every integer argument of the library, a period, a residue, a modulus,
+an index or a digit count, must be an ``int`` and not a ``bool``
+(``is_int``), so ``2.0``, ``Fraction(2)`` and ``True`` raise
+``ValidationError`` as a value out of range does; ``require_int`` is that
+check with a lower bound.
 """
 
 
@@ -42,3 +48,19 @@ class HalfSumMismatchError(ComputationError):
     mismatch means either the character lift is wrong or the modulus
     does not behave as the construction requires.
     """
+
+
+def is_int(value) -> bool:
+    """An ``int`` and not a ``bool``: what the library takes as an integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_int(value, least: int, what: str) -> None:
+    """Raise ``ValidationError`` unless ``value`` is an integer (``is_int``) >= ``least``.
+
+    The message is "<what> >= <least>, got <value!r>", and it says so when
+    ``value`` is not an integer.  An exact ``int`` pays one type test.
+    """
+    if (type(value) is int or is_int(value)) and value >= least:
+        return
+    raise ValidationError(f"{what} >= {least}, got {value!r}" + ("" if is_int(value) else ", not an integer"))

@@ -151,7 +151,7 @@ from mpmath.libmp import (
     to_rational,
 )
 
-from .errors import ConvergenceError, PoleError, ValidationError
+from .errors import ConvergenceError, PoleError, ValidationError, is_int, require_int
 
 RealLike = Union[int, float, Fraction, mpf]
 
@@ -195,15 +195,7 @@ def prec_bits(digits: int) -> int:
 
 
 def require_digits(digits: int) -> None:
-    if not isinstance(digits, int) or digits < MIN_DIGITS:
-        raise ValidationError(
-            f"precision must be an integer >= {MIN_DIGITS} decimal digits, got {digits!r}"
-        )
-
-
-def _is_int(n) -> bool:
-    """An ``int`` and not a ``bool``."""
-    return isinstance(n, int) and not isinstance(n, bool)
+    require_int(digits, MIN_DIGITS, "precision in decimal digits must be")
 
 
 def pi_const(digits: int) -> mpf:
@@ -240,8 +232,7 @@ def bernoulli(n: int) -> Fraction:
     with one ``Fraction`` per entry: a fill in small steps does the work
     of one fill at once.  Repeated calls are O(1).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValidationError(f"Bernoulli index must be a non-negative integer, got {n!r}")
+    require_int(n, 0, "Bernoulli index must be")
     if n == 0:
         return Fraction(1)
     if n == 1:
@@ -395,9 +386,9 @@ def two_sin_pi(a: int, q: int, digits: int) -> mpf:
     through ``log_sine_sum`` and ``log_sines``, and this is the
     independent oracle that kernel is tested against.
     """
-    if q < 2:
-        raise ValidationError(f"denominator q must be >= 2, got {q}")
-    if not 0 < a < q:
+    require_int(q, 2, "denominator q must be")
+    require_int(a, 1, "argument a must be")
+    if a >= q:
         raise ValidationError(f"argument a must satisfy 0 < a < q, got a={a}, q={q}")
     prec = prec_bits(digits)
     return mp.make_mpf(mpf_shift(mpf_sin_pi(from_rational(a, q, prec, round_nearest), prec, round_nearest), 1))
@@ -433,7 +424,7 @@ def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
 
 def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
     """(P, [S_a]): the recurrence of ``two_sines``, 2 S_a / 2^P ~ 2 sin(a pi/q), unrounded."""
-    _require_modulus(q)
+    require_int(q, 2, "denominator q must be")
     point = prec + 2 * q.bit_length() + SINE_GUARD_BITS
     wp = point + 8
     cos, sin = mpf_cos_sin(mpf_div(mpf_pi(wp), from_int(q), wp, round_nearest), wp, round_nearest)
@@ -441,8 +432,8 @@ def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
     sines = []
     last, before, big_s, k = 0, 0, to_fixed(sin, point), 1
     for a in residues:
-        # an exact int passes without the call of ``_is_int``
-        if type(a) is not int and not _is_int(a) or not last < a or 2 * a > q:
+        # an exact int passes without the call of ``is_int``
+        if type(a) is not int and not is_int(a) or not last < a or 2 * a > q:
             raise ValidationError(
                 f"residues must be integers ascending within 0 < a <= q/2, "
                 f"got a={a!r} after {last}, q={q}")
@@ -452,11 +443,6 @@ def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
             k += 1
         sines.append(big_s)
     return point, sines
-
-
-def _require_modulus(q: int) -> None:
-    if not _is_int(q) or q < 2:
-        raise ValidationError(f"denominator q must be an integer >= 2, got {q!r}")
 
 
 def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
@@ -490,7 +476,7 @@ def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
     rounded once to d; e = 0 while the bound is below 10^13, as for every
     |c_a| <= 5 and q < 10^9.
     """
-    _require_modulus(q)
+    require_int(q, 2, "denominator q must be")
     pairs = list(coefficients)
     # (numerator, denominator) of c -> the indices of its residues; the
     # pair hashes faster than a Fraction
@@ -512,7 +498,7 @@ def log_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
     walk up to the last residue serves every entry, and each takes its
     log from that walk as ``log_sine_sum`` does.
     """
-    _require_modulus(q)
+    require_int(q, 2, "denominator q must be")
     prec = _log_sine_prec(q, {(1, 1): [0]}, digits)
     point, sines = _sine_walk(q, residues, prec)
     return [_log_of_walk({(1, 1): [i]}, sines, point, prec, digits) for i in range(len(sines))]
@@ -577,12 +563,12 @@ def csc2_sum(q: int, coefficients, digits: int) -> mpf:
     runs at the ``_working_digits`` of sum |c_a|, and e = 0 while that is
     below 10^13.
     """
-    _require_modulus(q)
+    require_int(q, 2, "denominator q must be")
     pairs = list(coefficients)
     den = math.lcm(*(c.denominator for _, c in pairs))
     scaled = [(a, c.numerator * (den // c.denominator)) for a, c in pairs]
     # k_q = 1/6 is exact and its residue, last, takes no walk
-    sixths = scaled.pop()[1] if scaled and _is_int(scaled[-1][0]) and scaled[-1][0] == q else 0
+    sixths = scaled.pop()[1] if scaled and is_int(scaled[-1][0]) and scaled[-1][0] == q else 0
     bound = sum(abs(c.numerator) // c.denominator + 1 for _, c in pairs)
     prec = prec_bits(_working_digits(digits, bound))
     point, sines = _sine_walk(q, [a for a, _ in scaled], prec)
@@ -620,12 +606,8 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
     is rounded once to ``prec_bits(d)``; since |x psi(x)| < 1.06 on (0, 1],
     that moves the value by less than 1.06 units of 2^-prec.
     """
-    if not _is_int(a) or not _is_int(q):
-        raise ValidationError(f"log Gamma(a/q) needs integers a and q, got a={a!r}, q={q!r}")
-    if q < 1:
-        raise ValidationError(f"denominator q must be >= 1, got {q}")
-    if a <= 0:
-        raise ValidationError(f"numerator a must be positive, got {a}")
+    require_int(q, 1, "denominator q must be")
+    require_int(a, 1, "numerator a must be")
     if a > q:
         raise ValidationError(f"argument a/q must lie in (0, 1], got {a}/{q}")
     prec = prec_bits(digits)
@@ -636,7 +618,13 @@ def log_gamma_frac(a: int, q: int, digits: int) -> mpf:
 # Hurwitz zeta and L(s, f) by Euler-Maclaurin
 
 def _check_s(s: RealLike, series: str) -> None:
-    """Reject a non-finite s, and s = 1, the pole of the Euler-Maclaurin series of ``series``."""
+    """Reject an s that is not a finite real, and s = 1, the pole of the Euler-Maclaurin series of ``series``.
+
+    A real is one of the ``RealLike`` types: an int that is not a bool
+    (``is_int``), a float, a Fraction or an mpf.
+    """
+    if not (is_int(s) or isinstance(s, (float, Fraction, mpf))):
+        raise ValidationError(f"s must be a real number (int, float, Fraction or mpf), got {s!r}")
     if not mp.isfinite(s):
         raise ValidationError(f"s must be finite, got {s}")
     if s == 1:

@@ -51,7 +51,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .arith import Character, half_units, unit_mask
-from .errors import ValidationError
+from .errors import ValidationError, is_int, require_int
 
 RationalLike = Fraction | int
 
@@ -70,8 +70,7 @@ class PeriodicFunction:
     values: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if isinstance(self.q, bool) or not isinstance(self.q, int) or self.q < 1:
-            raise ValidationError(f"period must be a positive integer, got {self.q!r}")
+        require_int(self.q, 1, "period must be")
         # exact int residues and Fraction values, as canonical files give
         # them, take the first test of each check; last < a also notes
         # whether the residues arrive ascending
@@ -80,7 +79,7 @@ class PeriodicFunction:
         ascending, last = True, 0
         for a, v in self.values.items():
             if type(a) is not int or not last < a <= q:
-                if isinstance(a, bool) or not isinstance(a, int) or not 1 <= a <= q:
+                if not is_int(a) or not 1 <= a <= q:
                     raise ValidationError(f"residue {a!r} outside 1..{q}")
                 ascending = False
             last = a
@@ -121,8 +120,7 @@ class PeriodicFunction:
 
     def __call__(self, n: int) -> Fraction:
         """Value at any positive integer, by periodicity."""
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValidationError(f"argument must be a positive integer, got {n!r}")
+        require_int(n, 1, "argument must be")
         r = n % self.q
         return self.values.get(r if r else self.q, _ZERO)
 
@@ -270,8 +268,7 @@ def from_character(chi: Character, c: RationalLike) -> PeriodicFunction:
 
 def constant_on_units(q: int, c: RationalLike) -> PeriodicFunction:
     """f = c on residues coprime to q, 0 elsewhere; even Dirichlet type."""
-    if q < 2:
-        raise ValidationError(f"period must be >= 2, got {q}")
+    require_int(q, 2, "period must be")
     c = Fraction(c)
     return PeriodicFunction(q=q, values={a: c for a in range(1, q + 1) if gcd(a, q) == 1})
 

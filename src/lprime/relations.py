@@ -62,7 +62,7 @@ from .arith import (
     lift_character,
     quadratic_character,
 )
-from .errors import HalfSumMismatchError, NotAdmissibleError, PrecisionError, ValidationError
+from .errors import HalfSumMismatchError, NotAdmissibleError, PrecisionError, ValidationError, require_int
 from .lseries import l_deriv0_even
 from .numkernel import log2_const, log_sine_sum, log_sines, pi_const, prec_bits, require_digits
 from .periodic import PeriodicFunction, from_character
@@ -119,8 +119,7 @@ class Relation:
 
 def _basis_residues(q: int) -> tuple[list[int], list[int]]:
     """(residues, excluded): the half support of q split by the 6a = q, 4a = q rule."""
-    if q < 3:
-        raise ValidationError(f"basis needs q >= 3, got {q}")
+    require_int(q, 3, "basis needs q")
     residues, excluded = [], []
     for a in half_units(q):
         if 6 * a == q or 4 * a == q:
@@ -161,8 +160,7 @@ def sine_identity_residual(q: int, digits: int) -> mpf:
     ``log_sine_sum`` takes one log: twice the log of the half-support
     product of the 2 sin values.
     """
-    if q < 3:
-        raise ValidationError(f"identity needs q >= 3, got {q}")
+    require_int(q, 3, "identity needs q")
     return log_sine_sum(q, [(k, 2) for k in half_units(q)], digits)
 
 
@@ -202,8 +200,7 @@ def pslq_relation(values: list[mpf], max_coeff: int, digits: int) -> list[int] |
 
 def _require_detectable(n_values: int, max_coeff: int, digits: int) -> None:
     require_digits(digits)
-    if max_coeff < 1:
-        raise ValidationError(f"max_coeff must be >= 1, got {max_coeff}")
+    require_int(max_coeff, 1, "max_coeff must be")
     if n_values < 2:
         raise ValidationError("relation detection needs at least two values")
     if digits - 10 < MIN_DETECTION_DIGITS:
@@ -291,8 +288,7 @@ def ramachandra_admissible(q: int) -> tuple[int, int] | None:
     """Smallest pair (p1, p2) of odd prime divisors of q with p2 = 1 mod p1,
     restricted to p1 = 1 (mod 4) so the quadratic character mod p1 is even.
     """
-    if q < 3:
-        raise ValidationError(f"admissibility needs q >= 3, got {q}")
+    require_int(q, 3, "admissibility needs q")
     odd_primes = [p for p, _ in factorize(q) if p != 2]
     for p1 in odd_primes:
         if p1 % 4 != 1:

@@ -269,8 +269,24 @@ _ODD_7 = (0, 1, 1, -1, 1, -1, -1)
     (lambda: character_half_sum(Character(conductor=7, modulus=7, values=_ODD_7)), "even characters"),
     (lambda: coset_relations(1), "relations need q >= 2"),
     (lambda: relation_count(1), "relations need q >= 2"),
+    # an integer argument is an int and not a bool
+    (lambda: factorize(2.5), "can only factor positive integers"),
+    (lambda: factorize(True), "can only factor positive integers"),
+    (lambda: factorize("12"), "can only factor positive integers"),
+    (lambda: euler_phi(2.5), "totient undefined"),
+    (lambda: euler_phi(True), "totient undefined"),
+    (lambda: mult_order(2, 9.0), "modulus must be >= 2"),
+    (lambda: root_type(2, 5.0), "needs modulus >= 3"),
+    (lambda: character_half_sum(Character(conductor=5, modulus=10.0, values=(0, 1, -1, -1, 1))),
+     "needs modulus >= 5"),
+    (lambda: coset_relations(12.0), "relations need q >= 2"),
+    (lambda: relation_count(12.0), "relations need q >= 2"),
+    (lambda: relation_count("12"), "relations need q >= 2"),
 ], ids=["factorize", "euler_phi", "mult_order", "root_type", "conductor", "table-length",
-        "table-values", "half-sum-modulus", "half-sum-odd", "coset_relations", "relation_count"])
+        "table-values", "half-sum-modulus", "half-sum-odd", "coset_relations", "relation_count",
+        "factorize-float", "factorize-bool", "factorize-str", "euler_phi-float", "euler_phi-bool",
+        "mult_order-float", "root_type-float", "half-sum-float-modulus", "coset_relations-float",
+        "relation_count-float", "relation_count-str"])
 def test_rejected_arguments(call, message):
     with pytest.raises(ValidationError, match=message):
         call()

@@ -160,6 +160,15 @@ def test_non_finite_s_rejected(golden_f5):
                 fn(s, golden_f5, 20)
 
 
+@pytest.mark.parametrize("s", ["2", None, True, False, 2j, [2]],
+                         ids=["str", "none", "true", "false", "complex", "list"])
+@pytest.mark.parametrize("fn", [l_value, l_deriv])
+def test_non_real_s_rejected(fn, s, golden_f5):
+    # s is an int that is not a bool, a float, a Fraction or an mpf: True is not s = 1
+    with pytest.raises(ValidationError, match="s must be a real number"):
+        fn(s, golden_f5, 20)
+
+
 def test_l_value_near_pole_against_mpmath():
     # s - 1 = 10^-60 is below the resolution of 20 digits: the exact s
     # reaches the kernel, so L keeps its mean(f)/(s - 1) size

@@ -1157,7 +1157,20 @@ def test_digit_floor_enforced():
     (lambda: log_gamma_frac(1, 0, 20), "q must be >= 1"),
     (lambda: hurwitz_zeta(2, 0.5, 20), "x must be a Fraction"),
     (lambda: hurwitz_zeta_ds(2, 1, 20), "x must be a Fraction"),
-], ids=["two_sin_pi-q", "log_gamma_frac-q", "hurwitz_zeta-x", "hurwitz_zeta_ds-x"])
+    # an integer argument is an int and not a bool, and s is a real number
+    (lambda: two_sin_pi(1.5, 3, 50), "argument a must be >= 1"),
+    (lambda: two_sin_pi(True, 3, 50), "argument a must be >= 1"),
+    (lambda: two_sin_pi(1, 3.0, 50), "q must be >= 2"),
+    (lambda: two_sin_pi(1, "3", 50), "q must be >= 2"),
+    (lambda: bernoulli(True), "Bernoulli index must be >= 0"),
+    (lambda: hurwitz_zeta("2", Fraction(1, 3), 50), "s must be a real number"),
+    (lambda: hurwitz_zeta(True, Fraction(1, 3), 50), "s must be a real number"),
+    (lambda: hurwitz_zeta_ds(None, Fraction(1, 3), 50), "s must be a real number"),
+    (lambda: periodic_zeta(2j, 5, {1: Fraction(1)}, 50), "s must be a real number"),
+], ids=["two_sin_pi-q", "log_gamma_frac-q", "hurwitz_zeta-x", "hurwitz_zeta_ds-x",
+        "two_sin_pi-float-a", "two_sin_pi-bool-a", "two_sin_pi-float-q", "two_sin_pi-str-q",
+        "bernoulli-bool", "hurwitz_zeta-str-s", "hurwitz_zeta-bool-s", "hurwitz_zeta_ds-none-s",
+        "periodic_zeta-complex-s"])
 def test_rejected_arguments(call, message):
     with pytest.raises(ValidationError, match=message):
         call()

@@ -517,7 +517,11 @@ def test_plain_value_strings_parse_as_fraction_str(q, pool, data):
     (lambda: from_character(Character(conductor=7, modulus=7, values=(0, 1, 1, -1, 1, -1, -1)), 0),
      "character is odd"),
     (lambda: constant_on_units(1, 1), "period must be >= 2"),
-], ids=["not-an-object", "values-not-an-object", "odd-character", "constant-period"])
+    # an integer argument is an int and not a bool
+    (lambda: constant_on_units(5.0, 1), "period must be >= 2"),
+    (lambda: constant_on_units("5", 1), "period must be >= 2"),
+], ids=["not-an-object", "values-not-an-object", "odd-character", "constant-period",
+        "constant-period-float", "constant-period-str"])
 def test_rejected_arguments(call, message):
     with pytest.raises(ValidationError, match=message):
         call()

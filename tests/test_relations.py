@@ -299,6 +299,23 @@ def test_ramachandra_admissible_least_q():
         ramachandra_admissible(2)
 
 
+@pytest.mark.parametrize("call, message", [
+    # an integer argument is an int and not a bool
+    (lambda: sine_identity_residual(7.0, 50), "identity needs q >= 3"),
+    (lambda: sine_identity_residual("7", 50), "identity needs q >= 3"),
+    (lambda: log_sine_basis(15.0, 50), "basis needs q >= 3"),
+    (lambda: find_relation_for_modulus(15.0, 4, 50), "basis needs q >= 3"),
+    (lambda: find_relation_for_modulus(15, 4.5, 50), "max_coeff must be >= 1"),
+    (lambda: find_relation_for_modulus(15, True, 50), "max_coeff must be >= 1"),
+    (lambda: pslq_relation([mpf(1), mpf(2)], 2.5, 50), "max_coeff must be >= 1"),
+    (lambda: ramachandra_admissible(15.0), "admissibility needs q >= 3"),
+], ids=["identity-float", "identity-str", "basis-float", "finder-float-q", "finder-float-max-coeff",
+        "finder-bool-max-coeff", "pslq-float-max-coeff", "admissible-float"])
+def test_rejected_arguments(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_build_witness_55():
     wit = build_witness(55, 0, 100)
     assert (wit.p1, wit.p2) == (5, 11)
