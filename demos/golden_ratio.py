@@ -10,7 +10,8 @@ residue pattern).  Then
 
 The three evaluation routes (term-wise derivative of the Euler-Maclaurin
 series, log-Gamma closed form over mpmath's log Gamma, half-support
-log-sine sum) share no lprime code, and agree to the working precision.
+log-sine sum) share precision helpers of lprime but no algorithm, and
+agree to the working precision.
 """
 
 from mpmath import mp, nstr

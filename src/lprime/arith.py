@@ -59,14 +59,19 @@ def mult_order(a: int, m: int) -> int:
 
     Starts from phi(m) and strips prime factors while the power stays 1.
     """
+    return _order_and_phi(a, m)[0]
+
+
+def _order_and_phi(a: int, m: int) -> tuple[int, int]:
+    """(mult_order(a, m), euler_phi(m)), with phi(m) taken once."""
     require_int(m, 2, "modulus must be")
     if gcd(a, m) != 1:
         raise ValidationError(f"{a} is not a unit mod {m}")
-    order = euler_phi(m)
+    order = phi = euler_phi(m)
     for p, _ in factorize(order):
         while order % p == 0 and pow(a, order // p, m) == 1:
             order //= p
-    return order
+    return order, phi
 
 
 class RootType(enum.Enum):
@@ -78,8 +83,7 @@ class RootType(enum.Enum):
 def root_type(g: int, m: int) -> RootType:
     """Classify g mod m: order phi(m) -> primitive, phi(m)/2 -> semi-primitive."""
     require_int(m, 3, "root classification needs modulus")
-    order = mult_order(g, m)
-    phi = euler_phi(m)
+    order, phi = _order_and_phi(g, m)
     if order == phi:
         return RootType.PRIMITIVE
     if phi % 2 == 0 and order == phi // 2:
@@ -259,9 +263,9 @@ def relation_count(q: int) -> int:
         m = q // p ** e
         if m == 2:
             continue  # (Z/2)^* is trivial, and -1 = 1 there
-        order = mult_order(p, m)
+        order, phi = _order_and_phi(p, m)
         minus_one_in = order % 2 == 0 and pow(p, order // 2, m) == m - 1
-        if (order if minus_one_in else 2 * order) != euler_phi(m):
+        if (order if minus_one_in else 2 * order) != phi:
             return 2
     return 1
 

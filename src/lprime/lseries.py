@@ -1,7 +1,9 @@
 """Evaluation of L(s, f) = sum f(n)/n^s and of L'(0, f).
 
 Three routes to the derivative at 0 are kept so they can cross-check
-each other, and they share no code of this package:
+each other.  They share precision helpers of ``numkernel``
+(``prec_bits`` and ``_working_digits``, which turn each route's own
+error bound into working digits), not algorithms:
 
 * ``l_deriv`` differentiates the integer Euler-Maclaurin series of
   ``l_value`` term-wise,
@@ -48,9 +50,9 @@ elimination gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm, log, log10
+from math import ceil, gcd, lcm, log
 from operator import neg
 
 from mpmath import mp, mpf
@@ -61,13 +63,13 @@ from .errors import ValidationError
 from .numkernel import (
     RealLike,
     _em_first_shift,
+    _working_digits,
     csc2_sum,
     log_gamma_frac,
     log_sine_sum,
     periodic_zeta,
     periodic_zeta_ds,
     prec_bits,
-    require_digits,
 )
 from .periodic import PeriodicFunction, half_support, require_even_dirichlet
 
@@ -111,14 +113,13 @@ def l_deriv0_closed(f: PeriodicFunction, digits: int) -> mpf:
     Each f(a) and each exact sum is rounded once, log q and log(2 pi) are
     within u log q and 1.5 u, and |sum f(a)(1/2 - a/q)| <= W/2.  So the
     dot product is within 4 u W (1 + log q) of L'(0, f) before its one
-    rounding.  e = ceil(b log10 2) digits, b the bits of the integer
-    ceil(W ceil(1 + log q)), make 10^e > W (1 + log q), and so that error
-    at most 4 units of 2^-prec_bits(d), whatever the size of f.
+    rounding, and it runs at the ``_working_digits`` d + e of that bound,
+    taken as the exact 4 W ceil(1 + log q): e = 0 while the bound is below
+    10^13, and e grows by one digit per decade past it, so the value is
+    within 10^(-d + 3.4) of L'(0, f), whatever the size of f.
     """
-    require_digits(digits)
     q, values = f.q, f.values
-    weight = ceil(sum(map(abs, values.values())) * ceil(1 + log(q)))
-    working = digits + ceil(weight.bit_length() * log10(2))
+    working = _working_digits(digits, 4 * sum(map(abs, values.values())) * ceil(1 + log(q)))
     wp = prec_bits(working)
     first = sum(c * (Fraction(1, 2) - Fraction(a, q)) for a, c in values.items())
     log_2pi = mpf_log(mpf_shift(mpf_pi(wp, round_nearest), 1), wp, round_nearest)
@@ -211,11 +212,7 @@ class RankResult:
     certificate: list[int] | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "independent": self.independent,
-            "certificate": self.certificate,
-        }
+        return asdict(self)
 
 
 def family_rank(fs: list[PeriodicFunction]) -> RankResult:
@@ -225,20 +222,22 @@ def family_rank(fs: list[PeriodicFunction]) -> RankResult:
     derivative values L'(0, f_i) are independent exactly when the f_i
     are, so the verdict comes from the rows [f_i(a)] over the
     half-support columns, in one pass: each row is reduced against the
-    echelon list of the earlier independent rows, carrying the
+    echelon list of the earlier independent rows, augmented by the
     combination of the f_i it equals.  The rank is the length of that
-    list.  When dependent, the first row that reduces to zero gives the
-    certificate: the unique expression of that first dependent f_j
-    through the earlier independent f_i, as the primitive integer vector
-    c (first non-zero entry positive) with sum_i c_i L'(0, f_i) = 0.
+    list.  When dependent, the first row whose value part reduces to zero
+    gives the certificate from its combination part: the unique
+    expression of that first dependent f_j through the earlier
+    independent f_i, as the primitive integer vector c (first non-zero
+    entry positive) with sum_i c_i L'(0, f_i) = 0.
 
-    The reduction is fraction-free.  Row i starts as den_i f_i over its
-    common denominator den_i, with combination den_i e_i; each step
-    cross-multiplies by the two pivot entries and divides row and
-    combination by their gcd, so both stay integer and row = sum_j
-    combination_j f_j throughout.  Each row is a non-zero multiple of the
-    one rational elimination gives, so the pivots, the rank and the
-    (unique up to scale) certificate are the same.
+    The reduction is fraction-free, on one integer row per function: its
+    values den_i f_i over their common denominator den_i, then its
+    combination den_i e_i.  Each step cross-multiplies by the two pivot
+    entries, which lie in the value part, and divides the row by its gcd,
+    so it stays integer with values = sum_j combination_j f_j throughout.
+    Each value part is a non-zero multiple of the one rational elimination
+    gives, so the pivots, the rank and the (unique up to scale)
+    certificate are the same.
     """
     if not fs:
         raise ValidationError("need at least one function")
@@ -253,27 +252,25 @@ def family_rank(fs: list[PeriodicFunction]) -> RankResult:
         require_even_dirichlet(f)
 
     columns = half_units(q)
-    echelon: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, combination)
+    echelon: list[tuple[int, list[int]]] = []  # (pivot, augmented row)
     certificate = None
     for i, f in enumerate(fs):
         values = [f.values.get(a, 0) for a in columns]
         den = lcm(*(v.denominator for v in values))
         row = [v.numerator * (den // v.denominator) for v in values]
-        combo = [den if j == i else 0 for j in range(len(fs))]
-        for pivot, prow, pcombo in echelon:
+        row += [den if j == i else 0 for j in range(len(fs))]
+        for pivot, prow in echelon:
             b = row[pivot]
             if b:
                 a = prow[pivot]
                 row = [a * x - b * y for x, y in zip(row, prow)]
-                combo = [a * x - b * y for x, y in zip(combo, pcombo)]
-                g = gcd(*row, *combo)
+                g = gcd(*row)
                 row = [x // g for x in row]
-                combo = [x // g for x in combo]
-        pivot = next((j for j, x in enumerate(row) if x), None)
+        pivot = next((j for j in range(len(columns)) if row[j]), None)
         if pivot is not None:
-            echelon.append((pivot, row, combo))
+            echelon.append((pivot, row))
         elif certificate is None:
-            certificate = _primitive_integers(combo)
+            certificate = _primitive_integers(row[len(columns):])
     rank = len(echelon)
     return RankResult(rank=rank, independent=rank == len(fs), certificate=certificate)
 

@@ -89,14 +89,23 @@ references ``two_sin_pi``, ``log_gamma_frac``, ``pi_const`` and
 ``log2_const`` are mpmath's own ``mpf_sin_pi``, ``mpf_loggamma``,
 ``mpf_pi`` and ``mpf_ln2`` at ``prec_bits(d)``, and ``hurwitz_zeta(_ds)``
 take q^s and log q by ``mpf_pow`` and ``mpf_log`` at their working
-precision.  A route whose error bound grows with the size of f (the
-Euler-Maclaurin series, ``log_sine_sum`` and ``csc2_sum``) works at the
-``_working_digits`` d + e of that bound, and e = 0 for every f whose bound
-lies below 10^13 units.  No route builds an mpmath context.  Every public
-function returns a plain mpmath ``mpf``.  mpmath's global precision is
-never read or set, so the result of a call does not depend on the
-caller's ambient precision, and calls at different precisions may run
-concurrently from several threads.
+precision.  A route's error bound, in units of 2^-prec, becomes working
+digits in one rule, ``_working_digits``: d + e digits, e = 0 for every
+bound below 10^13 units.  Three places apply it: ``_em_shifts``, to the
+bound of the Euler-Maclaurin series; ``_sine_walk``, the one entry of the
+four sums over the sine walk, to the bound its caller states (0 for
+``two_sines``, 4 bits(q) for ``log_sines``, and those of ``log_sine_sum``
+and ``csc2_sum``, which grow with the size of f); and
+``lseries.l_deriv0_closed``, to 4 W (1 + log q).  Two precisions stay
+apart from it: the few more digits at which ``hurwitz_zeta(_ds)`` take
+their series, where q^s scales an absolute bound into a relative one; and
+the ``abs`` of ``classify.vanishing_verdict``'s residual, taken at the
+caller's mpmath precision (53 bits by default), which moves only with the
+benchmark's check of it (ROADMAP items 1-2).  No route builds an mpmath
+context.  Every public function returns a plain mpmath ``mpf``.  mpmath's
+global precision is never read or set, so the result of a call does not
+depend on the caller's ambient precision, and calls at different
+precisions may run concurrently from several threads.
 
 All functions are pure and their returned values are immutable and safe
 to hand between threads.  Shared state is:
@@ -403,7 +412,8 @@ def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
     T = floor(2^(P+1) cos t), S_0 = 0 and S_1 = floor(2^P sin t), each step
     sets S_(k+1) = floor(T S_k / 2^P) - S_(k-1), one multiply, so that
     S_k / 2^P is sin(k pi/q), and each wanted 2 S_a / 2^P is rounded once
-    into the working precision.
+    into the working precision, ``prec_bits(d)``: the walk's error bound
+    below needs no more digits.
 
     Error, in units u = 2^-P.  T u and S_1 u are within one unit of
     2 cos t and sin t (the pair is taken at P + 8 bits), and |S_k| u <= 1,
@@ -417,14 +427,19 @@ def two_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
     2^-prec (1 + 2^(-1 - SINE_GUARD_BITS)) of 2 sin(a pi/q), relative:
     correctly rounded but for near-ties.
     """
-    prec = prec_bits(digits)
-    point, sines = _sine_walk(q, residues, prec)
+    prec, point, sines = _sine_walk(q, residues, digits, 0)
     return [mp.make_mpf(from_man_exp(s, 1 - point, prec, round_nearest)) for s in sines]
 
 
-def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
-    """(P, [S_a]): the recurrence of ``two_sines``, 2 S_a / 2^P ~ 2 sin(a pi/q), unrounded."""
+def _sine_walk(q: int, residues: list[int], digits: int, bound) -> tuple[int, int, list[int]]:
+    """(prec, P, [S_a]): the recurrence of ``two_sines``, 2 S_a / 2^P ~ 2 sin(a pi/q), unrounded.
+
+    The one entry of the sums over the walk: q is checked, and prec is
+    ``prec_bits`` of the ``_working_digits`` of ``digits`` and the
+    caller's error ``bound``, in units of 2^-prec.
+    """
     require_int(q, 2, "denominator q must be")
+    prec = prec_bits(_working_digits(digits, bound))
     point = prec + 2 * q.bit_length() + SINE_GUARD_BITS
     wp = point + 8
     cos, sin = mpf_cos_sin(mpf_div(mpf_pi(wp), from_int(q), wp, round_nearest), wp, round_nearest)
@@ -442,7 +457,7 @@ def _sine_walk(q: int, residues: list[int], prec: int) -> tuple[int, list[int]]:
             before, big_s = big_s, (twice_cos * big_s >> point) - before
             k += 1
         sines.append(big_s)
-    return point, sines
+    return prec, point, sines
 
 
 def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
@@ -481,11 +496,16 @@ def log_sine_sum(q: int, coefficients, digits: int) -> mpf:
     # (numerator, denominator) of c -> the indices of its residues; the
     # pair hashes faster than a Fraction
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (_, c) in enumerate(pairs):
-        if c:
-            groups.setdefault((c.numerator, c.denominator), []).append(i)
-    prec = _log_sine_prec(q, groups, digits)
-    point, sines = _sine_walk(q, [a for a, _ in pairs], prec)
+    try:
+        for i, (_, c) in enumerate(pairs):
+            if c:
+                groups.setdefault((c.numerator, c.denominator), []).append(i)
+    except AttributeError:
+        raise _coefficient_error(pairs) from None
+    # one term per value c, |c| n_c (log q + 2^-SINE_GUARD_BITS), plus 3
+    # units for its log, is below (floor(|num| n_c / den) + 3) bits(q)
+    bound = q.bit_length() * sum(abs(num) * len(at) // den + 3 for (num, den), at in groups.items())
+    prec, point, sines = _sine_walk(q, [a for a, _ in pairs], digits, bound)
     return _log_of_walk(groups, sines, point, prec, digits)
 
 
@@ -499,17 +519,15 @@ def log_sines(q: int, residues: list[int], digits: int) -> list[mpf]:
     log from that walk as ``log_sine_sum`` does.
     """
     require_int(q, 2, "denominator q must be")
-    prec = _log_sine_prec(q, {(1, 1): [0]}, digits)
-    point, sines = _sine_walk(q, residues, prec)
+    # the bound of ``log_sine_sum`` for one coefficient 1
+    prec, point, sines = _sine_walk(q, residues, digits, 4 * q.bit_length())
     return [_log_of_walk({(1, 1): [i]}, sines, point, prec, digits) for i in range(len(sines))]
 
 
-def _log_sine_prec(q: int, groups: dict[tuple[int, int], list[int]], digits: int) -> int:
-    """The working precision of ``log_sine_sum`` with the residue indices ``groups`` of each (num, den)."""
-    # the bound of log_sine_sum, one term per value c: |c| n_c (log q + 2^-SINE_GUARD_BITS),
-    # plus 3 units for its log, is below (floor(|num| n_c / den) + 3) bits(q)
-    bound = q.bit_length() * sum(abs(num) * len(at) // den + 3 for (num, den), at in groups.items())
-    return prec_bits(_working_digits(digits, bound))
+def _coefficient_error(pairs) -> ValidationError:
+    """The error for the first pair (a, c_a) whose coefficient is not an int or a Fraction."""
+    a, c = next((a, c) for a, c in pairs if not isinstance(c, (int, Fraction)))
+    return ValidationError(f"coefficient {c!r} at residue {a!r} must be an int or a Fraction")
 
 
 def _log_of_walk(groups: dict[tuple[int, int], list[int]], sines: list[int], point: int, prec: int,
@@ -563,15 +581,16 @@ def csc2_sum(q: int, coefficients, digits: int) -> mpf:
     runs at the ``_working_digits`` of sum |c_a|, and e = 0 while that is
     below 10^13.
     """
-    require_int(q, 2, "denominator q must be")
     pairs = list(coefficients)
-    den = math.lcm(*(c.denominator for _, c in pairs))
+    try:
+        den = math.lcm(*(c.denominator for _, c in pairs))
+    except AttributeError:
+        raise _coefficient_error(pairs) from None
     scaled = [(a, c.numerator * (den // c.denominator)) for a, c in pairs]
     # k_q = 1/6 is exact and its residue, last, takes no walk
     sixths = scaled.pop()[1] if scaled and is_int(scaled[-1][0]) and scaled[-1][0] == q else 0
     bound = sum(abs(c.numerator) // c.denominator + 1 for _, c in pairs)
-    prec = prec_bits(_working_digits(digits, bound))
-    point, sines = _sine_walk(q, [a for a, _ in scaled], prec)
+    prec, point, sines = _sine_walk(q, [a for a, _ in scaled], digits, bound)
     cube = 1 << 3 * point
     total = sixths << point
     for (a, n), s in zip(scaled, sines):

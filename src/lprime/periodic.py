@@ -84,7 +84,7 @@ class PeriodicFunction:
                 ascending = False
             last = a
             if type(v) is not Fraction:
-                v = v if isinstance(v, Fraction) else _rational_value(a, v)
+                v = v if isinstance(v, Fraction) else _rational_value(v, f"value at residue {a}")
             if v._numerator:  # what Fraction.__bool__ reads, without its Python-level call
                 clean[a] = v
         object.__setattr__(self, "values", MappingProxyType(clean if ascending else dict(sorted(clean.items()))))
@@ -188,8 +188,8 @@ class PeriodicFunction:
         return hashlib.sha256(self.dumps().encode()).hexdigest()[:16]
 
 
-def _rational_value(a: int, value) -> Fraction:
-    """A value that is not a ``Fraction`` yet, as one.
+def _rational_value(value, what: str) -> Fraction:
+    """A rational argument ``what``, a value of f or a constant c, as a ``Fraction``.
 
     A string is read by ``parse_rational``, within its digit and exponent
     bound.  A bool, a non-finite float and anything ``Fraction`` cannot
@@ -202,7 +202,7 @@ def _rational_value(a: int, value) -> Fraction:
             return Fraction(value)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
-    raise ValidationError(f"value {value!r} at residue {a} is not a finite rational")
+    raise ValidationError(f"{what} must be a finite rational, got {value!r}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -254,12 +254,12 @@ def from_character(chi: Character, c: RationalLike) -> PeriodicFunction:
 
     Gives an even Dirichlet-type function with f(1) = c; it is constant
     on the units exactly when chi is principal, which ``Character``
-    already rules out.
+    already rules out.  c is read as a value of f is (``_rational_value``).
     """
     if not chi.is_even:
         raise ValidationError("character is odd; only even characters give even functions")
     q, p = chi.modulus, chi.conductor
-    c = Fraction(c)
+    c = _rational_value(c, "c")
     # chi is +1 or -1 on every unit, so f takes c or c - 2 there
     on_units = {1: c, -1: c - 2}
     values = {s: on_units[chi.values[s % p]] for s in range(1, q + 1) if gcd(s, q) == 1}
@@ -267,9 +267,12 @@ def from_character(chi: Character, c: RationalLike) -> PeriodicFunction:
 
 
 def constant_on_units(q: int, c: RationalLike) -> PeriodicFunction:
-    """f = c on residues coprime to q, 0 elsewhere; even Dirichlet type."""
+    """f = c on residues coprime to q, 0 elsewhere; even Dirichlet type.
+
+    c is read as a value of f is (``_rational_value``).
+    """
     require_int(q, 2, "period must be")
-    c = Fraction(c)
+    c = _rational_value(c, "c")
     return PeriodicFunction(q=q, values={a: c for a in range(1, q + 1) if gcd(a, q) == 1})
 
 

@@ -63,7 +63,7 @@ from .arith import (
     quadratic_character,
 )
 from .errors import HalfSumMismatchError, NotAdmissibleError, PrecisionError, ValidationError, require_int
-from .lseries import l_deriv0_even
+from .lseries import _primitive_integers, l_deriv0_even
 from .numkernel import log2_const, log_sine_sum, log_sines, pi_const, prec_bits, require_digits
 from .periodic import PeriodicFunction, from_character
 
@@ -170,8 +170,9 @@ MIN_DETECTION_DIGITS = 5
 def pslq_relation(values: list[mpf], max_coeff: int, digits: int) -> list[int] | None:
     """Detection only: PSLQ at d digits with tolerance 10**-(d-10).
 
-    Returns an integer vector c with |sum c_i values_i| below the
-    tolerance and max|c_i| <= max_coeff, or None.  Deterministic for
+    Returns a primitive integer vector c, first non-zero entry positive,
+    with |sum c_i values_i| below the tolerance and max|c_i| <= max_coeff,
+    or None.  Deterministic for
     fixed inputs; callers wanting a certificate must re-verify the
     combination at higher precision themselves.  ``find_integer_relation``
     never calls it: this blind search is the independent cross-check of
@@ -191,11 +192,9 @@ def pslq_relation(values: list[mpf], max_coeff: int, digits: int) -> list[int] |
     )
     if candidate is None or max(abs(c) for c in candidate) > max_coeff:
         return None
-    vec = [int(c) for c in candidate]
-    lead = next((c for c in vec if c), 0)
-    if lead < 0:  # canonical sign: first non-zero coefficient positive
-        vec = [-c for c in vec]
-    return vec
+    # a column of PSLQ's unimodular integer matrix is primitive, so only
+    # the sign rule acts: first non-zero coefficient positive
+    return _primitive_integers(candidate)
 
 
 def _require_detectable(n_values: int, max_coeff: int, digits: int) -> None:
@@ -325,10 +324,11 @@ def build_witness(q: int, c: Fraction | int, digits: int) -> WitnessResult:
     """Non-constant even Dirichlet-type f with numerically vanishing L'(0, f).
 
     Takes the quadratic character mod p1, lifts it to q, and sets
-    f = chi - 1 + c on the units.  Before returning, the construction
-    asserts the exact half-range character sum equals -1 (the value the
-    vanishing derivation relies on) and evaluates |L'(0, f)| at the
-    requested precision; the caller decides what residual to accept.
+    f = chi - 1 + c on the units, c read as ``from_character`` reads it.
+    Before returning, the construction asserts the exact half-range
+    character sum equals -1 (the value the vanishing derivation relies
+    on) and evaluates |L'(0, f)| at the requested precision; the caller
+    decides what residual to accept.
     """
     pair = ramachandra_admissible(q)
     if pair is None:
@@ -343,6 +343,6 @@ def build_witness(q: int, c: Fraction | int, digits: int) -> WitnessResult:
             f"half-range sum of the lifted character mod {q} is {half}, expected -1; "
             "the witness construction does not apply"
         )
-    f = from_character(chi, Fraction(c))
+    f = from_character(chi, c)
     residual = mp.make_mpf(mpf_abs(l_deriv0_even(f, digits)._mpf_))
     return WitnessResult(q=q, p1=p1, p2=p2, chi=chi, f=f, residual=residual, digits=digits)

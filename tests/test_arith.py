@@ -123,6 +123,25 @@ def test_root_type_table(g, m, expected):
         assert order != phi and order * 2 != phi
 
 
+def test_phi_taken_once_per_order(monkeypatch):
+    # the order and phi(m) come from one factorization of m and one of phi(m)
+    import lprime.arith as arith_mod
+
+    calls = []
+    factor = arith_mod.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(arith_mod, "factorize", counted)
+    assert root_type(3, 7) is RootType.PRIMITIVE
+    assert calls == [7, 6]
+    calls.clear()
+    assert relation_count(12) == 1
+    assert calls == [12, 3, 2, 4, 2]
+
+
 def test_primitive_root_enumerates_units():
     for g, m in ((2, 9), (3, 17), (2, 11), (3, 50)):
         if root_type(g, m) is not RootType.PRIMITIVE:

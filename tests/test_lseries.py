@@ -200,6 +200,34 @@ def test_large_values_keep_the_contract(k):
     assert abs(l_deriv0_closed(f, d)) < mpf(10) ** -15
 
 
+def _closed_form_reference(f, d):
+    """L'(0, f) by mpmath's loggamma at d + 40 digits."""
+    q, values = f.q, f.values
+    first = sum(c * (Fraction(1, 2) - Fraction(a, q)) for a, c in values.items())
+    total = sum(values.values())
+    with mp.workdps(d + 40):
+        return (mp.fsum(mpf(c.numerator) / c.denominator * mp.loggamma(mpf(a) / q) for a, c in values.items())
+                - mp.log(q) * mpf(first.numerator) / first.denominator
+                - mp.log(2 * mp.pi) * mpf(total.numerator) / (2 * total.denominator))
+
+
+@pytest.mark.parametrize("d", (30, 120))
+def test_l_deriv0_closed_working_digits_against_mpmath(d):
+    # the closed form works at the _working_digits of its bound
+    # 4 W (1 + log q), W = sum |f(a)|: e = 0 below 10^13, as for the small
+    # W, and more digits for the dense f of values about 10^11 at q = 97
+    # (4 W (1 + log q) about 10^15) and for f = 10^20 on the units of
+    # q = 12, whose value 0 cancels terms of size 10^21
+    functions = [
+        constant_on_units(12, 10**20),
+        PeriodicFunction(q=97, values={a: 10**11 * (a % 7 - 3) + a for a in range(1, 98)}),
+        PeriodicFunction(q=7, values={1: 1, 2: Fraction(1, 2), 5: -1}),
+    ]
+    for f in functions:
+        ref = _closed_form_reference(f, d)
+        assert abs(l_deriv0_closed(f, d) - ref) < tol(d) * max(1, abs(ref)), (f.q, d)
+
+
 class SeriesCalled(Exception):
     pass
 
@@ -490,6 +518,31 @@ def test_family_rank_certificate_numeric(rng):
     assert res.rank == 2 and res.certificate is not None
     combo = sum(c * l_deriv0_even(h, 50) for c, h in zip(res.certificate, [f, g, mix]))
     assert abs(combo) < tol(50)
+
+
+def _even(q, half):
+    """The even function mod q with the values ``half`` on a <= q/2 and their mirrors."""
+    values = {}
+    for a, c in half.items():
+        values[a] = values[q - a] = Fraction(c)
+    return PeriodicFunction(q=q, values=values)
+
+
+def test_family_rank_certificates_of_fixed_families():
+    # the certificate is read from the combination part of the first row
+    # whose value part vanishes, whatever dependent rows follow
+    f1 = _even(13, {a: 1 for a in range(1, 7)})
+    f2 = _even(13, {1: 2, 3: -1, 4: Fraction(1, 2)})
+    f3 = _even(13, {1: 4, 2: 2, 3: 1, 4: Fraction(5, 2), 5: 2, 6: 2})  # 2 f1 + f2
+    f4 = _even(13, {2: 5})
+    g1 = _even(27, {1: Fraction(1, 3), 2: -1})
+    g2 = _even(27, {4: 2, 5: Fraction(-2, 7)})
+    g3 = _even(27, {1: Fraction(2, 3), 2: -2, 4: -6, 5: Fraction(6, 7)})  # 2 g1 - 3 g2
+    for fs, rank, certificate in [([f1, f2, f3], 2, [2, 1, -1]), ([f1, f2, f4, f3, f1], 3, [2, 1, 0, -1, 0]),
+                                  ([f2, f4, f1, f2, f3], 3, [1, 0, 0, -1, 0]), ([g1, g2, g3], 2, [2, -3, -1])]:
+        res = family_rank(fs)
+        assert (res.rank, res.independent, res.certificate) == (rank, False, certificate)
+        assert res.to_json_dict() == {"rank": rank, "independent": False, "certificate": certificate}
 
 
 def _combination(q, terms):

@@ -24,6 +24,7 @@ from lprime.numkernel import (
     log2_const,
     log_gamma_frac,
     log_sine_sum,
+    log_sines,
     periodic_zeta,
     periodic_zeta_ds,
     pi_const,
@@ -326,6 +327,39 @@ def test_csc2_sum_domain():
                      (7, [(1.5, 1)]), (1, [(1, 1)]), (7.0, [(1, 1)])]:
         with pytest.raises(ValidationError):
             csc2_sum(q, pairs, 50)
+
+
+@pytest.mark.parametrize("fn", [log_sine_sum, csc2_sum])
+def test_float_coefficient_rejected(fn):
+    # the coefficients are ints or Fractions; a float names its residue
+    with pytest.raises(ValidationError, match="coefficient 0.5 at residue 1 must be an int or a Fraction"):
+        fn(7, [(1, 0.5)], 20)
+
+
+# The raw bits of the four sums over the sine walk at 50 digits, frozen
+# from the walk as it stood when they were taken: a change to the working
+# precision or the rounding of a walk sum that moves any bit fails here.
+WALK_BITS = {
+    "two_sines": [(0, 20996345541590096663090859308376381294099402982387605269817, -196, 194),
+                  (0, 268812856984033975078441570694953290608140337381453610211715, -197, 198),
+                  (0, 196477824064975664140482588227608348988890407234741099958753, -196, 197)],
+    "log_sines": [(1, 628774243053037975166805800621257199890387343039568530135131, -198, 199),
+                  (0, 117053854075721638015034261188160718094037622418358779391661, -198, 197),
+                  (0, 539169880884135254473874036172403330189711545606945358316053, -199, 199)],
+    "log_sine_sum": (0, 33480841880285702569430668320674725882231015813176714680959, -198, 195),
+    "csc2_sum": (0, 61243535904253344242213520251808263306127871153382597496795, -196, 196),
+}
+
+
+def test_walk_sums_keep_their_bits():
+    assert [v._mpf_ for v in two_sines(30, [1, 7, 13], 50)] == WALK_BITS["two_sines"]
+    assert [v._mpf_ for v in log_sines(30, [1, 7, 13], 50)] == WALK_BITS["log_sines"]
+    # Fraction coefficients of both signs over two denominators, 3 and 4
+    pairs = [(1, Fraction(1, 3)), (2, Fraction(-3, 4)), (4, Fraction(1, 3)), (8, Fraction(5, 4)), (11, Fraction(-2, 3))]
+    assert log_sine_sum(35, pairs, 50)._mpf_ == WALK_BITS["log_sine_sum"]
+    # with the exact terms of a = q/2 and a = q
+    pairs = [(1, Fraction(2, 3)), (5, -1), (6, Fraction(1, 2)), (12, Fraction(-7, 5))]
+    assert csc2_sum(12, pairs, 50)._mpf_ == WALK_BITS["csc2_sum"]
 
 
 # ---------------------------------------------------------------------------

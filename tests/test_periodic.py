@@ -26,6 +26,7 @@ from lprime.periodic import (
     parse_rational,
     validate,
 )
+from lprime.relations import build_witness
 from tests.conftest import random_even_dirichlet
 
 
@@ -437,6 +438,36 @@ def test_bad_values_rejected():
     for v in (float("inf"), float("-inf"), float("nan"), "abc", "1/0", None, 1j, True, False):
         with pytest.raises(ValidationError):
             PeriodicFunction(q=5, values={1: v, 4: 1})
+
+
+_CHI_5_AT_55 = lift_character(quadratic_character(5), 55)
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: constant_on_units(5, c),
+    lambda c: from_character(_CHI_5_AT_55, c),
+    lambda c: build_witness(55, c, 20),
+], ids=["constant_on_units", "from_character", "build_witness"])
+@pytest.mark.parametrize("c, message", [
+    (True, "c must be a finite rational"),
+    (None, "c must be a finite rational"),
+    (float("nan"), "c must be a finite rational"),
+    (float("inf"), "c must be a finite rational"),
+    (1j, "c must be a finite rational"),
+    ("1/0", "malformed rational"),
+    ("abc", "malformed rational"),
+    # read within parse_rational's bound, not expanded to 10^999999999
+    ("1e999999999", "exponent beyond it"),
+], ids=["bool", "none", "nan", "inf", "complex", "zero-denominator", "not-a-number", "exponent"])
+def test_rational_arguments_take_the_value_rule(make, c, message):
+    # c is read as a value of f is, so every bad c is a ValidationError
+    with pytest.raises(ValidationError, match=message):
+        make(c)
+
+
+def test_rational_arguments_read_strings_and_numbers():
+    assert constant_on_units(5, "1/2") == constant_on_units(5, Fraction(1, 2)) == constant_on_units(5, 0.5)
+    assert from_character(_CHI_5_AT_55, "-3").values[1] == -3
 
 
 def test_constructor_value_strings_keep_the_parse_bound():

@@ -94,9 +94,9 @@ def test_basis_takes_one_walk(monkeypatch):
     walks = []
     walk = numkernel._sine_walk
 
-    def counted(q, residues, prec):
+    def counted(q, residues, *args):
         walks.append(list(residues))
-        return walk(q, residues, prec)
+        return walk(q, residues, *args)
 
     monkeypatch.setattr(numkernel, "_sine_walk", counted)
     basis = log_sine_basis(105, 30, extended=True)
@@ -174,6 +174,19 @@ def test_pslq_relation_reaches_its_coefficient_bound():
     assert pslq_relation([log2, log8], 2, 50) is None
     assert pslq_relation([log2, log3, log12], 2, 50) == [2, 1, -1]
     assert pslq_relation([log2, log3, log12], 1, 50) is None
+
+
+def test_pslq_relation_vectors_of_fixed_families():
+    # mpmath's PSLQ returns a column of a unimodular integer matrix, so the
+    # vector is primitive and the sign rule alone acts: [log 2, log 6,
+    # log 3] and [log 4, log 3, log 24] come back from it with a negative
+    # first entry
+    with mp.workprec(prec_bits(50)):
+        logs = {n: mp.log(n) for n in (2, 3, 4, 6, 24)}
+    for ns, expected in [((2, 3, 6), [1, 1, -1]), ((2, 6, 3), [1, -1, 1]), ((4, 3, 24), [3, 2, -2])]:
+        assert pslq_relation([logs[n] for n in ns], 10, 50) == expected, ns
+    assert pslq_relation(log_sine_basis(15, 50).all_values(), 4, 50) == [1, 1, 1, 1]
+    assert pslq_relation(log_sine_basis(21, 60, extended=True).all_values(), 4, 60) == [1, 1, 1, 1, 1, 1, 0, 0]
 
 
 def test_pslq_rejections():
